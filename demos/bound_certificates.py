@@ -13,22 +13,22 @@ import numpy as np
 
 from gflow import TableGuide, check_theorem_bounds
 from gflow.envs import random_graded_dag
-from gflow.policy import masked_log_softmax_np
+from gflow.autodiff import log_softmax_masked
 
 
 def random_instance(seed):
     rng = np.random.default_rng(seed)
     env = random_graded_dag(rng)
     enum = env.enumeration()
-    fwd = masked_log_softmax_np(
-        rng.normal(0, 1, (enum.n, env.n_action_slots)), enum.action_masks())
+    fwd = log_softmax_masked(
+        None, rng.normal(0, 1, (enum.n, env.n_action_slots)), enum.action_masks()).data
     masks = enum.parent_masks()
     bwd = np.full((enum.n, env.n_backward_slots), -np.inf)
     rows = [i for i in range(enum.n) if masks[i].any()]
-    bwd[rows] = masked_log_softmax_np(
-        rng.normal(0, 1, (len(rows), env.n_backward_slots)), masks[rows])
-    alt = masked_log_softmax_np(
-        rng.normal(0, 1, (enum.n, env.n_action_slots)), enum.action_masks())
+    bwd[rows] = log_softmax_masked(
+        None, rng.normal(0, 1, (len(rows), env.n_backward_slots)), masks[rows]).data
+    alt = log_softmax_masked(
+        None, rng.normal(0, 1, (enum.n, env.n_action_slots)), enum.action_masks()).data
     guide = TableGuide.random(env, rng)
     log_z = float(np.log(enum.partition()) + rng.normal(0, 0.5))
     return env, fwd, bwd, guide, log_z, alt

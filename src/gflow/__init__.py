@@ -24,9 +24,8 @@ from .policy import (BackwardPolicy, ForwardPolicy, LogZ, PolicySuite,
                      make_suite, save_checkpoint)
 from .sampling import MixtureSchedule, ReplayBuffer, Trajectory, sample_backward, sample_forward
 from .guides import HyperGridGuide, SequenceGuide, TableGuide
-from .training import (STRATEGIES, Trainer, TrainerConfig, TrustRegionConfig,
-                       actor_critic_step, check_theorem_bounds,
-                       guided_coupled_step, trpo_step)
+from .training import (STRATEGIES, Trainer, TrainerConfig, actor_critic_step,
+                       check_theorem_bounds, trpo_step)
 from .runner import RunConfig, parse_config, run, summarize
 
 __version__ = "0.1.0"
@@ -42,9 +41,8 @@ __all__ = [
     "MixtureSchedule", "ReplayBuffer", "Trajectory", "sample_backward",
     "sample_forward",
     "HyperGridGuide", "SequenceGuide", "TableGuide",
-    "STRATEGIES", "Trainer", "TrainerConfig", "TrustRegionConfig",
-    "actor_critic_step", "check_theorem_bounds", "guided_coupled_step",
-    "trpo_step",
+    "STRATEGIES", "Trainer", "TrainerConfig", "actor_critic_step",
+    "check_theorem_bounds", "trpo_step",
     "RunConfig", "parse_config", "run", "summarize",
     "__version__",
 ]

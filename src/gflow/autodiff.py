@@ -101,7 +101,9 @@ class Tape:
 
 
 # ---------------------------------------------------------------------------
-# Primitive ops.  Each takes the tape first, returns a new Tensor.
+# Primitive ops.  Each takes the tape first and returns a new Tensor.  With
+# tape=None an op evaluates eagerly: it records nothing and builds no
+# backward closure, so untaped model evaluations share the taped code path.
 # ---------------------------------------------------------------------------
 
 def matmul(tape, a, b):
@@ -109,6 +111,8 @@ def matmul(tape, a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     out = Tensor(a.data @ b.data)
+    if tape is None:
+        return out
 
     def bw(g):
         return g @ b.data.T, a.data.T @ g
@@ -119,6 +123,8 @@ def matmul(tape, a, b):
 def add(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
+    if tape is None:
+        return out
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -129,6 +135,8 @@ def add(tape, a, b):
 def sub(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
+    if tape is None:
+        return out
 
     def bw(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
@@ -139,6 +147,8 @@ def sub(tape, a, b):
 def mul(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
+    if tape is None:
+        return out
 
     def bw(g):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
@@ -150,6 +160,8 @@ def scale(tape, a, c):
     a = _as_tensor(a)
     c = float(c)
     out = Tensor(a.data * c)
+    if tape is None:
+        return out
 
     def bw(g):
         return (g * c,)
@@ -164,6 +176,8 @@ def neg(tape, a):
 def log(tape, a):
     a = _as_tensor(a)
     out = Tensor(np.log(a.data))
+    if tape is None:
+        return out
 
     def bw(g):
         return (g / a.data,)
@@ -174,6 +188,8 @@ def log(tape, a):
 def exp(tape, a):
     a = _as_tensor(a)
     out = Tensor(np.exp(a.data))
+    if tape is None:
+        return out
 
     def bw(g):
         return (g * out.data,)
@@ -184,6 +200,8 @@ def exp(tape, a):
 def square(tape, a):
     a = _as_tensor(a)
     out = Tensor(a.data * a.data)
+    if tape is None:
+        return out
 
     def bw(g):
         return (2.0 * g * a.data,)
@@ -195,6 +213,8 @@ def leaky_relu(tape, a, slope=0.01):
     a = _as_tensor(a)
     pos = a.data > 0
     out = Tensor(np.where(pos, a.data, slope * a.data))
+    if tape is None:
+        return out
 
     def bw(g):
         return (np.where(pos, g, slope * g),)
@@ -209,12 +229,28 @@ def logsumexp(tape, a, axis=-1):
     w = np.exp(a.data - m)
     s = w.sum(axis=axis, keepdims=True)
     out = Tensor(np.squeeze(m + np.log(s), axis=axis))
+    if tape is None:
+        return out
     p = w / s
 
     def bw(g):
         return (np.expand_dims(g, axis) * p,)
 
     return tape.record(out, (a,), bw)
+
+
+def _masked_exp(logits, mask):
+    """Row max m, shifted exponentials w and row sums s of a masked softmax."""
+    z = np.where(mask, logits, NEG_INF)
+    m = z.max(axis=-1, keepdims=True)
+    w = np.exp(z - m)
+    return m, w, w.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(logits, mask):
+    """Probabilities of log_softmax_masked as a plain array; masked entries are 0."""
+    _, w, s = _masked_exp(logits, mask)
+    return w / s
 
 
 def log_softmax_masked(tape, logits, mask):
@@ -230,11 +266,10 @@ def log_softmax_masked(tape, logits, mask):
         raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.data.shape}")
     if not mask.any(axis=-1).all():
         raise MaskError("log_softmax_masked: a row masks out every entry")
-    z = np.where(mask, logits.data, NEG_INF)
-    m = z.max(axis=-1, keepdims=True)
-    w = np.exp(z - m)
-    s = w.sum(axis=-1, keepdims=True)
+    m, w, s = _masked_exp(logits.data, mask)
     out = Tensor(np.where(mask, logits.data - (m + np.log(s)), NEG_INF))
+    if tape is None:
+        return out
     p = w / s
 
     def bw(g):
@@ -249,6 +284,8 @@ def gather(tape, a, idx):
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(a.data[idx])
+    if tape is None:
+        return out
 
     def bw(g):
         acc = np.zeros_like(a.data)
@@ -266,6 +303,8 @@ def pick(tape, a, cols):
     cols = np.asarray(cols, dtype=np.intp)
     rows = np.arange(a.data.shape[0])
     out = Tensor(a.data[rows, cols])
+    if tape is None:
+        return out
 
     def bw(g):
         acc = np.zeros_like(a.data)
@@ -280,6 +319,8 @@ def segment_sum(tape, a, segments, num_segments):
     a = _as_tensor(a)
     segments = np.asarray(segments, dtype=np.intp)
     out = Tensor(np.bincount(segments, weights=a.data, minlength=num_segments))
+    if tape is None:
+        return out
 
     def bw(g):
         return (g[segments],)
@@ -290,6 +331,8 @@ def segment_sum(tape, a, segments, num_segments):
 def sum(tape, a):
     a = _as_tensor(a)
     out = Tensor(a.data.sum())
+    if tape is None:
+        return out
 
     def bw(g):
         return (np.broadcast_to(g, a.data.shape).copy(),)
@@ -301,6 +344,8 @@ def mean(tape, a):
     a = _as_tensor(a)
     n = a.data.size
     out = Tensor(a.data.mean())
+    if tape is None:
+        return out
 
     def bw(g):
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
@@ -327,15 +372,14 @@ class Mlp:
     rng : numpy.random.Generator
         Source for the uniform +-sqrt(6/(fan_in+fan_out)) weight init.
         Biases start at zero.
-    slope : float
-        Negative-side slope of the hidden activation.
     """
 
-    def __init__(self, dims, rng, slope=0.01):
+    slope = 0.01  # negative-side slope of the hidden activation
+
+    def __init__(self, dims, rng):
         if len(dims) < 2:
             raise ShapeError("Mlp needs at least input and output dims")
         self.dims = tuple(int(d) for d in dims)
-        self.slope = float(slope)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
@@ -349,22 +393,11 @@ class Mlp:
         return out
 
     def forward(self, tape, x):
-        h = _as_tensor(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = add(tape, matmul(tape, h, w), b)
-            if i < last:
-                h = leaky_relu(tape, h, self.slope)
-        return h
+        """Network output; untaped (eager) when tape is None."""
+        return self._layers(tape, x)
 
     def forward_numpy(self, x):
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i < last:
-                h = np.where(h > 0, h, self.slope * h)
-        return h
+        return self.forward(None, x).data
 
     def forward_cached(self, x):
         """Forward pass keeping per-layer inputs and pre-activations.
@@ -372,19 +405,23 @@ class Mlp:
         Returns (output, layer_inputs, pre_activations); consumed by
         per_sample_param_grads.
         """
-        h = np.asarray(x, dtype=np.float64)
-        inputs = [h]
-        pre = []
+        inputs, pre = [], []
+        return self._layers(None, x, inputs, pre).data, inputs, pre
+
+    def _layers(self, tape, x, inputs=None, pre=None):
+        # Activations are kept only when lists are passed in, so a plain
+        # forward frees each layer's output once the next one exists.
+        h = _as_tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.data + b.data
+            if inputs is not None:
+                inputs.append(h.data)
+            h = add(tape, matmul(tape, h, w), b)
             if i < last:
-                pre.append(z)
-                h = np.where(z > 0, z, self.slope * z)
-                inputs.append(h)
-            else:
-                h = z
-        return h, inputs, pre
+                if pre is not None:
+                    pre.append(h.data)
+                h = leaky_relu(tape, h, self.slope)
+        return h
 
     def n_params(self):
         # builtins.sum: the taped `sum` op below shadows the builtin here.
@@ -440,9 +477,6 @@ class Tabular:
 
     def rows(self, tape, idx):
         return gather(tape, self.table, idx)
-
-    def rows_numpy(self, idx):
-        return self.table.data[np.asarray(idx, dtype=np.intp)]
 
     def per_sample_param_grads(self, idx, d_out):
         idx = np.asarray(idx, dtype=np.intp)
@@ -501,25 +535,24 @@ class Adam:
     diverged loss stops a run instead of silently corrupting parameters.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads=None):
-        if grads is None:
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in self.params]
+    def step(self):
+        """Update every parameter from its .grad; a missing grad reads as zero."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            g = np.asarray(g, dtype=np.float64)
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise NumericFault("non-finite gradient in Adam step")
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g

@@ -170,7 +170,11 @@ def load_reward_table(path):
     lexicographic sequence order.  The table must be complete."""
     entries = {}
     d = None
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read reward table: {err.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

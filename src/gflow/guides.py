@@ -13,6 +13,7 @@ kernels are built per endpoint from the replay buffer.
 
 import numpy as np
 
+from . import autodiff as ad
 from . import exact
 from .envs import EMPTY
 from .errors import ContractError
@@ -56,10 +57,9 @@ class TableGuide(_MarkovGuide):
         enum = env.enumeration()
         masks = enum.parent_masks()
         logits = rng.normal(0.0, scale, size=masks.shape)
-        from .policy import masked_log_softmax_np
         table = np.full(masks.shape, -np.inf)
         rows = np.flatnonzero(masks.any(axis=1))
-        table[rows] = masked_log_softmax_np(logits[rows], masks[rows])
+        table[rows] = ad.log_softmax_masked(None, logits[rows], masks[rows]).data
         return cls(env, table)
 
 

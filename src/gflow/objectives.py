@@ -231,33 +231,28 @@ def guided_tb_loss(tape, trajectories, suite, guide, weights=None):
 # Policy-gradient rewards and advantages
 # ---------------------------------------------------------------------------
 
-def forward_step_rewards(sb, suite, lpf=None, lpb_int=None):
+def forward_step_rewards(sb, suite):
     """R_F per step, aligned with the StepBatch.
 
     Interior: log pi_F(s,a) - log pi_B(s',a).  Terminal:
     log pi_F(sink|x) - log R(x) + log Z.  Values are plain numbers; the
     surrogate differentiates only its log-probability factors.
     """
-    if lpf is None:
-        lp = suite.forward.log_probs_numpy(sb.states)
-        lpf = lp[np.arange(sb.n_steps), sb.slots]
-    if lpb_int is None and len(sb.in_states):
-        lpb = suite.backward.log_probs_numpy(sb.in_states)
-        lpb_int = lpb[np.arange(len(sb.in_states)), sb.in_bslots]
+    lpf = suite.forward.log_probs_numpy(sb.states)[np.arange(sb.n_steps), sb.slots]
     r = np.empty(sb.n_steps)
-    r[~sb.terminal] = lpf[~sb.terminal] - (lpb_int if lpb_int is not None else 0.0)
+    if len(sb.in_states):
+        lpb = suite.backward.log_probs_numpy(sb.in_states)
+        r[~sb.terminal] = lpf[~sb.terminal] - lpb[np.arange(len(sb.in_states)), sb.in_bslots]
     r[sb.terminal] = lpf[sb.terminal] - sb.log_rewards + suite.log_z.item()
     return r
 
 
-def backward_step_rewards(sb, suite, ref_int, lpb_int=None):
+def backward_step_rewards(sb, suite, ref_int):
     """R_B per interior edge in StepBatch (forward) order:
     log pi_B(s',a) - ref(edge), with ref the forward policy's log-prob or a
     guide kernel's.  The terminal hop carries no backward reward."""
-    if lpb_int is None:
-        lpb = suite.backward.log_probs_numpy(sb.in_states)
-        lpb_int = lpb[np.arange(len(sb.in_states)), sb.in_bslots]
-    return lpb_int - np.asarray(ref_int)
+    lpb = suite.backward.log_probs_numpy(sb.in_states)
+    return lpb[np.arange(len(sb.in_states)), sb.in_bslots] - np.asarray(ref_int)
 
 
 def gae_advantages(rewards, values, lam):

@@ -20,26 +20,11 @@ CHECKPOINT_MAGIC = b"GFLW"
 CHECKPOINT_VERSION = 1
 
 
-def masked_log_softmax_np(logits, mask):
-    z = np.where(mask, logits, -np.inf)
-    m = z.max(axis=-1, keepdims=True)
-    w = np.exp(z - m)
-    s = w.sum(axis=-1, keepdims=True)
-    return np.where(mask, logits - (m + np.log(s)), -np.inf)
+class _StateModel:
+    """An autodiff model read by state.
 
-
-def masked_softmax_np(logits, mask):
-    z = np.where(mask, logits, -np.inf)
-    m = z.max(axis=-1, keepdims=True)
-    w = np.exp(z - m)
-    return w / w.sum(axis=-1, keepdims=True)
-
-
-class _PolicyBase:
-    """Shared mechanics for forward and backward policies.
-
-    Subclasses provide _mask(s) and the slot count; the model is an
-    autodiff Mlp (fed encodings) or Tabular (fed enumeration indices).
+    The model is an Mlp fed state encodings or a Tabular fed enumeration
+    indices; _outputs(tape, states) evaluates it, eagerly when tape is None.
     """
 
     def __init__(self, env, model):
@@ -48,52 +33,53 @@ class _PolicyBase:
         self.tabular = isinstance(model, ad.Tabular)
         if self.tabular:
             self._enum = env.enumeration()
-            if model.n_rows != self._enum.n:
-                raise ShapeError(
-                    f"tabular model has {model.n_rows} rows, env has {self._enum.n} states")
-
-    def _mask(self, s):
-        raise NotImplementedError
 
     def params(self):
         return self.model.params()
-
-    def masks(self, states):
-        return np.stack([self._mask(s) for s in states])
 
     def _model_inputs(self, states):
         if self.tabular:
             return np.asarray([self._enum.index[s] for s in states], dtype=np.intp)
         return self.env.encode_batch(states)
 
-    def logits_numpy(self, states):
+    def _outputs(self, tape, states):
         x = self._model_inputs(states)
-        if self.tabular:
-            return self.model.rows_numpy(x)
-        return self.model.forward_numpy(x)
+        return self.model.rows(tape, x) if self.tabular else self.model.forward(tape, x)
+
+
+class _PolicyBase(_StateModel):
+    """Shared mechanics for forward and backward policies.
+
+    Subclasses provide _mask(s); the model has one output per slot.
+    """
+
+    def __init__(self, env, model):
+        super().__init__(env, model)
+        if self.tabular and model.n_rows != self._enum.n:
+            raise ShapeError(
+                f"tabular model has {model.n_rows} rows, env has {self._enum.n} states")
+
+    def _mask(self, s):
+        raise NotImplementedError
+
+    def masks(self, states):
+        return np.stack([self._mask(s) for s in states])
 
     def log_prob_matrix(self, tape, states, masks=None):
-        """Taped (M x slots) masked log-probabilities."""
+        """(M x slots) masked log-probabilities; untaped when tape is None."""
         if masks is None:
             masks = self.masks(states)
-        x = self._model_inputs(states)
-        logits = self.model.rows(tape, x) if self.tabular else self.model.forward(tape, x)
-        return ad.log_softmax_masked(tape, logits, masks)
+        return ad.log_softmax_masked(tape, self._outputs(tape, states), masks)
 
     def step_log_probs(self, tape, states, slots):
         """Taped log-probabilities of chosen slots, shape (M,)."""
-        mat = self.log_prob_matrix(tape, states)
-        return ad.pick(tape, mat, slots)
+        return ad.pick(tape, self.log_prob_matrix(tape, states), slots)
 
     def log_probs_numpy(self, states, masks=None):
-        if masks is None:
-            masks = self.masks(states)
-        return masked_log_softmax_np(self.logits_numpy(states), masks)
+        return self.log_prob_matrix(None, states, masks).data
 
     def probs_numpy(self, states, masks=None):
-        if masks is None:
-            masks = self.masks(states)
-        return masked_softmax_np(self.logits_numpy(states), masks)
+        return np.exp(self.log_probs_numpy(states, masks))
 
 
 class ForwardPolicy(_PolicyBase):
@@ -130,9 +116,7 @@ class UniformBackward:
         return np.where(masks, -np.log(counts), -np.inf)
 
     def probs_numpy(self, states, masks=None):
-        if masks is None:
-            masks = self.masks(states)
-        return masks / masks.sum(axis=-1, keepdims=True)
+        return np.exp(self.log_probs_numpy(states, masks))
 
     def log_prob_matrix(self, tape, states, masks=None):
         return ad.Tensor(self.log_probs_numpy(states, masks))
@@ -142,7 +126,7 @@ class UniformBackward:
         return ad.Tensor(mat[np.arange(len(states)), np.asarray(slots, dtype=np.intp)])
 
 
-class ScalarEstimator:
+class ScalarEstimator(_StateModel):
     """State -> scalar map used for values (V~_F, V~_B) and log-flows log F(s).
 
     Boundary conventions live in the consumers: forward values treat the sink
@@ -151,31 +135,17 @@ class ScalarEstimator:
     """
 
     def __init__(self, env, model):
-        self.env = env
-        self.model = model
-        self.tabular = isinstance(model, ad.Tabular)
-        if self.tabular:
-            self._enum = env.enumeration()
-            if model.n_cols != 1:
-                raise ShapeError("tabular scalar estimator needs a single column")
-
-    def params(self):
-        return self.model.params()
-
-    def _model_inputs(self, states):
-        if self.tabular:
-            return np.asarray([self._enum.index[s] for s in states], dtype=np.intp)
-        return self.env.encode_batch(states)
+        super().__init__(env, model)
+        if self.tabular and model.n_cols != 1:
+            raise ShapeError("tabular scalar estimator needs a single column")
 
     def values(self, tape, states):
-        x = self._model_inputs(states)
-        out = self.model.rows(tape, x) if self.tabular else self.model.forward(tape, x)
+        """Per-state scalar outputs, shape (M,); untaped when tape is None."""
+        out = self._outputs(tape, states)
         return ad.pick(tape, out, np.zeros(len(states), dtype=np.intp))
 
     def values_numpy(self, states):
-        x = self._model_inputs(states)
-        out = self.model.rows_numpy(x) if self.tabular else self.model.forward_numpy(x)
-        return out[:, 0]
+        return self.values(None, states).data
 
 
 class LogZ:
@@ -199,7 +169,10 @@ class PolicySuite:
     estimators, state-flow estimator.
     """
 
-    GROUPS = ("policy_f", "policy_b", "log_z", "value_f", "value_b", "flow")
+    # Parameter groups in checkpoint order, each with the TrainerConfig field
+    # holding its learning rate.
+    GROUPS = {"policy_f": "lr_policy", "policy_b": "lr_policy", "log_z": "lr_logz",
+              "value_f": "lr_value", "value_b": "lr_value", "flow": "lr_value"}
 
     def __init__(self, env, forward, backward, log_z,
                  value_f=None, value_b=None, state_flow=None):
@@ -212,22 +185,14 @@ class PolicySuite:
         self.state_flow = state_flow
 
     def param_groups(self):
-        groups = {"policy_f": self.forward.params(), "log_z": self.log_z.params()}
-        if self.backward.params():
-            groups["policy_b"] = self.backward.params()
-        if self.value_f is not None:
-            groups["value_f"] = self.value_f.params()
-        if self.value_b is not None:
-            groups["value_b"] = self.value_b.params()
-        if self.state_flow is not None:
-            groups["flow"] = self.state_flow.params()
-        return groups
+        """Parameter lists of the groups this suite holds, in GROUPS order."""
+        parts = {"policy_f": self.forward, "policy_b": self.backward, "log_z": self.log_z,
+                 "value_f": self.value_f, "value_b": self.value_b, "flow": self.state_flow}
+        return {name: parts[name].params() for name in self.GROUPS
+                if parts[name] is not None and parts[name].params()}
 
     def all_params(self):
-        out = []
-        for name in self.GROUPS:
-            out.extend(self.param_groups().get(name, []))
-        return out
+        return [p for params in self.param_groups().values() for p in params]
 
     def snapshot(self):
         """Copy of all parameters as flat vectors, keyed by group."""
@@ -243,7 +208,7 @@ class PolicySuite:
 
     def save(self, path, seed=0, kind="suite"):
         groups = self.param_groups()
-        names = [n for n in self.GROUPS if n in groups]
+        names = list(groups)
         vecs = [ad.flatten(groups[n]) for n in names]
         dims = [v.size for v in vecs]
         save_checkpoint(path, kind + ":" + ",".join(names), dims, seed,
@@ -253,7 +218,7 @@ class PolicySuite:
         kind, dims, seed, vec = load_checkpoint(path)
         names = kind.split(":", 1)[1].split(",") if ":" in kind else []
         groups = self.param_groups()
-        if names != [n for n in self.GROUPS if n in groups]:
+        if names != list(groups):
             raise ShapeError(f"checkpoint groups {names} do not match suite")
         offset = 0
         for name, size in zip(names, dims):
@@ -272,15 +237,13 @@ def score_matrix(policy, states, slots):
     masks = policy.masks(states)
     x = policy._model_inputs(states)
     if policy.tabular:
-        logits = policy.model.rows_numpy(x)
-        p = masked_softmax_np(logits, masks)
-        d = -p
-        d[np.arange(len(states)), slots] += 1.0
-        return policy.model.per_sample_param_grads(x, d)
-    logits, inputs, pre = policy.model.forward_cached(x)
-    p = masked_softmax_np(logits, masks)
-    d = -p
+        logits = policy.model.rows(None, x).data
+    else:
+        logits, inputs, pre = policy.model.forward_cached(x)
+    d = -ad.masked_softmax(logits, masks)
     d[np.arange(len(states)), slots] += 1.0
+    if policy.tabular:
+        return policy.model.per_sample_param_grads(x, d)
     return policy.model.per_sample_param_grads(inputs, pre, d)
 
 
@@ -302,19 +265,34 @@ def save_checkpoint(path, kind, dims, seed, vec):
 
 
 def load_checkpoint(path):
+    """Inverse of save_checkpoint.  A file that is not a checkpoint, is cut
+    short, or has bytes past the declared body raises ShapeError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ShapeError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ShapeError(f"{path}: unsupported checkpoint version {version}")
-        (klen,) = struct.unpack("<I", fh.read(4))
-        kind = fh.read(klen).decode("utf-8")
-        (ndims,) = struct.unpack("<I", fh.read(4))
-        dims = [struct.unpack("<q", fh.read(8))[0] for _ in range(ndims)]
-        (seed,) = struct.unpack("<q", fh.read(8))
-        (size,) = struct.unpack("<q", fh.read(8))
-        vec = np.frombuffer(fh.read(size * 8), dtype="<f8").astype(np.float64)
+        data = fh.read()
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if not 0 <= n <= len(data) - pos:
+            raise ShapeError(f"{path}: checkpoint cut short or corrupt (needs {n} bytes "
+                             f"at offset {pos}, file has {len(data)})")
+        pos += n
+        return data[pos - n:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    if take(4) != CHECKPOINT_MAGIC:
+        raise ShapeError(f"{path}: not a checkpoint file")
+    version = unpack("<I")
+    if version != CHECKPOINT_VERSION:
+        raise ShapeError(f"{path}: unsupported checkpoint version {version}")
+    kind = take(unpack("<I")).decode("utf-8", "replace")
+    dims = [unpack("<q") for _ in range(unpack("<I"))]
+    seed = unpack("<q")
+    vec = np.frombuffer(take(unpack("<q") * 8), dtype="<f8").astype(np.float64)
+    if pos != len(data):
+        raise ShapeError(f"{path}: {len(data) - pos} trailing bytes after the checkpoint body")
     return kind, dims, seed, vec
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import exact
 from .envs import HyperGrid, SequenceEnv, load_reward_table, synthetic_rewards
 from .errors import ConfigError, EnumerationLimit
-from .training import STRATEGIES, Trainer, TrainerConfig
+from .training import ROSTER, STRATEGIES, Trainer, TrainerConfig
 
 HEADER = "iter,loss,d_tv,d_jsd,acc,modes,seconds"
 
@@ -100,8 +100,15 @@ def parse_config_text(text):
     return cfg
 
 
+def _read_text(path, what):
+    try:
+        return Path(path).read_text()
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read {what}: {err.strerror}") from None
+
+
 def parse_config(path):
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(_read_text(path, "config file"))
 
 
 def validate_config(cfg):
@@ -110,8 +117,8 @@ def validate_config(cfg):
                           f"choose from {', '.join(STRATEGIES)}")
     if cfg.env not in ("grid", "sequence"):
         raise ConfigError(f"unknown env {cfg.env!r}; choose grid or sequence")
-    if cfg.strategy == "TB-Sub" and cfg.env == "grid":
-        raise ConfigError("TB-Sub requires equal-length trajectories; "
+    if ROSTER[cfg.strategy].graded and cfg.env == "grid":
+        raise ConfigError(f"{cfg.strategy} requires equal-length trajectories; "
                           "the grid environment is not graded")
     for name in ("lr_policy", "lr_value", "lr_logz"):
         if getattr(cfg, name) <= 0:
@@ -224,7 +231,7 @@ def run(cfg, seed=None, out=None):
 
 def read_metrics(path):
     """Parse one metrics CSV into a float array of shape (rows, 7)."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path, "metrics file").splitlines()
     if not lines or lines[0] != HEADER:
         raise ConfigError(f"{path}: expected header {HEADER!r}")
     rows = []

@@ -11,7 +11,8 @@ backward-sampled trajectories against the forward policy or a guide.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,38 +22,19 @@ from . import objectives as obj
 from .envs import HyperGrid, SequenceEnv
 from .errors import ConfigError, NumericFault
 from .guides import HyperGridGuide, SequenceGuide
-from .policy import make_suite, score_matrix
+from .policy import PolicySuite, make_suite, score_matrix
 from .sampling import MixtureSchedule, ReplayBuffer, sample_backward, sample_forward
 
 logger = logging.getLogger("gflow")
 
-STRATEGIES = ("DB-U", "DB-B", "TB-U", "TB-B", "TB-Sub",
-              "RL-U", "RL-B", "RL-T", "RL-G")
+# Trust-region step constants: Fisher damping, and the backtracking factor
+# and count of the step-size search.
+DAMPING = 1e-3
+BACKTRACK = 0.8
+MAX_BACKTRACKS = 10
 
-# Component needs per strategy: (learned backward, value_f, value_b, flow).
-_NEEDS = {
-    "DB-U": (False, False, False, True),
-    "DB-B": (True, False, False, True),
-    "TB-U": (False, False, False, False),
-    "TB-B": (True, False, False, False),
-    "TB-Sub": (False, False, False, True),
-    "RL-U": (False, True, False, False),
-    "RL-B": (True, True, True, False),
-    "RL-T": (False, True, False, False),
-    "RL-G": (True, True, True, False),
-}
-
-
-@dataclass
-class TrustRegionConfig:
-    """Knobs of the trust-region forward-policy step."""
-
-    zeta: float = 0.01
-    cg_iters: int = 10
-    cg_tol: float = 1e-10
-    damping: float = 1e-3
-    backtrack: float = 0.8
-    max_backtracks: int = 10
+# Replay capacity of the default sequence guide, in batches.
+REPLAY_BATCHES = 10
 
 
 def conjugate_gradient(matvec, b, iters=10, tol=1e-10):
@@ -109,12 +91,12 @@ def forward_advantages(sb, suite, lam):
     return adv, targets, root_v1
 
 
-def backward_advantages(sb, suite, ref_int, lam, target_lam=1.0):
+def backward_advantages(sb, suite, ref_int, lam):
     """Advantages of the backward chain over interior edges.
 
     The sweep runs x -> root (reversed interior order) with the root value
     pinned to 0; outputs are re-aligned with the forward-order interior
-    arrays.  Value targets default to the unbiased lambda=1 estimates.
+    arrays.  Value targets are the unbiased lambda=1 estimates.
     """
     values = suite.value_b.values_numpy(sb.in_states) if sb.in_states else np.zeros(0)
     rewards = obj.backward_step_rewards(sb, suite, ref_int)
@@ -127,10 +109,10 @@ def backward_advantages(sb, suite, ref_int, lam, target_lam=1.0):
         v_rev = values[lo:hi][::-1]
         a, t, _ = obj.gae_advantages(r_rev, v_rev, lam)
         adv[lo:hi] = a[::-1]
-        if target_lam == lam:
+        if lam == 1.0:
             targets[lo:hi] = t[::-1]
         else:
-            targets[lo:hi] = obj.gae_advantages(r_rev, v_rev, target_lam)[1][::-1]
+            targets[lo:hi] = obj.gae_advantages(r_rev, v_rev, 1.0)[1][::-1]
     return adv, targets
 
 
@@ -157,9 +139,21 @@ def surrogate_gradient(suite, trajectories, lam, weights=None):
         w = np.asarray(weights, dtype=np.float64)[sb.traj]
         lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
         loss = ad.sum(tape, ad.mul(tape, lp, ad.Tensor(adv * w)))
+    _descend(tape, loss, params, [], "policy surrogate")
+    return ad.flat_grad(params)
+
+
+def _descend(tape, loss, params, optimizers, what):
+    """Backpropagate a scalar loss into `params`, step each optimizer and return
+    the loss value; a non-finite loss raises NumericFault naming `what`."""
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise NumericFault(f"non-finite {what}")
     ad.zero_grads(params)
     tape.backward(loss)
-    return ad.flat_grad(params)
+    for opt in optimizers:
+        opt.step()
+    return value
 
 
 def _value_step(estimator, states, targets, optimizer, n_traj):
@@ -167,13 +161,7 @@ def _value_step(estimator, states, targets, optimizer, n_traj):
     v = estimator.values(tape, states)
     resid = ad.sub(tape, v, ad.Tensor(np.asarray(targets)))
     loss = ad.scale(tape, ad.sum(tape, ad.square(tape, resid)), 1.0 / n_traj)
-    if not np.isfinite(loss.data):
-        raise NumericFault("non-finite value regression loss")
-    params = estimator.params()
-    ad.zero_grads(params)
-    tape.backward(loss)
-    optimizer.step()
-    return float(loss.data)
+    return _descend(tape, loss, estimator.params(), [optimizer], "value regression loss")
 
 
 def _logz_step(suite, root_v1, optimizer):
@@ -189,14 +177,8 @@ def balance_step(suite, trajectories, optimizers, loss_fn, **kwargs):
     """One Adam step of every parameter group on a balance loss."""
     tape = ad.Tape()
     loss = loss_fn(tape, trajectories, suite, **kwargs)
-    if not np.isfinite(loss.data):
-        raise NumericFault("non-finite balance loss")
-    params = suite.all_params()
-    ad.zero_grads(params)
-    tape.backward(loss)
-    for opt in optimizers.values():
-        opt.step()
-    return {"loss": float(loss.data)}
+    value = _descend(tape, loss, suite.all_params(), optimizers.values(), "balance loss")
+    return {"loss": value}
 
 
 def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
@@ -220,15 +202,11 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
     tape = ad.Tape()
     loss = surrogate_loss(tape, suite.backward, sb.in_states, sb.in_bslots,
                           adv, sb.n_traj)
-    if not np.isfinite(loss.data):
-        raise NumericFault("non-finite backward surrogate")
-    params = suite.backward.params()
-    ad.zero_grads(params)
-    tape.backward(loss)
-    optimizers["policy_b"].step()
+    surr = _descend(tape, loss, suite.backward.params(), [optimizers["policy_b"]],
+                    "backward surrogate")
     vloss = _value_step(suite.value_b, sb.in_states, targets,
                         optimizers["value_b"], sb.n_traj)
-    return {"backward_loss": float(loss.data), "backward_value_loss": vloss}
+    return {"backward_loss": surr, "backward_value_loss": vloss}
 
 
 def actor_critic_step(suite, trajectories, optimizers, lam=0.99, rng=None,
@@ -239,16 +217,12 @@ def actor_critic_step(suite, trajectories, optimizers, lam=0.99, rng=None,
     adv, targets, root_v1 = forward_advantages(sb, suite, lam)
     tape = ad.Tape()
     loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
-    if not np.isfinite(loss.data):
-        raise NumericFault("non-finite policy surrogate")
-    params = suite.forward.params()
-    ad.zero_grads(params)
-    tape.backward(loss)
-    optimizers["policy_f"].step()
+    surr = _descend(tape, loss, suite.forward.params(), [optimizers["policy_f"]],
+                    "policy surrogate")
     _logz_step(suite, root_v1, optimizers["log_z"])
     vloss = _value_step(suite.value_f, sb.states, targets,
                         optimizers["value_f"], sb.n_traj)
-    stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": float(loss.data),
+    stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr,
              "value_loss": vloss, "accepted": True}
     if "policy_b" in optimizers:
         if rng is None:
@@ -267,15 +241,14 @@ def _batch_kl(old_log, new_log, masks):
     return float((p * diff).sum(axis=1).mean())
 
 
-def trpo_step(suite, trajectories, optimizers, cfg=None, lam=0.99):
+def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
     """Trust-region forward-policy step; log Z and values as the plain step.
 
     The step direction solves F x = g by conjugate gradients with F the
-    damped empirical Fisher of the batch scores, scaled to the KL budget and
-    backtracked until the batch KL stays inside it and the surrogate
-    improves.  An exhausted search restores the old parameters.
+    damped empirical Fisher of the batch scores, scaled to the KL budget
+    `zeta` and backtracked until the batch KL stays inside it and the
+    surrogate improves.  An exhausted search restores the old parameters.
     """
-    cfg = cfg or TrustRegionConfig()
     sb = obj.step_batch(trajectories)
     adv, targets, root_v1 = forward_advantages(sb, suite, lam)
     params = suite.forward.params()
@@ -285,11 +258,7 @@ def trpo_step(suite, trajectories, optimizers, cfg=None, lam=0.99):
 
     tape = ad.Tape()
     loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
-    surr0 = float(loss.data)
-    if not np.isfinite(surr0):
-        raise NumericFault("non-finite policy surrogate")
-    ad.zero_grads(params)
-    tape.backward(loss)
+    surr0 = _descend(tape, loss, params, [], "policy surrogate")
     g = ad.flat_grad(params)
 
     stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr0,
@@ -300,9 +269,9 @@ def trpo_step(suite, trajectories, optimizers, cfg=None, lam=0.99):
         m = scores.shape[0]
 
         def matvec(v):
-            return scores.T @ (scores @ v) / m + cfg.damping * v
+            return scores.T @ (scores @ v) / m + DAMPING * v
 
-        x = conjugate_gradient(matvec, g, cfg.cg_iters, cfg.cg_tol)
+        x = conjugate_gradient(matvec, g)
         gx = float(g @ x)
         if not np.all(np.isfinite(x)):
             logger.warning("conjugate gradient produced non-finite direction; "
@@ -311,35 +280,25 @@ def trpo_step(suite, trajectories, optimizers, cfg=None, lam=0.99):
         elif gx <= 0.0:
             direction_ok = False
     if direction_ok:
-        full = -np.sqrt(2.0 * cfg.zeta / gx) * x
+        full = -np.sqrt(2.0 * zeta / gx) * x
         scale = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             ad.assign_flat(params, old + scale * full)
             new_log = suite.forward.log_probs_numpy(sb.states, masks)
             kl = _batch_kl(old_log, new_log, masks)
             chosen = new_log[np.arange(sb.n_steps), sb.slots]
             new_surr = float((chosen * adv).sum() / sb.n_traj)
-            if kl <= cfg.zeta and new_surr < surr0:
+            if kl <= zeta and new_surr < surr0:
                 stats.update(accepted=True, kl=kl, step_scale=scale,
                              surrogate=new_surr)
                 break
-            scale *= cfg.backtrack
+            scale *= BACKTRACK
         if not stats["accepted"]:
             ad.assign_flat(params, old)
     _logz_step(suite, root_v1, optimizers["log_z"])
-    vloss = _value_step(suite.value_f, sb.states, targets,
-                        optimizers["value_f"], sb.n_traj)
-    stats["value_loss"] = vloss
+    stats["value_loss"] = _value_step(suite.value_f, sb.states, targets,
+                                      optimizers["value_f"], sb.n_traj)
     return stats
-
-
-def guided_coupled_step(suite, trajectories, optimizers, guide, lam=0.99,
-                        rng=None):
-    """Coupled training round: forward policy-gradient update first, then the
-    backward policy trained toward the guide on trajectories resampled
-    backward from the forward batch's terminating states."""
-    return actor_critic_step(suite, trajectories, optimizers, lam=lam, rng=rng,
-                             guide=guide)
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +319,78 @@ class TrainerConfig:
     hidden: tuple = (64, 64)
     tabular: bool = False
     guide_eps: float = 1e-5
-    buffer_factor: int = 10
-    extra: dict = field(default_factory=dict)
 
 
-_LR_BY_GROUP = {"policy_f": "lr_policy", "policy_b": "lr_policy",
-                "log_z": "lr_logz", "value_f": "lr_value",
-                "value_b": "lr_value", "flow": "lr_value"}
+@dataclass(frozen=True)
+class Strategy:
+    """One roster entry: `update(trainer, batch, rng)` returns the step's stats;
+    the flags name the suite components and guide it trains, whether batches
+    come from the exploration mixture, and whether it needs a graded env."""
+
+    update: Callable
+    learned_backward: bool = False
+    value_f: bool = False
+    value_b: bool = False
+    flow: bool = False
+    guide: bool = False
+    mixture: bool = False
+    graded: bool = False
+
+
+# Update functions resolve the step and loss functions through their modules
+# on each call, so replacing a module attribute (as a tracer does) reaches
+# every strategy.
+
+def _tb(trainer, batch, rng):
+    return balance_step(trainer.suite, batch, trainer.optimizers, obj.tb_loss)
+
+
+def _db(trainer, batch, rng):
+    return balance_step(trainer.suite, batch, trainer.optimizers, obj.db_loss)
+
+
+def _subtb(trainer, batch, rng):
+    return balance_step(trainer.suite, batch, trainer.optimizers, obj.subtb_loss,
+                        weight_base=trainer.cfg.subtb_base)
+
+
+def _actor_critic(trainer, batch, rng):
+    return actor_critic_step(trainer.suite, batch, trainer.optimizers,
+                             lam=trainer.cfg.lam, rng=rng)
+
+
+def _trust_region(trainer, batch, rng):
+    return trpo_step(trainer.suite, batch, trainer.optimizers,
+                     zeta=trainer.cfg.zeta, lam=trainer.cfg.lam)
+
+
+def _guided(trainer, batch, rng):
+    """Forward policy-gradient update, then the backward policy trained toward
+    the guide on trajectories resampled backward from the batch's endpoints."""
+    return actor_critic_step(trainer.suite, batch, trainer.optimizers,
+                             lam=trainer.cfg.lam, rng=rng, guide=trainer.guide)
+
+
+ROSTER = {
+    "DB-U": Strategy(_db, flow=True, mixture=True),
+    "DB-B": Strategy(_db, learned_backward=True, flow=True, mixture=True),
+    "TB-U": Strategy(_tb, mixture=True),
+    "TB-B": Strategy(_tb, learned_backward=True, mixture=True),
+    "TB-Sub": Strategy(_subtb, flow=True, mixture=True, graded=True),
+    "RL-U": Strategy(_actor_critic, value_f=True),
+    "RL-B": Strategy(_actor_critic, learned_backward=True, value_f=True, value_b=True),
+    "RL-T": Strategy(_trust_region, value_f=True),
+    "RL-G": Strategy(_guided, learned_backward=True, value_f=True, value_b=True,
+                     guide=True),
+}
+STRATEGIES = tuple(ROSTER)
 
 
 def default_guide(env, cfg):
     if isinstance(env, HyperGrid):
         return HyperGridGuide(env, eps=cfg.guide_eps)
     if isinstance(env, SequenceEnv):
-        return SequenceGuide(env, ReplayBuffer(cfg.buffer_factor * cfg.batch_size))
+        return SequenceGuide(env, ReplayBuffer(REPLAY_BATCHES * cfg.batch_size))
     raise ConfigError(f"no guided backward kernel defined for {type(env).__name__}")
 
 
@@ -387,58 +404,38 @@ class Trainer:
     """
 
     def __init__(self, env, cfg, rng, suite=None, guide=None):
-        if cfg.strategy not in STRATEGIES:
+        row = ROSTER.get(cfg.strategy)
+        if row is None:
             raise ConfigError(f"unknown strategy {cfg.strategy!r}; "
                               f"choose from {', '.join(STRATEGIES)}")
-        if cfg.strategy == "TB-Sub" and not env.graded:
-            raise ConfigError("TB-Sub needs a graded environment "
+        if row.graded and not env.graded:
+            raise ConfigError(f"{cfg.strategy} needs a graded environment "
                               "(equal-length trajectories)")
         self.env = env
         self.cfg = cfg
-        learned_b, need_vf, need_vb, need_flow = _NEEDS[cfg.strategy]
         if suite is None:
             suite = make_suite(env, rng, tabular=cfg.tabular, hidden=cfg.hidden,
-                               learned_backward=learned_b, need_value_f=need_vf,
-                               need_value_b=need_vb, need_flow=need_flow)
+                               learned_backward=row.learned_backward,
+                               need_value_f=row.value_f, need_value_b=row.value_b,
+                               need_flow=row.flow)
         self.suite = suite
         self.optimizers = {
-            name: ad.Adam(params, getattr(cfg, _LR_BY_GROUP[name]))
+            name: ad.Adam(params, getattr(cfg, PolicySuite.GROUPS[name]))
             for name, params in suite.param_groups().items()
         }
-        self.guide = guide
-        if cfg.strategy == "RL-G" and self.guide is None:
-            self.guide = default_guide(env, cfg)
-        self.value_based = cfg.strategy.startswith(("TB", "DB"))
-        self.mixture = MixtureSchedule(cfg.gamma) if self.value_based else None
-        self.trust = TrustRegionConfig(zeta=cfg.zeta) if cfg.strategy == "RL-T" else None
+        self.guide = default_guide(env, cfg) if row.guide and guide is None else guide
+        self.mixture = MixtureSchedule(cfg.gamma) if row.mixture else None
         self.iteration = 0
 
     def step(self, rng):
-        cfg = self.cfg
         eps = self.mixture.eps(self.iteration) if self.mixture else 0.0
         batch = sample_forward(self.env, self.suite.forward, self.suite.backward,
-                               cfg.batch_size, rng, eps=eps)
+                               self.cfg.batch_size, rng, eps=eps)
         if self.guide is not None:
             if isinstance(self.guide, SequenceGuide):
                 self.guide.buffer.update(batch)
             self.guide.refresh(self.suite.forward)
-        name = cfg.strategy
-        if name in ("TB-U", "TB-B"):
-            stats = balance_step(self.suite, batch, self.optimizers, obj.tb_loss)
-        elif name in ("DB-U", "DB-B"):
-            stats = balance_step(self.suite, batch, self.optimizers, obj.db_loss)
-        elif name == "TB-Sub":
-            stats = balance_step(self.suite, batch, self.optimizers,
-                                 obj.subtb_loss, weight_base=cfg.subtb_base)
-        elif name in ("RL-U", "RL-B"):
-            stats = actor_critic_step(self.suite, batch, self.optimizers,
-                                      lam=cfg.lam, rng=rng)
-        elif name == "RL-T":
-            stats = trpo_step(self.suite, batch, self.optimizers,
-                              cfg=self.trust, lam=cfg.lam)
-        else:  # RL-G
-            stats = guided_coupled_step(self.suite, batch, self.optimizers,
-                                        self.guide, lam=cfg.lam, rng=rng)
+        stats = ROSTER[self.cfg.strategy].update(self, batch, rng)
         self.iteration += 1
         stats["batch"] = batch
         return stats
@@ -447,24 +444,6 @@ class Trainer:
 # ---------------------------------------------------------------------------
 # Exact bound checks
 # ---------------------------------------------------------------------------
-
-def _forward_table(env, forward):
-    if isinstance(forward, np.ndarray):
-        return forward
-    return exact.forward_log_table(env.enumeration(), forward)
-
-
-def _backward_table(env, backward):
-    if isinstance(backward, np.ndarray):
-        return backward
-    return exact.backward_log_table(env.enumeration(), backward)
-
-
-def _guide_table(guide):
-    if isinstance(guide, np.ndarray):
-        return guide
-    return guide.backward_kernel()
-
 
 def check_theorem_bounds(env, forward, backward, log_z, guide,
                          forward_alt=None, tol=1e-9):
@@ -483,9 +462,13 @@ def check_theorem_bounds(env, forward, backward, log_z, guide,
     dict with both sides and a boolean per bound.
     """
     enum = env.enumeration()
-    fwd_log = _forward_table(env, forward)
-    bwd_log = _backward_table(env, backward)
-    g_table = _guide_table(guide)
+
+    def table(policy, build):
+        return policy if isinstance(policy, np.ndarray) else build(enum, policy)
+
+    fwd_log = table(forward, exact.forward_log_table)
+    bwd_log = table(backward, exact.backward_log_table)
+    g_table = guide if isinstance(guide, np.ndarray) else guide.backward_kernel()
     log_z = float(log_z)
     log_z_star = float(np.log(enum.partition()))
 
@@ -512,7 +495,7 @@ def check_theorem_bounds(env, forward, backward, log_z, guide,
     if forward_alt is None:
         return report
 
-    alt_log = _forward_table(env, forward_alt)
+    alt_log = table(forward_alt, exact.forward_log_table)
     masks = enum.action_masks()
     d_old = exact.accumulated_distribution(enum, fwd_log)
     d_new = exact.accumulated_distribution(enum, alt_log)

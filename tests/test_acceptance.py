@@ -29,7 +29,7 @@ from gflow.objectives import (
     subtb_loss,
     tb_loss,
 )
-from gflow.policy import make_suite, masked_log_softmax_np
+from gflow.policy import make_suite
 from gflow.sampling import Trajectory, sample_forward
 from gflow.training import (
     Trainer,
@@ -76,14 +76,14 @@ def all_trajectories(env):
 
 
 def forward_table_from(logits, enum):
-    return masked_log_softmax_np(logits, enum.action_masks())
+    return ad.log_softmax_masked(None, logits, enum.action_masks()).data
 
 
 def backward_table_from(logits, enum):
     masks = enum.parent_masks()
     out = np.full_like(logits, -np.inf)
     rows = [i for i in range(enum.n) if masks[i].any()]
-    out[rows] = masked_log_softmax_np(logits[rows], masks[rows])
+    out[rows] = ad.log_softmax_masked(None, logits[rows], masks[rows]).data
     return out
 
 

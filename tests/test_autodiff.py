@@ -1,5 +1,7 @@
 """Gradient checks for the tape engine against central finite differences."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,59 @@ def test_backward_needs_scalar_root():
     out = ad.square(tape, t)
     with pytest.raises(ContractError):
         tape.backward(out)
+
+
+def _eager_cases():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 4))
+    b = rng.normal(size=(3, 4))
+    mask = rng.random((3, 4)) < 0.6
+    mask[:, 0] = True
+    flat = rng.normal(size=5)
+    return {
+        "matmul": (a, rng.normal(size=(4, 2))),
+        "add": (a, b[0]),
+        "sub": (a, b),
+        "mul": (a, b),
+        "scale": (a, -1.5),
+        "neg": (a,),
+        "log": (np.abs(a) + 0.1,),
+        "exp": (a,),
+        "square": (a,),
+        "leaky_relu": (a, 0.2),
+        "logsumexp": (a, 0),
+        "log_softmax_masked": (a, mask),
+        "gather": (a, [2, 0, 2]),
+        "pick": (a, [3, 0, 1]),
+        "segment_sum": (flat, [0, 2, 2, 1, 0], 4),
+        "sum": (a,),
+        "mean": (a,),
+    }
+
+
+# Every primitive op: the module functions whose first parameter is the tape.
+OPS = sorted(name for name, fn in vars(ad).items()
+             if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+             and next(iter(inspect.signature(fn).parameters), None) == "tape")
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_eager_op_matches_taped_and_records_nothing(name):
+    op, args = getattr(ad, name), _eager_cases()[name]
+    unused = ad.Tape()
+    eager = op(None, *args)
+    tape = ad.Tape()
+    taped = op(tape, *args)
+    assert np.array_equal(eager.data, taped.data)
+    assert unused._records == []
+    assert not eager._taped
+    assert tape._records
+
+
+def test_eager_log_softmax_masked_rejects_empty_row():
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(MaskError):
+        ad.log_softmax_masked(None, np.zeros((2, 2)), mask)
 
 
 class TestMlp:

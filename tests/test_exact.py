@@ -38,8 +38,12 @@ from gflow.exact import (
     total_variation,
     visit_probabilities,
 )
-from gflow.policy import ForwardPolicy, UniformBackward, make_suite, masked_log_softmax_np
+from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import sample_forward
+
+
+def log_softmax(logits, masks):
+    return ad.log_softmax_masked(None, logits, masks).data
 
 
 def random_tables(env, seed, learned_backward=True):
@@ -47,13 +51,13 @@ def random_tables(env, seed, learned_backward=True):
     row stays -inf (it has no parents and is never evaluated)."""
     enum = env.enumeration()
     rng = np.random.default_rng(seed)
-    fwd = masked_log_softmax_np(rng.normal(0, 1, (enum.n, env.n_action_slots)),
-                                enum.action_masks())
+    fwd = log_softmax(rng.normal(0, 1, (enum.n, env.n_action_slots)),
+                      enum.action_masks())
     masks = enum.parent_masks()
     rows = [i for i in range(enum.n) if i != enum.root_index]
     bwd = np.full((enum.n, env.n_backward_slots), -np.inf)
     if learned_backward:
-        bwd[rows] = masked_log_softmax_np(
+        bwd[rows] = log_softmax(
             rng.normal(0, 1, (len(rows), env.n_backward_slots)), masks[rows])
     else:
         bwd[rows] = np.where(masks[rows],
@@ -336,11 +340,11 @@ def test_exact_logit_gradient_matches_finite_difference():
     theta0 = rng.normal(0, 1, (enum.n, env.n_action_slots))
 
     def j_of(flat):
-        fwd = masked_log_softmax_np(flat.reshape(theta0.shape), masks)
+        fwd = log_softmax(flat.reshape(theta0.shape), masks)
         v, _ = forward_values(enum, fwd, ref, log_z)
         return v[enum.root_index]
 
-    fwd0 = masked_log_softmax_np(theta0, masks)
+    fwd0 = log_softmax(theta0, masks)
     v, q = forward_values(enum, fwd0, ref, log_z)
     adv = advantages(v, q, masks)
     want = exact_logit_gradient(visit_probabilities(enum, fwd0), fwd0, adv)

@@ -221,3 +221,22 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"XXXXnot a checkpoint")
     with pytest.raises(ShapeError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_and_padded_files(tmp_path):
+    env = HyperGrid(2, 3)
+    suite = make_suite(env, np.random.default_rng(11), need_value_f=True)
+    path = tmp_path / "suite.params"
+    suite.save(path, seed=3)
+    data = path.read_bytes()
+    assert data[12:40] == b"suite:policy_f,log_z,value_f"
+    # Header: magic 0-4, version 4-8, kind length 8-12, the 28-byte kind
+    # "suite:policy_f,log_z,value_f" 12-40, dim count 40-44, three dims 44-68,
+    # seed 68-76, body size 76-84; the body follows.  Cut inside each field.
+    for cut in (2, 6, 10, 20, 42, 50, 70, 80, len(data) - 9, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ShapeError):
+            load_checkpoint(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ShapeError, match="trailing"):
+        load_checkpoint(path)

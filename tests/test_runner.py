@@ -335,3 +335,29 @@ def test_cli_summarize_error_exit(tmp_path, capsys):
     p.write_text("bogus\n")
     assert main(["summarize", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_missing_config(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["run", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(missing) in err
+
+
+def test_cli_run_missing_reward_table(tmp_path, capsys):
+    missing = tmp_path / "rewards.tsv"
+    cfg_path = write_cfg(tmp_path, f"env = sequence\nd = 2\nn = 3\n"
+                                   f"reward_table = {missing}\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(missing) in err
+
+
+def test_cli_summarize_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["summarize", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(missing) in err

@@ -26,13 +26,11 @@ from gflow.training import (
     STRATEGIES,
     Trainer,
     TrainerConfig,
-    TrustRegionConfig,
     actor_critic_step,
     backward_advantages,
     check_theorem_bounds,
     conjugate_gradient,
     forward_advantages,
-    guided_coupled_step,
     surrogate_gradient,
     surrogate_loss,
     trpo_step,
@@ -270,8 +268,7 @@ def test_trpo_zero_budget_is_rejected_no_op():
     suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
     batch = sample_forward(env, suite.forward, suite.backward, 32, rng)
     before = ad.flatten(suite.forward.params()).copy()
-    stats = trpo_step(suite, batch, make_optimizers(suite),
-                      cfg=TrustRegionConfig(zeta=0.0))
+    stats = trpo_step(suite, batch, make_optimizers(suite), zeta=0.0)
     assert stats["accepted"] is False
     assert stats["step_scale"] == 0.0
     np.testing.assert_array_equal(before, ad.flatten(suite.forward.params()))
@@ -320,7 +317,7 @@ def test_coupled_training_pulls_backward_to_guide():
     start = max_prob_gap()
     for _ in range(150):
         batch = sample_forward(env, suite.forward, suite.backward, 64, rng)
-        guided_coupled_step(suite, batch, opts, guide, lam=1.0, rng=rng)
+        actor_critic_step(suite, batch, opts, lam=1.0, rng=rng, guide=guide)
     end = max_prob_gap()
     assert start > 0.2
     assert end < 0.05
@@ -344,20 +341,19 @@ def random_instance(seed, with_alt=False):
     rng = np.random.default_rng(seed)
     env = random_graded_dag(rng)
     enum = env.enumeration()
-    from gflow.policy import masked_log_softmax_np
-    fwd = masked_log_softmax_np(rng.normal(0, 1, (enum.n, env.n_action_slots)),
-                                enum.action_masks())
+    fwd = ad.log_softmax_masked(None, rng.normal(0, 1, (enum.n, env.n_action_slots)),
+                                enum.action_masks()).data
     masks = enum.parent_masks()
     rows = [i for i in range(enum.n) if i != enum.root_index]
     bwd = np.full((enum.n, env.n_backward_slots), -np.inf)
-    bwd[rows] = masked_log_softmax_np(
-        rng.normal(0, 1, (len(rows), env.n_backward_slots)), masks[rows])
+    bwd[rows] = ad.log_softmax_masked(
+        None, rng.normal(0, 1, (len(rows), env.n_backward_slots)), masks[rows]).data
     guide = TableGuide.random(env, rng)
     log_z = float(np.log(enum.partition()) + rng.normal(0, 0.5))
     alt = None
     if with_alt:
-        alt = masked_log_softmax_np(rng.normal(0, 1, (enum.n, env.n_action_slots)),
-                                    enum.action_masks())
+        alt = ad.log_softmax_masked(None, rng.normal(0, 1, (enum.n, env.n_action_slots)),
+                                    enum.action_masks()).data
     return env, fwd, bwd, guide, log_z, alt
 
 
@@ -437,7 +433,6 @@ def test_trainer_components_and_steps(strategy):
     assert (trainer.suite.state_flow is not None) == need_flow
     assert ("policy_b" in trainer.optimizers) == learned_b
     assert (trainer.mixture is not None) == strategy.startswith(("TB", "DB"))
-    assert (trainer.trust is not None) == (strategy == "RL-T")
     if strategy == "RL-G":
         assert isinstance(trainer.guide, HyperGridGuide)
 
@@ -446,6 +441,8 @@ def test_trainer_components_and_steps(strategy):
         stats = trainer.step(rng)
         assert np.isfinite(stats["loss"])
         assert len(stats["batch"]) == 8
+        # Only the trust-region step reports its KL and step scale.
+        assert ("kl" in stats) == (strategy == "RL-T")
     assert trainer.iteration == 2
 
 
