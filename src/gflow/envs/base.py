@@ -179,13 +179,12 @@ class Enumeration:
                     slot.append(int(a))
                     dst.append(self.index[c])
                     bslot.append(int(env.backward_slot(s, a)))
-        # Edges are emitted in ascending source order, so per-state slices are
-        # contiguous: edges of state i live in [edge_ptr[i], edge_ptr[i+1]).
+        # Edges are emitted in ascending source order, so the edges leaving
+        # any contiguous range of states (a layer) form one contiguous slice.
         self.edge_src = np.asarray(src, dtype=np.intp)
         self.edge_slot = np.asarray(slot, dtype=np.intp)
         self.edge_dst = np.asarray(dst, dtype=np.intp)
         self.edge_bslot = np.asarray(bslot, dtype=np.intp)
-        self.edge_ptr = np.searchsorted(self.edge_src, np.arange(self.n + 1))
         self.terminal = terminal
         self.log_rewards = log_r
         self.root_index = self.index[env.root]

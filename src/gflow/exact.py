@@ -3,9 +3,9 @@
 Everything here works on the Enumeration index: policies become dense
 (state x slot) log-probability tables, and all quantities (terminating
 distribution, state values, accumulated state distribution, metrics) are
-computed by sweeps over the topologically ordered state list.  These routines
-are the measurement instruments for the whole library; training code never
-depends on them.
+computed one topological layer at a time, by per-state sums over the edges
+leaving or entering the layer.  These routines are the measurement
+instruments for the whole library; training code never depends on them.
 """
 
 import numpy as np
@@ -50,24 +50,31 @@ def edge_logs_backward(enum, bwd_log):
 # Distributions
 # ---------------------------------------------------------------------------
 
-def _layer_edge_slices(enum):
-    # Layers are contiguous index ranges, so per-layer edge groups are slices.
-    starts = [layer[0] for layer in enum.layers]
-    bounds = np.asarray(starts + [enum.n])
-    return np.searchsorted(enum.edge_src, bounds)
+def _layer_edges(enum, entering=False):
+    """Edge selectors per topological layer, root first.
+
+    Each selects the interior edges leaving one layer: a slice, since edges
+    are sorted by source.  With entering=True each selects the edges
+    entering the layer instead, in edge order, from one stable argsort of
+    edge_dst.  Every edge ends in a strictly deeper layer, so a sweep in
+    this order, or reversed, reads only layers it has finished.
+    """
+    bounds = [layer[0] for layer in enum.layers] + [enum.n]
+    if not entering:
+        cuts = np.searchsorted(enum.edge_src, bounds)
+        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    order = np.argsort(enum.edge_dst, kind="stable")
+    cuts = np.searchsorted(enum.edge_dst[order], bounds)
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def visit_probabilities(enum, fwd_log):
     """P(trajectory passes through s) for every state; root gets 1."""
     reach = np.zeros(enum.n)
     reach[enum.root_index] = 1.0
-    cuts = _layer_edge_slices(enum)
     edge_p = np.exp(edge_logs_forward(enum, fwd_log))
-    for k in range(len(enum.layers)):
-        lo, hi = cuts[k], cuts[k + 1]
-        if hi > lo:
-            np.add.at(reach, enum.edge_dst[lo:hi],
-                      reach[enum.edge_src[lo:hi]] * edge_p[lo:hi])
+    for e in _layer_edges(enum):
+        np.add.at(reach, enum.edge_dst[e], reach[enum.edge_src[e]] * edge_p[e])
     return reach
 
 
@@ -83,9 +90,7 @@ def terminating_distribution(enum, fwd_log):
 
 def reward_distribution(enum):
     """Ground-truth target P*(x) = R(x) / Z* as a full state vector."""
-    p = np.zeros(enum.n)
-    idx = np.flatnonzero(enum.terminal)
-    p[idx] = np.exp(enum.log_rewards[idx])
+    p = enum.rewards()
     return p / p.sum()
 
 
@@ -136,24 +141,20 @@ def forward_values(enum, fwd_log, ref_edge_logs, log_z):
     backward policy for the standard reward, a guide kernel for the guided
     variant.  Returns (V, Q); invalid Q entries are 0.
     """
-    n_slots = fwd_log.shape[1]
+    src, dst, slot = enum.edge_src, enum.edge_dst, enum.edge_slot
+    term = np.flatnonzero(enum.terminal)
+    tslots = enum.terminal_slots()[term]
+    q = np.zeros(fwd_log.shape)
+    q[term, tslots] = fwd_log[term, tslots] - enum.log_rewards[term] + log_z
     v = np.zeros(enum.n)
-    q = np.zeros((enum.n, n_slots))
-    edge_r = edge_logs_forward(enum, fwd_log) - ref_edge_logs
-    tslots = enum.terminal_slots()
-    for i in range(enum.n - 1, -1, -1):
-        lo, hi = enum.edge_ptr[i], enum.edge_ptr[i + 1]
-        total = 0.0
-        if hi > lo:
-            qi = edge_r[lo:hi] + v[enum.edge_dst[lo:hi]]
-            q[i, enum.edge_slot[lo:hi]] = qi
-            total += float(np.exp(fwd_log[i, enum.edge_slot[lo:hi]]) @ qi)
-        if enum.terminal[i]:
-            t = tslots[i]
-            qt = fwd_log[i, t] - enum.log_rewards[i] + log_z
-            q[i, t] = qt
-            total += np.exp(fwd_log[i, t]) * qt
-        v[i] = total
+    v[term] = np.exp(fwd_log[term, tslots]) * q[term, tslots]
+    edge_lf = edge_logs_forward(enum, fwd_log)
+    edge_r = edge_lf - ref_edge_logs
+    edge_p = np.exp(edge_lf)
+    for e in reversed(_layer_edges(enum)):
+        qe = edge_r[e] + v[dst[e]]
+        q[src[e], slot[e]] = qe
+        np.add.at(v, src[e], edge_p[e] * qe)
     return v, q
 
 
@@ -162,20 +163,16 @@ def backward_values(enum, bwd_log, ref_edge_logs):
     log pi_B(s', b) - ref(edge) per interior edge, accumulated from x toward
     the root; the root's value is pinned to 0.  The terminal hop carries no
     backward reward.  Returns (V, Q) with Q over backward slots."""
-    n_slots = bwd_log.shape[1]
+    src, dst, bslot = enum.edge_src, enum.edge_dst, enum.edge_bslot
+    q = np.zeros(bwd_log.shape)
     v = np.zeros(enum.n)
-    q = np.zeros((enum.n, n_slots))
-    edge_r = edge_logs_backward(enum, bwd_log) - ref_edge_logs
-    order = np.argsort(enum.edge_dst, kind="stable")
-    in_ptr = np.searchsorted(enum.edge_dst[order], np.arange(enum.n + 1))
-    for j in range(enum.n):
-        lo, hi = in_ptr[j], in_ptr[j + 1]
-        if hi <= lo:
-            continue
-        e = order[lo:hi]
-        qj = edge_r[e] + v[enum.edge_src[e]]
-        q[j, enum.edge_bslot[e]] = qj
-        v[j] = float(np.exp(bwd_log[j, enum.edge_bslot[e]]) @ qj)
+    edge_lb = edge_logs_backward(enum, bwd_log)
+    edge_r = edge_lb - ref_edge_logs
+    edge_p = np.exp(edge_lb)
+    for e in _layer_edges(enum, entering=True):
+        qe = edge_r[e] + v[src[e]]
+        q[dst[e], bslot[e]] = qe
+        np.add.at(v, dst[e], edge_p[e] * qe)
     return v, q
 
 
@@ -213,14 +210,10 @@ def flow_from_rewards(enum, bwd_log=None):
         counts = masks.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             bwd_log = np.where(masks, -np.log(counts), -np.inf)
-    flow = np.zeros(enum.n)
+    flow = enum.rewards()
     edge_pb = np.exp(edge_logs_backward(enum, bwd_log))
-    for i in range(enum.n - 1, -1, -1):
-        lo, hi = enum.edge_ptr[i], enum.edge_ptr[i + 1]
-        f = float(edge_pb[lo:hi] @ flow[enum.edge_dst[lo:hi]]) if hi > lo else 0.0
-        if enum.terminal[i]:
-            f += np.exp(enum.log_rewards[i])
-        flow[i] = f
+    for e in reversed(_layer_edges(enum)):
+        np.add.at(flow, enum.edge_src[e], edge_pb[e] * flow[enum.edge_dst[e]])
     log_flow = np.log(flow)
     fwd_log = np.full((enum.n, env.n_action_slots), -np.inf)
     e_src, e_dst, e_slot = enum.edge_src, enum.edge_dst, enum.edge_slot
@@ -254,9 +247,7 @@ def jensen_shannon(p, q):
 
 def reward_accuracy(pt, enum):
     """min(E_model[R] / E_target[R], 1); both expectations are exact."""
-    r = np.zeros(enum.n)
-    idx = np.flatnonzero(enum.terminal)
-    r[idx] = np.exp(enum.log_rewards[idx])
+    r = enum.rewards()
     e_model = float(pt @ r)
     p_star = reward_distribution(enum)
     e_target = float(p_star @ r)

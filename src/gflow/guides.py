@@ -78,6 +78,7 @@ class HyperGridGuide(_MarkovGuide):
         super().__init__(env)
         self.eps = float(eps)
         self._pf_log = None
+        self._low = None  # states at the reward floor, found on the first refresh
 
     def refresh(self, forward):
         """Rebuild P_f and the kernel from the current forward policy."""
@@ -86,7 +87,9 @@ class HyperGridGuide(_MarkovGuide):
         fwd_log = exact.forward_log_table(enum, forward)
         pf = np.exp(fwd_log)
         stop = env.terminal_slot(env.root)
-        low = np.asarray([env.reward(s) <= env.r0 for s in enum.states])
+        if self._low is None:
+            self._low = np.asarray([env.reward(s) <= env.r0 for s in enum.states])
+        low = self._low
         non_stop = pf[:, :stop].sum(axis=1)
         denom = non_stop + self.eps
         adj = pf.copy()

@@ -137,6 +137,10 @@ def validate_config(cfg):
         raise ConfigError("eval_every must be at least 1")
     if cfg.d < 1 or cfg.n < 2:
         raise ConfigError("need d >= 1 and n >= 2")
+    if cfg.env == "grid" and min(cfg.r0, cfg.r0 + cfg.r1, cfg.r0 + cfg.r1 + cfg.r2) <= 0:
+        raise ConfigError("grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive")
+    if cfg.guide_eps < 0:
+        raise ConfigError("guide_eps must be nonnegative")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
     return cfg
@@ -235,15 +239,17 @@ def read_metrics(path):
     if not lines or lines[0] != HEADER:
         raise ConfigError(f"{path}: expected header {HEADER!r}")
     rows = []
-    for ln in lines[1:]:
-        if ln.strip():
-            rows.append([float(v) for v in ln.split(",")])
-    if not rows:
-        return np.zeros((0, 7))
-    arr = np.asarray(rows)
-    if arr.shape[1] != 7:
-        raise ConfigError(f"{path}: rows have {arr.shape[1]} columns, expected 7")
-    return arr
+    for no, ln in enumerate(lines[1:], 2):
+        if not ln.strip():
+            continue
+        cells = ln.split(",")
+        if len(cells) != 7:
+            raise ConfigError(f"{path} line {no}: {len(cells)} columns, expected 7")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as err:
+            raise ConfigError(f"{path} line {no}: {err}") from None
+    return np.asarray(rows).reshape(-1, 7)
 
 
 METRIC_NAMES = ("loss", "d_tv", "d_jsd", "acc", "modes", "seconds")

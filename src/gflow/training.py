@@ -476,7 +476,8 @@ def check_theorem_bounds(env, forward, backward, log_z, guide,
     ref_g = exact.edge_logs_backward(enum, g_table)
     t_len = len(enum.layers)
 
-    j_f = exact.forward_values(enum, fwd_log, ref_b, log_z)[0][enum.root_index]
+    v, q = exact.forward_values(enum, fwd_log, ref_b, log_z)
+    j_f = v[enum.root_index]
     j_fg = exact.forward_values(enum, fwd_log, ref_g, log_z)[0][enum.root_index]
     pt = exact.terminating_distribution(enum, fwd_log)
     v_bg = exact.backward_values(enum, bwd_log, ref_g)[0]
@@ -500,7 +501,6 @@ def check_theorem_bounds(env, forward, backward, log_z, guide,
     d_old = exact.accumulated_distribution(enum, fwd_log)
     d_new = exact.accumulated_distribution(enum, alt_log)
     zeta = exact.policy_kl(alt_log, fwd_log, d_new, masks)
-    v, q = exact.forward_values(enum, fwd_log, ref_b, log_z)
     a = exact.advantages(v, q, masks)
     pi_new = np.where(masks, np.exp(alt_log), 0.0)
     ea_new = (pi_new * a).sum(axis=1)

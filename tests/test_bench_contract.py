@@ -5,7 +5,8 @@ attributes.  A call path that stops going through those attributes leaves
 the trace silently empty, so one traced trust-region step on a tabular
 suite and one trajectory-balance step on an MLP suite must record the
 trust-region call, the score matrix, the loss, the MLP forward and the
-policy log-probabilities.
+policy log-probabilities, and one traced theorem audit plus flow
+construction must record every exact dynamic-programming sweep.
 """
 
 import importlib
@@ -13,16 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
-from gflow import training
-from gflow.envs import HyperGrid
+from gflow import autodiff as ad
+from gflow import exact, training
+from gflow.envs import HyperGrid, SequenceEnv
+from gflow.guides import TableGuide
 from gflow.training import Trainer, TrainerConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_steps_reach_every_span(monkeypatch):
+def load_spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_traced_steps_reach_every_span(monkeypatch):
+    spans = load_spans(monkeypatch)
     env = HyperGrid(2, 3)
     original_step = vars(training.Trainer)["step"]
     tracer = spans.Tracer("t")
@@ -38,3 +45,30 @@ def test_traced_steps_reach_every_span(monkeypatch):
     assert tracer.score_shapes
     names = {span[0] for span in tracer.spans}
     assert {"objectives.loss", "autodiff.mlp_forward", "policy.log_probs"} <= names
+
+
+def test_traced_audit_reaches_every_exact_sweep(monkeypatch):
+    spans = load_spans(monkeypatch)
+    env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
+    enum = env.enumeration()
+    rng = np.random.default_rng(4)
+
+    def table(masks):
+        rows = np.flatnonzero(masks.any(axis=1))
+        out = np.full(masks.shape, -np.inf)
+        out[rows] = ad.log_softmax_masked(None, rng.normal(0, 1, masks[rows].shape),
+                                          masks[rows]).data
+        return out
+
+    fwd, alt = table(enum.action_masks()), table(enum.action_masks())
+    bwd = table(enum.parent_masks())
+    tracer = spans.Tracer("t")
+    with tracer.installed():
+        report = training.check_theorem_bounds(env, fwd, bwd, 0.2,
+                                               TableGuide.random(env, rng),
+                                               forward_alt=alt)
+        exact.flow_from_rewards(enum, bwd)
+    assert report["theorem1"]["holds"] and report["theorem2"]["holds"]
+    names = {span[0] for span in tracer.spans}
+    assert {"training.check_bounds", "exact.forward_values", "exact.backward_values",
+            "exact.flow_from_rewards", "exact.visit_probabilities"} <= names

@@ -41,6 +41,14 @@ def check_edge_inverses(env, states):
                 assert env.child(p, f) == s
 
 
+def layer_of(enum):
+    """Topological layer number of every enumerated state."""
+    out = np.empty(enum.n, dtype=int)
+    for k, idx in enumerate(enum.layers):
+        out[idx] = k
+    return out
+
+
 def check_enumeration(enum):
     """Flat edge arrays, masks and cached tables must agree with the env."""
     env = enum.env
@@ -48,9 +56,13 @@ def check_enumeration(enum):
     assert enum.states[enum.root_index] == env.root
     assert len(enum.index) == enum.n
     assert np.all(np.diff(enum.edge_src) >= 0)
+    # The exact layer sweeps rely on every edge reaching a strictly deeper layer.
+    depth = layer_of(enum)
+    assert np.all(depth[enum.edge_dst] > depth[enum.edge_src])
+    edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
     tslots = enum.terminal_slots()
     for i, s in enumerate(enum.states):
-        lo, hi = enum.edge_ptr[i], enum.edge_ptr[i + 1]
+        lo, hi = edge_ptr[i], edge_ptr[i + 1]
         non_sink = [(int(a), c) for a, c in env.children(s) if c is not SINK]
         assert hi - lo == len(non_sink)
         for e, (a, c) in zip(range(lo, hi), non_sink):
@@ -370,10 +382,8 @@ def test_random_graded_dag_is_graded():
         last = set(enum.layers[-1])
         assert {i for i in range(enum.n) if enum.terminal[i]} == last
         # Every edge advances exactly one layer.
-        layer_of = np.empty(enum.n, dtype=int)
-        for k, idx in enumerate(enum.layers):
-            layer_of[idx] = k
-        assert np.all(layer_of[enum.edge_dst] == layer_of[enum.edge_src] + 1)
+        depth = layer_of(enum)
+        assert np.all(depth[enum.edge_dst] == depth[enum.edge_src] + 1)
         check_edge_inverses(env, enum.states)
         check_enumeration(enum)
 
@@ -384,11 +394,6 @@ def test_random_dag_builds_consistently():
         enum = env.enumeration()
         check_edge_inverses(env, enum.states)
         check_enumeration(enum)
-        # Edges always move to a strictly deeper layer.
-        layer_of = np.empty(enum.n, dtype=int)
-        for k, idx in enumerate(enum.layers):
-            layer_of[idx] = k
-        assert np.all(layer_of[enum.edge_dst] > layer_of[enum.edge_src])
 
 
 # -- trajectory validation -----------------------------------------------------

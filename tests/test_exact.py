@@ -256,14 +256,22 @@ def path_forward_value(enum, fwd, bwd, log_z, env):
     return total
 
 
+def value_oracle_envs():
+    """Small envs for the path-enumeration oracles.  The random_dag ones have
+    skip-level edges and interior rewards: edges that jump several layers and
+    states that both stop and continue."""
+    return [HyperGrid(2, 3), SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])] + [
+        random_dag(np.random.default_rng(seed)) for seed in range(3)]
+
+
 def test_forward_root_value_matches_trajectory_sum():
-    env = HyperGrid(2, 3)
-    enum, fwd, bwd = random_tables(env, seed=12)
-    log_z = 0.3
-    ref = edge_logs_backward(enum, bwd)
-    v, q = forward_values(enum, fwd, ref, log_z)
-    want = path_forward_value(enum, fwd, bwd, log_z, env)
-    assert v[enum.root_index] == pytest.approx(want, abs=1e-10)
+    for env in value_oracle_envs():
+        enum, fwd, bwd = random_tables(env, seed=12)
+        log_z = 0.3
+        ref = edge_logs_backward(enum, bwd)
+        v, q = forward_values(enum, fwd, ref, log_z)
+        want = path_forward_value(enum, fwd, bwd, log_z, env)
+        assert v[enum.root_index] == pytest.approx(want, abs=1e-10)
 
 
 def test_forward_value_gap_is_trajectory_kl():
@@ -297,28 +305,28 @@ def test_perfect_flow_values_follow_log_flow():
 
 
 def test_backward_values_match_conditional_enumeration():
-    env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
-    enum, fwd, bwd = random_tables(env, seed=14)
-    ref = edge_logs_forward(enum, fwd)
-    v, q = backward_values(enum, bwd, ref)
-    assert v[enum.root_index] == 0.0
+    for env in value_oracle_envs():
+        enum, fwd, bwd = random_tables(env, seed=14)
+        ref = edge_logs_forward(enum, fwd)
+        v, q = backward_values(enum, bwd, ref)
+        assert v[enum.root_index] == 0.0
 
-    x = (0, 1)
-    want = 0.0
-    norm = 0.0
-    for states, slots in enumerate_paths(env):
-        if states[-2] != x:
-            continue
-        lpb = path_log_prob(enum, bwd, states, slots, backward=True)
-        val = 0.0
-        for t, a in enumerate(slots[:-1]):
-            s, nxt = states[t], states[t + 1]
-            b = env.backward_slot(s, a)
-            val += bwd[enum.index[nxt], b] - fwd[enum.index[s], a]
-        want += np.exp(lpb) * val
-        norm += np.exp(lpb)
-    assert norm == pytest.approx(1.0, abs=1e-12)
-    assert v[enum.index[x]] == pytest.approx(want, abs=1e-10)
+        # Per endpoint x: the backward-weighted mean over paths ending at x.
+        want = np.zeros(enum.n)
+        norm = np.zeros(enum.n)
+        for states, slots in enumerate_paths(env):
+            x = enum.index[states[-2]]
+            lpb = path_log_prob(enum, bwd, states, slots, backward=True)
+            val = 0.0
+            for t, a in enumerate(slots[:-1]):
+                s, nxt = states[t], states[t + 1]
+                b = env.backward_slot(s, a)
+                val += bwd[enum.index[nxt], b] - fwd[enum.index[s], a]
+            want[x] += np.exp(lpb) * val
+            norm[x] += np.exp(lpb)
+        term = enum.terminal
+        np.testing.assert_allclose(norm[term], 1.0, atol=1e-12)
+        np.testing.assert_allclose(v[term], want[term], atol=1e-10)
 
 
 def test_advantages_average_to_zero():
@@ -412,3 +420,94 @@ def test_path_enumeration_probabilities_sum_to_one():
     # Monotone lattice paths to each corner plus shorter stopped walks:
     # every path ends with the stop slot.
     assert all(slots[-1] == 2 for _, slots in paths)
+
+
+# -- layer sweeps against the per-state loops they replaced -------------------
+
+
+def loop_forward_values(enum, fwd_log, ref_edge_logs, log_z):
+    """forward_values as one Python step per state, deepest state first."""
+    edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
+    v = np.zeros(enum.n)
+    q = np.zeros((enum.n, fwd_log.shape[1]))
+    edge_r = edge_logs_forward(enum, fwd_log) - ref_edge_logs
+    tslots = enum.terminal_slots()
+    for i in range(enum.n - 1, -1, -1):
+        lo, hi = edge_ptr[i], edge_ptr[i + 1]
+        total = 0.0
+        if hi > lo:
+            qi = edge_r[lo:hi] + v[enum.edge_dst[lo:hi]]
+            q[i, enum.edge_slot[lo:hi]] = qi
+            total += float(np.exp(fwd_log[i, enum.edge_slot[lo:hi]]) @ qi)
+        if enum.terminal[i]:
+            t = tslots[i]
+            qt = fwd_log[i, t] - enum.log_rewards[i] + log_z
+            q[i, t] = qt
+            total += np.exp(fwd_log[i, t]) * qt
+        v[i] = total
+    return v, q
+
+
+def loop_backward_values(enum, bwd_log, ref_edge_logs):
+    """backward_values as one Python step per state, root first."""
+    v = np.zeros(enum.n)
+    q = np.zeros((enum.n, bwd_log.shape[1]))
+    edge_r = edge_logs_backward(enum, bwd_log) - ref_edge_logs
+    order = np.argsort(enum.edge_dst, kind="stable")
+    in_ptr = np.searchsorted(enum.edge_dst[order], np.arange(enum.n + 1))
+    for j in range(enum.n):
+        lo, hi = in_ptr[j], in_ptr[j + 1]
+        if hi <= lo:
+            continue
+        e = order[lo:hi]
+        qj = edge_r[e] + v[enum.edge_src[e]]
+        q[j, enum.edge_bslot[e]] = qj
+        v[j] = float(np.exp(bwd_log[j, enum.edge_bslot[e]]) @ qj)
+    return v, q
+
+
+def loop_log_flow(enum, bwd_log):
+    """flow_from_rewards' flow sum as one Python step per state."""
+    edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
+    flow = np.zeros(enum.n)
+    edge_pb = np.exp(edge_logs_backward(enum, bwd_log))
+    for i in range(enum.n - 1, -1, -1):
+        lo, hi = edge_ptr[i], edge_ptr[i + 1]
+        f = float(edge_pb[lo:hi] @ flow[enum.edge_dst[lo:hi]]) if hi > lo else 0.0
+        if enum.terminal[i]:
+            f += np.exp(enum.log_rewards[i])
+        flow[i] = f
+    return np.log(flow)
+
+
+def assert_close_to_oracle(got, want, tol=1e-12):
+    """|got - want| / max(1, |want|) <= tol entrywise."""
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max(initial=0.0) <= tol
+
+
+SWEEP_ORACLE_ENVS = [
+    pytest.param(lambda: HyperGrid(2, 16), id="grid16"),
+    pytest.param(lambda: SequenceEnv(6, 4, np.linspace(0.5, 2.0, 4 ** 6)), id="seq6x4"),
+] + [pytest.param(lambda seed=seed: maker(np.random.default_rng(seed)),
+                  id=f"{maker.__name__}{seed}")
+     for maker in (random_dag, random_graded_dag) for seed in range(5)]
+
+
+@pytest.mark.parametrize("make_env", SWEEP_ORACLE_ENVS)
+def test_layer_sweeps_match_per_state_loops(make_env):
+    env = make_env()
+    enum, fwd, bwd = random_tables(env, seed=19)
+    ref_b = edge_logs_backward(enum, bwd)
+    ref_f = edge_logs_forward(enum, fwd)
+    for got, want in zip(forward_values(enum, fwd, ref_b, 0.7),
+                         loop_forward_values(enum, fwd, ref_b, 0.7)):
+        assert_close_to_oracle(got, want)
+    for got, want in zip(backward_values(enum, bwd, ref_f),
+                         loop_backward_values(enum, bwd, ref_f)):
+        assert_close_to_oracle(got, want)
+    for table in (None, bwd):
+        _, bwd_used, log_z_star, log_flow = flow_from_rewards(enum, bwd_log=table)
+        want = loop_log_flow(enum, bwd_used)
+        assert_close_to_oracle(log_flow, want)
+        assert log_z_star == log_flow[enum.root_index]

@@ -93,6 +93,11 @@ def test_parse_config_defaults():
     ("seeds =", "seeds"),
     ("tabular = maybe", "on/off"),
     ("lr_value = -1", "lr_value"),
+    ("r0 = 0", "grid rewards"),
+    ("r0 = -1", "grid rewards"),
+    ("r1 = -0.01", "grid rewards"),
+    ("r2 = -2.6", "grid rewards"),
+    ("guide_eps = -1", "guide_eps"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -262,6 +267,12 @@ def test_read_metrics_rejects_foreign_files(tmp_path):
         read_metrics(p)
     p.write_text(HEADER + "\n1,2,3\n")
     with pytest.raises(ConfigError, match="columns"):
+        read_metrics(p)
+    p.write_text(csv_text(["0,1.0,0.2,0.1,0.5,3,0.000", "9,1.0,0.4,0.1,0.5"]))
+    with pytest.raises(ConfigError, match=r"x\.csv line 3: .*columns"):
+        read_metrics(p)
+    p.write_text(csv_text(["0,1.0,0.2,0.1,0.5,3,0.000", "9,1.0,soon,0.1,0.5,3,0.000"]))
+    with pytest.raises(ConfigError, match=r"x\.csv line 3: .*soon"):
         read_metrics(p)
 
 
