@@ -8,6 +8,10 @@ tens of records rather than one per trajectory step.
 The op set is deliberately small: dense affine maps, elementwise maps, masked
 log-softmax, index gathers and segment sums.  That is enough to express every
 objective in this library as a handful of records.
+
+The models also give their Jacobian-vector products without a tape:
+jvp (forward mode) and vjp (reverse mode) over per-sample outputs, which the
+trust-region step uses to apply the Fisher without forming it.
 """
 
 import builtins
@@ -402,8 +406,8 @@ class Mlp:
     def forward_cached(self, x):
         """Forward pass keeping per-layer inputs and pre-activations.
 
-        Returns (output, layer_inputs, pre_activations); consumed by
-        per_sample_param_grads.
+        Returns (output, layer_inputs, pre_activations); consumed by jvp
+        and vjp.
         """
         inputs, pre = [], []
         return self._layers(None, x, inputs, pre).data, inputs, pre
@@ -427,28 +431,41 @@ class Mlp:
         # builtins.sum: the taped `sum` op below shadows the builtin here.
         return builtins.sum(p.data.size for p in self.params())
 
-    def per_sample_param_grads(self, inputs, pre, d_out):
-        """Per-sample parameter gradients of a per-sample scalar function.
+    def jvp(self, inputs, pre, v):
+        """Output tangents (M x out) along the flat parameter direction `v`.
 
-        `d_out` holds each sample's gradient at the network output (M x out).
-        Returns an (M x n_params) matrix whose columns follow params() order
-        with C-order raveling, matching flatten().
+        One forward-mode pass through the activations kept by
+        forward_cached(); `v` follows flatten() order over params().
         """
-        m = d_out.shape[0]
-        delta = np.asarray(d_out, dtype=np.float64)
-        blocks = [None] * len(self.weights)
+        t = None
+        offset = 0
+        last = len(self.weights) - 1
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            n_w = w.data.size
+            dw = v[offset:offset + n_w].reshape(w.data.shape)
+            db = v[offset + n_w:offset + n_w + b.data.size]
+            offset += n_w + b.data.size
+            dz = inputs[layer] @ dw + db
+            if t is not None:
+                dz += t @ w.data
+            t = np.where(pre[layer] > 0, dz, self.slope * dz) if layer < last else dz
+        return t
+
+    def vjp(self, inputs, pre, g_out):
+        """Flat gradient of sum(g_out * output) over params(), flatten() order.
+
+        One reverse pass through the activations kept by forward_cached();
+        `g_out` is the (M x out) gradient at the network output.
+        """
+        delta = np.asarray(g_out, dtype=np.float64)
+        blocks = []
         for layer in range(len(self.weights) - 1, -1, -1):
-            g_w = np.einsum("mi,mo->mio", inputs[layer], delta).reshape(m, -1)
-            blocks[layer] = (g_w, delta)
+            blocks.append(delta.sum(axis=0))
+            blocks.append((inputs[layer].T @ delta).ravel())
             if layer > 0:
                 delta = delta @ self.weights[layer].data.T
-                z = pre[layer - 1]
-                delta = np.where(z > 0, delta, self.slope * delta)
-        cols = []
-        for g_w, g_b in blocks:
-            cols.append(g_w)
-            cols.append(g_b)
-        return np.concatenate(cols, axis=1)
+                delta = np.where(pre[layer - 1] > 0, delta, self.slope * delta)
+        return np.concatenate(blocks[::-1])
 
 
 class Tabular:
@@ -478,13 +495,15 @@ class Tabular:
     def rows(self, tape, idx):
         return gather(tape, self.table, idx)
 
-    def per_sample_param_grads(self, idx, d_out):
-        idx = np.asarray(idx, dtype=np.intp)
-        m = d_out.shape[0]
-        g = np.zeros((m, self.n_rows * self.n_cols))
-        cols = idx[:, None] * self.n_cols + np.arange(self.n_cols)[None, :]
-        np.put_along_axis(g, cols, d_out, axis=1)
-        return g
+    def jvp(self, idx, v):
+        """Output tangents (M x n_cols) along the flat table direction `v`."""
+        return v.reshape(self.table.data.shape)[idx]
+
+    def vjp(self, idx, g_out):
+        """Flat gradient of sum(g_out * rows(idx)); repeated rows accumulate."""
+        g = np.zeros(self.table.data.shape)
+        np.add.at(g, idx, g_out)
+        return g.ravel()
 
 
 # ---------------------------------------------------------------------------

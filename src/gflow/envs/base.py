@@ -192,6 +192,7 @@ class Enumeration:
         self._action_masks = None
         self._parent_masks = None
         self._terminal_slots = None
+        self._dst_order = None
 
     def encodings(self):
         if self._encodings is None:
@@ -222,6 +223,13 @@ class Enumeration:
                     out[i] = t
             self._terminal_slots = out
         return self._terminal_slots
+
+    def dst_order(self):
+        """Edge indices in stable ascending order of edge_dst, sorted on
+        first use."""
+        if self._dst_order is None:
+            self._dst_order = np.argsort(self.edge_dst, kind="stable")
+        return self._dst_order
 
     def rewards(self):
         r = np.zeros(self.n)

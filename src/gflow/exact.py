@@ -55,15 +55,16 @@ def _layer_edges(enum, entering=False):
 
     Each selects the interior edges leaving one layer: a slice, since edges
     are sorted by source.  With entering=True each selects the edges
-    entering the layer instead, in edge order, from one stable argsort of
-    edge_dst.  Every edge ends in a strictly deeper layer, so a sweep in
-    this order, or reversed, reads only layers it has finished.
+    entering the layer instead, in edge order, from the stable argsort of
+    edge_dst that the enumeration keeps.  Every edge ends in a strictly
+    deeper layer, so a sweep in this order, or reversed, reads only layers
+    it has finished.
     """
     bounds = [layer[0] for layer in enum.layers] + [enum.n]
     if not entering:
         cuts = np.searchsorted(enum.edge_src, bounds)
         return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    order = np.argsort(enum.edge_dst, kind="stable")
+    order = enum.dst_order()
     cuts = np.searchsorted(enum.edge_dst[order], bounds)
     return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 

@@ -227,24 +227,56 @@ class PolicySuite:
         return seed
 
 
-def score_matrix(policy, states, slots):
-    """Per-sample score vectors d log pi(slot | state) / d theta, stacked M x P.
+class ScoreOperator:
+    """The per-sample score matrix J (M x P) of a policy, never formed.
 
-    Used for the empirical Fisher in the trust-region step and for exactness
-    tests.  Column order matches flatten() over the policy's parameters.
+    Row i of J is d log pi(slot_i | state_i) / d theta, with columns in
+    flatten() order over the policy's parameters.  Each row is the chain rule
+    through the per-row output gradient d_i = onehot(slot_i) - softmax_i, so
+    `S @ v` = J v is one forward-mode pass of the model dotted with d, and
+    `S.T @ u` = J^T u is one reverse pass with output gradient u_i d_i.
+    Neither allocates anything of size M x P.
+    """
+
+    def __init__(self, model, cache, d_out, transposed=False):
+        self._model = model
+        self._cache = cache
+        self._d = d_out
+        shape = (d_out.shape[0], sum(p.data.size for p in model.params()))
+        self.shape = shape[::-1] if transposed else shape
+        self._transposed = transposed
+
+    @property
+    def T(self):
+        return ScoreOperator(self._model, self._cache, self._d, not self._transposed)
+
+    def __matmul__(self, vec):
+        if self._transposed:
+            return self._model.vjp(*self._cache, vec[:, None] * self._d)
+        return (self._d * self._model.jvp(*self._cache, vec)).sum(axis=1)
+
+
+def score_matrix(policy, states, slots, masks=None):
+    """Per-sample score vectors d log pi(slot | state) / d theta as an M x P
+    ScoreOperator.
+
+    Used for the empirical Fisher product J^T (J v) / M of the trust-region
+    step.  `masks` defaults to policy.masks(states).  The model is evaluated
+    once here; each product afterwards costs one pass over the batch and
+    the parameters, O(M x slots + P) for a tabular policy.
     """
     slots = np.asarray(slots, dtype=np.intp)
-    masks = policy.masks(states)
+    if masks is None:
+        masks = policy.masks(states)
     x = policy._model_inputs(states)
     if policy.tabular:
-        logits = policy.model.rows(None, x).data
+        logits, cache = policy.model.rows(None, x).data, (x,)
     else:
         logits, inputs, pre = policy.model.forward_cached(x)
+        cache = (inputs, pre)
     d = -ad.masked_softmax(logits, masks)
     d[np.arange(len(states)), slots] += 1.0
-    if policy.tabular:
-        return policy.model.per_sample_param_grads(x, d)
-    return policy.model.per_sample_param_grads(inputs, pre, d)
+    return ScoreOperator(policy.model, cache, d)
 
 
 def save_checkpoint(path, kind, dims, seed, vec):

@@ -141,9 +141,18 @@ def validate_config(cfg):
         raise ConfigError("grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive")
     if cfg.guide_eps < 0:
         raise ConfigError("guide_eps must be nonnegative")
+    if cfg.subtb_base <= 0:
+        raise ConfigError("subtb_base must be positive")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
+    for seed in cfg.seeds:
+        _check_seed(seed)
     return cfg
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
 def build_env(cfg):
@@ -214,6 +223,13 @@ def run(cfg, seed=None, out=None):
     GFLOW_THREADS > 1 runs seeds on a thread pool (each seed owns its models;
     the environment and its enumeration are shared read-only).
     """
+    raw = os.environ.get("GFLOW_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"GFLOW_THREADS must be an integer, got {raw!r}") from None
+    if seed is not None:
+        _check_seed(seed)
     seeds = [seed] if seed is not None else list(cfg.seeds)
     out_dir = Path(out if out is not None else cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -222,7 +238,6 @@ def run(cfg, seed=None, out=None):
         env.enumeration()
     except EnumerationLimit:
         pass
-    threads = int(os.environ.get("GFLOW_THREADS", "1"))
     if threads > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda s: run_seed(cfg, env, s, out_dir), seeds))

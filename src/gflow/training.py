@@ -248,6 +248,8 @@ def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
     damped empirical Fisher of the batch scores, scaled to the KL budget
     `zeta` and backtracked until the batch KL stays inside it and the
     surrogate improves.  An exhausted search restores the old parameters.
+    F is applied matrix-free: F v = J^T (J v) / M + DAMPING v through the
+    ScoreOperator J from score_matrix, so no M x P array is allocated.
     """
     sb = obj.step_batch(trajectories)
     adv, targets, root_v1 = forward_advantages(sb, suite, lam)
@@ -265,7 +267,7 @@ def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
              "accepted": False, "kl": 0.0, "step_scale": 0.0}
     direction_ok = bool(np.any(g))
     if direction_ok:
-        scores = score_matrix(suite.forward, sb.states, sb.slots)
+        scores = score_matrix(suite.forward, sb.states, sb.slots, masks)
         m = scores.shape[0]
 
         def matvec(v):

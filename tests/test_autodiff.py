@@ -309,22 +309,26 @@ class TestMlp:
         tape.backward(loss)
         assert_close(ad.flat_grad(params), fd_grad(f, flat0))
 
-    def test_per_sample_param_grads_match_tape(self):
+    def test_jvp_and_vjp_match_tape(self):
         rng = np.random.default_rng(9)
-        net = ad.Mlp((3, 5, 4), rng)
+        net = ad.Mlp((3, 5, 5, 4), rng)
         x = rng.normal(size=(6, 3))
-        d_out = rng.normal(size=(6, 4))
         _, inputs, pre = net.forward_cached(x)
-        per = net.per_sample_param_grads(inputs, pre, d_out)
-        assert per.shape == (6, net.n_params())
+        params = net.params()
+        # grads[i, k] = d out[i, k] / d theta, one taped backward each.
+        grads = np.empty((6, 4, net.n_params()))
         for i in range(6):
-            tape = ad.Tape()
-            out = net.forward(tape, ad.Tensor(x[i:i + 1]))
-            loss = ad.sum(tape, ad.mul(tape, out, ad.Tensor(d_out[i:i + 1])))
-            params = net.params()
-            ad.zero_grads(params)
-            tape.backward(loss)
-            assert_close(per[i], ad.flat_grad(params), rel=1e-10)
+            for k in range(4):
+                tape = ad.Tape()
+                out = net.forward(tape, ad.Tensor(x[i:i + 1]))
+                ad.zero_grads(params)
+                tape.backward(ad.pick(tape, out, np.array([k])))
+                grads[i, k] = ad.flat_grad(params)
+        v = rng.normal(size=net.n_params())
+        g_out = rng.normal(size=(6, 4))
+        assert_close(net.jvp(inputs, pre, v), grads @ v, rel=1e-10)
+        assert_close(net.vjp(inputs, pre, g_out), np.einsum("ik,ikp->p", g_out, grads),
+                     rel=1e-10)
 
 
 class TestTabular:
@@ -340,13 +344,19 @@ class TestTabular:
         np.testing.assert_allclose(table.table.grad[2], [2.0, 2.0, 2.0])
         np.testing.assert_allclose(table.table.grad[1], 0.0)
 
-    def test_per_sample_param_grads_scatter(self):
+    def test_jvp_gathers_and_vjp_accumulates_rows(self):
         table = ad.Tabular(3, 2)
-        d_out = np.array([[1.0, 2.0], [3.0, 4.0]])
-        per = table.per_sample_param_grads(np.array([1, 1]), d_out)
-        assert per.shape == (2, 6)
-        np.testing.assert_allclose(per[0], [0, 0, 1.0, 2.0, 0, 0])
-        np.testing.assert_allclose(per[1], [0, 0, 3.0, 4.0, 0, 0])
+        idx = np.array([1, 1, 0])
+        v = np.arange(6.0)
+        np.testing.assert_array_equal(table.jvp(idx, v), [[2, 3], [2, 3], [0, 1]])
+        g_out = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        got = table.vjp(idx, g_out)
+        np.testing.assert_array_equal(got, [5, 6, 4, 6, 0, 0])
+        tape = ad.Tape()
+        loss = ad.sum(tape, ad.mul(tape, table.rows(tape, idx), ad.Tensor(g_out)))
+        ad.zero_grads(table.params())
+        tape.backward(loss)
+        np.testing.assert_array_equal(got, ad.flat_grad(table.params()))
 
 
 class TestAdam:

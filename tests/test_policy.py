@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow.envs import HyperGrid, SequenceEnv
+from gflow import training
+from gflow.envs import HyperGrid, SequenceEnv, random_dag
 from gflow.errors import ShapeError
+from gflow.objectives import step_batch
 from gflow.policy import (
     BackwardPolicy,
     ForwardPolicy,
@@ -18,6 +20,8 @@ from gflow.policy import (
     save_checkpoint,
     score_matrix,
 )
+from gflow.sampling import sample_forward
+from gflow.training import DAMPING, conjugate_gradient, trpo_step
 
 
 def mlp_forward(env, rng, hidden=(8,)):
@@ -132,6 +136,47 @@ def test_logz():
     assert z.item() == -0.25
 
 
+def tape_score_row(pol, state, slot):
+    """d log pi(slot | state) / d theta from one taped backward pass."""
+    for p in pol.params():
+        p.grad = None
+    tape = ad.Tape()
+    tape.backward(pol.step_log_probs(tape, [state], np.array([slot])))
+    return ad.flat_grad(pol.params())
+
+
+def dense_scores(pol, states, slots):
+    """Dense M x P score matrix built per sample: the oracle for score_matrix."""
+    masks = pol.masks(states)
+    x = pol._model_inputs(states)
+    model = pol.model
+    if pol.tabular:
+        logits = model.rows(None, x).data
+    else:
+        logits, inputs, pre = model.forward_cached(x)
+    d = -ad.masked_softmax(logits, masks)
+    d[np.arange(len(states)), slots] += 1.0
+    m = len(states)
+    if pol.tabular:
+        g = np.zeros((m, model.n_rows * model.n_cols))
+        cols = x[:, None] * model.n_cols + np.arange(model.n_cols)[None, :]
+        np.put_along_axis(g, cols, d, axis=1)
+        return g
+    blocks = [None] * len(model.weights)
+    delta = d
+    for layer in range(len(model.weights) - 1, -1, -1):
+        blocks[layer] = (np.einsum("mi,mo->mio", inputs[layer], delta).reshape(m, -1), delta)
+        if layer > 0:
+            delta = delta @ model.weights[layer].data.T
+            delta = np.where(pre[layer - 1] > 0, delta, model.slope * delta)
+    return np.concatenate([g for block in blocks for g in block], axis=1)
+
+
+def assert_rel(got, want, rel=1e-10):
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(got - want).max() <= rel * scale
+
+
 def test_score_matrix_matches_per_row_tape():
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(6)
@@ -139,16 +184,70 @@ def test_score_matrix_matches_per_row_tape():
                 ForwardPolicy(env, ad.Tabular(9, 3, rng=rng, init_scale=0.5))):
         states = [(0, 0), (1, 1), (2, 1), (0, 2)]
         slots = np.array([0, 2, 1, 0])
-        rows = score_matrix(pol, states, slots)
-        assert rows.shape[0] == len(states)
+        scores = score_matrix(pol, states, slots)
+        assert scores.shape == (len(states), ad.flatten(pol.params()).size)
         for i in range(len(states)):
-            for p in pol.params():
-                p.grad = None
-            tape = ad.Tape()
-            lp = pol.step_log_probs(tape, states[i:i + 1], slots[i:i + 1])
-            tape.backward(lp)
-            np.testing.assert_allclose(rows[i], ad.flat_grad(pol.params()),
+            row = scores.T @ np.eye(len(states))[i]
+            np.testing.assert_allclose(row, tape_score_row(pol, states[i], slots[i]),
                                        rtol=1e-10, atol=1e-12)
+
+
+SCORE_ENVS = [HyperGrid(2, 3)] + [random_dag(np.random.default_rng(seed)) for seed in range(5)]
+
+
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
+@pytest.mark.parametrize("env", SCORE_ENVS, ids=["grid"] + [f"dag{s}" for s in range(5)])
+def test_score_operator_matches_dense_fisher(env, tabular):
+    rng = np.random.default_rng(16)
+    enum = env.enumeration()
+    suite = make_suite(env, rng, tabular=tabular, hidden=(8, 8), init_scale=0.5)
+    pol = suite.forward
+    idx = rng.integers(enum.n, size=10)
+    idx = np.concatenate([idx, idx[:4]])  # repeated states share table rows
+    states = [enum.states[i] for i in idx]
+    masks = pol.masks(states)
+    slots = np.array([rng.choice(np.flatnonzero(row)) for row in masks])
+    dense = dense_scores(pol, states, slots)
+    for i, (s, a) in enumerate(zip(states, slots)):
+        assert_rel(dense[i], tape_score_row(pol, s, a))
+
+    scores = score_matrix(pol, states, slots, masks)
+    m, n_params = dense.shape
+    assert scores.shape == (m, n_params) and scores.T.shape == (n_params, m)
+    v = rng.normal(size=n_params)
+    u = rng.normal(size=m)
+    assert_rel(scores @ v, dense @ v)
+    assert_rel(scores.T @ u, dense.T @ u)
+    assert_rel(scores.T @ (scores @ v) / m + DAMPING * v,
+               dense.T @ (dense @ v) / m + DAMPING * v)
+
+
+# The last CG iterations on the MLP Fisher amplify rounding: on this batch
+# two dense evaluation orders, J^T (J v) and (J^T J) v, already give
+# directions 4e-6 apart, so the MLP case is held to 1e-4.
+@pytest.mark.parametrize("tabular,rel", [(True, 1e-10), (False, 1e-4)], ids=["tabular", "mlp"])
+def test_trpo_direction_matches_dense_fisher(monkeypatch, tabular, rel):
+    env = HyperGrid(2, 3)
+    rng = np.random.default_rng(17)
+    suite = make_suite(env, rng, tabular=tabular, hidden=(8, 8), need_value_f=True,
+                       init_scale=0.5)
+    batch = sample_forward(env, suite.forward, suite.backward, 16, rng)
+    sb = step_batch(batch)
+    dense = dense_scores(suite.forward, sb.states, sb.slots)
+    solves = []
+
+    def recording_cg(matvec, b):
+        x = conjugate_gradient(matvec, b)
+        solves.append((b, x))
+        return x
+
+    monkeypatch.setattr(training, "conjugate_gradient", recording_cg)
+    trpo_step(suite, batch, {name: ad.Adam(params, 0.01)
+                             for name, params in suite.param_groups().items()})
+    (g, x), = solves
+    m = dense.shape[0]
+    assert_rel(x, conjugate_gradient(lambda v: dense.T @ (dense @ v) / m + DAMPING * v, g),
+               rel)
 
 
 def test_suite_param_groups_by_need():

@@ -98,6 +98,10 @@ def test_parse_config_defaults():
     ("r1 = -0.01", "grid rewards"),
     ("r2 = -2.6", "grid rewards"),
     ("guide_eps = -1", "guide_eps"),
+    ("seeds = -1", "seed must be nonnegative"),
+    ("seeds = 0, -2", "seed must be nonnegative"),
+    ("subtb_base = 0", "subtb_base"),
+    ("subtb_base = -0.5", "subtb_base"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -331,6 +335,26 @@ def test_cli_seed_flag(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert (out / "TB-U_seed7.csv").exists()
     capsys.readouterr()
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_GRID)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "seed must be nonnegative, got -1" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GFLOW_THREADS", "x")
+    cfg_path = write_cfg(tmp_path, SMALL_GRID)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "GFLOW_THREADS" in err and "'x'" in err
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

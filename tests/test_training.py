@@ -1,11 +1,13 @@
 """Strategy update steps: advantage assembly, surrogate gradients, the
 trust-region contract, guided coupling, and exact bound checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow.envs import ExplicitDag, HyperGrid, SequenceEnv, random_graded_dag
+from gflow.envs import ExplicitDag, HyperGrid, SequenceEnv, random_graded_dag, synthetic_rewards
 from gflow.errors import ConfigError
 from gflow.exact import (
     advantages,
@@ -288,6 +290,21 @@ def test_trpo_zero_gradient_is_no_op():
     np.testing.assert_array_equal(before, ad.flatten(suite.forward.params()))
     # log Z and the value function still update.
     assert suite.log_z.item() != logz_before
+
+
+def test_trpo_step_never_allocates_the_dense_score_matrix():
+    env = SequenceEnv(4, 4, synthetic_rewards(4, 4, seed=0))
+    rng = np.random.default_rng(15)
+    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    batch = sample_forward(env, suite.forward, suite.backward, 64, rng)
+    dense_bytes = step_batch(batch).n_steps * ad.flatten(suite.forward.params()).size * 8
+    tracemalloc.start()
+    try:
+        trpo_step(suite, batch, make_optimizers(suite))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
 
 
 # -- guided coupling -----------------------------------------------------------
