@@ -9,7 +9,16 @@ this state), sized independently of the forward one.
 A trajectory is root -> ... -> x -> SINK; the final hop always uses the
 state's terminal slot.  Rewards attach to terminal-capable states and are
 strictly positive.
+
+Every per-state query has a batched counterpart over a list of states
+(`action_masks`, `parent_masks`, `encode_batch`) and the enumeration gets
+its edge arrays from one batched hook (`enumeration_edges`).  The defaults
+here loop over the per-state queries; environments whose states are integer
+vectors override them with array operations, which must return the same
+arrays bit for bit.
 """
+
+import weakref
 
 import numpy as np
 
@@ -69,6 +78,10 @@ class DagEnv:
         mask = self.action_mask(s)
         return [(slot, self.child(s, slot)) for slot in np.flatnonzero(mask)]
 
+    def action_masks(self, states):
+        """(len(states) x n_action_slots) boolean action masks."""
+        return np.stack([self.action_mask(s) for s in states])
+
     # -- backward structure --------------------------------------------------
 
     def parent_mask(self, s):
@@ -106,6 +119,10 @@ class DagEnv:
     def n_parents(self, s):
         return int(self.parent_mask(s).sum())
 
+    def parent_masks(self, states):
+        """(len(states) x n_backward_slots) boolean parent masks."""
+        return np.stack([self.parent_mask(s) for s in states])
+
     # -- rewards and features ------------------------------------------------
 
     def reward(self, x):
@@ -119,6 +136,7 @@ class DagEnv:
         raise NotImplementedError
 
     def encode_batch(self, states):
+        """(len(states) x encoding_dim) float encodings."""
         return np.stack([self.encode(s) for s in states])
 
     # -- enumeration ---------------------------------------------------------
@@ -137,13 +155,66 @@ class DagEnv:
             raise EnumerationLimit(f"{n} states exceed enumeration cap {cap}")
         return n
 
+    def enumeration_edges(self, states, index):
+        """Flat edge arrays of the enumerated DAG.
+
+        `states` lists every state in enumeration order and `index` maps
+        each one to its position.  Returns (src, slot, dst, bslot) of the
+        interior edges, sorted by source and then slot, plus per state its
+        terminal slot (-1 where it cannot terminate) and its log reward
+        (-inf there).
+        """
+        src, slot, dst, bslot = [], [], [], []
+        tslots = np.full(len(states), -1, dtype=np.intp)
+        log_r = np.full(len(states), -np.inf)
+        for i, s in enumerate(states):
+            for a, c in self.children(s):
+                if c is SINK:
+                    tslots[i] = a
+                    log_r[i] = self.log_reward(s)
+                else:
+                    src.append(i)
+                    slot.append(int(a))
+                    dst.append(index[c])
+                    bslot.append(int(self.backward_slot(s, a)))
+        edges = [np.asarray(v, dtype=np.intp) for v in (src, slot, dst, bslot)]
+        return (*edges, tslots, log_r)
+
     def enumeration(self, cap=ENUMERATION_CAP):
-        """Memoized Enumeration index over this environment."""
-        cached = getattr(self, "_enumeration", None)
-        if cached is None:
-            cached = Enumeration(self, cap)
-            self._enumeration = cached
-        return cached
+        """Memoized Enumeration index over this environment.
+
+        The memo is a weak reference: an enumeration lives while some caller
+        holds it, and a dropped environment and its enumeration are freed by
+        reference counting.
+        """
+        ref = getattr(self, "_enumeration", None)
+        enum = ref() if ref is not None else None
+        if enum is None:
+            enum = Enumeration(self, cap)
+            self._enumeration = weakref.ref(enum)
+        return enum
+
+
+def state_array(states, width):
+    """States that are equal-length integer tuples, as a (len(states) x
+    width) intp array."""
+    return np.asarray(states, dtype=np.intp).reshape(len(states), width)
+
+
+def radix_children(keys, interior, steps):
+    """(src, slot, dst) of the interior edges of an enumeration whose states
+    carry distinct nonnegative integer keys, where slot a adds steps[a] to
+    the key.
+
+    `keys` is in enumeration order and `interior` masks the non-terminal
+    slots, which come first.  Edges are sorted by source and then slot, and
+    a key -> position lookup table finds each child.
+    """
+    lut = np.empty(int(keys.max()) + 1, dtype=np.intp)
+    lut[keys] = np.arange(len(keys))
+    src, slot = np.nonzero(interior)
+    return src, slot, lut[keys[src] + steps[slot]]
+
 
 
 class Enumeration:
@@ -166,32 +237,15 @@ class Enumeration:
             self.layers.append(list(range(start, start + len(layer))))
             start += len(layer)
 
-        src, slot, dst, bslot = [], [], [], []
-        terminal = np.zeros(self.n, dtype=bool)
-        log_r = np.full(self.n, -np.inf)
-        for i, s in enumerate(self.states):
-            for a, c in env.children(s):
-                if c is SINK:
-                    terminal[i] = True
-                    log_r[i] = env.log_reward(s)
-                else:
-                    src.append(i)
-                    slot.append(int(a))
-                    dst.append(self.index[c])
-                    bslot.append(int(env.backward_slot(s, a)))
-        # Edges are emitted in ascending source order, so the edges leaving
-        # any contiguous range of states (a layer) form one contiguous slice.
-        self.edge_src = np.asarray(src, dtype=np.intp)
-        self.edge_slot = np.asarray(slot, dtype=np.intp)
-        self.edge_dst = np.asarray(dst, dtype=np.intp)
-        self.edge_bslot = np.asarray(bslot, dtype=np.intp)
-        self.terminal = terminal
-        self.log_rewards = log_r
+        (self.edge_src, self.edge_slot, self.edge_dst, self.edge_bslot,
+         self._terminal_slots, self.log_rewards) = env.enumeration_edges(self.states, self.index)
+        # Edges come in ascending source order, so the edges leaving any
+        # contiguous range of states (a layer) form one contiguous slice.
+        self.terminal = self._terminal_slots >= 0
         self.root_index = self.index[env.root]
         self._encodings = None
         self._action_masks = None
         self._parent_masks = None
-        self._terminal_slots = None
         self._dst_order = None
 
     def encodings(self):
@@ -201,27 +255,19 @@ class Enumeration:
 
     def action_masks(self):
         if self._action_masks is None:
-            self._action_masks = np.stack([self.env.action_mask(s) for s in self.states])
+            self._action_masks = self.env.action_masks(self.states)
         return self._action_masks
 
     def parent_masks(self):
         """Backward-slot masks; the root's row is all False."""
         if self._parent_masks is None:
-            rows = np.zeros((self.n, self.env.n_backward_slots), dtype=bool)
-            for i, s in enumerate(self.states):
-                if i != self.root_index:
-                    rows[i] = self.env.parent_mask(s)
+            rows = self.env.parent_masks(self.states)
+            rows[self.root_index] = False
             self._parent_masks = rows
         return self._parent_masks
 
     def terminal_slots(self):
-        if self._terminal_slots is None:
-            out = np.full(self.n, -1, dtype=np.intp)
-            for i, s in enumerate(self.states):
-                t = self.env.terminal_slot(s)
-                if t is not None:
-                    out[i] = t
-            self._terminal_slots = out
+        """Per-state terminal slot, -1 where the state cannot terminate."""
         return self._terminal_slots
 
     def dst_order(self):

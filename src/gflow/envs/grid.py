@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from .base import ENUMERATION_CAP, DagEnv, SINK
+from .base import ENUMERATION_CAP, DagEnv, SINK, radix_children, state_array
 
 
 class HyperGrid(DagEnv):
@@ -42,6 +42,11 @@ class HyperGrid(DagEnv):
         mask[self._stop] = True
         return mask
 
+    def action_masks(self, states):
+        mask = np.ones((len(states), self.n_action_slots), dtype=bool)
+        mask[:, :self.d] = state_array(states, self.d) < self.n - 1
+        return mask
+
     def child(self, s, slot):
         if slot == self._stop:
             return SINK
@@ -52,6 +57,9 @@ class HyperGrid(DagEnv):
 
     def parent_mask(self, s):
         return np.array([c > 0 for c in s], dtype=bool)
+
+    def parent_masks(self, states):
+        return state_array(states, self.d) > 0
 
     def parent(self, s, bslot):
         return s[:bslot] + (s[bslot] - 1,) + s[bslot + 1:]
@@ -65,10 +73,14 @@ class HyperGrid(DagEnv):
     # -- reward --------------------------------------------------------------
 
     def reward(self, x):
-        t = np.abs(np.asarray(x, dtype=np.float64) / (self.n - 1) - 0.5)
-        outer = np.all((t > 0.25) & (t <= 0.5))
-        inner = np.all((t > 0.3) & (t <= 0.4))
-        return self.r0 + self.r1 * float(outer) + self.r2 * float(inner)
+        return float(self._rewards(np.asarray(x, dtype=np.float64)))
+
+    def _rewards(self, coords):
+        """Rewards of the states along the last axis of `coords`."""
+        t = np.abs(coords / (self.n - 1) - 0.5)
+        outer = np.all((t > 0.25) & (t <= 0.5), axis=-1)
+        inner = np.all((t > 0.3) & (t <= 0.4), axis=-1)
+        return self.r0 + self.r1 * outer.astype(np.float64) + self.r2 * inner.astype(np.float64)
 
     # -- features ------------------------------------------------------------
 
@@ -79,17 +91,23 @@ class HyperGrid(DagEnv):
         return v
 
     def encode_batch(self, states):
-        coords = np.asarray(states, dtype=np.intp)
-        m = coords.shape[0]
-        v = np.zeros((m, self.encoding_dim))
-        cols = coords + np.arange(self.d) * self.n
-        v[np.arange(m)[:, None], cols] = 1.0
+        coords = state_array(states, self.d)
+        v = np.zeros((len(coords), self.encoding_dim))
+        v[np.arange(len(coords))[:, None], coords + np.arange(self.d) * self.n] = 1.0
         return v
 
     # -- enumeration ---------------------------------------------------------
 
     def n_states(self):
         return self.n ** self.d
+
+    def enumeration_edges(self, states, index):
+        coords = state_array(states, self.d)
+        radix = self.n ** np.arange(self.d)
+        src, slot, dst = radix_children(coords @ radix, self.action_masks(coords)[:, :self.d],
+                                        radix)
+        tslots = np.full(len(coords), self._stop, dtype=np.intp)
+        return src, slot, dst, slot.copy(), tslots, np.log(self._rewards(coords))
 
     def enumerate_states(self, cap=ENUMERATION_CAP):
         self.check_cap(cap)

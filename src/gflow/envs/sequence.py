@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD, SINK
+from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD, SINK, radix_children, state_array
 
 EMPTY = -1
 
@@ -63,6 +63,13 @@ class SequenceEnv(DagEnv):
         mask[self._terminal] = complete
         return mask
 
+    def action_masks(self, states):
+        empty = state_array(states, self.d) == EMPTY
+        mask = np.empty((len(empty), self.n_action_slots), dtype=bool)
+        mask[:, :self._terminal] = np.repeat(empty, self.n, axis=1)
+        mask[:, self._terminal] = ~empty.any(axis=1)
+        return mask
+
     def child(self, s, slot):
         if slot == self._terminal:
             return SINK
@@ -76,6 +83,9 @@ class SequenceEnv(DagEnv):
 
     def parent_mask(self, s):
         return np.array([c != EMPTY for c in s], dtype=bool)
+
+    def parent_masks(self, states):
+        return state_array(states, self.d) != EMPTY
 
     def parent(self, s, bslot):
         return s[:bslot] + (EMPTY,) + s[bslot + 1:]
@@ -105,10 +115,31 @@ class SequenceEnv(DagEnv):
             v[pos * (self.n + 1) + int(c) + 1] = 1.0
         return v
 
+    def encode_batch(self, states):
+        seqs = state_array(states, self.d)
+        v = np.zeros((len(seqs), self.encoding_dim))
+        v[np.arange(len(seqs))[:, None], seqs + np.arange(self.d) * (self.n + 1) + 1] = 1.0
+        return v
+
     # -- enumeration ---------------------------------------------------------
 
     def n_states(self):
         return (self.n + 1) ** self.d
+
+    def enumeration_edges(self, states, index):
+        # Keys read each position as a base-(n+1) digit, EMPTY as 0, so
+        # filling position pos with sym adds (sym + 1) * (n + 1) ** pos.
+        seqs = state_array(states, self.d)
+        masks = self.action_masks(seqs)
+        radix = (self.n + 1) ** np.arange(self.d)
+        steps = (radix[:, None] * np.arange(1, self.n + 1)).ravel()
+        src, slot, dst = radix_children((seqs + 1) @ radix, masks[:, :self._terminal], steps)
+        complete = masks[:, self._terminal]
+        tslots = np.where(complete, self._terminal, -1)
+        log_r = np.full(len(seqs), -np.inf)
+        table_index = seqs[complete] @ self.n ** np.arange(self.d - 1, -1, -1)
+        log_r[complete] = np.log(self.rewards_table[table_index])
+        return src, slot, dst, slot // self.n, tslots, log_r
 
     def enumerate_states(self, cap=ENUMERATION_CAP):
         self.check_cap(cap)

@@ -50,20 +50,19 @@ class _StateModel:
 class _PolicyBase(_StateModel):
     """Shared mechanics for forward and backward policies.
 
-    Subclasses provide _mask(s); the model has one output per slot.
+    The model has one output per slot; `env_masks` is the environment's
+    batched query for the masks over those slots.
     """
 
-    def __init__(self, env, model):
+    def __init__(self, env, model, env_masks):
         super().__init__(env, model)
         if self.tabular and model.n_rows != self._enum.n:
             raise ShapeError(
                 f"tabular model has {model.n_rows} rows, env has {self._enum.n} states")
-
-    def _mask(self, s):
-        raise NotImplementedError
+        self._env_masks = env_masks
 
     def masks(self, states):
-        return np.stack([self._mask(s) for s in states])
+        return self._env_masks(states)
 
     def log_prob_matrix(self, tape, states, masks=None):
         """(M x slots) masked log-probabilities; untaped when tape is None."""
@@ -85,15 +84,15 @@ class _PolicyBase(_StateModel):
 class ForwardPolicy(_PolicyBase):
     """Distribution over forward action slots, masked per state."""
 
-    def _mask(self, s):
-        return self.env.action_mask(s)
+    def __init__(self, env, model):
+        super().__init__(env, model, env.action_masks)
 
 
 class BackwardPolicy(_PolicyBase):
     """Learned distribution over backward slots (which parent came before)."""
 
-    def _mask(self, s):
-        return self.env.parent_mask(s)
+    def __init__(self, env, model):
+        super().__init__(env, model, env.parent_masks)
 
 
 class UniformBackward:
@@ -107,7 +106,7 @@ class UniformBackward:
         return []
 
     def masks(self, states):
-        return np.stack([self.env.parent_mask(s) for s in states])
+        return self.env.parent_masks(states)
 
     def log_probs_numpy(self, states, masks=None):
         if masks is None:
@@ -336,14 +335,17 @@ def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
     Tabular suites index the enumerated state space directly (exact-gradient
     work); Mlp suites share the architecture `hidden` across components.
     """
+    # Held for the whole construction: the env memoizes it only weakly.
+    enum = env.enumeration() if tabular else None
+
     def policy_model(n_slots):
         if tabular:
-            return ad.Tabular(env.enumeration().n, n_slots, rng=rng, init_scale=init_scale)
+            return ad.Tabular(enum.n, n_slots, rng=rng, init_scale=init_scale)
         return ad.Mlp((env.encoding_dim, *hidden, n_slots), rng)
 
     def scalar_model():
         if tabular:
-            return ad.Tabular(env.enumeration().n, 1, rng=rng, init_scale=init_scale)
+            return ad.Tabular(enum.n, 1, rng=rng, init_scale=init_scale)
         return ad.Mlp((env.encoding_dim, *hidden, 1), rng)
 
     forward = ForwardPolicy(env, policy_model(env.n_action_slots))

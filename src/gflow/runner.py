@@ -235,9 +235,11 @@ def run(cfg, seed=None, out=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     env = build_env(cfg)
     try:
-        env.enumeration()
+        # Built once before the seeds start; this frame holds it until they
+        # finish, since the env keeps only a weak reference.
+        enum = env.enumeration()
     except EnumerationLimit:
-        pass
+        enum = None
     if threads > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda s: run_seed(cfg, env, s, out_dir), seeds))

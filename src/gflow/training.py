@@ -38,20 +38,25 @@ REPLAY_BATCHES = 10
 
 
 def conjugate_gradient(matvec, b, iters=10, tol=1e-10):
-    """Solve A x = b for symmetric positive definite A given only x -> A x."""
+    """Solve A x = b for symmetric positive definite A given only x -> A x.
+
+    The vector updates run in place through one scratch vector.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    scratch = np.empty_like(b)
     rs = float(r @ r)
     for _ in range(iters):
         if np.sqrt(rs) < tol:
             break
         ap = matvec(p)
         alpha = rs / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, ap, out=scratch)
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return x
 
@@ -269,9 +274,13 @@ def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
     if direction_ok:
         scores = score_matrix(suite.forward, sb.states, sb.slots, masks)
         m = scores.shape[0]
+        damped = np.empty_like(g)
 
         def matvec(v):
-            return scores.T @ (scores @ v) / m + DAMPING * v
+            out = scores.T @ (scores @ v)
+            out /= m
+            out += np.multiply(DAMPING, v, out=damped)
+            return out
 
         x = conjugate_gradient(matvec, g)
         gx = float(g @ x)

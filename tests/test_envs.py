@@ -1,5 +1,9 @@
 """Environment behavior: grid geometry and rewards, sequence slot algebra,
-reward tables, explicit DAG validation, and the flat enumeration index."""
+reward tables, explicit DAG validation, the flat enumeration index, and
+the batched queries against their per-state defaults."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from gflow.envs import (
     ENUMERATION_CAP,
     MIN_REWARD,
     SINK,
+    DagEnv,
     Enumeration,
     ExplicitDag,
     HyperGrid,
@@ -82,8 +87,11 @@ def check_enumeration(enum):
             assert enum.log_rewards[i] == -np.inf
     assert not enum.parent_masks()[enum.root_index].any()
     masks = enum.action_masks()
+    parent_masks = enum.parent_masks()
     for i, s in enumerate(enum.states):
         assert np.array_equal(masks[i], env.action_mask(s))
+        if i != enum.root_index:
+            assert np.array_equal(parent_masks[i], env.parent_mask(s))
 
 
 # -- hyper-grid ----------------------------------------------------------------
@@ -460,3 +468,86 @@ def test_sink_parents_are_terminal_states():
     assert len(pairs) == 4
     assert all(slot == 4 for slot, _ in pairs)
     assert {x for _, x in pairs} == set(all_sequences(2, 2))
+
+
+def test_dropped_env_and_enumeration_free_by_refcount():
+    # The env memoizes its enumeration weakly, so the two form no cycle and
+    # need no garbage-collector pass to be freed.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for env in (HyperGrid(2, 3), SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0]),
+                    random_dag(np.random.default_rng(0))):
+            enum = env.enumeration()
+            assert env.enumeration() is enum
+            ref = weakref.ref(enum)
+            del env, enum
+            assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# -- batched queries against the per-state defaults -----------------------------
+
+BATCHED_ENVS = [
+    pytest.param(lambda: HyperGrid(1, 5), id="grid-1x5"),
+    pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
+    pytest.param(lambda: HyperGrid(3, 4), id="grid-3x4"),
+    pytest.param(lambda: SequenceEnv.synthetic(1, 2, seed=0), id="seq-1x2"),
+    pytest.param(lambda: SequenceEnv.synthetic(3, 3, seed=1), id="seq-3x3"),
+    pytest.param(lambda: SequenceEnv.synthetic(6, 4, seed=2), id="seq-6x4"),
+]
+
+
+def assert_same_array(fast, slow, name):
+    assert fast.dtype == slow.dtype, name
+    assert fast.shape == slow.shape, name
+    assert fast.tobytes() == slow.tobytes(), name
+
+
+def per_state_tables(env, enum):
+    """The enumeration's tables from DagEnv's per-state defaults."""
+    src, slot, dst, bslot, _, log_r = DagEnv.enumeration_edges(env, enum.states, enum.index)
+    tslots = [env.terminal_slot(s) for s in enum.states]
+    parent_masks = DagEnv.parent_masks(env, enum.states)
+    parent_masks[enum.root_index] = False
+    return {
+        "edge_src": src, "edge_slot": slot, "edge_dst": dst, "edge_bslot": bslot,
+        "terminal": np.array([t is not None for t in tslots]),
+        "log_rewards": log_r,
+        "terminal_slots": np.array([-1 if t is None else t for t in tslots], dtype=np.intp),
+        "action_masks": DagEnv.action_masks(env, enum.states),
+        "parent_masks": parent_masks,
+        "encodings": DagEnv.encode_batch(env, enum.states),
+    }
+
+
+@pytest.mark.parametrize("make_env", BATCHED_ENVS)
+def test_enumeration_tables_match_per_state_defaults(make_env):
+    env = make_env()
+    enum = env.enumeration()
+    fast = {
+        "edge_src": enum.edge_src, "edge_slot": enum.edge_slot, "edge_dst": enum.edge_dst,
+        "edge_bslot": enum.edge_bslot, "terminal": enum.terminal,
+        "log_rewards": enum.log_rewards, "terminal_slots": enum.terminal_slots(),
+        "action_masks": enum.action_masks(), "parent_masks": enum.parent_masks(),
+        "encodings": enum.encodings(),
+    }
+    slow = per_state_tables(env, enum)
+    assert fast.keys() == slow.keys()
+    for name in slow:
+        assert_same_array(fast[name], slow[name], name)
+
+
+@pytest.mark.parametrize("make_env", BATCHED_ENVS)
+def test_batched_queries_match_per_state_defaults_on_any_batch(make_env):
+    # Repeated states in any order, and a single state.
+    env = make_env()
+    states = env.enumeration().states
+    rng = np.random.default_rng(0)
+    picks = rng.integers(0, len(states), size=2 * len(states) + 3)
+    for batch in ([states[i] for i in picks], [states[-1]]):
+        for query in ("action_masks", "parent_masks", "encode_batch"):
+            assert_same_array(getattr(env, query)(batch), getattr(DagEnv, query)(env, batch),
+                              query)

@@ -1,12 +1,15 @@
 """Strategy update steps: advantage assembly, surrogate gradients, the
 trust-region contract, guided coupling, and exact bound checks."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from gflow import autodiff as ad
+from gflow import exact
 from gflow.envs import ExplicitDag, HyperGrid, SequenceEnv, random_graded_dag, synthetic_rewards
 from gflow.errors import ConfigError
 from gflow.exact import (
@@ -79,6 +82,39 @@ def test_conjugate_gradient_matches_dense_solve():
     rhs = rng.normal(0, 1, 6)
     x = conjugate_gradient(lambda v: a @ v, rhs, iters=50, tol=1e-12)
     np.testing.assert_allclose(x, np.linalg.solve(a, rhs), atol=1e-8)
+
+
+def reference_conjugate_gradient(matvec, b, iters=10, tol=1e-10):
+    """conjugate_gradient with every vector update allocating a new array."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for _ in range(iters):
+        if np.sqrt(rs) < tol:
+            break
+        ap = matvec(p)
+        alpha = rs / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x
+
+
+def test_conjugate_gradient_in_place_updates_are_bit_identical():
+    rng = np.random.default_rng(1)
+    j = rng.normal(0, 1, (40, 300))
+    rhs = rng.normal(0, 1, 300)
+    kept = rhs.copy()
+
+    def matvec(v):
+        return j.T @ (j @ v) / 40 + 1e-3 * v
+
+    x = conjugate_gradient(matvec, rhs)
+    assert x.tobytes() == reference_conjugate_gradient(matvec, rhs).tobytes()
+    assert rhs.tobytes() == kept.tobytes()
 
 
 def test_conjugate_gradient_zero_rhs():
@@ -461,6 +497,51 @@ def test_trainer_components_and_steps(strategy):
         # Only the trust-region step reports its KL and step scale.
         assert ("kl" in stats) == (strategy == "RL-T")
     assert trainer.iteration == 2
+
+
+GUARD_ENVS = [
+    pytest.param(lambda: HyperGrid(2, 4), id="grid"),
+    pytest.param(lambda: SequenceEnv(2, 3, np.arange(1.0, 10.0)), id="sequence"),
+]
+
+
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
+@pytest.mark.parametrize("make_env", GUARD_ENVS)
+def test_steps_never_query_the_env_one_state_at_a_time(monkeypatch, make_env, tabular):
+    # Masks and encodings come from the batched queries only; the per-state
+    # methods stay as the contract and the tests' oracle.
+    def per_state(*args, **kwargs):
+        raise AssertionError("per-state env query on a batched path")
+
+    for cls in (HyperGrid, SequenceEnv):
+        for name in ("action_mask", "parent_mask", "encode"):
+            monkeypatch.setattr(cls, name, per_state)
+    env = make_env()
+    enum = env.enumeration()
+    for strategy in STRATEGIES:
+        if strategy == "TB-Sub" and not env.graded:
+            continue
+        cfg = TrainerConfig(strategy=strategy, batch_size=8, tabular=tabular, hidden=(8,))
+        trainer = Trainer(env, cfg, np.random.default_rng(25))
+        assert np.isfinite(trainer.step(np.random.default_rng(26))["loss"])
+        assert np.all(np.isfinite(exact.forward_log_table(enum, trainer.suite.forward)
+                                  [enum.action_masks()]))
+
+
+def test_trained_env_is_freed_by_refcount():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env = HyperGrid(2, 3)
+        trainer = Trainer(env, TrainerConfig(strategy="RL-G", batch_size=4, tabular=True),
+                          np.random.default_rng(27))
+        stats = trainer.step(np.random.default_rng(28))
+        refs = [weakref.ref(env), weakref.ref(env.enumeration())]
+        del env, trainer, stats
+        assert all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_trainer_guide_on_sequences():
