@@ -15,6 +15,7 @@ trust-region step uses to apply the Fisher without forming it.
 """
 
 import builtins
+import math
 
 import numpy as np
 
@@ -100,8 +101,11 @@ class Tape:
                 if g is None or not (t.requires_grad or t._taped):
                     continue
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
+                    # zeros + g in one pass: adding +0.0 turns -0.0 into
+                    # +0.0 and broadcasts g exactly as accumulating would.
+                    t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+                else:
+                    t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +552,20 @@ def zero_grads(params):
 
 
 class Adam:
-    """Adam optimizer with bias correction.
+    """Adam optimizer with bias correction (Kingma & Ba, arXiv 1412.6980).
 
     Raises NumericFault when a gradient contains NaN or infinity, so a
     diverged loss stops a run instead of silently corrupting parameters.
+    The update runs in place, one block of whole rows of about `block`
+    entries at a time, through two scratch vectors of one block each and in
+    the same operation order as the textbook expressions.  No step
+    allocates a parameter-sized array, and a block's operands stay in cache.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    block = 1 << 15
 
     def __init__(self, params, lr):
         self.params = list(params)
@@ -564,18 +573,59 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = None  # sized on the first step, so setup stays cheap
+
+    def _blocks(self, p, m, v):
+        """(param, grad, m, v, scratch a, scratch b) views per block of whole
+        rows; a missing grad reads as zero."""
+        data = p.data
+        g = p.grad if p.grad is not None else 0.0
+        step = max(1, self.block // _row_size(data))
+        if data.ndim == 0 or len(data) <= step:
+            yield (data, g, m, v, *(s[:data.size].reshape(data.shape) for s in self._scratch))
+            return
+        g = np.broadcast_to(g, data.shape)
+        for lo in range(0, len(data), step):
+            part = data[lo:lo + step]
+            yield (part, g[lo:lo + step], m[lo:lo + step], v[lo:lo + step],
+                   *(s[:part.size].reshape(part.shape) for s in self._scratch))
 
     def step(self):
         """Update every parameter from its .grad; a missing grad reads as zero."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NumericFault("non-finite gradient in Adam step")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self._scratch is None:
+            size = max((min(p.data.size, max(self.block, _row_size(p.data)))
+                        for p in self.params), default=0)
+            self._scratch = (np.empty(size), np.empty(size))
+        blocks = [blk for p, m, v in zip(self.params, self.m, self.v)
+                  for blk in self._blocks(p, m, v)]
+        # g * 0.0 is 0 where g is finite and NaN where it is not; every
+        # gradient is checked before any parameter changes.
+        with np.errstate(invalid="ignore"):
+            for _, g, _, _, a, _ in blocks:
+                if np.multiply(g, 0.0, out=a).sum() != 0.0:
+                    raise NumericFault("non-finite gradient in Adam step")
+        for data, g, m, v, a, b in blocks:
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            # v = beta2 * v + (1 - beta2) * g * g
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            a *= g
+            v += a
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            data -= a
+
+
+def _row_size(x):
+    """Entries per row (along axis 0) of an array, at least 1."""
+    return max(1, math.prod(x.shape[1:]))

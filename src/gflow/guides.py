@@ -6,9 +6,18 @@ conditioned on the endpoint x, that s' was reached from s.  Guides are
 consumed by the guided backward rewards log pi_B - log pi_G and by the
 guided balance loss; they carry no trainable parameters.
 
+Every guide answers for a whole batch of trajectories at once:
+`edge_log_probs(trajectories)` returns the interior-edge log-probabilities
+concatenated in trajectory order (the order of StepBatch's interior
+arrays), and `log_conditional(trajectories)` returns log P_G(tau | x), one
+sum per trajectory.
+
 Markov guides (grid, table) reduce to a dense backward kernel over the
-enumerated states.  The replay guide for sequences conditions on x, so its
-kernels are built per endpoint from the replay buffer.
+enumerated states, so a batch is one fancy-index into it.  The replay guide
+for sequences (the guided-trajectory-balance guide of Shen et al., arXiv
+2305.07170) conditions on x: for all distinct endpoints of a batch it
+scores the subsets of filled positions from a snapshot of the replay
+buffer and sweeps the subset lattice one popcount layer at a time.
 """
 
 import numpy as np
@@ -16,10 +25,21 @@ import numpy as np
 from . import autodiff as ad
 from . import exact
 from .envs import EMPTY
+from .envs.base import state_array
 from .errors import ContractError
 
 
-class _MarkovGuide:
+class _Guide:
+    """Shared batch contract; subclasses supply edge_log_probs."""
+
+    def log_conditional(self, trajectories):
+        """log P_G(tau | x) per trajectory: the sum of its edge log-probs."""
+        lp = self.edge_log_probs(trajectories)
+        ends = np.cumsum([0] + [tr.length - 1 for tr in trajectories])
+        return np.array([lp[lo:hi].sum() for lo, hi in zip(ends[:-1], ends[1:])])
+
+
+class _MarkovGuide(_Guide):
     """Guide backed by one dense backward kernel log table."""
 
     def __init__(self, env):
@@ -32,16 +52,12 @@ class _MarkovGuide:
             raise ContractError("guide kernel not built; call refresh() first")
         return self.log_table
 
-    def edge_log_probs(self, traj):
+    def edge_log_probs(self, trajectories):
         table = self.backward_kernel()
-        out = np.empty(traj.length - 1)
-        for t in range(traj.length - 1):
-            child = traj.states[t + 1]
-            out[t] = table[self.enum.index[child], traj.bslots[t]]
-        return out
-
-    def log_conditional(self, traj):
-        return float(self.edge_log_probs(traj).sum())
+        index = self.enum.index
+        rows = [index[s] for tr in trajectories for s in tr.states[1:-1]]
+        bslots = [b for tr in trajectories for b in tr.bslots]
+        return table[np.asarray(rows, dtype=np.intp), np.asarray(bslots, dtype=np.intp)]
 
 
 class TableGuide(_MarkovGuide):
@@ -112,111 +128,127 @@ class HyperGridGuide(_MarkovGuide):
         return float(np.exp(self._pf_log[self.enum.index[s], self.env.terminal_slot(s)]))
 
 
-class SequenceGuide:
+class SequenceGuide(_Guide):
     """Replay-derived guide for the sequence environment.
 
     The score of a partial sequence s compatible with x is the mean reward
     of replay entries extending s (a small floor when none do); the guiding
     forward law normalizes scores over children, and the backward kernel of
-    its conditional given x is built by a subset-lattice sweep per x.
+    its conditional given x comes from a subset-lattice sweep per x.
+
+    The first query after construction or refresh() snapshots the replay
+    buffer; later queries read that snapshot until the next refresh().
     """
 
     def __init__(self, env, buffer, floor=1e-8):
         self.env = env
         self.buffer = buffer
         self.floor = float(floor)
-        self._cache = {}
+        self.enum = None  # fetched and kept by the first exact per-x kernel
+        self._replay = None
 
     def refresh(self, forward=None):
-        """Invalidate per-x kernels after the replay buffer changed."""
-        self._cache = {}
+        """Drop the replay snapshot after the buffer changed."""
+        self._replay = None
 
-    def _scores(self, x):
-        """Scores over filled-position subsets of x, by superset sums."""
-        d = self.env.d
-        size = 1 << d
-        count = np.zeros(size)
-        total = np.zeros(size)
-        for xp, r in self.buffer:
-            m = 0
-            for i in range(d):
-                if xp[i] == x[i]:
-                    m |= 1 << i
-            count[m] += 1.0
-            total[m] += r
-        for b in range(d):
-            bit = 1 << b
-            idx = np.flatnonzero((np.arange(size) & bit) == 0)
-            count[idx] += count[idx | bit]
-            total[idx] += total[idx | bit]
-        scores = np.full(size, self.floor)
+    def _scores(self, xs):
+        """Scores (X x 2^d) over the filled-position subsets of each endpoint
+        row of xs (X x d).
+
+        Per endpoint, the replay counts and reward totals are binned by the
+        bit mask of positions where an entry agrees with x (entries added in
+        buffer order), then summed over supersets one bit at a time.
+        """
+        if self._replay is None:
+            self._replay = (state_array(self.buffer.state_rows(), self.env.d),
+                            self.buffer.rewards())
+        rows, rewards = self._replay
+        size = 1 << self.env.d
+        n_x = len(xs)
+        # key[k, e]: the bit mask of positions where entry e agrees with
+        # endpoint k, offset into endpoint k's block of bins.
+        key = np.repeat(size * np.arange(n_x)[:, None], len(rows), axis=1)
+        for i in range(self.env.d):
+            key |= (xs[:, i, None] == rows[None, :, i]) << i
+        key = key.ravel()
+        count = np.bincount(key, minlength=n_x * size).reshape(n_x, size).astype(float)
+        total = np.bincount(key, weights=np.tile(rewards, n_x),
+                            minlength=n_x * size).reshape(n_x, size)
+        subsets = np.arange(size)
+        for bit in 1 << np.arange(self.env.d):
+            idx = np.flatnonzero((subsets & bit) == 0)
+            count[:, idx] += count[:, idx | bit]
+            total[:, idx] += total[:, idx | bit]
+        scores = np.full((n_x, size), self.floor)
         has = count > 0
         scores[has] = total[has] / count[has]
         return scores
 
-    def _tables(self, x):
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
+    def _tables(self, xs):
+        """reach (X x 2^d), the probability that the guiding walk toward x
+        passes through subset u, and cond (X x 2^d x d), the probability of
+        filling position j next from u.
+
+        One popcount layer at a time: each normaliser sums a subset's child
+        scores over its free positions in ascending order, as np.sum does
+        on the 1-D array of them, and each subset of the next layer receives
+        its reach[u] * cond[u, j] terms in ascending u (descending j) order.
+        """
         d = self.env.d
         size = 1 << d
-        scores = self._scores(x)
-        # cond[u, j]: probability of filling position j next from subset u.
-        reach = np.zeros(size)
-        reach[0] = 1.0
-        cond = np.zeros((size, d))
-        order = sorted(range(size), key=lambda m: bin(m).count("1"))
-        for u in order:
-            free = [j for j in range(d) if not u & (1 << j)]
-            if free:
-                child_scores = np.asarray([scores[u | (1 << j)] for j in free])
-                probs = child_scores / child_scores.sum()
-                for j, p in zip(free, probs):
-                    cond[u, j] = p
-                    reach[u | (1 << j)] += reach[u] * p
-        self._cache[x] = (reach, cond)
+        scores = self._scores(xs)
+        n_x = len(xs)
+        members = (np.arange(size)[:, None] >> np.arange(d)) & 1
+        popcount = members.sum(axis=1)
+        reach = np.zeros((n_x, size))
+        reach[:, 0] = 1.0
+        cond = np.zeros((n_x, size, d))
+        for p in range(d):
+            us = np.flatnonzero(popcount == p)
+            free = np.nonzero(members[us] == 0)[1].reshape(len(us), d - p)
+            # C order, so each row sum is numpy's pairwise sum of a 1-D array.
+            child = np.ascontiguousarray(scores[:, us[:, None] | (1 << free)])
+            cond[:, us[:, None], free] = child / child.sum(axis=2, keepdims=True)
+            for j in range(d - 1, -1, -1):
+                src = us[members[us, j] == 0]
+                reach[:, src | (1 << j)] += reach[:, src] * cond[:, src, j]
         return reach, cond
 
-    def edge_log_probs(self, traj):
-        x = traj.x
-        reach, cond = self._tables(x)
-        out = np.empty(traj.length - 1)
-        for t in range(traj.length - 1):
-            child = traj.states[t + 1]
-            j = traj.bslots[t]
-            u = 0
-            for i in range(self.env.d):
-                if child[i] != EMPTY:
-                    if child[i] != x[i]:
-                        raise ContractError("guided edge leaves the lattice under x")
-                    u |= 1 << i
-            prev = u & ~(1 << j)
-            out[t] = np.log(reach[prev] * cond[prev, j] / reach[u])
-        return out
+    def _lattice(self, rows, x_rows):
+        """Filled-position bit masks of state rows, and whether each row lies
+        on the lattice under its endpoint row (agrees wherever filled)."""
+        filled = rows != EMPTY
+        on = ~(filled & (rows != x_rows)).any(axis=1)
+        return (filled * (1 << np.arange(self.env.d))).sum(axis=1), on
 
-    def log_conditional(self, traj):
-        return float(self.edge_log_probs(traj).sum())
+    def edge_log_probs(self, trajectories):
+        d = self.env.d
+        endpoints = {}
+        which = [endpoints.setdefault(tr.x, len(endpoints)) for tr in trajectories]
+        xs = state_array(list(endpoints), d)
+        edge_x = np.repeat(np.asarray(which, dtype=np.intp),
+                           [tr.length - 1 for tr in trajectories])
+        children = state_array([s for tr in trajectories for s in tr.states[1:-1]], d)
+        j = np.asarray([b for tr in trajectories for b in tr.bslots], dtype=np.intp)
+        u, on = self._lattice(children, xs[edge_x])
+        if not on.all():
+            raise ContractError("guided edge leaves the lattice under x")
+        reach, cond = self._tables(xs)
+        prev = u & ~(1 << j)
+        return np.log(reach[edge_x, prev] * cond[edge_x, prev, j] / reach[edge_x, u])
 
     def backward_kernel_given_x(self, x):
         """Dense (state-index -> backward slot) log kernel for one endpoint;
         rows off the lattice under x stay -inf.  For exact per-x sweeps."""
-        enum = self.env.enumeration()
-        reach, cond = self._tables(x)
-        table = np.full((enum.n, self.env.n_backward_slots), -np.inf)
-        for idx, s in enumerate(enum.states):
-            u = 0
-            ok = True
-            for i in range(self.env.d):
-                if s[i] != EMPTY:
-                    if s[i] != x[i]:
-                        ok = False
-                        break
-                    u |= 1 << i
-            if not ok or u == 0:
-                continue
-            for j in range(self.env.d):
-                if u & (1 << j):
-                    prev = u & ~(1 << j)
-                    with np.errstate(divide="ignore"):
-                        table[idx, j] = np.log(reach[prev] * cond[prev, j] / reach[u])
+        if self.enum is None:
+            self.enum = self.env.enumeration()
+        xs = state_array([x], self.env.d)
+        reach, cond = (t[0] for t in self._tables(xs))
+        u, on = self._lattice(state_array(self.enum.states, self.env.d), xs)
+        table = np.full((self.enum.n, self.env.n_backward_slots), -np.inf)
+        for j in range(self.env.d):
+            idx = np.flatnonzero(on & ((u >> j) & 1).astype(bool))
+            prev = u[idx] & ~(1 << j)
+            with np.errstate(divide="ignore"):
+                table[idx, j] = np.log(reach[prev] * cond[prev, j] / reach[u[idx]])
         return table

@@ -222,7 +222,7 @@ def guided_tb_loss(tape, trajectories, suite, guide, weights=None):
     sb = step_batch(trajectories)
     lpb = suite.backward.step_log_probs(tape, sb.in_states, sb.in_bslots)
     sum_b = ad.segment_sum(tape, lpb, sb.in_traj, sb.n_traj)
-    log_pg = np.asarray([guide.log_conditional(tr) for tr in trajectories])
+    log_pg = guide.log_conditional(trajectories)
     resid = ad.sub(tape, sum_b, ad.Tensor(log_pg))
     return _reduce(tape, ad.square(tape, resid), weights)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
-from .envs import HyperGrid, SequenceEnv, load_reward_table, synthetic_rewards
+from .envs import ENUMERATION_CAP, HyperGrid, SequenceEnv, load_reward_table, synthetic_rewards
 from .errors import ConfigError, EnumerationLimit
 from .training import ROSTER, STRATEGIES, Trainer, TrainerConfig
 
@@ -26,6 +26,17 @@ HEADER = "iter,loss,d_tv,d_jsd,acc,modes,seconds"
 
 # Config keys that are not valid Python identifiers map to renamed fields.
 _KEY_TO_FIELD = {"lambda": "lam"}
+
+# Memory plan, in bytes: per enumerated state (its tuple, index entry and
+# layer entry), per (state, forward slot) pair (an edge's four intp entries
+# and the float64 tables of one exact evaluation), and per tabular
+# parameter entry (value, gradient, Adam m and v, and the two transient
+# buffers of a backward pass: the gather's scatter table and the tape's
+# first-write copy; 8 bytes each).  Adam's own scratch is one block, not
+# a table.
+STATE_BYTES = 256
+SLOT_BYTES = 80
+TABULAR_ENTRY_BYTES = 6 * 8
 
 
 @dataclass
@@ -167,6 +178,39 @@ def build_env(cfg):
     return SequenceEnv(cfg.d, cfg.n, rewards)
 
 
+def check_memory(cfg, env):
+    """Raise ConfigError when a run of `cfg` on `env` plans more bytes than
+    the machine's physical memory; returns the planned bytes.
+
+    The plan is arithmetic on sizes and allocates nothing:
+
+        S * (STATE_BYTES + SLOT_BYTES * A) + TABULAR_ENTRY_BYTES * S * C
+
+    S is env.n_states(), or 0 above the enumeration cap, where nothing is
+    enumerated.  A and B are the forward and backward slot counts.  C counts
+    the tabular columns per state of the strategy's parameter groups: A for
+    the forward policy, plus B when the backward policy is learned, plus 1
+    per value or flow estimator (0 for Mlp models, whose size does not grow
+    with S).  Physical memory is
+    os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE").
+    """
+    n = env.n_states()
+    if n > ENUMERATION_CAP:
+        n = 0
+    planned = n * (STATE_BYTES + SLOT_BYTES * env.n_action_slots)
+    if cfg.tabular:
+        row = ROSTER[cfg.strategy]
+        cols = (env.n_action_slots + row.learned_backward * env.n_backward_slots
+                + row.value_f + row.value_b + row.flow)
+        planned += TABULAR_ENTRY_BYTES * n * cols
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if planned > physical:
+        raise ConfigError(
+            f"planned memory {planned / 2**20:.0f} MiB for {n} states exceeds "
+            f"physical memory {physical / 2**20:.0f} MiB")
+    return planned
+
+
 def _trainer_config(cfg):
     return TrainerConfig(
         strategy=cfg.strategy, batch_size=cfg.batch, lam=cfg.lam,
@@ -231,9 +275,10 @@ def run(cfg, seed=None, out=None):
     if seed is not None:
         _check_seed(seed)
     seeds = [seed] if seed is not None else list(cfg.seeds)
+    env = build_env(cfg)
+    check_memory(cfg, env)
     out_dir = Path(out if out is not None else cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = build_env(cfg)
     try:
         # Built once before the seeds start; this frame holds it until they
         # finish, since the env keeps only a weak reference.

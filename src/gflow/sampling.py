@@ -9,12 +9,11 @@ to the exploration mixture; objectives that need gradients recompute them
 through a tape anyway.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import EMPTY, SINK
+from .envs import SINK
 from .errors import ContractError
 
 
@@ -167,49 +166,53 @@ def sample_backward(env, backward, xs, rng, forward=None):
 
 
 class ReplayBuffer:
-    """FIFO store of (terminating state, reward) pairs with fixed capacity."""
+    """FIFO store of (terminating state, reward) pairs with fixed capacity.
+
+    Entries are held oldest first as an (N x d) integer state array and a
+    reward array.  An update replaces both arrays instead of writing into
+    them, and they are read-only, so an array once returned stays a valid
+    snapshot.
+    """
 
     def __init__(self, capacity):
         self.capacity = int(capacity)
-        self._items = deque(maxlen=self.capacity)
+        self._rows = np.zeros((0, 0), dtype=np.intp)
+        self._rewards = np.zeros(0)
 
     def __len__(self):
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
+        return len(self._rewards)
 
     def add(self, x, reward):
-        self._items.append((x, float(reward)))
+        self.update([(x, reward)])
 
     def update(self, trajectories_or_pairs):
+        """Append trajectory endpoints (reward exp(log_reward)) or (x, reward)
+        pairs, dropping the oldest entries beyond capacity."""
+        xs, rs = [], []
         for item in trajectories_or_pairs:
             if isinstance(item, Trajectory):
-                self.add(item.x, np.exp(item.log_reward))
+                xs.append(item.x)
+                rs.append(float(np.exp(item.log_reward)))
             else:
-                x, r = item
-                self.add(x, r)
+                xs.append(item[0])
+                rs.append(float(item[1]))
+        if not xs:
+            return
+        rows = np.asarray(xs, dtype=np.intp)
+        if len(self):
+            rows = np.concatenate([self._rows, rows])
+        rewards = np.concatenate([self._rewards, rs])
+        drop = max(len(rewards) - self.capacity, 0)
+        self._rows, self._rewards = rows[drop:], rewards[drop:]
+        self._rows.flags.writeable = self._rewards.flags.writeable = False
+
+    def state_rows(self):
+        """The buffered states as an (N x d) intp array, oldest first."""
+        return self._rows
 
     def states(self):
-        return [x for x, _ in self._items]
+        return [tuple(int(c) for c in row) for row in self._rows]
 
     def rewards(self):
-        return np.array([r for _, r in self._items])
-
-
-def _extends(s, x):
-    return all(c == EMPTY or c == xc for c, xc in zip(s, x))
-
-
-def guided_score(buffer, s, x, floor=1e-8):
-    """Replay-derived score of a partial sequence s under conditioning x.
-
-    0 when s is incompatible with x; otherwise the mean reward of buffer
-    entries extending s, or `floor` when none do.
-    """
-    if not _extends(s, x):
-        return 0.0
-    vals = [r for xp, r in buffer if _extends(s, xp)]
-    if not vals:
-        return float(floor)
-    return float(np.mean(vals))
+        """The buffered rewards, oldest first."""
+        return self._rewards

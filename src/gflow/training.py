@@ -202,7 +202,7 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
         lp = suite.forward.log_probs_numpy(src)
         ref = lp[np.arange(len(src)), sb.slots[interior]]
     else:
-        ref = np.concatenate([guide.edge_log_probs(tr) for tr in trajs])
+        ref = guide.edge_log_probs(trajs)
     adv, targets = backward_advantages(sb, suite, ref, lam)
     tape = ad.Tape()
     loss = surrogate_loss(tape, suite.backward, sb.in_states, sb.in_bslots,

@@ -1,6 +1,7 @@
 """Gradient checks for the tape engine against central finite differences."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,11 +380,97 @@ class TestAdam:
         np.testing.assert_allclose(t.data, expected, rtol=1e-12)
 
     def test_non_finite_gradient_raises(self):
-        t = ad.Tensor(np.zeros(2), requires_grad=True)
-        opt = ad.Adam([t], lr=0.1)
-        t.grad = np.array([1.0, np.nan])
+        for bad in (np.nan, np.inf, -np.inf):
+            t = ad.Tensor(np.zeros(3), requires_grad=True)
+            opt = ad.Adam([t], lr=0.1)
+            t.grad = np.array([1.0, bad, -2.0])
+            with pytest.raises(NumericFault):
+                opt.step()
+
+    def test_non_finite_gradient_in_a_later_block_changes_nothing(self):
+        class Blocked(ad.Adam):
+            block = 2
+
+        t = ad.Tensor(np.arange(5.0), requires_grad=True)
+        opt = Blocked([t], lr=0.1)
+        t.grad = np.array([1.0, 1.0, 1.0, 1.0, np.inf])
         with pytest.raises(NumericFault):
             opt.step()
+        np.testing.assert_array_equal(t.data, np.arange(5.0))
+        assert not opt.m[0].any() and not opt.v[0].any()
+
+    def test_huge_finite_gradient_does_not_raise(self):
+        t = ad.Tensor(np.zeros(3), requires_grad=True)
+        opt = ad.Adam([t], lr=0.1)
+        t.grad = np.array([1e308, -1e308, np.finfo(float).max])
+        with np.errstate(over="ignore"):  # g * g overflows into v
+            opt.step()
+        assert np.all(np.isfinite(t.data))
+
+    @staticmethod
+    def allocating_step(opt, params, ms, vs, t):
+        """The textbook update with fresh temporaries, as Adam.step was written
+        before it updated in place."""
+        bc1 = 1.0 - opt.beta1 ** t
+        bc2 = 1.0 - opt.beta2 ** t
+        for i, p in enumerate(params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            ms[i] = opt.beta1 * ms[i] + (1.0 - opt.beta1) * g
+            vs[i] = opt.beta2 * vs[i] + (1.0 - opt.beta2) * g * g
+            m_hat = ms[i] / bc1
+            v_hat = vs[i] / bc2
+            p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+    @pytest.mark.parametrize("block", [ad.Adam.block, 3])
+    def test_in_place_step_is_bit_identical_to_allocating_loop(self, block):
+        class Blocked(ad.Adam):
+            pass
+
+        Blocked.block = block  # 3: one-row blocks, and a short last block
+        rng = np.random.default_rng(20)
+        shapes = [(7, 5), (5,), (1,), (3, 4), ()]
+        init = [np.asarray(rng.normal(size=s) * 10.0 ** rng.integers(-3, 3, size=s))
+                for s in shapes]
+        init[1][:2] = -0.0
+        live = [ad.Tensor(a.copy(), requires_grad=True) for a in init]
+        ref = [ad.Tensor(a.copy(), requires_grad=True) for a in init]
+        opt = Blocked(live, lr=0.03)
+        ms = [np.zeros_like(a) for a in init]
+        vs = [np.zeros_like(a) for a in init]
+        for t in range(1, 7):
+            for k, (a, b) in enumerate(zip(live, ref)):
+                # Param 2 never has a gradient; param 3 skips odd steps.
+                if k == 2 or (k == 3 and t % 2):
+                    a.grad = b.grad = None
+                    continue
+                g = np.asarray(rng.normal(size=a.data.shape) * 10.0 ** rng.integers(-6, 4))
+                if g.ndim:
+                    g[..., 0] = -0.0
+                a.grad, b.grad = g.copy(), g.copy()
+            opt.step()
+            self.allocating_step(opt, ref, ms, vs, t)
+            for a, b, m, v, m_live, v_live in zip(live, ref, ms, vs, opt.m, opt.v):
+                assert a.data.tobytes() == b.data.tobytes()
+                assert m_live.tobytes() == m.tobytes()
+                assert v_live.tobytes() == v.tobytes()
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25 slots.
+        table = ad.Tabular(15625, 25, rng=np.random.default_rng(21), init_scale=0.5)
+        p = table.table
+        opt = ad.Adam([p], lr=1e-3)
+        p.grad = np.random.default_rng(22).normal(size=p.data.shape)
+        opt.step()  # warm-up
+        nbytes = p.data.nbytes
+        for grad in (p.grad, None):
+            p.grad = grad
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= nbytes
 
 
 def test_flatten_assign_roundtrip():
@@ -404,3 +491,22 @@ def test_flat_grad_fills_missing_with_zeros():
     a.grad = np.array([1.0, 2.0])
     b.grad = None
     np.testing.assert_allclose(ad.flat_grad([a, b]), [1.0, 2.0, 0.0, 0.0, 0.0])
+
+
+def test_first_gradient_write_matches_zeros_plus_add():
+    signed = np.array([[-0.0, 0.0, -1.5], [2.0, -0.0, 3.0]])
+    cases = [
+        (np.zeros((2, 3)), signed),                  # same shape, -0.0 entries
+        (np.zeros((2, 3)), np.array([-0.0, 1.0, -0.0])),  # broadcast row
+        (np.zeros((2, 3)), np.float64(-0.0)),        # broadcast scalar
+        (np.zeros(3), np.array([[-0.0, 2.0, -0.0]])[0]),
+    ]
+    for data, g in cases:
+        want = np.zeros_like(data)
+        want += g
+        leaf = ad.Tensor(data, requires_grad=True)
+        tape = ad.Tape()
+        out = tape.record(ad.Tensor(np.zeros(1)), [leaf], lambda _, g=g: [g])
+        tape.backward(out)
+        assert leaf.grad.shape == want.shape
+        assert leaf.grad.tobytes() == want.tobytes()

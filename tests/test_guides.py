@@ -8,7 +8,122 @@ from gflow.errors import ContractError
 from gflow.exact import enumerate_paths
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
 from gflow.policy import UniformBackward, make_suite
-from gflow.sampling import ReplayBuffer, Trajectory, guided_score, sample_backward
+from gflow.sampling import ReplayBuffer, Trajectory, sample_backward
+
+
+# -- oracles: the per-endpoint loops the batched guides replaced ---------------
+
+
+def _extends(s, x):
+    return all(c == EMPTY or c == xc for c, xc in zip(s, x))
+
+
+def guided_score(buffer, s, x, floor=1e-8):
+    """Replay-derived score of a partial sequence s under conditioning x.
+
+    0 when s is incompatible with x; otherwise the mean reward of buffer
+    entries extending s, or `floor` when none do.
+    """
+    if not _extends(s, x):
+        return 0.0
+    vals = [r for xp, r in zip(buffer.states(), buffer.rewards()) if _extends(s, xp)]
+    if not vals:
+        return float(floor)
+    return float(np.mean(vals))
+
+
+def oracle_scores(guide, x):
+    """Scores over filled-position subsets of x, by superset sums."""
+    d = guide.env.d
+    size = 1 << d
+    count = np.zeros(size)
+    total = np.zeros(size)
+    for xp, r in zip(guide.buffer.states(), guide.buffer.rewards()):
+        m = 0
+        for i in range(d):
+            if xp[i] == x[i]:
+                m |= 1 << i
+        count[m] += 1.0
+        total[m] += r
+    for b in range(d):
+        bit = 1 << b
+        idx = np.flatnonzero((np.arange(size) & bit) == 0)
+        count[idx] += count[idx | bit]
+        total[idx] += total[idx | bit]
+    scores = np.full(size, guide.floor)
+    has = count > 0
+    scores[has] = total[has] / count[has]
+    return scores
+
+
+def oracle_tables(guide, x):
+    d = guide.env.d
+    size = 1 << d
+    scores = oracle_scores(guide, x)
+    reach = np.zeros(size)
+    reach[0] = 1.0
+    cond = np.zeros((size, d))
+    order = sorted(range(size), key=lambda m: bin(m).count("1"))
+    for u in order:
+        free = [j for j in range(d) if not u & (1 << j)]
+        if free:
+            child_scores = np.asarray([scores[u | (1 << j)] for j in free])
+            probs = child_scores / child_scores.sum()
+            for j, p in zip(free, probs):
+                cond[u, j] = p
+                reach[u | (1 << j)] += reach[u] * p
+    return reach, cond
+
+
+def oracle_sequence_edges(guide, traj):
+    x = traj.x
+    reach, cond = oracle_tables(guide, x)
+    out = np.empty(traj.length - 1)
+    for t in range(traj.length - 1):
+        child = traj.states[t + 1]
+        j = traj.bslots[t]
+        u = 0
+        for i in range(guide.env.d):
+            if child[i] != EMPTY:
+                if child[i] != x[i]:
+                    raise ContractError("guided edge leaves the lattice under x")
+                u |= 1 << i
+        prev = u & ~(1 << j)
+        out[t] = np.log(reach[prev] * cond[prev, j] / reach[u])
+    return out
+
+
+def oracle_kernel_given_x(guide, x):
+    env = guide.env
+    enum = env.enumeration()
+    reach, cond = oracle_tables(guide, x)
+    table = np.full((enum.n, env.n_backward_slots), -np.inf)
+    for idx, s in enumerate(enum.states):
+        u = 0
+        ok = True
+        for i in range(env.d):
+            if s[i] != EMPTY:
+                if s[i] != x[i]:
+                    ok = False
+                    break
+                u |= 1 << i
+        if not ok or u == 0:
+            continue
+        for j in range(env.d):
+            if u & (1 << j):
+                prev = u & ~(1 << j)
+                with np.errstate(divide="ignore"):
+                    table[idx, j] = np.log(reach[prev] * cond[prev, j] / reach[u])
+    return table
+
+
+def oracle_markov_edges(guide, traj):
+    table = guide.backward_kernel()
+    out = np.empty(traj.length - 1)
+    for t in range(traj.length - 1):
+        child = traj.states[t + 1]
+        out[t] = table[guide.enum.index[child], traj.bslots[t]]
+    return out
 
 
 def grid_setup(seed=0, d=2, n=4):
@@ -87,7 +202,7 @@ def test_grid_guide_conditional_matches_path_enumeration():
         for tr in trajs:
             num = np.prod([adj[enum.index[s], a]
                            for s, a in zip(tr.states[:-2], tr.slots[:-1])])
-            assert guide.log_conditional(tr) == pytest.approx(
+            assert guide.log_conditional([tr])[0] == pytest.approx(
                 np.log(num / den), abs=1e-10)
 
 
@@ -133,10 +248,10 @@ def test_table_guide_conditional_is_edge_sum():
     guide = TableGuide(env, uniform)
     tr = sample_backward(env, UniformBackward(env), [(1, 1)],
                          np.random.default_rng(6))[0]
-    lp = guide.edge_log_probs(tr)
+    lp = guide.edge_log_probs([tr])
     # First hop enters a single-parent state, second enters (1,1) which has two.
     np.testing.assert_allclose(lp, [0.0, np.log(0.5)])
-    assert guide.log_conditional(tr) == pytest.approx(np.log(0.5))
+    assert guide.log_conditional([tr])[0] == pytest.approx(np.log(0.5))
 
 
 # -- sequence replay guide -----------------------------------------------------
@@ -160,7 +275,7 @@ def test_sequence_scores_match_brute_force():
     env, buf, guide = seq_setup()
     d = env.d
     for x in [(0, 1, 0), (1, 1, 1)]:
-        scores = guide._scores(x)
+        scores = guide._scores(np.asarray([x]))[0]
         for mask in range(1 << d):
             s = state_of_mask(x, mask, d)
             want = guided_score(buf, s, x, floor=guide.floor)
@@ -185,14 +300,14 @@ def test_sequence_guide_conditional_matches_score_ratios():
                                    floor=guide.floor) for k in free)
             want += np.log(num / den)
             mask |= 1 << j
-        assert guide.log_conditional(tr) == pytest.approx(want, abs=1e-10)
+        assert guide.log_conditional([tr])[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_sequence_guide_walk_always_completes():
     env, _, guide = seq_setup(seed=10)
     for x in [(0, 0, 0), (1, 1, 0)]:
-        reach, _ = guide._tables(x)
-        assert reach[-1] == pytest.approx(1.0, abs=1e-12)
+        reach, _ = guide._tables(np.asarray([x]))
+        assert reach[0, -1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequence_kernel_given_x_consistent():
@@ -203,7 +318,7 @@ def test_sequence_kernel_given_x_consistent():
     trajs = sample_backward(env, UniformBackward(env), [x] * 4,
                             np.random.default_rng(12))
     for tr in trajs:
-        lp = guide.edge_log_probs(tr)
+        lp = guide.edge_log_probs([tr])
         for t in range(tr.length - 1):
             child = tr.states[t + 1]
             assert table[enum.index[child], tr.bslots[t]] == pytest.approx(lp[t])
@@ -225,7 +340,7 @@ def test_sequence_guide_rejects_off_lattice_trajectory():
         log_pf=np.full(4, np.nan), log_pb=np.full(4, np.nan),
         bslots=[0, 1, 2], log_reward=0.0)
     with pytest.raises(ContractError):
-        guide.edge_log_probs(bad)
+        guide.edge_log_probs([bad])
 
 
 def test_sequence_guide_refresh_invalidates_cache():
@@ -233,10 +348,109 @@ def test_sequence_guide_refresh_invalidates_cache():
     x = (1, 1, 0)
     tr = sample_backward(env, UniformBackward(env), [x],
                          np.random.default_rng(15))[0]
-    before = guide.log_conditional(tr)
+    before = guide.log_conditional([tr])
     for _ in range(30):
         buf.add((1, 1, 0), 100.0)
-    # Stale cache: the conditional ignores the new entries until refresh().
-    assert guide.log_conditional(tr) == before
+    # Stale snapshot: the conditional ignores the new entries until refresh().
+    assert guide.log_conditional([tr]) == before
     guide.refresh()
-    assert guide.log_conditional(tr) != before
+    assert guide.log_conditional([tr]) != before
+
+
+def test_guided_score():
+    buf = ReplayBuffer(8)
+    buf.update([((0, 1), 1.0), ((0, 0), 3.0)])
+    # Mean reward over entries agreeing on the filled positions.
+    assert guided_score(buf, (0, EMPTY), (0, 1)) == pytest.approx(2.0)
+    assert guided_score(buf, (EMPTY, 0), (0, 0)) == pytest.approx(3.0)
+    assert guided_score(buf, (EMPTY, EMPTY), (0, 1)) == pytest.approx(2.0)
+    # Incompatible with the conditioning state.
+    assert guided_score(buf, (1, EMPTY), (0, 1)) == 0.0
+    # Compatible but unseen: the floor keeps the score positive.
+    assert guided_score(buf, (1, EMPTY), (1, 1)) == pytest.approx(1e-8)
+
+
+# -- batched guides against the per-endpoint oracles ---------------------------
+
+
+def random_buffer(env, rng, capacity, entries):
+    buf = ReplayBuffer(capacity)
+    for _ in range(entries):
+        x = tuple(int(c) for c in rng.integers(0, env.n, env.d))
+        buf.add(x, float(rng.uniform(0.5, 4.0)))
+    return buf
+
+
+def endpoint_batch(env, buf, rng, size):
+    """Endpoints with repeats: half drawn from the buffer, half uniformly."""
+    seen = buf.states()
+    xs = []
+    for k in range(size):
+        if seen and k % 2 == 0:
+            xs.append(seen[int(rng.integers(len(seen)))])
+        else:
+            xs.append(tuple(int(c) for c in rng.integers(0, env.n, env.d)))
+    xs += xs[:3]
+    return sample_backward(env, UniformBackward(env), xs, rng)
+
+
+@pytest.mark.parametrize("d, n, capacity, entries", [
+    (1, 3, 16, 5),      # single position
+    (3, 2, 64, 12),
+    (3, 3, 8, 0),       # empty buffer: every score is the floor
+    (6, 4, 40, 100),    # buffer past capacity
+    (8, 2, 32, 20),     # eight or more free positions: np.sum is pairwise
+    (9, 2, 32, 20),
+])
+def test_batched_sequence_guide_matches_per_endpoint_oracles(d, n, capacity, entries):
+    rng = np.random.default_rng(100 + d)
+    env = SequenceEnv(d, n, rng.uniform(0.1, 3.0, n ** d))
+    buf = random_buffer(env, rng, capacity, entries)
+    guide = SequenceGuide(env, buf)
+    trajs = endpoint_batch(env, buf, rng, 12)
+    want = [oracle_sequence_edges(guide, tr) for tr in trajs]
+    assert np.array_equal(guide.edge_log_probs(trajs), np.concatenate(want))
+    assert np.array_equal(guide.log_conditional(trajs),
+                          np.asarray([float(w.sum()) for w in want]))
+    xs = np.asarray(sorted({tr.x for tr in trajs}))
+    reach, cond = guide._tables(xs)
+    for k, x in enumerate(xs):
+        r, c = oracle_tables(guide, tuple(x))
+        assert np.array_equal(reach[k], r) and np.array_equal(cond[k], c)
+
+
+def test_batched_grid_guide_matches_per_trajectory_loop():
+    env, _, guide = grid_setup(seed=5, n=6)
+    rng = np.random.default_rng(16)
+    xs = [tuple(int(c) for c in rng.integers(0, env.n, env.d)) for _ in range(10)]
+    trajs = sample_backward(env, UniformBackward(env), xs + [env.root] + xs[:2], rng)
+    want = [oracle_markov_edges(guide, tr) for tr in trajs]
+    assert np.array_equal(guide.edge_log_probs(trajs), np.concatenate(want))
+    assert np.array_equal(guide.log_conditional(trajs),
+                          np.asarray([float(w.sum()) for w in want]))
+    assert guide.log_conditional(trajs)[len(xs)] == 0.0  # the root stops at once
+
+
+def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
+    env, buf, guide = seq_setup(seed=17)
+    good = sample_backward(env, UniformBackward(env), [(0, 1, 1), (1, 0, 0)],
+                           np.random.default_rng(18))
+    bad = Trajectory(
+        states=[(EMPTY, EMPTY, EMPTY), (EMPTY, EMPTY, 1), (EMPTY, 1, 1),
+                (0, 1, 0), SINK],
+        slots=[5, 3, 0, 6],
+        log_pf=np.full(4, np.nan), log_pb=np.full(4, np.nan),
+        bslots=[2, 1, 0], log_reward=0.0)
+    guide.edge_log_probs(good)
+    with pytest.raises(ContractError):
+        guide.edge_log_probs(good[:1] + [bad] + good[1:])
+    with pytest.raises(ContractError):
+        guide.log_conditional([bad])
+
+
+def test_sequence_kernel_given_x_matches_per_state_loop_and_keeps_enumeration():
+    env, _, guide = seq_setup(seed=19, d=4, n=3, entries=30)
+    for x in [(0, 1, 2, 0), (2, 2, 2, 2), (1, 0, 0, 1)]:
+        assert np.array_equal(guide.backward_kernel_given_x(x),
+                              oracle_kernel_given_x(guide, x))
+    assert guide.enum is env.enumeration()

@@ -1,16 +1,20 @@
 """Experiment orchestration: config parsing, CSV emission, determinism,
 aggregation, and the command-line wrappers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gflow.cli import main
 from gflow.envs import SequenceEnv, save_reward_table, synthetic_rewards
 from gflow.errors import ConfigError
+from gflow import runner
 from gflow.runner import (
     HEADER,
     RunConfig,
     build_env,
+    check_memory,
     parse_config_text,
     read_metrics,
     run,
@@ -355,6 +359,51 @@ def test_cli_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "GFLOW_THREADS" in err and "'x'" in err
+
+
+def fake_physical_memory(monkeypatch, nbytes):
+    pages = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(runner.os, "sysconf", lambda name: pages[name])
+
+
+def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
+    fake_physical_memory(monkeypatch, 8 << 30)
+    cfg = parse_config_text("env = sequence\nd = 6\nn = 4\nstrategy = RL-G\ntabular = on\n")
+    env = build_env(cfg)
+    s, a, b = 5 ** 6, 25, 6
+    # Forward table, learned backward table, and two value tables.
+    want = s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) \
+        + runner.TABULAR_ENTRY_BYTES * s * (a + b + 2)
+    assert check_memory(cfg, env) == want
+    cfg.tabular = False
+    assert check_memory(cfg, env) == s * (runner.STATE_BYTES + runner.SLOT_BYTES * a)
+    # Tabular SequenceEnv(9, 4) passes the enumeration cap but not 8 GiB.
+    big = parse_config_text("env = sequence\nd = 9\nn = 4\nstrategy = RL-U\ntabular = on\n")
+    with pytest.raises(ConfigError, match="exceeds physical memory"):
+        check_memory(big, SequenceEnv(9, 4, np.ones(4 ** 9)))
+
+
+def test_cli_rejects_a_run_larger_than_memory_before_allocating(tmp_path, capsys,
+                                                                monkeypatch):
+    fake_physical_memory(monkeypatch, 4 << 20)
+    table = tmp_path / "rewards.txt"
+    save_reward_table(table, 6, 4, synthetic_rewards(6, 4, seed=0))
+    cfg_path = write_cfg(tmp_path, "env = sequence\nd = 6\nn = 4\nstrategy = RL-U\n"
+                                   f"tabular = on\niterations = 2\nreward_table = {table}\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds physical memory" in err
+    assert not out.exists()
+    # Reading the reward table peaks near 1 MB; the enumeration of the
+    # 15 625 states alone would take about 7 MB, the forward table 3 MB more.
+    assert peak < 2 << 20
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

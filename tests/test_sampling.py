@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow.envs import EMPTY, SINK, HyperGrid, SequenceEnv, validate_trajectory
+from gflow.envs import SINK, HyperGrid, SequenceEnv, validate_trajectory
 from gflow.errors import ContractError
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import (
     MixtureSchedule,
     ReplayBuffer,
     Trajectory,
-    guided_score,
     sample_backward,
     sample_forward,
     sample_rows,
@@ -195,14 +194,21 @@ def test_replay_buffer_update_from_trajectories():
     np.testing.assert_allclose(buf.rewards(), [2.5, 4.0])
 
 
-def test_guided_score():
-    buf = ReplayBuffer(8)
-    buf.update([((0, 1), 1.0), ((0, 0), 3.0)])
-    # Mean reward over entries agreeing on the filled positions.
-    assert guided_score(buf, (0, EMPTY), (0, 1)) == pytest.approx(2.0)
-    assert guided_score(buf, (EMPTY, 0), (0, 0)) == pytest.approx(3.0)
-    assert guided_score(buf, (EMPTY, EMPTY), (0, 1)) == pytest.approx(2.0)
-    # Incompatible with the conditioning state.
-    assert guided_score(buf, (1, EMPTY), (0, 1)) == 0.0
-    # Compatible but unseen: the floor keeps the score positive.
-    assert guided_score(buf, (1, EMPTY), (1, 1)) == pytest.approx(1e-8)
+def test_replay_buffer_rows_keep_the_newest_entries_oldest_first():
+    buf = ReplayBuffer(4)
+    assert buf.state_rows().shape == (0, 0)
+    buf.update([((0, 1), 1.0), ((1, 1), 2.0), ((2, 0), 3.0)])
+    buf.update([((i, i), 10.0 + i) for i in range(3)])
+    np.testing.assert_array_equal(buf.state_rows(), [[2, 0], [0, 0], [1, 1], [2, 2]])
+    np.testing.assert_array_equal(buf.rewards(), [3.0, 10.0, 11.0, 12.0])
+    # One update longer than the capacity keeps only its own newest entries.
+    buf.update([((i, 0), float(i)) for i in range(6)])
+    assert buf.states() == [(2, 0), (3, 0), (4, 0), (5, 0)]
+    np.testing.assert_array_equal(buf.rewards(), [2.0, 3.0, 4.0, 5.0])
+    # Returned arrays are read-only snapshots: later adds do not reach them.
+    rows = buf.state_rows()
+    buf.add((9, 9), 9.0)
+    np.testing.assert_array_equal(rows[0], [2, 0])
+    assert len(buf) == 4
+    with pytest.raises(ValueError):
+        buf.rewards()[0] = 1.0
