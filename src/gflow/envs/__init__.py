@@ -1,4 +1,4 @@
-from .base import DagEnv, Enumeration, ENUMERATION_CAP, MIN_REWARD, SINK, validate_trajectory
+from .base import DagEnv, Enumeration, ENUMERATION_CAP, MIN_REWARD, SINK
 from .explicit import ExplicitDag, random_dag, random_graded_dag
 from .grid import HyperGrid
 from .sequence import (EMPTY, SequenceEnv, all_sequences, load_reward_table,
@@ -6,7 +6,7 @@ from .sequence import (EMPTY, SequenceEnv, all_sequences, load_reward_table,
 
 __all__ = [
     "DagEnv", "Enumeration", "ENUMERATION_CAP", "MIN_REWARD", "SINK",
-    "validate_trajectory", "ExplicitDag", "random_dag", "random_graded_dag",
-    "HyperGrid", "EMPTY", "SequenceEnv", "all_sequences", "load_reward_table",
-    "save_reward_table", "synthetic_rewards",
+    "ExplicitDag", "random_dag", "random_graded_dag", "HyperGrid", "EMPTY",
+    "SequenceEnv", "all_sequences", "load_reward_table", "save_reward_table",
+    "synthetic_rewards",
 ]

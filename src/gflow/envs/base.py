@@ -10,12 +10,11 @@ A trajectory is root -> ... -> x -> SINK; the final hop always uses the
 state's terminal slot.  Rewards attach to terminal-capable states and are
 strictly positive.
 
-Every per-state query has a batched counterpart over a list of states
-(`action_masks`, `parent_masks`, `encode_batch`) and the enumeration gets
-its edge arrays from one batched hook (`enumeration_edges`).  The defaults
-here loop over the per-state queries; environments whose states are integer
-vectors override them with array operations, which must return the same
-arrays bit for bit.
+Masks and encodings are asked for in batches only (`action_masks`,
+`parent_masks`, `encode_batch`), and the enumeration gets its edge arrays
+from one batched query (`enumeration_edges`).  The per-state queries are
+the transitions a sampler takes one state at a time: `child`, `parent`,
+`backward_slot`, `forward_slot`, `terminal_slot` and the reward.
 """
 
 import weakref
@@ -49,8 +48,8 @@ class DagEnv:
     """Abstract DAG environment.
 
     Subclasses set: root, graded, n_action_slots, n_backward_slots,
-    encoding_dim, max_trajectory_len; and implement the per-state queries
-    below.  All state objects must be hashable.
+    encoding_dim, max_trajectory_len; and implement the queries below.
+    All state objects must be hashable.
     """
 
     root = None
@@ -62,8 +61,8 @@ class DagEnv:
 
     # -- forward structure ---------------------------------------------------
 
-    def action_mask(self, s):
-        """Boolean vector over forward slots valid at s."""
+    def action_masks(self, states):
+        """(len(states) x n_action_slots) boolean masks of the valid forward slots."""
         raise NotImplementedError
 
     def child(self, s, slot):
@@ -74,18 +73,11 @@ class DagEnv:
         """Forward slot of the edge s -> SINK, or None if s cannot terminate."""
         raise NotImplementedError
 
-    def children(self, s):
-        mask = self.action_mask(s)
-        return [(slot, self.child(s, slot)) for slot in np.flatnonzero(mask)]
-
-    def action_masks(self, states):
-        """(len(states) x n_action_slots) boolean action masks."""
-        return np.stack([self.action_mask(s) for s in states])
-
     # -- backward structure --------------------------------------------------
 
-    def parent_mask(self, s):
-        """Boolean vector over backward slots valid at s (s != root, s != SINK)."""
+    def parent_masks(self, states):
+        """(len(states) x n_backward_slots) boolean masks of the valid backward
+        slots (none at the root)."""
         raise NotImplementedError
 
     def parent(self, s, bslot):
@@ -99,30 +91,6 @@ class DagEnv:
         """Forward slot at parent(s, bslot) whose edge leads to s."""
         raise NotImplementedError
 
-    def parents(self, s):
-        """List of (backward_slot, parent) pairs.
-
-        For SINK the backward slot space does not apply; the result is
-        (terminal_slot_at_parent, x) over every terminal-capable state,
-        which requires enumeration.
-        """
-        if s is SINK:
-            out = []
-            for layer in self.enumerate_states():
-                for x in layer:
-                    t = self.terminal_slot(x)
-                    if t is not None:
-                        out.append((t, x))
-            return out
-        return [(b, self.parent(s, b)) for b in np.flatnonzero(self.parent_mask(s))]
-
-    def n_parents(self, s):
-        return int(self.parent_mask(s).sum())
-
-    def parent_masks(self, states):
-        """(len(states) x n_backward_slots) boolean parent masks."""
-        return np.stack([self.parent_mask(s) for s in states])
-
     # -- rewards and features ------------------------------------------------
 
     def reward(self, x):
@@ -131,13 +99,10 @@ class DagEnv:
     def log_reward(self, x):
         return float(np.log(self.reward(x)))
 
-    def encode(self, s):
-        """Float feature vector for s; distinct states encode distinctly."""
-        raise NotImplementedError
-
     def encode_batch(self, states):
-        """(len(states) x encoding_dim) float encodings."""
-        return np.stack([self.encode(s) for s in states])
+        """(len(states) x encoding_dim) float encodings; distinct states
+        encode distinctly."""
+        raise NotImplementedError
 
     # -- enumeration ---------------------------------------------------------
 
@@ -155,30 +120,15 @@ class DagEnv:
             raise EnumerationLimit(f"{n} states exceed enumeration cap {cap}")
         return n
 
-    def enumeration_edges(self, states, index):
+    def enumeration_edges(self, states):
         """Flat edge arrays of the enumerated DAG.
 
-        `states` lists every state in enumeration order and `index` maps
-        each one to its position.  Returns (src, slot, dst, bslot) of the
-        interior edges, sorted by source and then slot, plus per state its
-        terminal slot (-1 where it cannot terminate) and its log reward
-        (-inf there).
+        `states` lists every state in enumeration order.  Returns (src,
+        slot, dst, bslot) of the interior edges as positions in `states`,
+        sorted by source and then slot, plus per state its terminal slot
+        (-1 where it cannot terminate) and its log reward (-inf there).
         """
-        src, slot, dst, bslot = [], [], [], []
-        tslots = np.full(len(states), -1, dtype=np.intp)
-        log_r = np.full(len(states), -np.inf)
-        for i, s in enumerate(states):
-            for a, c in self.children(s):
-                if c is SINK:
-                    tslots[i] = a
-                    log_r[i] = self.log_reward(s)
-                else:
-                    src.append(i)
-                    slot.append(int(a))
-                    dst.append(index[c])
-                    bslot.append(int(self.backward_slot(s, a)))
-        edges = [np.asarray(v, dtype=np.intp) for v in (src, slot, dst, bslot)]
-        return (*edges, tslots, log_r)
+        raise NotImplementedError
 
     def enumeration(self, cap=ENUMERATION_CAP):
         """Memoized Enumeration index over this environment.
@@ -216,7 +166,6 @@ def radix_children(keys, interior, steps):
     return src, slot, lut[keys[src] + steps[slot]]
 
 
-
 class Enumeration:
     """Flat index over an enumerable environment.
 
@@ -231,14 +180,11 @@ class Enumeration:
         self.states = [s for layer in self.layers_states for s in layer]
         self.n = len(self.states)
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.layers = []
-        start = 0
-        for layer in self.layers_states:
-            self.layers.append(list(range(start, start + len(layer))))
-            start += len(layer)
+        ends = np.cumsum([0] + [len(layer) for layer in self.layers_states]).tolist()
+        self.layers = [list(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
 
         (self.edge_src, self.edge_slot, self.edge_dst, self.edge_bslot,
-         self._terminal_slots, self.log_rewards) = env.enumeration_edges(self.states, self.index)
+         self._terminal_slots, self.log_rewards) = env.enumeration_edges(self.states)
         # Edges come in ascending source order, so the edges leaving any
         # contiguous range of states (a layer) form one contiguous slice.
         self.terminal = self._terminal_slots >= 0
@@ -287,18 +233,3 @@ class Enumeration:
         """Total reward mass Z* = sum of R over terminal-capable states."""
         return float(np.exp(self.log_rewards[self.terminal]).sum())
 
-
-def validate_trajectory(env, states, slots):
-    """Check that a (states, slots) pair is a root-to-sink path in the DAG."""
-    if not states or states[0] != env.root or states[-1] is not SINK:
-        return False
-    if len(slots) != len(states) - 1:
-        return False
-    for s, a, nxt in zip(states[:-1], slots, states[1:]):
-        mask = env.action_mask(s)
-        if a < 0 or a >= mask.size or not mask[a]:
-            return False
-        c = env.child(s, a)
-        if c is not nxt and c != nxt:
-            return False
-    return True

@@ -7,11 +7,17 @@ reward-carrying states; backward slots are positions in the parent list.
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD, SINK
 
 
 class ExplicitDag(DagEnv):
     """Environment over an explicit child map and reward map.
+
+    Every query answers from dense tables built once over the states in
+    topological order: the child of each (state, slot), the parent of each
+    (state, backward slot), the slot of each edge at its other end, the
+    terminal slots and the log rewards.
 
     Parameters
     ----------
@@ -28,58 +34,78 @@ class ExplicitDag(DagEnv):
         self._children = {s: list(cs) for s, cs in children_map.items()}
         for s, cs in self._children.items():
             if len(set(cs)) != len(cs):
-                raise ValueError(f"duplicate edges out of {s!r}")
+                raise ConfigError(f"duplicate edges out of {s!r}")
         self._rewards = {s: max(float(r), MIN_REWARD) for s, r in rewards.items()}
-        states = set(self._children)
-        for cs in self._children.values():
-            states.update(cs)
-        states.update(self._rewards)
-        incoming = {s: 0 for s in states}
+        states = set(self._children).union(*self._children.values(), self._rewards)
         parents = {s: [] for s in states}
-        for cs in self._children.values():
+        for s, cs in self._children.items():
             for c in cs:
-                incoming[c] += 1
+                parents[c].append(s)
         if root is None:
-            roots = [s for s in states if incoming[s] == 0]
+            roots = [s for s in states if not parents[s]]
             if len(roots) != 1:
-                raise ValueError(f"need exactly one root, found {len(roots)}")
+                raise ConfigError(f"need exactly one root, found {len(roots)}")
             root = roots[0]
         self.root = root
 
         # Longest-path depth from the root; a valid topological grading.
         depth = {self.root: 0}
-        order = self._toposort(states)
+        order = self._toposort(parents)
         for s in order:
             for c in self._children.get(s, ()):
                 depth[c] = max(depth.get(c, 0), depth[s] + 1)
         self._depth = depth
-        for s in order:
-            for c in self._children.get(s, ()):
-                parents[c].append(s)
-        # Deterministic parent order: by enumeration (topological) position.
+        # Deterministic parent order: by topological position.
         pos = {s: i for i, s in enumerate(order)}
-        self._parents = {s: sorted(ps, key=pos.__getitem__) for s, ps in parents.items()}
+        parents = {s: sorted(ps, key=pos.__getitem__) for s, ps in parents.items()}
         self._order = order
 
         dead = [s for s in order
                 if s not in self._rewards and not self._children.get(s)]
         if dead:
-            raise ValueError(f"states with no outgoing edge and no reward: {dead[:3]}")
+            raise ConfigError(f"states with no outgoing edge and no reward: {dead[:3]}")
 
         self.graded = self._check_graded()
         self.n_action_slots = max(
             len(self._children.get(s, ())) + (1 if s in self._rewards else 0)
             for s in order)
-        self.n_backward_slots = max(1, max(len(self._parents[s]) for s in order))
+        self.n_backward_slots = max(1, max(len(parents[s]) for s in order))
         self.encoding_dim = len(order)
         self.max_trajectory_len = max(depth.values()) + 1
         self._index = pos
+        self._build_tables(parents)
 
-    def _toposort(self, states):
-        remaining = {s: 0 for s in states}
-        for cs in self._children.values():
-            for c in cs:
-                remaining[c] += 1
+    def _build_tables(self, parents):
+        """Dense (state x slot) tables over topological positions; an invalid
+        slot holds -1, or n in the state tables so that its lookup raises."""
+        n, pos = len(self._order), self._index
+        self._child = np.full((n, self.n_action_slots), n, dtype=np.intp)
+        self._bslot = np.full((n, self.n_action_slots), -1, dtype=np.intp)
+        self._parent = np.full((n, self.n_backward_slots), n, dtype=np.intp)
+        self._fslot = np.full((n, self.n_backward_slots), -1, dtype=np.intp)
+        self._tslots = np.full(n, -1, dtype=np.intp)
+        self._log_r = np.full(n, -np.inf)
+        edge_slot = {}
+        for i, s in enumerate(self._order):
+            cs = self._children.get(s, ())
+            for a, c in enumerate(cs):
+                self._child[i, a] = pos[c]
+                edge_slot[i, pos[c]] = a
+            if s in self._rewards:
+                self._tslots[i] = len(cs)
+        for j, c in enumerate(self._order):
+            for b, p in enumerate(parents[c]):
+                i = pos[p]
+                a = edge_slot[i, j]
+                self._parent[j, b], self._fslot[j, b], self._bslot[i, a] = i, a, b
+        term = np.flatnonzero(self._tslots >= 0)
+        self._log_r[term] = np.log([self._rewards[self._order[i]] for i in term])
+        self._action_masks = self._child < n
+        self._action_masks[term, self._tslots[term]] = True
+        self._parent_masks = self._parent < n
+
+    def _toposort(self, parents):
+        remaining = {s: len(ps) for s, ps in parents.items()}
         frontier = [s for s, k in remaining.items() if k == 0]
         frontier.sort(key=repr)
         order = []
@@ -93,71 +119,72 @@ class ExplicitDag(DagEnv):
                     added.append(c)
             added.sort(key=repr)
             frontier.extend(added)
-        if len(order) != len(states):
-            raise ValueError("children_map contains a cycle")
+        if len(order) != len(parents):
+            raise ConfigError("children_map contains a cycle")
         return order
 
     def _check_graded(self):
-        top = max(self._depth.values())
-        for s, cs in self._children.items():
-            for c in cs:
-                if self._depth[c] != self._depth[s] + 1:
-                    return False
-        for s in self._order:
-            at_top = self._depth[s] == top
-            if at_top != (s in self._rewards):
-                return False
-        return True
+        """Every edge advances one layer and rewards sit exactly on the last."""
+        depth = self._depth
+        top = max(depth.values())
+        return (all(depth[c] == depth[s] + 1 for s, cs in self._children.items() for c in cs)
+                and all((depth[s] == top) == (s in self._rewards) for s in self._order))
+
+    def _rows(self, states):
+        """Topological positions of `states` as an intp array."""
+        return np.fromiter((self._index[s] for s in states), dtype=np.intp,
+                           count=len(states))
 
     # -- structure -----------------------------------------------------------
 
-    def action_mask(self, s):
-        mask = np.zeros(self.n_action_slots, dtype=bool)
-        k = len(self._children.get(s, ()))
-        mask[:k] = True
-        if s in self._rewards:
-            mask[k] = True
-        return mask
+    def action_masks(self, states):
+        return self._action_masks[self._rows(states)]
 
     def child(self, s, slot):
-        cs = self._children.get(s, ())
-        if slot == len(cs) and s in self._rewards:
+        i = self._index[s]
+        if slot == self._tslots[i]:
             return SINK
-        return cs[slot]
+        return self._order[self._child[i, slot]]
 
     def terminal_slot(self, s):
-        if s in self._rewards:
-            return len(self._children.get(s, ()))
-        return None
+        t = self._tslots[self._index[s]]
+        return None if t < 0 else int(t)
 
-    def parent_mask(self, s):
-        mask = np.zeros(self.n_backward_slots, dtype=bool)
-        mask[:len(self._parents[s])] = True
-        return mask
+    def parent_masks(self, states):
+        return self._parent_masks[self._rows(states)]
 
     def parent(self, s, bslot):
-        return self._parents[s][bslot]
+        return self._order[self._parent[self._index[s], bslot]]
 
     def backward_slot(self, s, fslot):
-        c = self._children[s][fslot]
-        return self._parents[c].index(s)
+        return int(self._bslot[self._index[s], fslot])
 
     def forward_slot(self, s, bslot):
-        p = self._parents[s][bslot]
-        return self._children[p].index(s)
+        return int(self._fslot[self._index[s], bslot])
 
     # -- reward / features / enumeration -------------------------------------
 
     def reward(self, x):
         return self._rewards[x]
 
-    def encode(self, s):
-        v = np.zeros(self.encoding_dim)
-        v[self._index[s]] = 1.0
+    def encode_batch(self, states):
+        rows = self._rows(states)
+        v = np.zeros((len(rows), self.encoding_dim))
+        v[np.arange(len(rows)), rows] = 1.0
         return v
 
     def n_states(self):
         return len(self._order)
+
+    def enumeration_edges(self, states):
+        rows = self._rows(states)
+        position = np.empty(len(self._order), dtype=np.intp)
+        position[rows] = np.arange(len(rows))
+        child = self._child[rows]
+        src, slot = np.nonzero(child < len(self._order))
+        dst = position[child[src, slot]]
+        return (src, slot, dst, self._bslot[rows[src], slot], self._tslots[rows],
+                self._log_r[rows])
 
     def enumerate_states(self, cap=ENUMERATION_CAP):
         self.check_cap(cap)

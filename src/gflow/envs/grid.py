@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import ENUMERATION_CAP, DagEnv, SINK, radix_children, state_array
 
 
@@ -23,7 +24,7 @@ class HyperGrid(DagEnv):
         self.d = int(d)
         self.n = int(n)
         if self.d < 1 or self.n < 2:
-            raise ValueError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
+            raise ConfigError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
         self.r0, self.r1, self.r2 = float(r0), float(r1), float(r2)
         self.root = (0,) * self.d
         self.graded = False
@@ -34,13 +35,6 @@ class HyperGrid(DagEnv):
         self._stop = self.d
 
     # -- structure -----------------------------------------------------------
-
-    def action_mask(self, s):
-        mask = np.empty(self.n_action_slots, dtype=bool)
-        for i in range(self.d):
-            mask[i] = s[i] < self.n - 1
-        mask[self._stop] = True
-        return mask
 
     def action_masks(self, states):
         mask = np.ones((len(states), self.n_action_slots), dtype=bool)
@@ -54,9 +48,6 @@ class HyperGrid(DagEnv):
 
     def terminal_slot(self, s):
         return self._stop
-
-    def parent_mask(self, s):
-        return np.array([c > 0 for c in s], dtype=bool)
 
     def parent_masks(self, states):
         return state_array(states, self.d) > 0
@@ -73,9 +64,9 @@ class HyperGrid(DagEnv):
     # -- reward --------------------------------------------------------------
 
     def reward(self, x):
-        return float(self._rewards(np.asarray(x, dtype=np.float64)))
+        return float(self.reward_rows(np.asarray(x, dtype=np.float64)))
 
-    def _rewards(self, coords):
+    def reward_rows(self, coords):
         """Rewards of the states along the last axis of `coords`."""
         t = np.abs(coords / (self.n - 1) - 0.5)
         outer = np.all((t > 0.25) & (t <= 0.5), axis=-1)
@@ -83,12 +74,6 @@ class HyperGrid(DagEnv):
         return self.r0 + self.r1 * outer.astype(np.float64) + self.r2 * inner.astype(np.float64)
 
     # -- features ------------------------------------------------------------
-
-    def encode(self, s):
-        v = np.zeros(self.encoding_dim)
-        for i, c in enumerate(s):
-            v[i * self.n + c] = 1.0
-        return v
 
     def encode_batch(self, states):
         coords = state_array(states, self.d)
@@ -101,13 +86,13 @@ class HyperGrid(DagEnv):
     def n_states(self):
         return self.n ** self.d
 
-    def enumeration_edges(self, states, index):
+    def enumeration_edges(self, states):
         coords = state_array(states, self.d)
         radix = self.n ** np.arange(self.d)
         src, slot, dst = radix_children(coords @ radix, self.action_masks(coords)[:, :self.d],
                                         radix)
         tslots = np.full(len(coords), self._stop, dtype=np.intp)
-        return src, slot, dst, slot.copy(), tslots, np.log(self._rewards(coords))
+        return src, slot, dst, slot.copy(), tslots, np.log(self.reward_rows(coords))
 
     def enumerate_states(self, cap=ENUMERATION_CAP):
         self.check_cap(cap)

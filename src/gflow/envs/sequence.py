@@ -18,6 +18,7 @@ from ..errors import ConfigError
 from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD, SINK, radix_children, state_array
 
 EMPTY = -1
+SCORE_BLOCK = 256  # sequences scored at once by synthetic_rewards
 
 
 class SequenceEnv(DagEnv):
@@ -32,10 +33,10 @@ class SequenceEnv(DagEnv):
         self.d = int(d)
         self.n = int(n)
         if self.d < 1 or self.n < 2:
-            raise ValueError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
+            raise ConfigError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         if rewards.size != self.n ** self.d:
-            raise ValueError(
+            raise ConfigError(
                 f"reward table has {rewards.size} entries, need n**d = {self.n ** self.d}")
         self.rewards_table = np.maximum(rewards, MIN_REWARD)
         self.root = (EMPTY,) * self.d
@@ -52,16 +53,6 @@ class SequenceEnv(DagEnv):
                                            r_max=r_max, n_modes=n_modes))
 
     # -- structure -----------------------------------------------------------
-
-    def action_mask(self, s):
-        mask = np.zeros(self.n_action_slots, dtype=bool)
-        complete = True
-        for pos, c in enumerate(s):
-            if c == EMPTY:
-                complete = False
-                mask[pos * self.n:(pos + 1) * self.n] = True
-        mask[self._terminal] = complete
-        return mask
 
     def action_masks(self, states):
         empty = state_array(states, self.d) == EMPTY
@@ -80,9 +71,6 @@ class SequenceEnv(DagEnv):
         if all(c != EMPTY for c in s):
             return self._terminal
         return None
-
-    def parent_mask(self, s):
-        return np.array([c != EMPTY for c in s], dtype=bool)
 
     def parent_masks(self, states):
         return state_array(states, self.d) != EMPTY
@@ -109,12 +97,6 @@ class SequenceEnv(DagEnv):
 
     # -- features ------------------------------------------------------------
 
-    def encode(self, s):
-        v = np.zeros(self.encoding_dim)
-        for pos, c in enumerate(s):
-            v[pos * (self.n + 1) + int(c) + 1] = 1.0
-        return v
-
     def encode_batch(self, states):
         seqs = state_array(states, self.d)
         v = np.zeros((len(seqs), self.encoding_dim))
@@ -126,7 +108,7 @@ class SequenceEnv(DagEnv):
     def n_states(self):
         return (self.n + 1) ** self.d
 
-    def enumeration_edges(self, states, index):
+    def enumeration_edges(self, states):
         # Keys read each position as a base-(n+1) digit, EMPTY as 0, so
         # filling position pos with sym adds (sym + 1) * (n + 1) ** pos.
         seqs = state_array(states, self.d)
@@ -167,6 +149,8 @@ def synthetic_rewards(d, n, seed, beta=3.0, r_min=1e-3, r_max=10.0, n_modes=None
     Draws mode sequences, scores every sequence by Gaussian bumps in Hamming
     distance around the modes, sharpens with exponent beta and affinely
     rescales so the table maximum is exactly r_max and the minimum r_min.
+    Sequences are scored SCORE_BLOCK at a time, so the distances to the
+    modes never exist for the whole table at once.
     """
     total = n ** d
     if n_modes is None:
@@ -175,10 +159,14 @@ def synthetic_rewards(d, n, seed, beta=3.0, r_min=1e-3, r_max=10.0, n_modes=None
     modes = rng.integers(0, n, size=(n_modes, d))
     amps = rng.uniform(0.5, 1.0, size=n_modes)
     widths = rng.uniform(0.5, 1.5, size=n_modes)
-    seqs = np.array(all_sequences(d, n), dtype=np.int64)
-    # Hamming distance from every sequence to every mode.
-    dist = (seqs[:, None, :] != modes[None, :, :]).sum(axis=2)
-    score = (amps[None, :] * np.exp(-(dist ** 2) / (2.0 * widths[None, :] ** 2))).sum(axis=1)
+    place = n ** np.arange(d - 1, -1, -1)
+    score = np.empty(total)
+    for lo in range(0, total, SCORE_BLOCK):
+        # Table rows lo.. as symbol arrays, and their Hamming distances to the modes.
+        seqs = np.arange(lo, min(lo + SCORE_BLOCK, total))[:, None] // place % n
+        dist = (seqs[:, None, :] != modes[None, :, :]).sum(axis=2)
+        bumps = amps[None, :] * np.exp(-(dist ** 2) / (2.0 * widths[None, :] ** 2))
+        score[lo:lo + len(seqs)] = bumps.sum(axis=1)
     raw = score ** float(beta)
     lo, hi = raw.min(), raw.max()
     if hi - lo < 1e-300:
@@ -190,7 +178,7 @@ def save_reward_table(path, d, n, rewards):
     """Write one line per sequence: comma-separated symbols, tab, reward."""
     rewards = np.asarray(rewards, dtype=np.float64).ravel()
     if rewards.size != n ** d:
-        raise ValueError(f"reward table has {rewards.size} entries, need {n ** d}")
+        raise ConfigError(f"reward table has {rewards.size} entries, need {n ** d}")
     with open(path, "w") as fh:
         for seq, r in zip(all_sequences(d, n), rewards):
             fh.write(",".join(str(c) for c in seq) + "\t" + repr(float(r)) + "\n")

@@ -269,11 +269,10 @@ def mode_count(env, forward, modes, n_samples, rng, seen=None):
     `seen` carries discovered modes across calls; returns (count, seen).
     """
     from .sampling import sample_forward
-    from .policy import UniformBackward
     if seen is None:
         seen = set()
     if n_samples > 0:
-        trajs = sample_forward(env, forward, UniformBackward(env), n_samples, rng)
+        trajs = sample_forward(env, forward, n_samples, rng)
         for tr in trajs:
             if tr.x in modes:
                 seen.add(tr.x)
@@ -285,19 +284,27 @@ def mode_count(env, forward, modes, n_samples, rng, seen=None):
 # ---------------------------------------------------------------------------
 
 def enumerate_paths(env, limit=1_000_000):
-    """All root-to-sink paths as (states, slots) tuples, depth first."""
+    """All root-to-sink paths as (states, slots) tuples, depth first, from
+    the enumeration's edge arrays and terminal slots."""
+    enum = env.enumeration()
+    edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
+    tslots = enum.terminal_slots()
     out = []
-    stack = [((env.root,), ())]
+    stack = [((enum.root_index,), ())]
     while stack:
-        states, slots = stack.pop()
-        s = states[-1]
-        for a, c in reversed(env.children(s)):
-            if c is SINK:
-                out.append((states + (SINK,), slots + (int(a),)))
+        path, slots = stack.pop()
+        i = path[-1]
+        edges = slice(edge_ptr[i], edge_ptr[i + 1])
+        moves = list(zip(enum.edge_slot[edges].tolist(), enum.edge_dst[edges].tolist()))
+        if tslots[i] >= 0:
+            moves = sorted(moves + [(int(tslots[i]), -1)])
+        for a, j in reversed(moves):
+            if j < 0:
+                out.append((tuple(enum.states[k] for k in path) + (SINK,), slots + (a,)))
                 if len(out) > limit:
                     raise EnumerationLimit(f"more than {limit} trajectories")
             else:
-                stack.append((states + (c,), slots + (int(a),)))
+                stack.append((path + (j,), slots + (a,)))
     return out
 
 

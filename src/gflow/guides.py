@@ -104,7 +104,7 @@ class HyperGridGuide(_MarkovGuide):
         pf = np.exp(fwd_log)
         stop = env.terminal_slot(env.root)
         if self._low is None:
-            self._low = np.asarray([env.reward(s) <= env.r0 for s in enum.states])
+            self._low = env.reward_rows(state_array(enum.states, env.d)) <= env.r0
         low = self._low
         non_stop = pf[:, :stop].sum(axis=1)
         denom = non_stop + self.eps

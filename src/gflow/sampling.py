@@ -1,12 +1,13 @@
 """Trajectory sampling over DAG environments.
 
 Forward rollouts run all trajectories in lockstep so each step is one batched
-policy evaluation.  Sampling is deterministic given the Generator: action
-order is fixed by slot index and draws use inverse-CDF per row.
+policy evaluation; backward walks do the same from given endpoints.
+Sampling is deterministic given the Generator: action order is fixed by slot
+index and draws use inverse-CDF per row.
 
-Cached per-step log-probabilities always refer to the learned policies, never
-to the exploration mixture; objectives that need gradients recompute them
-through a tape anyway.
+Trajectories carry the path and its reward only.  Objectives evaluate the
+policies' log-probabilities along a batch themselves, through a tape when
+they need gradients.
 """
 
 from dataclasses import dataclass
@@ -19,18 +20,15 @@ from .errors import ContractError
 
 @dataclass
 class Trajectory:
-    """A complete root-to-sink path with cached per-step quantities.
+    """A complete root-to-sink path.
 
-    states has length T+1 (root ... x, SINK); slots, log_pf have length T.
-    log_pb has length T with the final entry NaN: the backward probability of
-    the terminal hop is the R(x)/Z convention, applied by objectives.
-    bslots has length T-1 (backward slot of each interior edge).
+    states has length T+1 (root ... x, SINK) and slots has length T (the
+    forward slot of each edge).  bslots has length T-1: the backward slot of
+    each interior edge.
     """
 
     states: list
     slots: list
-    log_pf: np.ndarray
-    log_pb: np.ndarray
     bslots: list
     log_reward: float
 
@@ -60,14 +58,12 @@ def sample_rows(probs, u):
     return (r[:, None] >= cum).sum(axis=1)
 
 
-def sample_forward(env, forward, backward, n, rng, eps=0.0):
+def sample_forward(env, forward, n, rng, eps=0.0):
     """Sample n trajectories from the forward policy, optionally mixed with a
     uniform-over-valid-actions distribution with weight eps."""
     n = int(n)
     states = [[env.root] for _ in range(n)]
     slots = [[] for _ in range(n)]
-    log_pf = [[] for _ in range(n)]
-    log_pb = [[] for _ in range(n)]
     bslots = [[] for _ in range(n)]
     log_r = [0.0] * n
     active = list(range(n))
@@ -78,53 +74,33 @@ def sample_forward(env, forward, backward, n, rng, eps=0.0):
             raise ContractError("rollout exceeded the environment's trajectory bound")
         cur = [states[i][-1] for i in active]
         masks = forward.masks(cur)
-        lp = forward.log_probs_numpy(cur, masks)
-        probs = np.exp(lp)
+        probs = forward.probs_numpy(cur, masks)
         if eps > 0.0:
             uniform = masks / masks.sum(axis=-1, keepdims=True)
-            draw_probs = (1.0 - eps) * probs + eps * uniform
-        else:
-            draw_probs = probs
-        u = rng.random(len(active))
-        chosen = sample_rows(draw_probs, u)
+            probs = (1.0 - eps) * probs + eps * uniform
+        chosen = sample_rows(probs, rng.random(len(active)))
 
-        entered = []
-        entered_meta = []
         still = []
-        for row, i in enumerate(active):
-            a = int(chosen[row])
-            s = cur[row]
+        for i, s, a in zip(active, cur, chosen.tolist()):
             c = env.child(s, a)
             slots[i].append(a)
-            log_pf[i].append(lp[row, a])
             states[i].append(c)
             if c is SINK:
-                log_pb[i].append(np.nan)
                 log_r[i] = env.log_reward(s)
             else:
                 bslots[i].append(env.backward_slot(s, a))
-                entered.append(c)
-                entered_meta.append(i)
                 still.append(i)
-        if entered:
-            blp = backward.log_probs_numpy(entered)
-            for row, i in enumerate(entered_meta):
-                log_pb[i].append(blp[row, bslots[i][-1]])
         active = still
 
-    return [Trajectory(states[i], slots[i], np.asarray(log_pf[i]),
-                       np.asarray(log_pb[i]), bslots[i], log_r[i])
-            for i in range(n)]
+    return [Trajectory(states[i], slots[i], bslots[i], log_r[i]) for i in range(n)]
 
 
-def sample_backward(env, backward, xs, rng, forward=None):
+def sample_backward(env, backward, xs, rng):
     """Sample one trajectory per terminating state in xs by walking parents
-    backward to the root, in lockstep.  Forward log-prob caches are filled
-    from `forward` when given, else NaN."""
+    backward to the root, in lockstep."""
     m = len(xs)
     chains = [[x] for x in xs]
     picks = [[] for _ in range(m)]
-    lps = [[] for _ in range(m)]
     active = [i for i in range(m) if xs[i] != env.root]
     steps = 0
     while active:
@@ -132,36 +108,22 @@ def sample_backward(env, backward, xs, rng, forward=None):
         if steps > env.max_trajectory_len:
             raise ContractError("backward walk exceeded the environment's trajectory bound")
         cur = [chains[i][-1] for i in active]
-        masks = backward.masks(cur)
-        lp = backward.log_probs_numpy(cur, masks)
-        u = rng.random(len(active))
-        chosen = sample_rows(np.exp(lp), u)
+        chosen = sample_rows(backward.probs_numpy(cur), rng.random(len(active)))
         still = []
-        for row, i in enumerate(active):
-            b = int(chosen[row])
+        for i, s, b in zip(active, cur, chosen.tolist()):
             picks[i].append(b)
-            lps[i].append(lp[row, b])
-            p = env.parent(cur[row], b)
+            p = env.parent(s, b)
             chains[i].append(p)
             if p != env.root:
                 still.append(i)
         active = still
 
     out = []
-    for x, chain, pick_list, lp_list in zip(xs, chains, picks, lps):
-        fwd_states = chain[::-1]
-        bslots = pick_list[::-1]
-        fslots = [env.forward_slot(fwd_states[j + 1], b) for j, b in enumerate(bslots)]
+    for x, chain, picked in zip(xs, chains, picks):
+        fwd_states, bslots = chain[::-1], picked[::-1]
+        fslots = [env.forward_slot(s, b) for s, b in zip(fwd_states[1:], bslots)]
         fslots.append(env.terminal_slot(x))
-        states_full = fwd_states + [SINK]
-        t = len(fslots)
-        lpf = np.full(t, np.nan)
-        if forward is not None:
-            lp = forward.log_probs_numpy(states_full[:-1])
-            lpf = lp[np.arange(t), np.asarray(fslots, dtype=np.intp)]
-        lpb = np.asarray(lp_list[::-1] + [np.nan])
-        out.append(Trajectory(states_full, fslots, lpf, lpb, bslots,
-                              env.log_reward(x)))
+        out.append(Trajectory(fwd_states + [SINK], fslots, bslots, env.log_reward(x)))
     return out
 
 

@@ -440,8 +440,8 @@ class Trainer:
 
     def step(self, rng):
         eps = self.mixture.eps(self.iteration) if self.mixture else 0.0
-        batch = sample_forward(self.env, self.suite.forward, self.suite.backward,
-                               self.cfg.batch_size, rng, eps=eps)
+        batch = sample_forward(self.env, self.suite.forward, self.cfg.batch_size, rng,
+                               eps=eps)
         if self.guide is not None:
             if isinstance(self.guide, SequenceGuide):
                 self.guide.buffer.update(batch)

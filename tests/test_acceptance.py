@@ -64,10 +64,8 @@ def report(num, ok, detail):
 
 
 def path_trajectory(env, states, slots):
-    t = len(slots)
-    bslots = [env.backward_slot(states[j], slots[j]) for j in range(t - 1)]
-    return Trajectory(list(states), list(slots), np.full(t, np.nan),
-                      np.full(t, np.nan), bslots, env.log_reward(states[-2]))
+    bslots = [env.backward_slot(states[j], slots[j]) for j in range(len(slots) - 1)]
+    return Trajectory(list(states), list(slots), bslots, env.log_reward(states[-2]))
 
 
 def all_trajectories(env):
@@ -291,8 +289,7 @@ def test_criterion_06_perfect_flow_fixtures():
     for env in envs:
         enum = env.enumeration()
         suite, fwd_log = perfect_suite(env)
-        trajs = sample_forward(env, suite.forward, suite.backward, 64,
-                               np.random.default_rng(41))
+        trajs = sample_forward(env, suite.forward, 64, np.random.default_rng(41))
         for loss_fn in (tb_loss, db_loss, subtb_loss):
             tape = ad.Tape()
             worst_loss = max(worst_loss, float(loss_fn(tape, trajs, suite).data))
@@ -416,7 +413,7 @@ def test_criterion_10_composite_loss_gradients():
                            learned_backward=bool(trial % 3),
                            need_flow=kind in ("db", "subtb"),
                            init_scale=0.5, logz_init=float(rng.normal()))
-        trajs = sample_forward(env, suite.forward, suite.backward, 4, rng)
+        trajs = sample_forward(env, suite.forward, 4, rng)
         sb = step_batch(trajs)
         adv = rng.normal(0, 1, sb.n_steps)
 

@@ -5,8 +5,9 @@ attributes.  A call path that stops going through those attributes leaves
 the trace silently empty, so one traced trust-region step on a tabular
 suite and one trajectory-balance step on an MLP suite must record the
 trust-region call, the score matrix, the loss, the MLP forward and the
-policy log-probabilities, and one traced theorem audit plus flow
-construction must record every exact dynamic-programming sweep.
+policy log-probabilities; one traced guided step must record both samplers
+and the guide; and one traced theorem audit plus flow construction must
+record every exact dynamic-programming sweep.
 """
 
 import importlib
@@ -45,6 +46,20 @@ def test_traced_steps_reach_every_span(monkeypatch):
     assert tracer.score_shapes
     names = {span[0] for span in tracer.spans}
     assert {"objectives.loss", "autodiff.mlp_forward", "policy.log_probs"} <= names
+
+
+def test_traced_guided_step_reaches_samplers_and_guide(monkeypatch):
+    spans = load_spans(monkeypatch)
+    env = HyperGrid(2, 3)
+    tracer = spans.Tracer("t")
+    with tracer.installed():
+        trainer = Trainer(env, TrainerConfig(strategy="RL-G", batch_size=8, tabular=True),
+                          np.random.default_rng(5))
+        trainer.step(np.random.default_rng(6))
+    names = {span[0] for span in tracer.spans}
+    assert {"sampling.forward", "sampling.backward", "guides.refresh",
+            "guides.edge_log_probs"} <= names
+    assert tracer.counts["sampling.transitions"] > 0
 
 
 def test_traced_audit_reaches_every_exact_sweep(monkeypatch):

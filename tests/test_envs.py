@@ -1,8 +1,9 @@
 """Environment behavior: grid geometry and rewards, sequence slot algebra,
 reward tables, explicit DAG validation, the flat enumeration index, and
-the batched queries against their per-state defaults."""
+the batched queries against per-state oracles."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,6 @@ from gflow.envs import (
     ENUMERATION_CAP,
     MIN_REWARD,
     SINK,
-    DagEnv,
     Enumeration,
     ExplicitDag,
     HyperGrid,
@@ -24,25 +24,106 @@ from gflow.envs import (
     random_graded_dag,
     save_reward_table,
     synthetic_rewards,
-    validate_trajectory,
 )
+from gflow.envs.sequence import SCORE_BLOCK
 from gflow.errors import ConfigError, EnumerationLimit
+
+# -- per-state oracles ---------------------------------------------------------
+# One state at a time, the way each environment defines its slots; the
+# batched queries are held to these bit for bit.
+
+
+def action_mask(env, s):
+    """Boolean vector over the forward slots valid at s."""
+    mask = np.zeros(env.n_action_slots, dtype=bool)
+    if isinstance(env, HyperGrid):
+        for i in range(env.d):
+            mask[i] = s[i] < env.n - 1
+        mask[env.d] = True
+    elif isinstance(env, SequenceEnv):
+        for pos, c in enumerate(s):
+            if c == EMPTY:
+                mask[pos * env.n:(pos + 1) * env.n] = True
+        mask[env.d * env.n] = all(c != EMPTY for c in s)
+    else:
+        k = len(env._children.get(s, ()))
+        mask[:k] = True
+        if s in env._rewards:
+            mask[k] = True
+    return mask
+
+
+def parent_mask(env, s):
+    """Boolean vector over the backward slots valid at s (s != root)."""
+    if isinstance(env, HyperGrid):
+        return np.array([c > 0 for c in s], dtype=bool)
+    if isinstance(env, SequenceEnv):
+        return np.array([c != EMPTY for c in s], dtype=bool)
+    mask = np.zeros(env.n_backward_slots, dtype=bool)
+    mask[:len(explicit_parents(env, s))] = True
+    return mask
+
+
+def encode(env, s):
+    """Float feature vector of s."""
+    v = np.zeros(env.encoding_dim)
+    if isinstance(env, HyperGrid):
+        for i, c in enumerate(s):
+            v[i * env.n + c] = 1.0
+    elif isinstance(env, SequenceEnv):
+        for pos, c in enumerate(s):
+            v[pos * (env.n + 1) + int(c) + 1] = 1.0
+    else:
+        v[env._index[s]] = 1.0
+    return v
+
+
+def children(env, s):
+    """(slot, child) pairs of s in slot order, the sink included."""
+    return [(int(a), env.child(s, a)) for a in np.flatnonzero(action_mask(env, s))]
+
+
+def parents(env, s):
+    """(backward slot, parent) pairs of s != root in slot order."""
+    return [(int(b), env.parent(s, b)) for b in np.flatnonzero(parent_mask(env, s))]
+
+
+def explicit_parents(env, s):
+    """Parents of s in an ExplicitDag from its child lists, in topological order."""
+    ps = [p for p, cs in env._children.items() if s in cs]
+    return sorted(ps, key=env._index.__getitem__)
+
+
+def validate_trajectory(env, states, slots):
+    """Check that a (states, slots) pair is a root-to-sink path in the DAG."""
+    if not states or states[0] != env.root or states[-1] is not SINK:
+        return False
+    if len(slots) != len(states) - 1:
+        return False
+    for s, a, nxt in zip(states[:-1], slots, states[1:]):
+        mask = action_mask(env, s)
+        if a < 0 or a >= mask.size or not mask[a]:
+            return False
+        c = env.child(s, a)
+        if c is not nxt and c != nxt:
+            return False
+    return True
 
 
 def check_edge_inverses(env, states):
     """Forward and backward slot maps must invert each other on every edge."""
     for s in states:
-        for slot, c in env.children(s):
+        for slot, c in children(env, s):
             if c is SINK:
                 continue
-            b = env.backward_slot(s, int(slot))
-            assert env.parent_mask(c)[b]
+            b = env.backward_slot(s, slot)
+            assert parent_mask(env, c)[b]
             assert env.parent(c, b) == s
-            assert env.forward_slot(c, b) == int(slot)
+            assert env.forward_slot(c, b) == slot
         if s != env.root:
-            for b, p in env.parents(s):
-                f = env.forward_slot(s, int(b))
-                assert env.action_mask(p)[f]
+            for b, p in parents(env, s):
+                f = env.forward_slot(s, b)
+                assert action_mask(env, p)[f]
                 assert env.child(p, f) == s
 
 
@@ -72,7 +153,7 @@ def check_enumeration(enum):
     tslots = enum.terminal_slots()
     for i, s in enumerate(enum.states):
         lo, hi = edge_ptr[i], edge_ptr[i + 1]
-        non_sink = [(int(a), c) for a, c in env.children(s) if c is not SINK]
+        non_sink = [(a, c) for a, c in children(env, s) if c is not SINK]
         assert hi - lo == len(non_sink)
         for e, (a, c) in zip(range(lo, hi), non_sink):
             assert enum.edge_slot[e] == a
@@ -89,9 +170,9 @@ def check_enumeration(enum):
     masks = enum.action_masks()
     parent_masks = enum.parent_masks()
     for i, s in enumerate(enum.states):
-        assert np.array_equal(masks[i], env.action_mask(s))
+        assert np.array_equal(masks[i], action_mask(env, s))
         if i != enum.root_index:
-            assert np.array_equal(parent_masks[i], env.parent_mask(s))
+            assert np.array_equal(parent_masks[i], parent_mask(env, s))
 
 
 # -- hyper-grid ----------------------------------------------------------------
@@ -153,8 +234,8 @@ def test_grid_structure():
 
 def test_grid_stop_always_available():
     env = HyperGrid(2, 3)
-    for s in env.enumeration().states:
-        mask = env.action_mask(s)
+    masks = env.action_masks(env.enumeration().states)
+    for s, mask in zip(env.enumeration().states, masks):
         assert mask[2]
         assert env.terminal_slot(s) == 2
         # Increment slots valid exactly below the boundary.
@@ -173,11 +254,10 @@ def test_grid_enumeration_layers():
 
 def test_grid_encoding():
     env = HyperGrid(2, 3)
-    v = env.encode((1, 2))
-    assert v.shape == (6,)
-    assert np.flatnonzero(v).tolist() == [1, 5]
     batch = env.encode_batch([(0, 0), (1, 2), (2, 1)])
-    assert np.array_equal(batch, np.stack([env.encode(s) for s in [(0, 0), (1, 2), (2, 1)]]))
+    assert batch.shape == (3, 6)
+    assert np.flatnonzero(batch[1]).tolist() == [1, 5]
+    assert np.array_equal(batch, np.stack([encode(env, s) for s in [(0, 0), (1, 2), (2, 1)]]))
 
 
 def test_grid_edge_inverses():
@@ -186,9 +266,9 @@ def test_grid_edge_inverses():
 
 
 def test_grid_rejects_degenerate_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         HyperGrid(0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         HyperGrid(2, 1)
 
 
@@ -221,12 +301,10 @@ def test_sequence_rewards_are_lexicographic():
 
 def test_sequence_action_mask():
     env = SequenceEnv(2, 2, np.ones(4))
-    mask = env.action_mask((EMPTY, EMPTY))
-    assert mask.tolist() == [True, True, True, True, False]
-    mask = env.action_mask((1, EMPTY))
-    assert mask.tolist() == [False, False, True, True, False]
-    mask = env.action_mask((1, 0))
-    assert mask.tolist() == [False, False, False, False, True]
+    masks = env.action_masks([(EMPTY, EMPTY), (1, EMPTY), (1, 0)])
+    assert masks.tolist() == [[True, True, True, True, False],
+                              [False, False, True, True, False],
+                              [False, False, False, False, True]]
 
 
 def test_sequence_slot_algebra():
@@ -251,10 +329,10 @@ def test_sequence_enumeration_layers():
 
 def test_sequence_encoding():
     env = SequenceEnv(2, 2, np.ones(4))
-    v = env.encode((EMPTY, 1))
-    assert v.shape == (6,)
+    v = env.encode_batch([(EMPTY, 1)])
+    assert v.shape == (1, 6)
     # Per-position one-hot over {empty, 0, .., n-1}.
-    assert np.flatnonzero(v).tolist() == [0, 5]
+    assert np.flatnonzero(v[0]).tolist() == [0, 5]
     enc = env.enumeration().encodings()
     assert enc.shape == (9, 6)
     assert len({tuple(row) for row in enc}) == 9
@@ -267,7 +345,9 @@ def test_sequence_reward_clamped_to_floor():
 
 
 def test_sequence_rejects_wrong_table_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
+        SequenceEnv(0, 3, np.ones(1))
+    with pytest.raises(ConfigError):
         SequenceEnv(2, 3, np.ones(8))
 
 
@@ -325,7 +405,7 @@ def test_reward_table_load_errors(tmp_path):
 
 
 def test_save_reward_table_rejects_wrong_size(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         save_reward_table(tmp_path / "t.tsv", 2, 2, np.ones(5))
 
 
@@ -340,8 +420,13 @@ def test_explicit_diamond():
     assert env.n_backward_slots == 2
     assert env.terminal_slot("x") == 0
     assert env.child("x", 0) is SINK
-    assert env.children("r") == [(0, "a"), (1, "b")]
-    assert env.parents("x") == [(0, "a"), (1, "b")]
+    assert children(env, "r") == [(0, "a"), (1, "b")]
+    assert parents(env, "x") == [(0, "a"), (1, "b")]
+    # An invalid slot names no state.
+    with pytest.raises(IndexError):
+        env.child("a", 1)
+    with pytest.raises(IndexError):
+        env.parent("a", 1)
     assert [len(layer) for layer in env.enumerate_states()] == [1, 2, 1]
     assert env.reward("x") == 2.0
     check_edge_inverses(env, env.enumeration().states)
@@ -351,23 +436,23 @@ def test_explicit_root_inference_and_override():
     children = {"r": ["a"], "a": []}
     env = ExplicitDag(children, {"a": 1.0})
     assert env.root == "r"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         # Two parentless states and no explicit root.
         ExplicitDag({"r": ["x"], "q": ["x"]}, {"x": 1.0})
 
 
 def test_explicit_rejects_duplicate_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExplicitDag({"r": ["a", "a"]}, {"a": 1.0})
 
 
 def test_explicit_rejects_cycles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExplicitDag({"r": ["a"], "a": ["b"], "b": ["a"]}, {"a": 1.0}, root="r")
 
 
 def test_explicit_rejects_dead_ends():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         # "b" has no children and no reward.
         ExplicitDag({"r": ["a", "b"], "a": []}, {"a": 1.0})
 
@@ -463,10 +548,13 @@ def test_enumeration_cap():
 
 
 def test_sink_parents_are_terminal_states():
+    # The sink's parents are the terminal-capable states, each through its
+    # terminal slot.
     env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
-    pairs = env.parents(SINK)
+    enum = env.enumeration()
+    pairs = [(enum.terminal_slots()[i], enum.states[i]) for i in np.flatnonzero(enum.terminal)]
     assert len(pairs) == 4
-    assert all(slot == 4 for slot, _ in pairs)
+    assert all(slot == 4 and env.child(x, slot) is SINK for slot, x in pairs)
     assert {x for _, x in pairs} == set(all_sequences(2, 2))
 
 
@@ -488,7 +576,7 @@ def test_dropped_env_and_enumeration_free_by_refcount():
             gc.enable()
 
 
-# -- batched queries against the per-state defaults -----------------------------
+# -- batched queries against the per-state oracles -----------------------------
 
 BATCHED_ENVS = [
     pytest.param(lambda: HyperGrid(1, 5), id="grid-1x5"),
@@ -497,6 +585,7 @@ BATCHED_ENVS = [
     pytest.param(lambda: SequenceEnv.synthetic(1, 2, seed=0), id="seq-1x2"),
     pytest.param(lambda: SequenceEnv.synthetic(3, 3, seed=1), id="seq-3x3"),
     pytest.param(lambda: SequenceEnv.synthetic(6, 4, seed=2), id="seq-6x4"),
+    pytest.param(lambda: random_dag(np.random.default_rng(3)), id="dag-3"),
 ]
 
 
@@ -507,25 +596,34 @@ def assert_same_array(fast, slow, name):
 
 
 def per_state_tables(env, enum):
-    """The enumeration's tables from DagEnv's per-state defaults."""
-    src, slot, dst, bslot, _, log_r = DagEnv.enumeration_edges(env, enum.states, enum.index)
-    tslots = [env.terminal_slot(s) for s in enum.states]
-    parent_masks = DagEnv.parent_masks(env, enum.states)
+    """The enumeration's tables from the per-state oracles."""
+    src, slot, dst, bslot = [], [], [], []
+    tslots = np.full(enum.n, -1, dtype=np.intp)
+    log_r = np.full(enum.n, -np.inf)
+    for i, s in enumerate(enum.states):
+        for a, c in children(env, s):
+            if c is SINK:
+                tslots[i] = a
+                log_r[i] = env.log_reward(s)
+            else:
+                src.append(i)
+                slot.append(a)
+                dst.append(enum.index[c])
+                bslot.append(env.backward_slot(s, a))
+    parent_masks = np.stack([parent_mask(env, s) for s in enum.states])
     parent_masks[enum.root_index] = False
+    edges = [np.asarray(v, dtype=np.intp) for v in (src, slot, dst, bslot)]
     return {
-        "edge_src": src, "edge_slot": slot, "edge_dst": dst, "edge_bslot": bslot,
-        "terminal": np.array([t is not None for t in tslots]),
-        "log_rewards": log_r,
-        "terminal_slots": np.array([-1 if t is None else t for t in tslots], dtype=np.intp),
-        "action_masks": DagEnv.action_masks(env, enum.states),
+        "edge_src": edges[0], "edge_slot": edges[1], "edge_dst": edges[2],
+        "edge_bslot": edges[3], "terminal": tslots >= 0, "log_rewards": log_r,
+        "terminal_slots": tslots,
+        "action_masks": np.stack([action_mask(env, s) for s in enum.states]),
         "parent_masks": parent_masks,
-        "encodings": DagEnv.encode_batch(env, enum.states),
+        "encodings": np.stack([encode(env, s) for s in enum.states]),
     }
 
 
-@pytest.mark.parametrize("make_env", BATCHED_ENVS)
-def test_enumeration_tables_match_per_state_defaults(make_env):
-    env = make_env()
+def check_tables_match_per_state_oracles(env):
     enum = env.enumeration()
     fast = {
         "edge_src": enum.edge_src, "edge_slot": enum.edge_slot, "edge_dst": enum.edge_dst,
@@ -541,13 +639,61 @@ def test_enumeration_tables_match_per_state_defaults(make_env):
 
 
 @pytest.mark.parametrize("make_env", BATCHED_ENVS)
+def test_enumeration_tables_match_per_state_defaults(make_env):
+    check_tables_match_per_state_oracles(make_env())
+
+
+@pytest.mark.parametrize("make_env", BATCHED_ENVS)
 def test_batched_queries_match_per_state_defaults_on_any_batch(make_env):
     # Repeated states in any order, and a single state.
     env = make_env()
     states = env.enumeration().states
     rng = np.random.default_rng(0)
     picks = rng.integers(0, len(states), size=2 * len(states) + 3)
+    oracles = {"action_masks": action_mask, "parent_masks": parent_mask,
+               "encode_batch": encode}
     for batch in ([states[i] for i in picks], [states[-1]]):
-        for query in ("action_masks", "parent_masks", "encode_batch"):
-            assert_same_array(getattr(env, query)(batch), getattr(DagEnv, query)(env, batch),
-                              query)
+        for query, oracle in oracles.items():
+            assert_same_array(getattr(env, query)(batch),
+                              np.stack([oracle(env, s) for s in batch]), query)
+
+
+@pytest.mark.parametrize("make_dag", [random_dag, random_graded_dag])
+def test_explicit_tables_match_the_child_lists(make_dag):
+    # ExplicitDag answers every query from tables built once; here each
+    # answer is recomputed from the child lists it was built from.
+    for seed in range(8):
+        env = make_dag(np.random.default_rng(seed))
+        check_tables_match_per_state_oracles(env)
+        for s in env.enumeration().states:
+            cs = env._children.get(s, [])
+            for a in np.flatnonzero(action_mask(env, s)):
+                if a == len(cs):
+                    assert env.child(s, a) is SINK
+                    assert env.terminal_slot(s) == a
+                    continue
+                c = cs[a]
+                assert env.child(s, a) == c
+                assert env.backward_slot(s, a) == explicit_parents(env, c).index(s)
+            if env.terminal_slot(s) is None:
+                assert s not in env._rewards
+            for b, p in enumerate(explicit_parents(env, s)):
+                assert env.parent(s, b) == p
+                assert env.forward_slot(s, b) == env._children[p].index(s)
+
+
+def test_synthetic_rewards_score_in_blocks():
+    # d=6, n=4 has 4096 sequences and 40 modes.  The peak stays within a few
+    # table-sized arrays plus a few (block x modes) float arrays, far below
+    # the distances from every sequence to every mode at once.
+    d, n, n_modes = 6, 4, 40
+    synthetic_rewards(2, 2, seed=0)  # first-call allocations of numpy itself
+    tracemalloc.start()
+    try:
+        table = synthetic_rewards(d, n, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = SCORE_BLOCK * n_modes * 8
+    assert peak <= 4 * table.nbytes + 6 * block
+    assert peak < table.size * n_modes * 8 / 2

@@ -135,12 +135,17 @@ def grid_setup(seed=0, d=2, n=4):
     return env, suite, guide
 
 
+def floor_states(env):
+    """Per-state mask of the enumerated states at the reward floor."""
+    return np.asarray([env.reward(s) <= env.r0 for s in env.enumeration().states])
+
+
 def adjusted_forward_probs(env, forward, eps=1e-5):
     """Test-local recomputation of the exploration law P_f."""
     enum = env.enumeration()
     pf = forward.probs_numpy(enum.states, enum.action_masks())
     stop = env.d
-    low = np.asarray([env.reward(s) <= env.r0 for s in enum.states])
+    low = floor_states(env)
     denom = pf[:, :stop].sum(axis=1) + eps
     adj = pf.copy()
     adj[low, :stop] = pf[low, :stop] / denom[low, None]
@@ -149,6 +154,16 @@ def adjusted_forward_probs(env, forward, eps=1e-5):
 
 
 # -- hyper-grid guide ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 16), (3, 4)])
+def test_grid_guide_floor_matches_per_state_rewards(d, n):
+    env = HyperGrid(d, n)
+    guide = HyperGridGuide(env)
+    guide.refresh(make_suite(env, np.random.default_rng(0), tabular=True).forward)
+    assert guide._low.dtype == bool
+    assert np.array_equal(guide._low, floor_states(env))
+    assert guide._low.any() and not guide._low.all()
 
 
 def test_grid_guide_stop_probability_formula():
@@ -286,8 +301,7 @@ def test_sequence_guide_conditional_matches_score_ratios():
     env, buf, guide = seq_setup(seed=8)
     d = env.d
     x = (1, 0, 1)
-    trajs = sample_backward(env, UniformBackward(env), [x] * 6,
-                            np.random.default_rng(9))
+    trajs = sample_backward(env, UniformBackward(env), [x] * 6, np.random.default_rng(9))
     for tr in trajs:
         want = 0.0
         mask = 0
@@ -315,8 +329,7 @@ def test_sequence_kernel_given_x_consistent():
     enum = env.enumeration()
     x = (0, 1, 1)
     table = guide.backward_kernel_given_x(x)
-    trajs = sample_backward(env, UniformBackward(env), [x] * 4,
-                            np.random.default_rng(12))
+    trajs = sample_backward(env, UniformBackward(env), [x] * 4, np.random.default_rng(12))
     for tr in trajs:
         lp = guide.edge_log_probs([tr])
         for t in range(tr.length - 1):
@@ -337,7 +350,6 @@ def test_sequence_guide_rejects_off_lattice_trajectory():
         states=[(EMPTY, EMPTY, EMPTY), (1, EMPTY, EMPTY), (1, 0, EMPTY),
                 (0, 0, 0), SINK],
         slots=[2, 2, 4, 6],
-        log_pf=np.full(4, np.nan), log_pb=np.full(4, np.nan),
         bslots=[0, 1, 2], log_reward=0.0)
     with pytest.raises(ContractError):
         guide.edge_log_probs([bad])
@@ -439,7 +451,6 @@ def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
         states=[(EMPTY, EMPTY, EMPTY), (EMPTY, EMPTY, 1), (EMPTY, 1, 1),
                 (0, 1, 0), SINK],
         slots=[5, 3, 0, 6],
-        log_pf=np.full(4, np.nan), log_pb=np.full(4, np.nan),
         bslots=[2, 1, 0], log_reward=0.0)
     guide.edge_log_probs(good)
     with pytest.raises(ContractError):

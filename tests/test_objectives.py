@@ -38,24 +38,31 @@ def perfect_suite(env, need_flow=True):
 
 
 def sample_batch(env, suite, n=32, seed=1):
-    return sample_forward(env, suite.forward, suite.backward, n,
-                          np.random.default_rng(seed))
+    return sample_forward(env, suite.forward, n, np.random.default_rng(seed))
+
+
+def path_log_probs(suite, t):
+    """Per-edge log pi_F and per-interior-edge log pi_B of one trajectory,
+    each evaluated on that trajectory's states alone."""
+    lpf = suite.forward.log_probs_numpy(t.states[:-1])[np.arange(t.length), t.slots]
+    if t.length == 1:
+        return lpf, np.zeros(0)
+    lpb = suite.backward.log_probs_numpy(t.states[1:-1])[np.arange(t.length - 1), t.bslots]
+    return lpf, lpb
 
 
 def traj_log_ratio(suite, t):
-    """log Z + log P_F(tau) - log P_B(tau|x) - log R(x) from cached steps."""
-    return (suite.log_z.item() + t.log_pf.sum()
-            - (t.log_pb[:-1].sum() if t.length > 1 else 0.0) - t.log_reward)
+    """log Z + log P_F(tau) - log P_B(tau|x) - log R(x), edge by edge."""
+    lpf, lpb = path_log_probs(suite, t)
+    return suite.log_z.item() + lpf.sum() - lpb.sum() - t.log_reward
 
 
 # -- step batching -------------------------------------------------------------
 
 
 def test_step_batch_layout():
-    t1 = Trajectory([(0,), SINK], [1], np.array([-0.7]), np.array([np.nan]),
-                    [], np.log(0.51))
-    t2 = Trajectory([(0,), (1,), SINK], [0, 1], np.array([-0.7, 0.0]),
-                    np.array([0.0, np.nan]), [0], np.log(0.51))
+    t1 = Trajectory([(0,), SINK], [1], [], np.log(0.51))
+    t2 = Trajectory([(0,), (1,), SINK], [0, 1], [0], np.log(0.51))
     sb = step_batch([t1, t2])
     assert sb.n_traj == 2
     assert sb.n_steps == 3
@@ -125,14 +132,15 @@ def test_db_loss_matches_hand_recompute():
 
     want = 0.0
     for t in trajs:
+        lpf, lpb = path_log_probs(suite, t)
         acc = 0.0
         for j in range(t.length):
             s = t.states[j]
-            lhs = flow[enum.index[s]] + t.log_pf[j]
+            lhs = flow[enum.index[s]] + lpf[j]
             if t.states[j + 1] is SINK:
                 rhs = t.log_reward
             else:
-                rhs = flow[enum.index[t.states[j + 1]]] + t.log_pb[j]
+                rhs = flow[enum.index[t.states[j + 1]]] + lpb[j]
             acc += (lhs - rhs) ** 2
         want += acc / len(trajs)
     got = float(db_loss(ad.Tape(), trajs, suite).data)
@@ -196,10 +204,11 @@ def test_subtb_matches_hand_recompute():
     pairs, w = subtb_weights(2, base)
     want = 0.0
     for t in trajs:
+        lpf, lpb = path_log_probs(suite, t)
         acc = 0.0
         for (i, j), wk in zip(pairs, w):
             resid = flow_of(t.states[i]) - flow_of(t.states[j])
-            resid += t.log_pf[i:j].sum() - t.log_pb[i:j].sum()
+            resid += lpf[i:j].sum() - lpb[i:j].sum()
             acc += wk * resid ** 2
         want += acc / len(trajs)
     got = float(subtb_loss(ad.Tape(), trajs, suite, weight_base=base).data)

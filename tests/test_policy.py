@@ -231,7 +231,7 @@ def test_trpo_direction_matches_dense_fisher(monkeypatch, tabular, rel):
     rng = np.random.default_rng(17)
     suite = make_suite(env, rng, tabular=tabular, hidden=(8, 8), need_value_f=True,
                        init_scale=0.5)
-    batch = sample_forward(env, suite.forward, suite.backward, 16, rng)
+    batch = sample_forward(env, suite.forward, 16, rng)
     sb = step_batch(batch)
     dense = dense_scores(suite.forward, sb.states, sb.slots)
     solves = []

@@ -1,10 +1,10 @@
-"""Rollout mechanics: lockstep sampling, caches, exploration, replays."""
+"""Rollout mechanics: lockstep sampling, exploration, replays."""
 
 import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow.envs import SINK, HyperGrid, SequenceEnv, validate_trajectory
+from gflow.envs import SINK, HyperGrid, SequenceEnv
 from gflow.errors import ContractError
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import (
@@ -15,6 +15,7 @@ from gflow.sampling import (
     sample_forward,
     sample_rows,
 )
+from test_envs import validate_trajectory
 
 N_MC = 100_000
 
@@ -43,15 +44,13 @@ def test_sample_rows_inverse_cdf():
 def test_forced_policy_gives_unique_trajectory():
     env = HyperGrid(1, 3)
     fwd = forced_forward(env, 50.0)
-    trajs = sample_forward(env, fwd, UniformBackward(env), 8, np.random.default_rng(1))
+    trajs = sample_forward(env, fwd, 8, np.random.default_rng(1))
     for t in trajs:
         assert t.states == [(0,), (1,), (2,), SINK]
         assert t.slots == [0, 0, 1]
         assert t.bslots == [0, 0]
         assert t.x == (2,)
         assert t.length == 3
-        assert np.isnan(t.log_pb[-1])
-        assert np.isfinite(t.log_pf).all()
         assert t.log_reward == pytest.approx(np.log(0.51))
         assert validate_trajectory(env, t.states, t.slots)
 
@@ -61,8 +60,7 @@ def test_forward_rollouts_match_hand_distribution():
     # probability 1/2 each, state 1 can only stop, so P(x=0) = P(x=1) = 1/2.
     env = HyperGrid(1, 2)
     suite = make_suite(env, np.random.default_rng(2), tabular=True, init_scale=0.0)
-    trajs = sample_forward(env, suite.forward, suite.backward, N_MC,
-                           np.random.default_rng(3))
+    trajs = sample_forward(env, suite.forward, N_MC, np.random.default_rng(3))
     freq = np.mean([t.x == (0,) for t in trajs])
     assert freq == pytest.approx(0.5, abs=three_sigma(0.5, N_MC))
 
@@ -72,12 +70,11 @@ def test_mixture_overrides_policy_at_full_weight():
     fwd = forced_forward(env, 50.0)  # moves almost surely
     ub = UniformBackward(env)
     n = 20_000
-    trajs = sample_forward(env, fwd, ub, n, np.random.default_rng(4), eps=1.0)
+    trajs = sample_forward(env, fwd, n, np.random.default_rng(4), eps=1.0)
     stop_freq = np.mean([t.x == (0,) for t in trajs])
     assert stop_freq == pytest.approx(0.5, abs=three_sigma(0.5, n))
-    # The cache stores the policy's own log-probability, not the mixture's.
-    stopped = next(t for t in trajs if t.x == (0,))
-    assert stopped.log_pf[0] < -40.0
+    # The stops come from the uniform part: the policy itself almost never stops.
+    assert fwd.log_probs_numpy([(0,)])[0, 1] < -40.0
 
 
 def test_mixture_half_weight():
@@ -86,8 +83,7 @@ def test_mixture_half_weight():
     env = HyperGrid(1, 2)
     fwd = forced_forward(env, 50.0)
     n = 40_000
-    trajs = sample_forward(env, fwd, UniformBackward(env), n,
-                           np.random.default_rng(5), eps=0.5)
+    trajs = sample_forward(env, fwd, n, np.random.default_rng(5), eps=0.5)
     stop_freq = np.mean([t.x == (0,) for t in trajs])
     assert stop_freq == pytest.approx(0.25, abs=three_sigma(0.25, n))
 
@@ -95,26 +91,17 @@ def test_mixture_half_weight():
 def test_eps_zero_follows_policy():
     env = HyperGrid(1, 2)
     fwd = forced_forward(env, 50.0)
-    trajs = sample_forward(env, fwd, UniformBackward(env), 200,
-                           np.random.default_rng(6), eps=0.0)
+    trajs = sample_forward(env, fwd, 200, np.random.default_rng(6), eps=0.0)
     assert all(t.x == (1,) for t in trajs)
 
 
-def test_forward_caches_match_policy():
+def test_forward_rollouts_are_valid_paths():
     env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
-    rng = np.random.default_rng(7)
-    suite = make_suite(env, rng, hidden=(8,), learned_backward=True)
-    trajs = sample_forward(env, suite.forward, suite.backward, 16,
-                           np.random.default_rng(8), eps=0.3)
+    suite = make_suite(env, np.random.default_rng(7), hidden=(8,), learned_backward=True)
+    trajs = sample_forward(env, suite.forward, 16, np.random.default_rng(8), eps=0.3)
     for t in trajs:
         assert validate_trajectory(env, t.states, t.slots)
-        for j in range(t.length):
-            lp = suite.forward.log_probs_numpy([t.states[j]])[0, t.slots[j]]
-            assert t.log_pf[j] == pytest.approx(lp, rel=1e-12)
-        for j in range(t.length - 1):
-            lp = suite.backward.log_probs_numpy([t.states[j + 1]])[0, t.bslots[j]]
-            assert t.log_pb[j] == pytest.approx(lp, rel=1e-12)
-        assert np.isnan(t.log_pb[-1])
+        assert t.bslots == [env.backward_slot(s, a) for s, a in zip(t.states, t.slots[:-1])]
         assert t.log_reward == pytest.approx(env.log_reward(t.x))
 
 
@@ -129,26 +116,19 @@ def test_backward_two_path_split():
     for t in trajs[:50]:
         assert t.x == (1, 1)
         assert validate_trajectory(env, t.states, t.slots)
-        assert np.isnan(t.log_pf).all()
 
 
-def test_backward_fills_forward_cache_on_request():
+def test_backward_walks_end_at_their_endpoints():
     env = SequenceEnv(3, 2, np.arange(1.0, 9.0))
-    rng = np.random.default_rng(10)
-    suite = make_suite(env, rng, hidden=(8,), learned_backward=True)
+    suite = make_suite(env, np.random.default_rng(10), hidden=(8,), learned_backward=True)
     xs = [(0, 1, 0), (1, 1, 1), (0, 0, 0)]
-    trajs = sample_backward(env, suite.backward, xs, np.random.default_rng(11),
-                            forward=suite.forward)
+    trajs = sample_backward(env, suite.backward, xs, np.random.default_rng(11))
     for t, x in zip(trajs, xs):
         assert t.x == x
         assert validate_trajectory(env, t.states, t.slots)
         assert len(t.slots) == env.max_trajectory_len
-        for j in range(t.length):
-            lp = suite.forward.log_probs_numpy([t.states[j]])[0, t.slots[j]]
-            assert t.log_pf[j] == pytest.approx(lp, rel=1e-12)
-        for j in range(t.length - 1):
-            lp = suite.backward.log_probs_numpy([t.states[j + 1]])[0, t.bslots[j]]
-            assert t.log_pb[j] == pytest.approx(lp, rel=1e-12)
+        assert t.bslots == [env.backward_slot(s, a) for s, a in zip(t.states, t.slots[:-1])]
+        assert t.log_reward == pytest.approx(env.log_reward(x))
 
 
 def test_backward_from_root_is_single_hop():
@@ -166,7 +146,7 @@ def test_rollout_bound_guard():
     env.max_trajectory_len = 1  # deliberately wrong bound
     fwd = forced_forward(env, 50.0)
     with pytest.raises(ContractError):
-        sample_forward(env, fwd, UniformBackward(env), 4, np.random.default_rng(13))
+        sample_forward(env, fwd, 4, np.random.default_rng(13))
 
 
 def test_mixture_schedule():
@@ -186,8 +166,7 @@ def test_replay_buffer_fifo():
 
 
 def test_replay_buffer_update_from_trajectories():
-    t = Trajectory([(0,), SINK], [1], np.array([0.0]), np.array([np.nan]), [],
-                   np.log(2.5))
+    t = Trajectory([(0,), SINK], [1], [], np.log(2.5))
     buf = ReplayBuffer(5)
     buf.update([t, ((1,), 4.0)])
     assert buf.states() == [(0,), (1,)]
