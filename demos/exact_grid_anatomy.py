@@ -38,14 +38,13 @@ def main():
           f"Acc = {exact.reward_accuracy(pt_uniform, enum):.4f}")
 
     modes = exact.mode_states(enum)
-    print(f"mode cells (top reward quantile): {sorted(modes)}")
+    print(f"mode cells (top reward quantile): {sorted(map(tuple, modes.tolist()))}")
 
     # The accumulated state distribution has three equivalent computations
     # on graded DAGs; the grid is not graded, so show it on the layered
     # visit probabilities instead.
     visits = exact.visit_probabilities(enum, fwd_log)
-    by_layer = [float(visits[list(map(enum.index.get, layer))].sum())
-                for layer in enum.layers_states]
+    by_layer = [float(visits[layer].sum()) for layer in enum.layers]
     print("visit mass by layer (flow policy):",
           " ".join(f"{v:.3f}" for v in by_layer))
 

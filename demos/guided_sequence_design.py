@@ -54,9 +54,9 @@ def main():
     rewards = buffer.rewards()
     print(f"\nreplay buffer: {len(buffer)} sequences, "
           f"mean reward {rewards.mean():.3f}, best {rewards.max():.3f}")
-    env = guided.env
-    best = max(buffer.states(), key=env.reward)
-    print(f"best buffered sequence: {best} with reward {env.reward(best):.3f}")
+    best = int(np.argmax(rewards))
+    print(f"best buffered sequence: {tuple(buffer.state_rows()[best].tolist())} "
+          f"with reward {rewards[best]:.3f}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ group as:
 - runner / cli: config-driven experiments with CSV metrics
 """
 
-from .envs import (EMPTY, SINK, DagEnv, Enumeration, ExplicitDag, HyperGrid,
+from .envs import (EMPTY, DagEnv, Enumeration, ExplicitDag, HyperGrid,
                    SequenceEnv, random_dag, random_graded_dag)
 from .errors import (ConfigError, ContractError, EnumerationLimit, GflowError,
                      MaskError, NumericFault, ShapeError)
@@ -31,7 +31,7 @@ from .runner import RunConfig, parse_config, run, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "EMPTY", "SINK", "DagEnv", "Enumeration", "ExplicitDag", "HyperGrid",
+    "EMPTY", "DagEnv", "Enumeration", "ExplicitDag", "HyperGrid",
     "SequenceEnv", "random_dag", "random_graded_dag",
     "ConfigError", "ContractError", "EnumerationLimit", "GflowError",
     "MaskError", "NumericFault", "ShapeError",

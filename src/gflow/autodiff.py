@@ -177,10 +177,6 @@ def scale(tape, a, c):
     return tape.record(out, (a,), bw)
 
 
-def neg(tape, a):
-    return scale(tape, a, -1.0)
-
-
 def log(tape, a):
     a = _as_tensor(a)
     out = Tensor(np.log(a.data))
@@ -226,23 +222,6 @@ def leaky_relu(tape, a, slope=0.01):
 
     def bw(g):
         return (np.where(pos, g, slope * g),)
-
-    return tape.record(out, (a,), bw)
-
-
-def logsumexp(tape, a, axis=-1):
-    a = _as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    w = np.exp(a.data - m)
-    s = w.sum(axis=axis, keepdims=True)
-    out = Tensor(np.squeeze(m + np.log(s), axis=axis))
-    if tape is None:
-        return out
-    p = w / s
-
-    def bw(g):
-        return (np.expand_dims(g, axis) * p,)
 
     return tape.record(out, (a,), bw)
 

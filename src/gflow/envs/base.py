@@ -1,20 +1,21 @@
 """DAG environment contract shared by every state space in the library.
 
 States form a finite DAG with a single source (root) and a virtual sink
-absorbing all complete objects.  Forward moves are indexed by action slots
-0..n_action_slots-1 so a single policy head covers every state; invalid slots
-are masked.  Backward moves get their own slot space (which parent produced
-this state), sized independently of the forward one.
+absorbing all complete objects.  A state is a row of `width` integers, and
+every query takes a batch of states as an (M x width) intp array, one row
+per state; the sink has no row.  Forward moves are indexed by action slots
+0..n_action_slots-1 so a single policy head covers every state; invalid
+slots are masked.  Backward moves get their own slot space (which parent
+produced this state), sized independently of the forward one.
 
-A trajectory is root -> ... -> x -> SINK; the final hop always uses the
-state's terminal slot.  Rewards attach to terminal-capable states and are
-strictly positive.
+A trajectory is root -> ... -> x -> sink; the final hop always uses x's
+terminal slot.  Rewards attach to terminal-capable states and are strictly
+positive.
 
-Masks and encodings are asked for in batches only (`action_masks`,
-`parent_masks`, `encode_batch`), and the enumeration gets its edge arrays
-from one batched query (`enumeration_edges`).  The per-state queries are
-the transitions a sampler takes one state at a time: `child`, `parent`,
-`backward_slot`, `forward_slot`, `terminal_slot` and the reward.
+Every query answers a whole batch: masks (`action_masks`,
+`parent_masks`), transitions (`children`, `parents`), `terminal_slots`,
+`log_rewards`, encodings (`encode_batch`) and `index`, a dense integer
+per state that the enumeration maps to its position.
 """
 
 import weakref
@@ -27,32 +28,16 @@ ENUMERATION_CAP = 2_000_000
 MIN_REWARD = 1e-6
 
 
-class _Sink:
-    """Singleton sentinel for the absorbing sink state."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<sink>"
-
-
-SINK = _Sink()
-
-
 class DagEnv:
     """Abstract DAG environment.
 
-    Subclasses set: root, graded, n_action_slots, n_backward_slots,
-    encoding_dim, max_trajectory_len; and implement the queries below.
-    All state objects must be hashable.
+    Subclasses set: root (a (width,) intp row), width, graded,
+    n_action_slots, n_backward_slots, encoding_dim, max_trajectory_len; and
+    implement the batched queries below.
     """
 
     root = None
+    width = 0
     graded = False
     n_action_slots = 0
     n_backward_slots = 0
@@ -62,46 +47,46 @@ class DagEnv:
     # -- forward structure ---------------------------------------------------
 
     def action_masks(self, states):
-        """(len(states) x n_action_slots) boolean masks of the valid forward slots."""
+        """(M x n_action_slots) boolean masks of the valid forward slots."""
         raise NotImplementedError
 
-    def child(self, s, slot):
-        """Successor reached from s via a valid slot (SINK for the terminal slot)."""
+    def children(self, states, slots):
+        """(child rows, backward slots): the state each row reaches through a
+        valid non-terminal forward slot, and the backward slot of that edge
+        at the child."""
         raise NotImplementedError
 
-    def terminal_slot(self, s):
-        """Forward slot of the edge s -> SINK, or None if s cannot terminate."""
+    def terminal_slots(self, states):
+        """(M,) intp forward slot of the edge to the sink, -1 where the state
+        cannot terminate."""
         raise NotImplementedError
 
     # -- backward structure --------------------------------------------------
 
     def parent_masks(self, states):
-        """(len(states) x n_backward_slots) boolean masks of the valid backward
-        slots (none at the root)."""
+        """(M x n_backward_slots) boolean masks of the valid backward slots
+        (none at the root)."""
         raise NotImplementedError
 
-    def parent(self, s, bslot):
-        raise NotImplementedError
-
-    def backward_slot(self, s, fslot):
-        """Backward slot at child(s, fslot) identifying the edge from s."""
-        raise NotImplementedError
-
-    def forward_slot(self, s, bslot):
-        """Forward slot at parent(s, bslot) whose edge leads to s."""
+    def parents(self, states, bslots):
+        """(parent rows, forward slots): the state each non-root row came
+        from through a valid backward slot, and the forward slot of that
+        edge at the parent."""
         raise NotImplementedError
 
     # -- rewards and features ------------------------------------------------
 
-    def reward(self, x):
+    def log_rewards(self, states):
+        """(M,) log R per state, -inf where the state cannot terminate."""
         raise NotImplementedError
 
-    def log_reward(self, x):
-        return float(np.log(self.reward(x)))
-
     def encode_batch(self, states):
-        """(len(states) x encoding_dim) float encodings; distinct states
-        encode distinctly."""
+        """(M x encoding_dim) float encodings; distinct states encode
+        distinctly."""
+        raise NotImplementedError
+
+    def index(self, states):
+        """(M,) intp: distinct integers in [0, n_states()), one per state."""
         raise NotImplementedError
 
     # -- enumeration ---------------------------------------------------------
@@ -111,7 +96,8 @@ class DagEnv:
         raise NotImplementedError
 
     def enumerate_states(self, cap=ENUMERATION_CAP):
-        """All non-sink states grouped into topological layers (root first)."""
+        """All non-sink states grouped into topological layers (root first),
+        one row array per layer."""
         raise NotImplementedError
 
     def check_cap(self, cap):
@@ -119,16 +105,6 @@ class DagEnv:
         if n > cap:
             raise EnumerationLimit(f"{n} states exceed enumeration cap {cap}")
         return n
-
-    def enumeration_edges(self, states):
-        """Flat edge arrays of the enumerated DAG.
-
-        `states` lists every state in enumeration order.  Returns (src,
-        slot, dst, bslot) of the interior edges as positions in `states`,
-        sorted by source and then slot, plus per state its terminal slot
-        (-1 where it cannot terminate) and its log reward (-inf there).
-        """
-        raise NotImplementedError
 
     def enumeration(self, cap=ENUMERATION_CAP):
         """Memoized Enumeration index over this environment.
@@ -145,54 +121,48 @@ class DagEnv:
         return enum
 
 
-def state_array(states, width):
-    """States that are equal-length integer tuples, as a (len(states) x
-    width) intp array."""
-    return np.asarray(states, dtype=np.intp).reshape(len(states), width)
-
-
-def radix_children(keys, interior, steps):
-    """(src, slot, dst) of the interior edges of an enumeration whose states
-    carry distinct nonnegative integer keys, where slot a adds steps[a] to
-    the key.
-
-    `keys` is in enumeration order and `interior` masks the non-terminal
-    slots, which come first.  Edges are sorted by source and then slot, and
-    a key -> position lookup table finds each child.
-    """
-    lut = np.empty(int(keys.max()) + 1, dtype=np.intp)
-    lut[keys] = np.arange(len(keys))
-    src, slot = np.nonzero(interior)
-    return src, slot, lut[keys[src] + steps[slot]]
-
-
 class Enumeration:
     """Flat index over an enumerable environment.
 
-    Provides state <-> integer maps, per-layer index lists, flat edge arrays
-    and cached encodings; the exact-evaluation routines and tabular policies
-    all work in this index space.
+    `states` holds every state as one (n x width) row array, layer by layer;
+    `positions` maps rows back to their place in it.  The interior edges
+    are flat arrays (src, slot, dst, bslot) of positions and slots, sorted
+    by source and then slot, built once from the env's batched queries.
+    The exact-evaluation routines and tabular policies all work in this
+    index space.
     """
 
     def __init__(self, env, cap=ENUMERATION_CAP):
         self.env = env
-        self.layers_states = env.enumerate_states(cap)
-        self.states = [s for layer in self.layers_states for s in layer]
+        layers = env.enumerate_states(cap)
+        self.states = np.concatenate(layers)
         self.n = len(self.states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        ends = np.cumsum([0] + [len(layer) for layer in self.layers_states]).tolist()
-        self.layers = [list(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+        ends = np.cumsum([0] + [len(layer) for layer in layers]).tolist()
+        self.layers = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        self._position = np.empty(self.n, dtype=np.intp)
+        self._position[env.index(self.states)] = np.arange(self.n)
+        self.root_index = int(self.positions(env.root[None])[0])
 
-        (self.edge_src, self.edge_slot, self.edge_dst, self.edge_bslot,
-         self._terminal_slots, self.log_rewards) = env.enumeration_edges(self.states)
-        # Edges come in ascending source order, so the edges leaving any
-        # contiguous range of states (a layer) form one contiguous slice.
+        self._terminal_slots = env.terminal_slots(self.states)
         self.terminal = self._terminal_slots >= 0
-        self.root_index = self.index[env.root]
+        self.log_rewards = env.log_rewards(self.states)
+        self._action_masks = env.action_masks(self.states)
+        interior = self._action_masks.copy()
+        term = np.flatnonzero(self.terminal)
+        interior[term, self._terminal_slots[term]] = False
+        # np.nonzero yields the edges in ascending source order, so the
+        # edges leaving any contiguous range of states (a layer) form one
+        # contiguous slice.
+        self.edge_src, self.edge_slot = np.nonzero(interior)
+        dst_rows, self.edge_bslot = env.children(self.states[self.edge_src], self.edge_slot)
+        self.edge_dst = self.positions(dst_rows)
         self._encodings = None
-        self._action_masks = None
         self._parent_masks = None
         self._dst_order = None
+
+    def positions(self, states):
+        """Enumeration positions of state rows, as an intp array."""
+        return self._position[self.env.index(states)]
 
     def encodings(self):
         if self._encodings is None:
@@ -200,8 +170,6 @@ class Enumeration:
         return self._encodings
 
     def action_masks(self):
-        if self._action_masks is None:
-            self._action_masks = self.env.action_masks(self.states)
         return self._action_masks
 
     def parent_masks(self):
@@ -232,4 +200,3 @@ class Enumeration:
     def partition(self):
         """Total reward mass Z* = sum of R over terminal-capable states."""
         return float(np.exp(self.log_rewards[self.terminal]).sum())
-

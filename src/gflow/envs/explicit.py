@@ -1,14 +1,16 @@
 """Explicit DAGs given by adjacency, used for randomized exactness checks.
 
-States are arbitrary hashable labels.  Forward slots are positions in the
-(ordered) child list, with the terminal slot appended after the children for
-reward-carrying states; backward slots are positions in the parent list.
+States are given as arbitrary hashable labels; a state's row is its
+position in a fixed topological order (width 1).  Forward slots are
+positions in the (ordered) child list, with the terminal slot appended
+after the children for reward-carrying states; backward slots are positions
+in the parent list.
 """
 
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD, SINK
+from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD
 
 
 class ExplicitDag(DagEnv):
@@ -46,10 +48,9 @@ class ExplicitDag(DagEnv):
             if len(roots) != 1:
                 raise ConfigError(f"need exactly one root, found {len(roots)}")
             root = roots[0]
-        self.root = root
 
         # Longest-path depth from the root; a valid topological grading.
-        depth = {self.root: 0}
+        depth = {root: 0}
         order = self._toposort(parents)
         for s in order:
             for c in self._children.get(s, ()):
@@ -65,6 +66,8 @@ class ExplicitDag(DagEnv):
         if dead:
             raise ConfigError(f"states with no outgoing edge and no reward: {dead[:3]}")
 
+        self.width = 1
+        self.root = np.array([pos[root]], dtype=np.intp)
         self.graded = self._check_graded()
         self.n_action_slots = max(
             len(self._children.get(s, ())) + (1 if s in self._rewards else 0)
@@ -77,7 +80,8 @@ class ExplicitDag(DagEnv):
 
     def _build_tables(self, parents):
         """Dense (state x slot) tables over topological positions; an invalid
-        slot holds -1, or n in the state tables so that its lookup raises."""
+        slot holds -1, or n in the state tables, a row that no enumeration
+        position lookup accepts."""
         n, pos = len(self._order), self._index
         self._child = np.full((n, self.n_action_slots), n, dtype=np.intp)
         self._bslot = np.full((n, self.n_action_slots), -1, dtype=np.intp)
@@ -130,69 +134,46 @@ class ExplicitDag(DagEnv):
         return (all(depth[c] == depth[s] + 1 for s, cs in self._children.items() for c in cs)
                 and all((depth[s] == top) == (s in self._rewards) for s in self._order))
 
-    def _rows(self, states):
-        """Topological positions of `states` as an intp array."""
-        return np.fromiter((self._index[s] for s in states), dtype=np.intp,
-                           count=len(states))
-
     # -- structure -----------------------------------------------------------
 
     def action_masks(self, states):
-        return self._action_masks[self._rows(states)]
+        return self._action_masks[states[:, 0]]
 
-    def child(self, s, slot):
-        i = self._index[s]
-        if slot == self._tslots[i]:
-            return SINK
-        return self._order[self._child[i, slot]]
+    def children(self, states, slots):
+        at = states[:, 0], slots
+        return self._child[at][:, None], self._bslot[at]
 
-    def terminal_slot(self, s):
-        t = self._tslots[self._index[s]]
-        return None if t < 0 else int(t)
+    def terminal_slots(self, states):
+        return self._tslots[states[:, 0]]
 
     def parent_masks(self, states):
-        return self._parent_masks[self._rows(states)]
+        return self._parent_masks[states[:, 0]]
 
-    def parent(self, s, bslot):
-        return self._order[self._parent[self._index[s], bslot]]
-
-    def backward_slot(self, s, fslot):
-        return int(self._bslot[self._index[s], fslot])
-
-    def forward_slot(self, s, bslot):
-        return int(self._fslot[self._index[s], bslot])
+    def parents(self, states, bslots):
+        at = states[:, 0], bslots
+        return self._parent[at][:, None], self._fslot[at]
 
     # -- reward / features / enumeration -------------------------------------
 
-    def reward(self, x):
-        return self._rewards[x]
+    def log_rewards(self, states):
+        return self._log_r[states[:, 0]]
 
     def encode_batch(self, states):
-        rows = self._rows(states)
-        v = np.zeros((len(rows), self.encoding_dim))
-        v[np.arange(len(rows)), rows] = 1.0
+        v = np.zeros((len(states), self.encoding_dim))
+        v[np.arange(len(states)), states[:, 0]] = 1.0
         return v
+
+    def index(self, states):
+        return states[:, 0]
 
     def n_states(self):
         return len(self._order)
 
-    def enumeration_edges(self, states):
-        rows = self._rows(states)
-        position = np.empty(len(self._order), dtype=np.intp)
-        position[rows] = np.arange(len(rows))
-        child = self._child[rows]
-        src, slot = np.nonzero(child < len(self._order))
-        dst = position[child[src, slot]]
-        return (src, slot, dst, self._bslot[rows[src], slot], self._tslots[rows],
-                self._log_r[rows])
-
     def enumerate_states(self, cap=ENUMERATION_CAP):
+        """Layer k holds the states at depth k, in topological order."""
         self.check_cap(cap)
-        top = max(self._depth.values())
-        layers = [[] for _ in range(top + 1)]
-        for s in self._order:
-            layers[self._depth[s]].append(s)
-        return layers
+        depth = np.array([self._depth[s] for s in self._order])
+        return [np.flatnonzero(depth == k)[:, None] for k in range(depth.max() + 1)]
 
 
 def random_graded_dag(rng, n_layers=4, max_width=4, edge_prob=0.6,

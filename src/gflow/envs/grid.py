@@ -5,16 +5,14 @@ and the DAG is not graded.  The reward is a base constant plus two nested
 band bonuses around the grid corners, producing well separated modes.
 """
 
-from itertools import product
-
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv, SINK, radix_children, state_array
+from .base import ENUMERATION_CAP, DagEnv
 
 
 class HyperGrid(DagEnv):
-    """d-dimensional grid of side n.
+    """d-dimensional grid of side n; a state row holds its d coordinates.
 
     Forward slots: 0..d-1 increment that coordinate, slot d stops.  The stop
     slot is always available.  Backward slots: 0..d-1 decrement.
@@ -26,45 +24,45 @@ class HyperGrid(DagEnv):
         if self.d < 1 or self.n < 2:
             raise ConfigError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
         self.r0, self.r1, self.r2 = float(r0), float(r1), float(r2)
-        self.root = (0,) * self.d
+        self.width = self.d
+        self.root = np.zeros(self.d, dtype=np.intp)
         self.graded = False
         self.n_action_slots = self.d + 1
         self.n_backward_slots = self.d
         self.encoding_dim = self.d * self.n
         self.max_trajectory_len = self.d * (self.n - 1) + 1
         self._stop = self.d
+        self._radix = self.n ** np.arange(self.d)
 
     # -- structure -----------------------------------------------------------
 
     def action_masks(self, states):
         mask = np.ones((len(states), self.n_action_slots), dtype=bool)
-        mask[:, :self.d] = state_array(states, self.d) < self.n - 1
+        mask[:, :self.d] = states < self.n - 1
         return mask
 
-    def child(self, s, slot):
-        if slot == self._stop:
-            return SINK
-        return s[:slot] + (s[slot] + 1,) + s[slot + 1:]
+    def children(self, states, slots):
+        slots = np.array(slots, dtype=np.intp)
+        rows = states.copy()
+        rows[np.arange(len(rows)), slots] += 1
+        return rows, slots
 
-    def terminal_slot(self, s):
-        return self._stop
+    def terminal_slots(self, states):
+        return np.full(len(states), self._stop, dtype=np.intp)
 
     def parent_masks(self, states):
-        return state_array(states, self.d) > 0
+        return states > 0
 
-    def parent(self, s, bslot):
-        return s[:bslot] + (s[bslot] - 1,) + s[bslot + 1:]
-
-    def backward_slot(self, s, fslot):
-        return fslot
-
-    def forward_slot(self, s, bslot):
-        return bslot
+    def parents(self, states, bslots):
+        bslots = np.array(bslots, dtype=np.intp)
+        rows = states.copy()
+        rows[np.arange(len(rows)), bslots] -= 1
+        return rows, bslots
 
     # -- reward --------------------------------------------------------------
 
-    def reward(self, x):
-        return float(self.reward_rows(np.asarray(x, dtype=np.float64)))
+    def log_rewards(self, states):
+        return np.log(self.reward_rows(states))
 
     def reward_rows(self, coords):
         """Rewards of the states along the last axis of `coords`."""
@@ -76,27 +74,24 @@ class HyperGrid(DagEnv):
     # -- features ------------------------------------------------------------
 
     def encode_batch(self, states):
-        coords = state_array(states, self.d)
-        v = np.zeros((len(coords), self.encoding_dim))
-        v[np.arange(len(coords))[:, None], coords + np.arange(self.d) * self.n] = 1.0
+        v = np.zeros((len(states), self.encoding_dim))
+        v[np.arange(len(states))[:, None], states + np.arange(self.d) * self.n] = 1.0
         return v
+
+    def index(self, states):
+        return states @ self._radix
 
     # -- enumeration ---------------------------------------------------------
 
     def n_states(self):
         return self.n ** self.d
 
-    def enumeration_edges(self, states):
-        coords = state_array(states, self.d)
-        radix = self.n ** np.arange(self.d)
-        src, slot, dst = radix_children(coords @ radix, self.action_masks(coords)[:, :self.d],
-                                        radix)
-        tslots = np.full(len(coords), self._stop, dtype=np.intp)
-        return src, slot, dst, slot.copy(), tslots, np.log(self.reward_rows(coords))
-
     def enumerate_states(self, cap=ENUMERATION_CAP):
+        """Layer k holds the cells with coordinate sum k, in lexicographic
+        order."""
         self.check_cap(cap)
-        layers = [[] for _ in range(self.d * (self.n - 1) + 1)]
-        for coords in product(range(self.n), repeat=self.d):
-            layers[sum(coords)].append(coords)
-        return layers
+        coords = np.indices((self.n,) * self.d, dtype=np.intp).reshape(self.d, -1).T
+        layer = coords.sum(axis=1)
+        coords = coords[np.argsort(layer, kind="stable")]
+        counts = np.bincount(layer, minlength=self.d * (self.n - 1) + 1)
+        return np.split(coords, np.cumsum(counts)[:-1])

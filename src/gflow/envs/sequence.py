@@ -1,9 +1,9 @@
 """Fixed-length sequence environment with unordered slot filling.
 
-A state is a d-tuple over {-1, 0..n-1}; -1 marks an empty slot.  Each move
-fills one empty slot with one symbol, so the DAG is graded by fill count and
-every trajectory has exactly d+1 edges (the last one the forced hop to the
-sink from a complete sequence).
+A state row holds d symbols over {-1, 0..n-1}; -1 marks an empty slot.  Each
+move fills one empty slot with one symbol, so the DAG is graded by fill
+count and every trajectory has exactly d+1 edges (the last one the forced
+hop to the sink from a complete sequence).
 
 Rewards come from a dense table over the n^d complete sequences.  A synthetic
 table generator places smooth bumps around randomly drawn mode sequences,
@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD, SINK, radix_children, state_array
+from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD
 
 EMPTY = -1
 SCORE_BLOCK = 256  # sequences scored at once by synthetic_rewards
@@ -39,13 +39,19 @@ class SequenceEnv(DagEnv):
             raise ConfigError(
                 f"reward table has {rewards.size} entries, need n**d = {self.n ** self.d}")
         self.rewards_table = np.maximum(rewards, MIN_REWARD)
-        self.root = (EMPTY,) * self.d
+        self.width = self.d
+        self.root = np.full(self.d, EMPTY, dtype=np.intp)
         self.graded = True
         self.n_action_slots = self.d * self.n + 1
         self.n_backward_slots = self.d
         self.encoding_dim = self.d * (self.n + 1)
         self.max_trajectory_len = self.d + 1
         self._terminal = self.d * self.n
+        # index() reads each position as a base-(n+1) digit, EMPTY as 0; the
+        # reward table reads complete sequences as base-n numbers, first
+        # position most significant.
+        self._radix = (self.n + 1) ** np.arange(self.d)
+        self._place = self.n ** np.arange(self.d - 1, -1, -1)
 
     @classmethod
     def synthetic(cls, d, n, seed, beta=3.0, r_min=1e-3, r_max=10.0, n_modes=None):
@@ -55,86 +61,68 @@ class SequenceEnv(DagEnv):
     # -- structure -----------------------------------------------------------
 
     def action_masks(self, states):
-        empty = state_array(states, self.d) == EMPTY
+        empty = states == EMPTY
         mask = np.empty((len(empty), self.n_action_slots), dtype=bool)
         mask[:, :self._terminal] = np.repeat(empty, self.n, axis=1)
         mask[:, self._terminal] = ~empty.any(axis=1)
         return mask
 
-    def child(self, s, slot):
-        if slot == self._terminal:
-            return SINK
-        pos, sym = divmod(int(slot), self.n)
-        return s[:pos] + (sym,) + s[pos + 1:]
+    def children(self, states, slots):
+        pos, sym = np.divmod(np.asarray(slots, dtype=np.intp), self.n)
+        rows = states.copy()
+        rows[np.arange(len(rows)), pos] = sym
+        return rows, pos
 
-    def terminal_slot(self, s):
-        if all(c != EMPTY for c in s):
-            return self._terminal
-        return None
+    def terminal_slots(self, states):
+        return np.where((states != EMPTY).all(axis=1), self._terminal, -1)
 
     def parent_masks(self, states):
-        return state_array(states, self.d) != EMPTY
+        return states != EMPTY
 
-    def parent(self, s, bslot):
-        return s[:bslot] + (EMPTY,) + s[bslot + 1:]
-
-    def backward_slot(self, s, fslot):
-        return int(fslot) // self.n
-
-    def forward_slot(self, s, bslot):
-        return int(bslot) * self.n + int(s[bslot])
+    def parents(self, states, bslots):
+        bslots = np.asarray(bslots, dtype=np.intp)
+        rows = states.copy()
+        at = np.arange(len(rows)), bslots
+        fslots = bslots * self.n + rows[at]
+        rows[at] = EMPTY
+        return rows, fslots
 
     # -- reward --------------------------------------------------------------
 
-    def sequence_index(self, x):
-        idx = 0
-        for c in x:
-            idx = idx * self.n + int(c)
-        return idx
-
-    def reward(self, x):
-        return float(self.rewards_table[self.sequence_index(x)])
+    def log_rewards(self, states):
+        complete = (states != EMPTY).all(axis=1)
+        log_r = np.full(len(states), -np.inf)
+        log_r[complete] = np.log(self.rewards_table[states[complete] @ self._place])
+        return log_r
 
     # -- features ------------------------------------------------------------
 
     def encode_batch(self, states):
-        seqs = state_array(states, self.d)
-        v = np.zeros((len(seqs), self.encoding_dim))
-        v[np.arange(len(seqs))[:, None], seqs + np.arange(self.d) * (self.n + 1) + 1] = 1.0
+        v = np.zeros((len(states), self.encoding_dim))
+        v[np.arange(len(states))[:, None], states + np.arange(self.d) * (self.n + 1) + 1] = 1.0
         return v
+
+    def index(self, states):
+        return (states + 1) @ self._radix
 
     # -- enumeration ---------------------------------------------------------
 
     def n_states(self):
         return (self.n + 1) ** self.d
 
-    def enumeration_edges(self, states):
-        # Keys read each position as a base-(n+1) digit, EMPTY as 0, so
-        # filling position pos with sym adds (sym + 1) * (n + 1) ** pos.
-        seqs = state_array(states, self.d)
-        masks = self.action_masks(seqs)
-        radix = (self.n + 1) ** np.arange(self.d)
-        steps = (radix[:, None] * np.arange(1, self.n + 1)).ravel()
-        src, slot, dst = radix_children((seqs + 1) @ radix, masks[:, :self._terminal], steps)
-        complete = masks[:, self._terminal]
-        tslots = np.where(complete, self._terminal, -1)
-        log_r = np.full(len(seqs), -np.inf)
-        table_index = seqs[complete] @ self.n ** np.arange(self.d - 1, -1, -1)
-        log_r[complete] = np.log(self.rewards_table[table_index])
-        return src, slot, dst, slot // self.n, tslots, log_r
-
     def enumerate_states(self, cap=ENUMERATION_CAP):
+        """Layer t holds the sequences with t filled positions, by filled
+        positions (lexicographic) and then by symbols (lexicographic)."""
         self.check_cap(cap)
         layers = []
         for t in range(self.d + 1):
-            layer = []
+            syms = np.indices((self.n,) * t, dtype=np.intp).reshape(t, self.n ** t).T
+            blocks = []
             for filled in combinations(range(self.d), t):
-                for syms in product(range(self.n), repeat=t):
-                    s = [EMPTY] * self.d
-                    for pos, sym in zip(filled, syms):
-                        s[pos] = sym
-                    layer.append(tuple(s))
-            layers.append(layer)
+                block = np.full((len(syms), self.d), EMPTY, dtype=np.intp)
+                block[:, list(filled)] = syms
+                blocks.append(block)
+            layers.append(np.concatenate(blocks))
         return layers
 
 

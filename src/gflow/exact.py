@@ -11,7 +11,7 @@ instruments for the whole library; training code never depends on them.
 import numpy as np
 
 from .errors import ContractError, EnumerationLimit
-from .envs import SINK
+from .sampling import Trajectory, sample_forward
 
 DENSE_CAP = 5000
 
@@ -29,10 +29,9 @@ def backward_log_table(enum, backward):
     """Dense (n_states x n_backward_slots) log pi_B table; root row is -inf."""
     env = enum.env
     out = np.full((enum.n, env.n_backward_slots), -np.inf)
-    idx = [i for i in range(enum.n) if i != enum.root_index]
-    states = [enum.states[i] for i in idx]
-    if states:
-        out[idx] = backward.log_probs_numpy(states)
+    idx = np.flatnonzero(np.arange(enum.n) != enum.root_index)
+    if len(idx):
+        out[idx] = backward.log_probs_numpy(enum.states[idx])
     return out
 
 
@@ -256,26 +255,27 @@ def reward_accuracy(pt, enum):
 
 
 def mode_states(enum, quantile=0.005):
-    """Terminal-capable states in the top reward quantile (ties included)."""
+    """Rows of the terminal-capable states in the top reward quantile (ties
+    included), in enumeration order."""
     idx = np.flatnonzero(enum.terminal)
     rewards = np.exp(enum.log_rewards[idx])
     threshold = np.quantile(rewards, 1.0 - quantile)
-    return {enum.states[i] for i, r in zip(idx, rewards) if r >= threshold}
+    return enum.states[idx[rewards >= threshold]]
 
 
 def mode_count(env, forward, modes, n_samples, rng, seen=None):
-    """Sample terminating states and count distinct modes found so far.
+    """Sample terminating states and count the distinct mode rows found so
+    far.
 
-    `seen` carries discovered modes across calls; returns (count, seen).
+    `seen` carries the env indices of discovered modes across calls;
+    returns (count, seen).
     """
-    from .sampling import sample_forward
     if seen is None:
         seen = set()
     if n_samples > 0:
         trajs = sample_forward(env, forward, n_samples, rng)
-        for tr in trajs:
-            if tr.x in modes:
-                seen.add(tr.x)
+        found = env.index(np.stack([tr.x for tr in trajs]))
+        seen.update(found[np.isin(found, env.index(modes))].tolist())
     return len(seen), seen
 
 
@@ -284,47 +284,47 @@ def mode_count(env, forward, modes, n_samples, rng, seen=None):
 # ---------------------------------------------------------------------------
 
 def enumerate_paths(env, limit=1_000_000):
-    """All root-to-sink paths as (states, slots) tuples, depth first, from
-    the enumeration's edge arrays and terminal slots."""
+    """All root-to-sink trajectories, depth first, from the enumeration's
+    edge arrays and terminal slots."""
     enum = env.enumeration()
     edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
     tslots = enum.terminal_slots()
     out = []
-    stack = [((enum.root_index,), ())]
+    stack = [((enum.root_index,), (), ())]
     while stack:
-        path, slots = stack.pop()
+        path, slots, bslots = stack.pop()
         i = path[-1]
-        edges = slice(edge_ptr[i], edge_ptr[i + 1])
-        moves = list(zip(enum.edge_slot[edges].tolist(), enum.edge_dst[edges].tolist()))
+        edges = range(edge_ptr[i], edge_ptr[i + 1])
+        moves = [(int(enum.edge_slot[e]), int(enum.edge_dst[e]), int(enum.edge_bslot[e]))
+                 for e in edges]
         if tslots[i] >= 0:
-            moves = sorted(moves + [(int(tslots[i]), -1)])
-        for a, j in reversed(moves):
+            moves = sorted(moves + [(int(tslots[i]), -1, -1)])
+        for a, j, b in reversed(moves):
             if j < 0:
-                out.append((tuple(enum.states[k] for k in path) + (SINK,), slots + (a,)))
+                out.append(Trajectory(enum.states[list(path)], np.array(slots + (a,)),
+                                      np.array(bslots, dtype=np.intp),
+                                      float(enum.log_rewards[i])))
                 if len(out) > limit:
                     raise EnumerationLimit(f"more than {limit} trajectories")
             else:
-                stack.append((path + (j,), slots + (a,)))
+                stack.append((path + (j,), slots + (a,), bslots + (b,)))
     return out
 
 
-def path_log_prob(enum, log_table, states, slots, backward=False):
-    """Log-probability of a path under a dense slot table.
+def path_log_prob(enum, log_table, trajectory, backward=False):
+    """Log-probability of a trajectory under a dense slot table, summed
+    edge by edge from the root.
 
     Forward tables cover every edge including the terminal hop; backward
     tables cover interior edges only (the terminal hop is skipped).
     """
-    env = enum.env
+    if backward:
+        picked = log_table[enum.positions(trajectory.states[1:]), trajectory.bslots]
+    else:
+        picked = log_table[enum.positions(trajectory.states), trajectory.slots]
     total = 0.0
-    for t, a in enumerate(slots):
-        s, nxt = states[t], states[t + 1]
-        if backward:
-            if nxt is SINK:
-                continue
-            b = env.backward_slot(s, a)
-            total += log_table[enum.index[nxt], b]
-        else:
-            total += log_table[enum.index[s], a]
+    for v in picked.tolist():
+        total += v
     return total
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import autodiff as ad
 from . import exact
 from .envs import EMPTY
-from .envs.base import state_array
 from .errors import ContractError
 
 
@@ -54,10 +53,8 @@ class _MarkovGuide(_Guide):
 
     def edge_log_probs(self, trajectories):
         table = self.backward_kernel()
-        index = self.enum.index
-        rows = [index[s] for tr in trajectories for s in tr.states[1:-1]]
-        bslots = [b for tr in trajectories for b in tr.bslots]
-        return table[np.asarray(rows, dtype=np.intp), np.asarray(bslots, dtype=np.intp)]
+        rows = self.enum.positions(np.concatenate([tr.states[1:] for tr in trajectories]))
+        return table[rows, np.concatenate([tr.bslots for tr in trajectories])]
 
 
 class TableGuide(_MarkovGuide):
@@ -102,9 +99,9 @@ class HyperGridGuide(_MarkovGuide):
         env = self.env
         fwd_log = exact.forward_log_table(enum, forward)
         pf = np.exp(fwd_log)
-        stop = env.terminal_slot(env.root)
+        stop = env.d
         if self._low is None:
-            self._low = env.reward_rows(state_array(enum.states, env.d)) <= env.r0
+            self._low = env.reward_rows(enum.states) <= env.r0
         low = self._low
         non_stop = pf[:, :stop].sum(axis=1)
         denom = non_stop + self.eps
@@ -121,11 +118,11 @@ class HyperGridGuide(_MarkovGuide):
             table[e.edge_dst, e.edge_bslot] = np.log(vals)
         self.log_table = table
 
-    def stop_probability(self, s):
-        """P_f's stop probability at s (for inspection)."""
+    def stop_probability(self, states):
+        """P_f's stop probability at each state row (for inspection)."""
         if self._pf_log is None:
             raise ContractError("guide kernel not built; call refresh() first")
-        return float(np.exp(self._pf_log[self.enum.index[s], self.env.terminal_slot(s)]))
+        return np.exp(self._pf_log[self.enum.positions(states), self.env.d])
 
 
 class SequenceGuide(_Guide):
@@ -160,7 +157,7 @@ class SequenceGuide(_Guide):
         buffer order), then summed over supersets one bit at a time.
         """
         if self._replay is None:
-            self._replay = (state_array(self.buffer.state_rows(), self.env.d),
+            self._replay = (self.buffer.state_rows().reshape(-1, self.env.d),
                             self.buffer.rewards())
         rows, rewards = self._replay
         size = 1 << self.env.d
@@ -222,14 +219,17 @@ class SequenceGuide(_Guide):
         return (filled * (1 << np.arange(self.env.d))).sum(axis=1), on
 
     def edge_log_probs(self, trajectories):
-        d = self.env.d
-        endpoints = {}
-        which = [endpoints.setdefault(tr.x, len(endpoints)) for tr in trajectories]
-        xs = state_array(list(endpoints), d)
-        edge_x = np.repeat(np.asarray(which, dtype=np.intp),
-                           [tr.length - 1 for tr in trajectories])
-        children = state_array([s for tr in trajectories for s in tr.states[1:-1]], d)
-        j = np.asarray([b for tr in trajectories for b in tr.bslots], dtype=np.intp)
+        # Distinct endpoints in order of first appearance, found by index.
+        ends = np.stack([tr.x for tr in trajectories])
+        _, first, inverse = np.unique(self.env.index(ends), return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        xs = ends[first[order]]
+        edge_x = np.repeat(rank[inverse], [tr.length - 1 for tr in trajectories])
+        children = np.concatenate([tr.states[1:] for tr in trajectories])
+        j = np.concatenate([tr.bslots for tr in trajectories])
         u, on = self._lattice(children, xs[edge_x])
         if not on.all():
             raise ContractError("guided edge leaves the lattice under x")
@@ -238,13 +238,14 @@ class SequenceGuide(_Guide):
         return np.log(reach[edge_x, prev] * cond[edge_x, prev, j] / reach[edge_x, u])
 
     def backward_kernel_given_x(self, x):
-        """Dense (state-index -> backward slot) log kernel for one endpoint;
-        rows off the lattice under x stay -inf.  For exact per-x sweeps."""
+        """Dense (state-index -> backward slot) log kernel for one endpoint
+        row x; rows off the lattice under x stay -inf.  For exact per-x
+        sweeps."""
         if self.enum is None:
             self.enum = self.env.enumeration()
-        xs = state_array([x], self.env.d)
+        xs = np.asarray(x, dtype=np.intp).reshape(1, self.env.d)
         reach, cond = (t[0] for t in self._tables(xs))
-        u, on = self._lattice(state_array(self.enum.states, self.env.d), xs)
+        u, on = self._lattice(self.enum.states, xs)
         table = np.full((self.enum.n, self.env.n_backward_slots), -np.inf)
         for j in range(self.env.d):
             idx = np.flatnonzero(on & ((u >> j) & 1).astype(bool))

@@ -4,8 +4,9 @@ The value-based losses (trajectory balance, detailed balance, sub-trajectory
 balance) are differentiable scalars built on one batched policy evaluation
 per loss.  The policy-gradient path instead uses per-step rewards
 R_F = log pi_F - log pi_B (with the R(x)/Z convention on the terminal hop)
-and lambda-weighted advantage sweeps; those produce plain numpy arrays, and
-gradients flow only through the log-probability factors of the surrogate.
+and lambda-weighted advantages from one reverse scan over the whole batch;
+those produce plain numpy arrays, and gradients flow only through the
+log-probability factors of the surrogate.
 """
 
 from dataclasses import dataclass
@@ -14,24 +15,25 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .envs import SINK
 
 
 @dataclass
 class StepBatch:
-    """Flat per-step view of a trajectory batch.
+    """Flat per-step view of a trajectory batch, as row arrays.
 
-    Steps are ordered trajectory by trajectory.  The interior-edge arrays
-    (in_*) cover the same steps minus the terminal hops, evaluated at the
-    entered state for backward-policy lookups.
+    Steps are ordered trajectory by trajectory: `states` (N x width) holds
+    the source row of every edge and `slots` its forward slot.  The
+    interior-edge arrays (in_*) cover the same steps minus the terminal
+    hops; `in_states` holds the row each interior edge enters, where the
+    backward policy is evaluated.
     """
 
     n_traj: int
-    states: list
+    states: np.ndarray
     slots: np.ndarray
     traj: np.ndarray
     terminal: np.ndarray
-    in_states: list
+    in_states: np.ndarray
     in_bslots: np.ndarray
     in_traj: np.ndarray
     log_rewards: np.ndarray
@@ -43,33 +45,30 @@ class StepBatch:
 
 
 def step_batch(trajectories):
-    states, slots, traj, terminal = [], [], [], []
-    in_states, in_bslots, in_traj = [], [], []
-    log_r, lengths = [], []
-    for b, tr in enumerate(trajectories):
-        log_r.append(tr.log_reward)
-        lengths.append(tr.length)
-        for t, (s, a) in enumerate(zip(tr.states[:-1], tr.slots)):
-            states.append(s)
-            slots.append(a)
-            traj.append(b)
-            is_last = tr.states[t + 1] is SINK
-            terminal.append(is_last)
-            if not is_last:
-                in_states.append(tr.states[t + 1])
-                in_bslots.append(tr.bslots[t])
-                in_traj.append(b)
+    """Concatenate trajectory records into one StepBatch."""
+    n_traj = len(trajectories)
+    lengths = np.fromiter((tr.length for tr in trajectories), dtype=np.intp, count=n_traj)
+    states = np.concatenate([tr.states for tr in trajectories])
+    ends = np.cumsum(lengths)
+    terminal = np.zeros(len(states), dtype=bool)
+    terminal[ends - 1] = True
+    # Every row but a trajectory's first is the state its previous edge enters.
+    entered = np.ones(len(states), dtype=bool)
+    entered[ends - lengths] = False
+    index = np.arange(n_traj)
     return StepBatch(
-        n_traj=len(trajectories),
+        n_traj=n_traj,
         states=states,
-        slots=np.asarray(slots, dtype=np.intp),
-        traj=np.asarray(traj, dtype=np.intp),
-        terminal=np.asarray(terminal, dtype=bool),
-        in_states=in_states,
-        in_bslots=np.asarray(in_bslots, dtype=np.intp),
-        in_traj=np.asarray(in_traj, dtype=np.intp),
-        log_rewards=np.asarray(log_r),
-        lengths=np.asarray(lengths, dtype=np.intp),
+        slots=np.concatenate([tr.slots for tr in trajectories]).astype(np.intp, copy=False),
+        traj=np.repeat(index, lengths),
+        terminal=terminal,
+        in_states=states[entered],
+        in_bslots=np.concatenate([tr.bslots for tr in trajectories]).astype(np.intp,
+                                                                            copy=False),
+        in_traj=np.repeat(index, lengths - 1),
+        log_rewards=np.fromiter((tr.log_reward for tr in trajectories), dtype=np.float64,
+                                count=n_traj),
+        lengths=lengths,
     )
 
 
@@ -108,14 +107,12 @@ def _flow_values(tape, suite, states):
     out = suite.state_flow.values(tape, states)
     if not env.graded:
         return out
-    keep = np.ones(len(states))
-    pinned = np.zeros(len(states))
-    for i, s in enumerate(states):
-        if env.terminal_slot(s) is not None:
-            keep[i] = 0.0
-            pinned[i] = env.log_reward(s)
-    if keep.all():
+    pin = env.terminal_slots(states) >= 0
+    if not pin.any():
         return out
+    pinned = np.zeros(len(states))
+    pinned[pin] = env.log_rewards(states[pin])
+    keep = (~pin).astype(np.float64)
     return ad.add(tape, ad.mul(tape, out, ad.Tensor(keep)), ad.Tensor(pinned))
 
 
@@ -255,20 +252,38 @@ def backward_step_rewards(sb, suite, ref_int):
     return lpb[np.arange(len(sb.in_states)), sb.in_bslots] - np.asarray(ref_int)
 
 
-def gae_advantages(rewards, values, lam):
-    """Lambda-weighted advantage estimates over one trajectory.
+def gae_advantages(rewards, values, lengths, lam):
+    """Lambda-weighted advantage estimates over a flat batch of trajectories.
 
-    delta[t] = r[t] + V(s_{t+1}) - V(s_t) with the boundary value pinned to
-    0 (sink for the forward chain, root for the backward chain).
-    Returns (advantages, value_targets adv + V, deltas)."""
+    The batch holds lengths[b] steps of trajectory b after those of
+    trajectories 0..b-1.  delta[t] = r[t] + V(s_{t+1}) - V(s_t), with the
+    value after each trajectory's last step pinned to 0 (the sink for the
+    forward chain, the root for the backward chain).  One reverse scan over
+    a (trajectories x longest) padded array accumulates
+    adv[t] = delta[t] + lam * adv[t+1] for every trajectory at once, and the
+    lambda=1 sums alongside.  Returns (advantages, value targets adv + V,
+    lambda=1 value targets).
+    """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    t_len = rewards.size
-    next_values = np.append(values[1:], 0.0)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    next_values = np.empty_like(values)
+    next_values[:-1] = values[1:]
+    next_values[ends[lengths > 0] - 1] = 0.0
     delta = rewards + next_values - values
-    adv = np.empty(t_len)
-    acc = 0.0
-    for t in range(t_len - 1, -1, -1):
-        acc = delta[t] + lam * acc
-        adv[t] = acc
-    return adv, adv + values, delta
+    steps = np.arange(lengths.max(initial=0))
+    valid = steps < lengths[:, None]
+    padded = np.zeros(valid.shape)
+    padded[valid] = delta
+    adv = np.empty(valid.shape)
+    adv_one = np.empty(valid.shape)
+    acc = np.zeros(len(lengths))
+    acc_one = np.zeros(len(lengths))
+    for t in steps[::-1]:
+        acc = padded[:, t] + lam * acc
+        acc_one = padded[:, t] + acc_one
+        adv[:, t] = acc
+        adv_one[:, t] = acc_one
+    adv = adv[valid]
+    return adv, adv + values, adv_one[valid] + values

@@ -21,10 +21,11 @@ CHECKPOINT_VERSION = 1
 
 
 class _StateModel:
-    """An autodiff model read by state.
+    """An autodiff model read by state rows.
 
-    The model is an Mlp fed state encodings or a Tabular fed enumeration
-    indices; _outputs(tape, states) evaluates it, eagerly when tape is None.
+    The model is an Mlp fed the rows' encodings or a Tabular fed their
+    enumeration positions; _outputs(tape, states) evaluates it, eagerly
+    when tape is None.
     """
 
     def __init__(self, env, model):
@@ -39,7 +40,7 @@ class _StateModel:
 
     def _model_inputs(self, states):
         if self.tabular:
-            return np.asarray([self._enum.index[s] for s in states], dtype=np.intp)
+            return self._enum.positions(states)
         return self.env.encode_batch(states)
 
     def _outputs(self, tape, states):

@@ -9,6 +9,7 @@ Every emitted number except the seconds column is a deterministic function
 of (config, seed); set timing = off for byte-identical reruns.
 """
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,9 +27,10 @@ HEADER = "iter,loss,d_tv,d_jsd,acc,modes,seconds"
 
 # Config keys that are not valid Python identifiers map to renamed fields.
 _KEY_TO_FIELD = {"lambda": "lam"}
+_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
-# Memory plan, in bytes: per enumerated state (its tuple, index entry and
-# layer entry), per (state, forward slot) pair (an edge's four intp entries
+# Memory plan, in bytes: per enumerated state (its row, position entry,
+# terminal slot, log reward and encoding scratch), per (state, forward slot) pair (an edge's four intp entries
 # and the float64 tables of one exact evaluation), and per tabular
 # parameter entry (value, gradient, Adam m and v, and the two transient
 # buffers of a backward pass: the gather's scatter table and the tape's
@@ -123,6 +125,10 @@ def parse_config(path):
 
 
 def validate_config(cfg):
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{_FIELD_TO_KEY.get(f.name, f.name)} must be finite, got {value}")
     if cfg.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {cfg.strategy!r}; "
                           f"choose from {', '.join(STRATEGIES)}")
@@ -154,6 +160,12 @@ def validate_config(cfg):
         raise ConfigError("guide_eps must be nonnegative")
     if cfg.subtb_base <= 0:
         raise ConfigError("subtb_base must be positive")
+    if any(width < 1 for width in cfg.hidden):
+        raise ConfigError(f"hidden layer widths must be at least 1, got {cfg.hidden}")
+    if cfg.mode_samples < 0:
+        raise ConfigError("mode_samples must be nonnegative (0 means batch)")
+    if cfg.reward_seed < 0:
+        raise ConfigError(f"reward_seed must be nonnegative, got {cfg.reward_seed}")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
     for seed in cfg.seeds:
@@ -220,16 +232,16 @@ def _trainer_config(cfg):
     )
 
 
-def run_seed(cfg, env, seed, out_dir):
-    """Train one seed and write its metrics CSV; returns the CSV path."""
+def run_seed(cfg, env, seed, out_dir, enum):
+    """Train one seed and write its metrics CSV; returns the CSV path.
+
+    `enum` is the env's enumeration, or None above the enumeration cap,
+    where the exact metric columns hold nan.
+    """
     init_rng = np.random.default_rng([seed, 0])
     train_rng = np.random.default_rng([seed, 1])
     eval_rng = np.random.default_rng([seed, 2])
     trainer = Trainer(env, _trainer_config(cfg), init_rng)
-    try:
-        enum = env.enumeration()
-    except EnumerationLimit:
-        enum = None
     modes = exact.mode_states(enum) if enum is not None else None
     p_star = exact.reward_distribution(enum) if enum is not None else None
     seen = set()
@@ -287,8 +299,8 @@ def run(cfg, seed=None, out=None):
         enum = None
     if threads > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: run_seed(cfg, env, s, out_dir), seeds))
-    return [run_seed(cfg, env, s, out_dir) for s in seeds]
+            return list(pool.map(lambda s: run_seed(cfg, env, s, out_dir, enum), seeds))
+    return [run_seed(cfg, env, s, out_dir, enum) for s in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +338,15 @@ def summarize(paths, window=10):
     """
     if not paths:
         raise ConfigError("summarize needs at least one metrics file")
+    if window < 1:
+        raise ConfigError(f"window must be at least 1, got {window}")
     finals = []
     last_iters = []
     for p in paths:
         arr = read_metrics(p)
         if arr.shape[0] == 0:
             raise ConfigError(f"{p}: no metric rows to summarize")
-        tail = arr[-max(int(window), 1):, 1:]
+        tail = arr[-int(window):, 1:]
         finals.append(tail.mean(axis=0))
         last_iters.append(int(arr[-1, 0]))
     if len(set(last_iters)) > 1:

@@ -1,40 +1,42 @@
 """Trajectory sampling over DAG environments.
 
-Forward rollouts run all trajectories in lockstep so each step is one batched
-policy evaluation; backward walks do the same from given endpoints.
-Sampling is deterministic given the Generator: action order is fixed by slot
-index and draws use inverse-CDF per row.
+Forward rollouts run all trajectories in lockstep: each step is one batched
+policy evaluation and one batched env transition over the (active x width)
+state rows still running.  Backward walks do the same from given endpoint
+rows.  Sampling is deterministic given the Generator: action order is fixed
+by slot index, draws use inverse-CDF per row, and each step draws one
+uniform per active trajectory in trajectory order.
 
-Trajectories carry the path and its reward only.  Objectives evaluate the
-policies' log-probabilities along a batch themselves, through a tape when
-they need gradients.
+Trajectories carry the path as row arrays and its reward only.  Objectives
+evaluate the policies' log-probabilities along a batch themselves, through
+a tape when they need gradients.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import SINK
 from .errors import ContractError
 
 
 @dataclass
 class Trajectory:
-    """A complete root-to-sink path.
+    """A complete root-to-sink path as row arrays.
 
-    states has length T+1 (root ... x, SINK) and slots has length T (the
-    forward slot of each edge).  bslots has length T-1: the backward slot of
-    each interior edge.
+    states (T x width) holds the source state of each edge, the root first
+    and the endpoint x last; slots (T,) holds the forward slot of each edge,
+    the last one x's terminal slot.  bslots (T-1,) holds the backward slot
+    of each interior edge at the state it enters.
     """
 
-    states: list
-    slots: list
-    bslots: list
+    states: np.ndarray
+    slots: np.ndarray
+    bslots: np.ndarray
     log_reward: float
 
     @property
     def x(self):
-        return self.states[-2]
+        return self.states[-1]
 
     @property
     def length(self):
@@ -62,75 +64,74 @@ def sample_forward(env, forward, n, rng, eps=0.0):
     """Sample n trajectories from the forward policy, optionally mixed with a
     uniform-over-valid-actions distribution with weight eps."""
     n = int(n)
-    states = [[env.root] for _ in range(n)]
-    slots = [[] for _ in range(n)]
-    bslots = [[] for _ in range(n)]
-    log_r = [0.0] * n
-    active = list(range(n))
-    steps = 0
-    while active:
-        steps += 1
-        if steps > env.max_trajectory_len + 1:
+    t_max = env.max_trajectory_len + 1
+    states = np.empty((n, t_max, env.width), dtype=np.intp)
+    slots = np.empty((n, t_max), dtype=np.intp)
+    bslots = np.empty((n, t_max), dtype=np.intp)
+    lengths = np.empty(n, dtype=np.intp)
+    log_r = np.empty(n)
+    active = np.arange(n)
+    cur = np.repeat(env.root[None], n, axis=0)
+    for t in range(t_max + 1):
+        if not len(active):
+            break
+        if t == t_max:
             raise ContractError("rollout exceeded the environment's trajectory bound")
-        cur = [states[i][-1] for i in active]
         masks = forward.masks(cur)
         probs = forward.probs_numpy(cur, masks)
         if eps > 0.0:
             uniform = masks / masks.sum(axis=-1, keepdims=True)
             probs = (1.0 - eps) * probs + eps * uniform
         chosen = sample_rows(probs, rng.random(len(active)))
+        states[active, t] = cur
+        slots[active, t] = chosen
+        stop = chosen == env.terminal_slots(cur)
+        lengths[active[stop]] = t + 1
+        log_r[active[stop]] = env.log_rewards(cur[stop])
+        go = ~stop
+        active = active[go]
+        cur, bslots[active, t] = env.children(cur[go], chosen[go])
 
-        still = []
-        for i, s, a in zip(active, cur, chosen.tolist()):
-            c = env.child(s, a)
-            slots[i].append(a)
-            states[i].append(c)
-            if c is SINK:
-                log_r[i] = env.log_reward(s)
-            else:
-                bslots[i].append(env.backward_slot(s, a))
-                still.append(i)
-        active = still
-
-    return [Trajectory(states[i], slots[i], bslots[i], log_r[i]) for i in range(n)]
+    return [Trajectory(states[i, :k], slots[i, :k], bslots[i, :k - 1], float(log_r[i]))
+            for i, k in enumerate(lengths.tolist())]
 
 
 def sample_backward(env, backward, xs, rng):
-    """Sample one trajectory per terminating state in xs by walking parents
-    backward to the root, in lockstep."""
+    """Sample one trajectory per terminating state row in xs (M x width) by
+    walking parents backward to the root, in lockstep."""
     m = len(xs)
-    chains = [[x] for x in xs]
-    picks = [[] for _ in range(m)]
-    active = [i for i in range(m) if xs[i] != env.root]
-    steps = 0
-    while active:
-        steps += 1
-        if steps > env.max_trajectory_len:
+    t_max = env.max_trajectory_len
+    chain = np.empty((m, t_max + 1, env.width), dtype=np.intp)
+    picks = np.empty((m, t_max), dtype=np.intp)
+    fslots = np.empty((m, t_max), dtype=np.intp)
+    depth = np.zeros(m, dtype=np.intp)
+    chain[:, 0] = xs
+    active = np.flatnonzero((xs != env.root).any(axis=1))
+    cur = xs[active]
+    for t in range(t_max + 1):
+        if not len(active):
+            break
+        if t == t_max:
             raise ContractError("backward walk exceeded the environment's trajectory bound")
-        cur = [chains[i][-1] for i in active]
         chosen = sample_rows(backward.probs_numpy(cur), rng.random(len(active)))
-        still = []
-        for i, s, b in zip(active, cur, chosen.tolist()):
-            picks[i].append(b)
-            p = env.parent(s, b)
-            chains[i].append(p)
-            if p != env.root:
-                still.append(i)
-        active = still
+        picks[active, t] = chosen
+        cur, fslots[active, t] = env.parents(cur, chosen)
+        chain[active, t + 1] = cur
+        depth[active] = t + 1
+        keep = (cur != env.root).any(axis=1)
+        active, cur = active[keep], cur[keep]
 
-    out = []
-    for x, chain, picked in zip(xs, chains, picks):
-        fwd_states, bslots = chain[::-1], picked[::-1]
-        fslots = [env.forward_slot(s, b) for s, b in zip(fwd_states[1:], bslots)]
-        fslots.append(env.terminal_slot(x))
-        out.append(Trajectory(fwd_states + [SINK], fslots, bslots, env.log_reward(x)))
-    return out
+    tslots = env.terminal_slots(xs)
+    log_r = env.log_rewards(xs)
+    return [Trajectory(chain[i, :k + 1][::-1], np.append(fslots[i, :k][::-1], tslots[i]),
+                       picks[i, :k][::-1], float(log_r[i]))
+            for i, k in enumerate(depth.tolist())]
 
 
 class ReplayBuffer:
     """FIFO store of (terminating state, reward) pairs with fixed capacity.
 
-    Entries are held oldest first as an (N x d) integer state array and a
+    Entries are held oldest first as an (N x width) state-row array and a
     reward array.  An update replaces both arrays instead of writing into
     them, and they are read-only, so an array once returned stays a valid
     snapshot.
@@ -144,36 +145,22 @@ class ReplayBuffer:
     def __len__(self):
         return len(self._rewards)
 
-    def add(self, x, reward):
-        self.update([(x, reward)])
-
-    def update(self, trajectories_or_pairs):
-        """Append trajectory endpoints (reward exp(log_reward)) or (x, reward)
-        pairs, dropping the oldest entries beyond capacity."""
-        xs, rs = [], []
-        for item in trajectories_or_pairs:
-            if isinstance(item, Trajectory):
-                xs.append(item.x)
-                rs.append(float(np.exp(item.log_reward)))
-            else:
-                xs.append(item[0])
-                rs.append(float(item[1]))
-        if not xs:
+    def update(self, rows, rewards):
+        """Append endpoint rows (N x width) with their rewards, dropping the
+        oldest entries beyond capacity."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not len(rows):
             return
-        rows = np.asarray(xs, dtype=np.intp)
         if len(self):
             rows = np.concatenate([self._rows, rows])
-        rewards = np.concatenate([self._rewards, rs])
+        rewards = np.concatenate([self._rewards, rewards])
         drop = max(len(rewards) - self.capacity, 0)
         self._rows, self._rewards = rows[drop:], rewards[drop:]
         self._rows.flags.writeable = self._rewards.flags.writeable = False
 
     def state_rows(self):
-        """The buffered states as an (N x d) intp array, oldest first."""
+        """The buffered states as an (N x width) intp array, oldest first."""
         return self._rows
-
-    def states(self):
-        return [tuple(int(c) for c in row) for row in self._rows]
 
     def rewards(self):
         """The buffered rewards, oldest first."""

@@ -65,13 +65,8 @@ def conjugate_gradient(matvec, b, iters=10, tol=1e-10):
 # Advantage assembly
 # ---------------------------------------------------------------------------
 
-def _slices(lengths):
-    ends = np.cumsum(lengths)
-    return [(int(e - n), int(e)) for n, e in zip(lengths, ends)]
-
-
 def forward_advantages(sb, suite, lam):
-    """Per-step lambda advantages of the forward chain.
+    """Per-step lambda advantages of the forward chain, from one scan.
 
     Returns (advantages, value targets at the given lambda, per-trajectory
     lambda=1 root value estimates).  The root estimates equal each
@@ -82,43 +77,27 @@ def forward_advantages(sb, suite, lam):
     else:
         values = np.zeros(sb.n_steps)
     rewards = obj.forward_step_rewards(sb, suite)
-    adv = np.empty(sb.n_steps)
-    targets = np.empty(sb.n_steps)
-    root_v1 = np.empty(sb.n_traj)
-    for b, (lo, hi) in enumerate(_slices(sb.lengths)):
-        a, t, _ = obj.gae_advantages(rewards[lo:hi], values[lo:hi], lam)
-        adv[lo:hi] = a
-        targets[lo:hi] = t
-        if lam == 1.0:
-            root_v1[b] = t[0]
-        else:
-            root_v1[b] = obj.gae_advantages(rewards[lo:hi], values[lo:hi], 1.0)[1][0]
-    return adv, targets, root_v1
+    adv, targets, targets_one = obj.gae_advantages(rewards, values, sb.lengths, lam)
+    return adv, targets, targets_one[np.cumsum(sb.lengths) - sb.lengths]
 
 
 def backward_advantages(sb, suite, ref_int, lam):
-    """Advantages of the backward chain over interior edges.
+    """Advantages of the backward chain over interior edges, from one scan.
 
-    The sweep runs x -> root (reversed interior order) with the root value
-    pinned to 0; outputs are re-aligned with the forward-order interior
-    arrays.  Value targets are the unbiased lambda=1 estimates.
+    The chain runs x -> root with the root value pinned to 0, so the scan
+    reads the forward-order interior arrays back to front (which reverses
+    every trajectory and their order); outputs are re-aligned with the
+    forward-order arrays.  Value targets are the unbiased lambda=1
+    estimates.
     """
-    values = suite.value_b.values_numpy(sb.in_states) if sb.in_states else np.zeros(0)
+    if len(sb.in_states):
+        values = suite.value_b.values_numpy(sb.in_states)
+    else:
+        values = np.zeros(0)
     rewards = obj.backward_step_rewards(sb, suite, ref_int)
-    adv = np.empty_like(rewards)
-    targets = np.empty_like(rewards)
-    for lo, hi in _slices(sb.lengths - 1):
-        if hi == lo:
-            continue
-        r_rev = rewards[lo:hi][::-1]
-        v_rev = values[lo:hi][::-1]
-        a, t, _ = obj.gae_advantages(r_rev, v_rev, lam)
-        adv[lo:hi] = a[::-1]
-        if lam == 1.0:
-            targets[lo:hi] = t[::-1]
-        else:
-            targets[lo:hi] = obj.gae_advantages(r_rev, v_rev, 1.0)[1][::-1]
-    return adv, targets
+    adv, _, targets = obj.gae_advantages(rewards[::-1], values[::-1],
+                                         (sb.lengths - 1)[::-1], lam)
+    return adv[::-1].copy(), targets[::-1].copy()
 
 
 def surrogate_loss(tape, policy, states, slots, adv, n_traj):
@@ -194,11 +173,11 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
     """
     trajs = sample_backward(suite.env, suite.backward, xs, rng)
     sb = obj.step_batch(trajs)
-    if not sb.in_states:
+    if not len(sb.in_states):
         return {"backward_loss": 0.0, "backward_value_loss": 0.0}
     interior = ~sb.terminal
     if guide is None:
-        src = [sb.states[i] for i in np.flatnonzero(interior)]
+        src = sb.states[interior]
         lp = suite.forward.log_probs_numpy(src)
         ref = lp[np.arange(len(src)), sb.slots[interior]]
     else:
@@ -232,7 +211,7 @@ def actor_critic_step(suite, trajectories, optimizers, lam=0.99, rng=None,
     if "policy_b" in optimizers:
         if rng is None:
             raise ConfigError("learned backward policy updates need an rng")
-        xs = [tr.x for tr in trajectories]
+        xs = np.stack([tr.x for tr in trajectories])
         stats.update(_policy_b_update(suite, xs, optimizers, lam, rng, guide=guide))
     return stats
 
@@ -444,7 +423,8 @@ class Trainer:
                                eps=eps)
         if self.guide is not None:
             if isinstance(self.guide, SequenceGuide):
-                self.guide.buffer.update(batch)
+                self.guide.buffer.update(np.stack([tr.x for tr in batch]),
+                                         np.exp([tr.log_reward for tr in batch]))
             self.guide.refresh(self.suite.forward)
         stats = ROSTER[self.cfg.strategy].update(self, batch, rng)
         self.iteration += 1

@@ -30,7 +30,7 @@ from gflow.objectives import (
     tb_loss,
 )
 from gflow.policy import make_suite
-from gflow.sampling import Trajectory, sample_forward
+from gflow.sampling import sample_forward
 from gflow.training import (
     Trainer,
     TrainerConfig,
@@ -61,16 +61,6 @@ def report(num, ok, detail):
     else:
         print(line, flush=True)
     assert ok, line
-
-
-def path_trajectory(env, states, slots):
-    bslots = [env.backward_slot(states[j], slots[j]) for j in range(len(slots) - 1)]
-    return Trajectory(list(states), list(slots), bslots, env.log_reward(states[-2]))
-
-
-def all_trajectories(env):
-    paths = list(exact.enumerate_paths(env))
-    return [path_trajectory(env, s, a) for s, a in paths], paths
 
 
 def forward_table_from(logits, enum):
@@ -108,10 +98,9 @@ def test_criterion_01_forward_gradient_equivalence():
     ref_b = exact.edge_logs_backward(enum, bwd)
     masks = enum.action_masks()
 
-    trajs, paths = all_trajectories(env)
+    trajs = exact.enumerate_paths(env)
     fwd0 = suite.forward.log_probs_numpy(enum.states, masks)
-    pf = np.array([np.exp(exact.path_log_prob(enum, fwd0, s, a))
-                   for s, a in paths])
+    pf = np.array([np.exp(exact.path_log_prob(enum, fwd0, tr)) for tr in trajs])
     assert abs(pf.sum() - 1.0) < 1e-12
 
     # Half the balance-loss gradient, exactly enumerated over trajectories
@@ -158,10 +147,10 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
     guide = TableGuide.random(env, np.random.default_rng(7))
     ref_g = exact.edge_logs_backward(enum, guide.backward_kernel())
 
-    trajs, paths = all_trajectories(env)
-    w = np.array([rho[enum.index[s[-2]]]
-                  * np.exp(exact.path_log_prob(enum, bwd0, s, a, backward=True))
-                  for s, a in paths])
+    trajs = exact.enumerate_paths(env)
+    w = np.array([rho[enum.positions(tr.x[None])[0]]
+                  * np.exp(exact.path_log_prob(enum, bwd0, tr, backward=True))
+                  for tr in trajs])
     assert abs(w.sum() - 1.0) < 1e-12
 
     shape = suite.backward.model.table.data.shape
@@ -207,9 +196,8 @@ def test_criterion_03_lambda_one_unbiasedness():
         np.random.default_rng(8).normal(0, 3, enum.n)
 
     fwd = suite.forward.log_probs_numpy(enum.states, masks)
-    trajs, paths = all_trajectories(env)
-    pf = np.array([np.exp(exact.path_log_prob(enum, fwd, s, a))
-                   for s, a in paths])
+    trajs = exact.enumerate_paths(env)
+    pf = np.array([np.exp(exact.path_log_prob(enum, fwd, tr)) for tr in trajs])
     got = surrogate_gradient(suite, trajs, lam=1.0, weights=pf)
 
     bwd = exact.backward_log_table(enum, suite.backward)

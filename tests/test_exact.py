@@ -6,7 +6,6 @@ import pytest
 
 from gflow import autodiff as ad
 from gflow.envs import (
-    SINK,
     ExplicitDag,
     HyperGrid,
     SequenceEnv,
@@ -40,6 +39,12 @@ from gflow.exact import (
 )
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import sample_forward
+from test_envs import log_reward, validate_trajectory
+
+
+def at(enum, state):
+    """Enumeration position of one state given as a tuple."""
+    return int(enum.positions(np.array([state], dtype=np.intp))[0])
 
 
 def log_softmax(logits, masks):
@@ -76,7 +81,7 @@ def test_deterministic_policy_is_point_mass():
     fwd[2, 1] = 0.0              # forced stop
     pt = terminating_distribution(enum, fwd)
     want = np.zeros(3)
-    want[enum.index[(2,)]] = 1.0
+    want[at(enum, (2,))] = 1.0
     np.testing.assert_allclose(pt, want)
 
 
@@ -95,8 +100,8 @@ def test_terminating_distribution_matches_path_enumeration():
     pt = terminating_distribution(enum, fwd)
     paths = enumerate_paths(env)
     total = np.zeros(enum.n)
-    for states, slots in paths:
-        total[enum.index[states[-2]]] += np.exp(path_log_prob(enum, fwd, states, slots))
+    for tr in paths:
+        total[at(enum, tr.x)] += np.exp(path_log_prob(enum, fwd, tr))
     np.testing.assert_allclose(pt, total, atol=1e-12)
     assert pt.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -166,7 +171,7 @@ def test_reward_accuracy_bounds():
     assert reward_accuracy(p_star, enum) == 1.0
     # All mass on the lowest-reward cell underestimates E[R].
     worst = np.zeros(enum.n)
-    worst[enum.index[(3, 3)]] = 1.0
+    worst[at(enum, (3, 3))] = 1.0
     acc = reward_accuracy(worst, enum)
     assert 0.0 < acc < 0.1
 
@@ -176,14 +181,15 @@ def test_reward_distribution_is_normalized_target():
     enum = env.enumeration()
     p = reward_distribution(enum)
     assert p.sum() == pytest.approx(1.0)
-    assert p[enum.index[(1, 1)]] == pytest.approx(0.4)
-    assert p[enum.index[env.root]] == 0.0
+    assert p[at(enum, (1, 1))] == pytest.approx(0.4)
+    assert p[at(enum, env.root)] == 0.0
 
 
 def test_mode_states_top_quantile_with_ties():
     env = HyperGrid(2, 8)
     modes = mode_states(env.enumeration())
-    assert modes == {(1, 1), (1, 6), (6, 1), (6, 6)}
+    assert modes.dtype == np.intp
+    assert sorted(map(tuple, modes.tolist())) == [(1, 1), (1, 6), (6, 1), (6, 6)]
 
 
 def test_mode_count_plateaus():
@@ -196,7 +202,7 @@ def test_mode_count_plateaus():
     fwd = ForwardPolicy(env, model)
     rng = np.random.default_rng(8)
     count, seen = mode_count(env, fwd, modes, 32, rng)
-    if (7,) in modes:
+    if [7] in modes.tolist():
         assert count == 1
     count2, _ = mode_count(env, fwd, modes, 32, rng, seen=seen)
     assert count2 == count
@@ -248,11 +254,10 @@ def test_flow_fixture_with_given_backward():
 def path_forward_value(enum, fwd, bwd, log_z, env):
     """E over trajectories of the summed forward step rewards, brute force."""
     total = 0.0
-    for states, slots in enumerate_paths(env):
-        lpf = path_log_prob(enum, fwd, states, slots)
-        lpb = path_log_prob(enum, bwd, states, slots, backward=True)
-        log_r = env.log_reward(states[-2])
-        total += np.exp(lpf) * (lpf - lpb - log_r + log_z)
+    for tr in enumerate_paths(env):
+        lpf = path_log_prob(enum, fwd, tr)
+        lpb = path_log_prob(enum, bwd, tr, backward=True)
+        total += np.exp(lpf) * (lpf - lpb - tr.log_reward + log_z)
     return total
 
 
@@ -314,14 +319,13 @@ def test_backward_values_match_conditional_enumeration():
         # Per endpoint x: the backward-weighted mean over paths ending at x.
         want = np.zeros(enum.n)
         norm = np.zeros(enum.n)
-        for states, slots in enumerate_paths(env):
-            x = enum.index[states[-2]]
-            lpb = path_log_prob(enum, bwd, states, slots, backward=True)
+        for tr in enumerate_paths(env):
+            pos = enum.positions(tr.states)
+            x = pos[-1]
+            lpb = path_log_prob(enum, bwd, tr, backward=True)
             val = 0.0
-            for t, a in enumerate(slots[:-1]):
-                s, nxt = states[t], states[t + 1]
-                b = env.backward_slot(s, a)
-                val += bwd[enum.index[nxt], b] - fwd[enum.index[s], a]
+            for t, (a, b) in enumerate(zip(tr.slots[:-1], tr.bslots)):
+                val += bwd[pos[t + 1], b] - fwd[pos[t], a]
             want[x] += np.exp(lpb) * val
             norm[x] += np.exp(lpb)
         term = enum.terminal
@@ -414,12 +418,14 @@ def test_path_enumeration_probabilities_sum_to_one():
     env = HyperGrid(2, 3)
     enum, fwd, _ = random_tables(env, seed=18)
     paths = enumerate_paths(env)
-    total = sum(np.exp(path_log_prob(enum, fwd, states, slots))
-                for states, slots in paths)
+    total = sum(np.exp(path_log_prob(enum, fwd, tr)) for tr in paths)
     assert total == pytest.approx(1.0, abs=1e-12)
     # Monotone lattice paths to each corner plus shorter stopped walks:
     # every path ends with the stop slot.
-    assert all(slots[-1] == 2 for _, slots in paths)
+    assert all(tr.slots[-1] == 2 for tr in paths)
+    for tr in paths:
+        assert validate_trajectory(env, tr)
+        assert tr.log_reward == log_reward(env, tuple(tr.x.tolist()))
 
 
 # -- layer sweeps against the per-state loops they replaced -------------------

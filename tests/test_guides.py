@@ -3,15 +3,25 @@
 import numpy as np
 import pytest
 
-from gflow.envs import EMPTY, SINK, HyperGrid, SequenceEnv
+from gflow.envs import EMPTY, HyperGrid, SequenceEnv
 from gflow.errors import ContractError
 from gflow.exact import enumerate_paths
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
 from gflow.policy import UniformBackward, make_suite
 from gflow.sampling import ReplayBuffer, Trajectory, sample_backward
+from test_envs import reward, root, rows, state_tuples
 
 
 # -- oracles: the per-endpoint loops the batched guides replaced ---------------
+
+
+def buffered(buffer):
+    return [tuple(x) for x in buffer.state_rows().tolist()]
+
+
+def position_of(enum):
+    """State tuple -> enumeration position, by scanning the states."""
+    return {s: i for i, s in enumerate(state_tuples(enum))}
 
 
 def _extends(s, x):
@@ -26,7 +36,7 @@ def guided_score(buffer, s, x, floor=1e-8):
     """
     if not _extends(s, x):
         return 0.0
-    vals = [r for xp, r in zip(buffer.states(), buffer.rewards()) if _extends(s, xp)]
+    vals = [r for xp, r in zip(buffered(buffer), buffer.rewards()) if _extends(s, xp)]
     if not vals:
         return float(floor)
     return float(np.mean(vals))
@@ -38,7 +48,7 @@ def oracle_scores(guide, x):
     size = 1 << d
     count = np.zeros(size)
     total = np.zeros(size)
-    for xp, r in zip(guide.buffer.states(), guide.buffer.rewards()):
+    for xp, r in zip(buffered(guide.buffer), guide.buffer.rewards()):
         m = 0
         for i in range(d):
             if xp[i] == x[i]:
@@ -119,10 +129,11 @@ def oracle_kernel_given_x(guide, x):
 
 def oracle_markov_edges(guide, traj):
     table = guide.backward_kernel()
+    position = position_of(guide.enum)
     out = np.empty(traj.length - 1)
     for t in range(traj.length - 1):
-        child = traj.states[t + 1]
-        out[t] = table[guide.enum.index[child], traj.bslots[t]]
+        child = tuple(traj.states[t + 1].tolist())
+        out[t] = table[position[child], traj.bslots[t]]
     return out
 
 
@@ -137,7 +148,7 @@ def grid_setup(seed=0, d=2, n=4):
 
 def floor_states(env):
     """Per-state mask of the enumerated states at the reward floor."""
-    return np.asarray([env.reward(s) <= env.r0 for s in env.enumeration().states])
+    return np.asarray([reward(env, s) <= env.r0 for s in state_tuples(env.enumeration())])
 
 
 def adjusted_forward_probs(env, forward, eps=1e-5):
@@ -171,20 +182,21 @@ def test_grid_guide_stop_probability_formula():
     enum = env.enumeration()
     pf = suite.forward.probs_numpy(enum.states, enum.action_masks())
     eps = guide.eps
-    for i, s in enumerate(enum.states):
+    got = guide.stop_probability(enum.states)
+    for i, s in enumerate(state_tuples(enum)):
         non_stop = pf[i, :env.d].sum()
-        if env.reward(s) <= env.r0:
+        if reward(env, s) <= env.r0:
             want = eps / (non_stop + eps)
         else:
             want = pf[i, env.d]
-        assert guide.stop_probability(s) == pytest.approx(want, rel=1e-12)
+        assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_grid_guide_low_reward_states_rarely_stop():
     env, _, guide = grid_setup()
     # (1, 1) has base reward on the 4x4 grid; its stop probability collapses.
-    assert env.reward((1, 1)) == pytest.approx(0.01)
-    assert guide.stop_probability((1, 1)) < 1e-4
+    assert reward(env, (1, 1)) == pytest.approx(0.01)
+    assert guide.stop_probability(rows(env, [(1, 1)]))[0] < 1e-4
 
 
 def test_grid_guide_kernel_rows_normalized():
@@ -204,19 +216,22 @@ def test_grid_guide_conditional_matches_path_enumeration():
     env, suite, guide = grid_setup(seed=1)
     enum = env.enumeration()
     adj = adjusted_forward_probs(env, suite.forward)
+    position = position_of(enum)
+
+    def interior_weight(tr):
+        return np.prod([adj[position[s], a]
+                        for s, a in zip(map(tuple, tr.states[:-1].tolist()), tr.slots[:-1])])
+
     by_end = {}
-    for states, slots in enumerate_paths(env):
-        w = np.prod([adj[enum.index[s], a]
-                     for s, a in zip(states[:-2], slots[:-1])])
-        by_end.setdefault(states[-2], []).append((states, slots, w))
+    for tr in enumerate_paths(env):
+        by_end.setdefault(tuple(tr.x.tolist()), []).append(interior_weight(tr))
 
     rng = np.random.default_rng(2)
     for x in [(3, 3), (2, 1), (0, 3)]:
-        trajs = sample_backward(env, UniformBackward(env), [x] * 4, rng)
-        den = sum(w for _, _, w in by_end[x])
+        trajs = sample_backward(env, UniformBackward(env), rows(env, [x] * 4), rng)
+        den = sum(by_end[x])
         for tr in trajs:
-            num = np.prod([adj[enum.index[s], a]
-                           for s, a in zip(tr.states[:-2], tr.slots[:-1])])
+            num = interior_weight(tr)
             assert guide.log_conditional([tr])[0] == pytest.approx(
                 np.log(num / den), abs=1e-10)
 
@@ -226,7 +241,7 @@ def test_grid_guide_requires_refresh():
     with pytest.raises(ContractError):
         guide.backward_kernel()
     with pytest.raises(ContractError):
-        guide.stop_probability((0, 0))
+        guide.stop_probability(np.zeros((1, 2), dtype=np.intp))
 
 
 def test_grid_guide_tracks_policy_refresh():
@@ -261,7 +276,7 @@ def test_table_guide_conditional_is_edge_sum():
     counts = np.maximum(masks.sum(axis=1, keepdims=True), 1)
     uniform = np.where(masks, -np.log(counts), -np.inf)
     guide = TableGuide(env, uniform)
-    tr = sample_backward(env, UniformBackward(env), [(1, 1)],
+    tr = sample_backward(env, UniformBackward(env), rows(env, [(1, 1)]),
                          np.random.default_rng(6))[0]
     lp = guide.edge_log_probs([tr])
     # First hop enters a single-parent state, second enters (1,1) which has two.
@@ -276,9 +291,11 @@ def seq_setup(seed=7, d=3, n=2, entries=12):
     env = SequenceEnv(d, n, np.arange(1.0, n ** d + 1.0))
     rng = np.random.default_rng(seed)
     buf = ReplayBuffer(64)
+    xs, rs = [], []
     for _ in range(entries):
-        x = tuple(int(c) for c in rng.integers(0, n, d))
-        buf.add(x, float(rng.uniform(0.5, 4.0)))
+        xs.append(rng.integers(0, n, d))
+        rs.append(float(rng.uniform(0.5, 4.0)))
+    buf.update(np.reshape(xs, (-1, d)), rs)
     return env, buf, SequenceGuide(env, buf)
 
 
@@ -301,7 +318,8 @@ def test_sequence_guide_conditional_matches_score_ratios():
     env, buf, guide = seq_setup(seed=8)
     d = env.d
     x = (1, 0, 1)
-    trajs = sample_backward(env, UniformBackward(env), [x] * 6, np.random.default_rng(9))
+    trajs = sample_backward(env, UniformBackward(env), rows(env, [x] * 6),
+                            np.random.default_rng(9))
     for tr in trajs:
         want = 0.0
         mask = 0
@@ -328,16 +346,18 @@ def test_sequence_kernel_given_x_consistent():
     env, buf, guide = seq_setup(seed=11)
     enum = env.enumeration()
     x = (0, 1, 1)
-    table = guide.backward_kernel_given_x(x)
-    trajs = sample_backward(env, UniformBackward(env), [x] * 4, np.random.default_rng(12))
+    table = guide.backward_kernel_given_x(np.array(x))
+    position = position_of(enum)
+    trajs = sample_backward(env, UniformBackward(env), rows(env, [x] * 4),
+                            np.random.default_rng(12))
     for tr in trajs:
         lp = guide.edge_log_probs([tr])
         for t in range(tr.length - 1):
-            child = tr.states[t + 1]
-            assert table[enum.index[child], tr.bslots[t]] == pytest.approx(lp[t])
+            child = tuple(tr.states[t + 1].tolist())
+            assert table[position[child], tr.bslots[t]] == pytest.approx(lp[t])
     # Off-lattice rows are untouched; on-lattice rows normalize.
-    assert np.all(table[enum.index[(1, EMPTY, EMPTY)]] == -np.inf)
-    for idx, s in enumerate(enum.states):
+    assert np.all(table[position[(1, EMPTY, EMPTY)]] == -np.inf)
+    for idx in range(enum.n):
         row = table[idx]
         if np.any(np.isfinite(row)):
             assert np.exp(row[np.isfinite(row)]).sum() == pytest.approx(1.0, abs=1e-10)
@@ -347,10 +367,10 @@ def test_sequence_guide_rejects_off_lattice_trajectory():
     # The interior states disagree with the claimed endpoint at position 0.
     env, _, guide = seq_setup(seed=13)
     bad = Trajectory(
-        states=[(EMPTY, EMPTY, EMPTY), (1, EMPTY, EMPTY), (1, 0, EMPTY),
-                (0, 0, 0), SINK],
-        slots=[2, 2, 4, 6],
-        bslots=[0, 1, 2], log_reward=0.0)
+        states=rows(env, [(EMPTY, EMPTY, EMPTY), (1, EMPTY, EMPTY), (1, 0, EMPTY),
+                          (0, 0, 0)]),
+        slots=np.array([2, 2, 4, 6]),
+        bslots=np.array([0, 1, 2]), log_reward=0.0)
     with pytest.raises(ContractError):
         guide.edge_log_probs([bad])
 
@@ -358,11 +378,10 @@ def test_sequence_guide_rejects_off_lattice_trajectory():
 def test_sequence_guide_refresh_invalidates_cache():
     env, buf, guide = seq_setup(seed=14, entries=6)
     x = (1, 1, 0)
-    tr = sample_backward(env, UniformBackward(env), [x],
+    tr = sample_backward(env, UniformBackward(env), rows(env, [x]),
                          np.random.default_rng(15))[0]
     before = guide.log_conditional([tr])
-    for _ in range(30):
-        buf.add((1, 1, 0), 100.0)
+    buf.update([(1, 1, 0)] * 30, [100.0] * 30)
     # Stale snapshot: the conditional ignores the new entries until refresh().
     assert guide.log_conditional([tr]) == before
     guide.refresh()
@@ -371,7 +390,7 @@ def test_sequence_guide_refresh_invalidates_cache():
 
 def test_guided_score():
     buf = ReplayBuffer(8)
-    buf.update([((0, 1), 1.0), ((0, 0), 3.0)])
+    buf.update([(0, 1), (0, 0)], [1.0, 3.0])
     # Mean reward over entries agreeing on the filled positions.
     assert guided_score(buf, (0, EMPTY), (0, 1)) == pytest.approx(2.0)
     assert guided_score(buf, (EMPTY, 0), (0, 0)) == pytest.approx(3.0)
@@ -389,13 +408,13 @@ def random_buffer(env, rng, capacity, entries):
     buf = ReplayBuffer(capacity)
     for _ in range(entries):
         x = tuple(int(c) for c in rng.integers(0, env.n, env.d))
-        buf.add(x, float(rng.uniform(0.5, 4.0)))
+        buf.update([x], [float(rng.uniform(0.5, 4.0))])
     return buf
 
 
 def endpoint_batch(env, buf, rng, size):
     """Endpoints with repeats: half drawn from the buffer, half uniformly."""
-    seen = buf.states()
+    seen = buffered(buf)
     xs = []
     for k in range(size):
         if seen and k % 2 == 0:
@@ -403,7 +422,7 @@ def endpoint_batch(env, buf, rng, size):
         else:
             xs.append(tuple(int(c) for c in rng.integers(0, env.n, env.d)))
     xs += xs[:3]
-    return sample_backward(env, UniformBackward(env), xs, rng)
+    return sample_backward(env, UniformBackward(env), rows(env, xs), rng)
 
 
 @pytest.mark.parametrize("d, n, capacity, entries", [
@@ -424,7 +443,7 @@ def test_batched_sequence_guide_matches_per_endpoint_oracles(d, n, capacity, ent
     assert np.array_equal(guide.edge_log_probs(trajs), np.concatenate(want))
     assert np.array_equal(guide.log_conditional(trajs),
                           np.asarray([float(w.sum()) for w in want]))
-    xs = np.asarray(sorted({tr.x for tr in trajs}))
+    xs = np.asarray(sorted({tuple(tr.x.tolist()) for tr in trajs}))
     reach, cond = guide._tables(xs)
     for k, x in enumerate(xs):
         r, c = oracle_tables(guide, tuple(x))
@@ -435,7 +454,8 @@ def test_batched_grid_guide_matches_per_trajectory_loop():
     env, _, guide = grid_setup(seed=5, n=6)
     rng = np.random.default_rng(16)
     xs = [tuple(int(c) for c in rng.integers(0, env.n, env.d)) for _ in range(10)]
-    trajs = sample_backward(env, UniformBackward(env), xs + [env.root] + xs[:2], rng)
+    trajs = sample_backward(env, UniformBackward(env), rows(env, xs + [root(env)] + xs[:2]),
+                            rng)
     want = [oracle_markov_edges(guide, tr) for tr in trajs]
     assert np.array_equal(guide.edge_log_probs(trajs), np.concatenate(want))
     assert np.array_equal(guide.log_conditional(trajs),
@@ -445,13 +465,13 @@ def test_batched_grid_guide_matches_per_trajectory_loop():
 
 def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
     env, buf, guide = seq_setup(seed=17)
-    good = sample_backward(env, UniformBackward(env), [(0, 1, 1), (1, 0, 0)],
+    good = sample_backward(env, UniformBackward(env), rows(env, [(0, 1, 1), (1, 0, 0)]),
                            np.random.default_rng(18))
     bad = Trajectory(
-        states=[(EMPTY, EMPTY, EMPTY), (EMPTY, EMPTY, 1), (EMPTY, 1, 1),
-                (0, 1, 0), SINK],
-        slots=[5, 3, 0, 6],
-        bslots=[2, 1, 0], log_reward=0.0)
+        states=rows(env, [(EMPTY, EMPTY, EMPTY), (EMPTY, EMPTY, 1), (EMPTY, 1, 1),
+                          (0, 1, 0)]),
+        slots=np.array([5, 3, 0, 6]),
+        bslots=np.array([2, 1, 0]), log_reward=0.0)
     guide.edge_log_probs(good)
     with pytest.raises(ContractError):
         guide.edge_log_probs(good[:1] + [bad] + good[1:])
@@ -462,6 +482,6 @@ def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
 def test_sequence_kernel_given_x_matches_per_state_loop_and_keeps_enumeration():
     env, _, guide = seq_setup(seed=19, d=4, n=3, entries=30)
     for x in [(0, 1, 2, 0), (2, 2, 2, 2), (1, 0, 0, 1)]:
-        assert np.array_equal(guide.backward_kernel_given_x(x),
+        assert np.array_equal(guide.backward_kernel_given_x(np.array(x)),
                               oracle_kernel_given_x(guide, x))
     assert guide.enum is env.enumeration()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow.envs import SINK, HyperGrid, SequenceEnv
+from gflow.envs import HyperGrid, SequenceEnv, random_dag, random_graded_dag
 from gflow.errors import ContractError
 from gflow.exact import flow_from_rewards
 from gflow.guides import TableGuide
@@ -21,7 +21,8 @@ from gflow.objectives import (
     tb_loss,
 )
 from gflow.policy import make_suite
-from gflow.sampling import Trajectory, sample_forward
+from gflow.sampling import Trajectory, sample_backward, sample_forward
+from test_envs import log_reward, terminal_slot
 
 
 def perfect_suite(env, need_flow=True):
@@ -44,10 +45,10 @@ def sample_batch(env, suite, n=32, seed=1):
 def path_log_probs(suite, t):
     """Per-edge log pi_F and per-interior-edge log pi_B of one trajectory,
     each evaluated on that trajectory's states alone."""
-    lpf = suite.forward.log_probs_numpy(t.states[:-1])[np.arange(t.length), t.slots]
+    lpf = suite.forward.log_probs_numpy(t.states)[np.arange(t.length), t.slots]
     if t.length == 1:
         return lpf, np.zeros(0)
-    lpb = suite.backward.log_probs_numpy(t.states[1:-1])[np.arange(t.length - 1), t.bslots]
+    lpb = suite.backward.log_probs_numpy(t.states[1:])[np.arange(t.length - 1), t.bslots]
     return lpf, lpb
 
 
@@ -60,20 +61,73 @@ def traj_log_ratio(suite, t):
 # -- step batching -------------------------------------------------------------
 
 
+def step_batch_per_state(trajectories):
+    """step_batch as it was built: Python lists, step by step."""
+    states, slots, traj, terminal = [], [], [], []
+    in_states, in_bslots, in_traj = [], [], []
+    log_r, lengths = [], []
+    for b, tr in enumerate(trajectories):
+        log_r.append(tr.log_reward)
+        lengths.append(tr.length)
+        for t, (s, a) in enumerate(zip(tr.states.tolist(), tr.slots.tolist())):
+            states.append(s)
+            slots.append(a)
+            traj.append(b)
+            is_last = t == tr.length - 1
+            terminal.append(is_last)
+            if not is_last:
+                in_states.append(tr.states[t + 1].tolist())
+                in_bslots.append(int(tr.bslots[t]))
+                in_traj.append(b)
+    width = trajectories[0].states.shape[1]
+    return {
+        "states": np.asarray(states, dtype=np.intp).reshape(-1, width),
+        "slots": np.asarray(slots, dtype=np.intp),
+        "traj": np.asarray(traj, dtype=np.intp),
+        "terminal": np.asarray(terminal, dtype=bool),
+        "in_states": np.asarray(in_states, dtype=np.intp).reshape(-1, width),
+        "in_bslots": np.asarray(in_bslots, dtype=np.intp),
+        "in_traj": np.asarray(in_traj, dtype=np.intp),
+        "log_rewards": np.asarray(log_r),
+        "lengths": np.asarray(lengths, dtype=np.intp),
+    }
+
+
 def test_step_batch_layout():
-    t1 = Trajectory([(0,), SINK], [1], [], np.log(0.51))
-    t2 = Trajectory([(0,), (1,), SINK], [0, 1], [0], np.log(0.51))
+    t1 = Trajectory(np.array([[0]]), np.array([1]), np.zeros(0, dtype=np.intp), np.log(0.51))
+    t2 = Trajectory(np.array([[0], [1]]), np.array([0, 1]), np.array([0]), np.log(0.51))
     sb = step_batch([t1, t2])
     assert sb.n_traj == 2
     assert sb.n_steps == 3
-    assert sb.states == [(0,), (0,), (1,)]
+    assert sb.states.tolist() == [[0], [0], [1]]
     assert sb.slots.tolist() == [1, 0, 1]
     assert sb.traj.tolist() == [0, 1, 1]
     assert sb.terminal.tolist() == [True, False, True]
-    assert sb.in_states == [(1,)]
+    assert sb.in_states.tolist() == [[1]]
     assert sb.in_bslots.tolist() == [0]
     assert sb.in_traj.tolist() == [1]
     assert sb.lengths.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("make_env", [
+    lambda: HyperGrid(2, 16), lambda: SequenceEnv.synthetic(6, 4, seed=2),
+    *[lambda seed=seed: random_dag(np.random.default_rng(seed)) for seed in range(8)],
+    *[lambda seed=seed: random_graded_dag(np.random.default_rng(seed)) for seed in range(8)],
+], ids=["grid-2x16", "seq-6x4", *[f"dag-{k}" for k in range(8)],
+        *[f"graded-{k}" for k in range(8)]])
+def test_step_batch_matches_the_list_building_oracle(make_env):
+    env = make_env()
+    suite = make_suite(env, np.random.default_rng(3), tabular=True, init_scale=1.0)
+    trajs = sample_forward(env, suite.forward, 40, np.random.default_rng(4), eps=0.5)
+    xs = np.stack([tr.x for tr in trajs] * 2)
+    for batch in (trajs, sample_backward(env, suite.backward, xs, np.random.default_rng(5))):
+        sb = step_batch(batch)
+        want = step_batch_per_state(batch)
+        assert sb.n_traj == len(batch)
+        for name, arr in want.items():
+            got = getattr(sb, name)
+            assert got.dtype == arr.dtype and got.shape == arr.shape, name
+            assert got.tobytes() == arr.tobytes(), name
 
 
 # -- balance losses on the ground-truth flow -----------------------------------
@@ -134,13 +188,13 @@ def test_db_loss_matches_hand_recompute():
     for t in trajs:
         lpf, lpb = path_log_probs(suite, t)
         acc = 0.0
+        pos = enum.positions(t.states)
         for j in range(t.length):
-            s = t.states[j]
-            lhs = flow[enum.index[s]] + lpf[j]
-            if t.states[j + 1] is SINK:
+            lhs = flow[pos[j]] + lpf[j]
+            if j == t.length - 1:
                 rhs = t.log_reward
             else:
-                rhs = flow[enum.index[t.states[j + 1]]] + lpb[j]
+                rhs = flow[pos[j + 1]] + lpb[j]
             acc += (lhs - rhs) ** 2
         want += acc / len(trajs)
     got = float(db_loss(ad.Tape(), trajs, suite).data)
@@ -196,10 +250,11 @@ def test_subtb_matches_hand_recompute():
     flow_tab = suite.state_flow.model.table.data[:, 0]
     base = 0.9
 
-    def flow_of(s):
-        if env.terminal_slot(s) is not None:
-            return env.log_reward(s)
-        return flow_tab[enum.index[s]]
+    def flow_of(row):
+        s = tuple(row.tolist())
+        if terminal_slot(env, s) is not None:
+            return log_reward(env, s)
+        return flow_tab[enum.positions(row[None])[0]]
 
     pairs, w = subtb_weights(2, base)
     want = 0.0
@@ -277,27 +332,62 @@ def test_backward_step_rewards_definition():
 # -- advantage sweeps ----------------------------------------------------------
 
 
+def gae_per_trajectory(rewards, values, lam):
+    """The per-trajectory advantage loop: (advantages, targets adv + V)."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    next_values = np.append(values[1:], 0.0)
+    delta = rewards + next_values - values
+    adv = np.empty(rewards.size)
+    acc = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        acc = delta[t] + lam * acc
+        adv[t] = acc
+    return adv, adv + values
+
+
 def test_gae_hand_unrolled():
     rewards = np.array([1.0, 2.0, 3.0])
     values = np.array([0.5, -1.0, 2.0])
     delta_want = np.array([-0.5, 5.0, 1.0])
 
-    adv, targets, delta = gae_advantages(rewards, values, 1.0)
-    np.testing.assert_allclose(delta, delta_want)
+    adv, targets, targets_one = gae_advantages(rewards, values, [3], 1.0)
     np.testing.assert_allclose(adv, [5.5, 6.0, 1.0])
     # At lambda = 1 the value target is the reward-to-go.
     np.testing.assert_allclose(targets, [6.0, 5.0, 3.0])
+    assert targets_one.tobytes() == targets.tobytes()
 
-    adv, targets, _ = gae_advantages(rewards, values, 0.0)
+    adv, targets, targets_one = gae_advantages(rewards, values, [3], 0.0)
     np.testing.assert_allclose(adv, delta_want)
     np.testing.assert_allclose(targets, [0.0, 4.0, 3.0])
+    np.testing.assert_allclose(targets_one, [6.0, 5.0, 3.0])
 
-    adv, _, _ = gae_advantages(rewards, values, 0.5)
+    adv, _, _ = gae_advantages(rewards, values, [3], 0.5)
     np.testing.assert_allclose(adv, [2.25, 5.5, 1.0])
 
 
 def test_gae_single_step():
-    adv, targets, delta = gae_advantages([2.0], [0.7], 0.9)
+    adv, targets, targets_one = gae_advantages([2.0], [0.7], [1], 0.9)
     np.testing.assert_allclose(adv, [1.3])
     np.testing.assert_allclose(targets, [2.0])
-    np.testing.assert_allclose(delta, [1.3])
+    np.testing.assert_allclose(targets_one, [2.0])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.99, 1.0])
+def test_gae_scan_matches_the_per_trajectory_loop(lam):
+    # Lengths 0..30 in random order, empty segments included; values of
+    # mixed sign and magnitude so any reordered rounding would show.
+    rng = np.random.default_rng(int(lam * 100))
+    lengths = rng.permutation(np.concatenate([np.arange(31), [0, 1, 1, 7]]))
+    n = int(lengths.sum())
+    rewards = rng.normal(0.0, 3.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    values = rng.normal(0.0, 2.0, n)
+    adv, targets, targets_one = gae_advantages(rewards, values, lengths, lam)
+    ends = np.cumsum(lengths)
+    want = [np.concatenate(parts) for parts in zip(*[
+        gae_per_trajectory(rewards[e - k:e], values[e - k:e], lam)
+        + gae_per_trajectory(rewards[e - k:e], values[e - k:e], 1.0)[1:]
+        for k, e in zip(lengths, ends)])]
+    for got, ref in zip((adv, targets, targets_one), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()

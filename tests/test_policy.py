@@ -31,16 +31,16 @@ def mlp_forward(env, rng, hidden=(8,)):
 def test_uniform_backward_four_parents():
     env = HyperGrid(4, 3)
     ub = UniformBackward(env)
-    lp = ub.log_probs_numpy([(1, 1, 1, 1)])
+    lp = ub.log_probs_numpy(np.array([(1, 1, 1, 1)]))
     np.testing.assert_allclose(lp[0], np.log(0.25))
-    p = ub.probs_numpy([(1, 1, 0, 1)])
+    p = ub.probs_numpy(np.array([(1, 1, 0, 1)]))
     np.testing.assert_allclose(p[0], [1 / 3, 1 / 3, 0.0, 1 / 3])
 
 
 def test_uniform_backward_step_log_probs():
     env = HyperGrid(2, 3)
     ub = UniformBackward(env)
-    out = ub.step_log_probs(ad.Tape(), [(1, 1), (1, 0)], [0, 0])
+    out = ub.step_log_probs(ad.Tape(), np.array([(1, 1), (1, 0)]), [0, 0])
     np.testing.assert_allclose(out.data, [np.log(0.5), 0.0])
     assert ub.params() == []
 
@@ -74,7 +74,7 @@ def test_taped_matrix_matches_numpy():
     env = HyperGrid(2, 4)
     rng = np.random.default_rng(2)
     pol = mlp_forward(env, rng)
-    states = [(0, 0), (1, 2), (3, 3)]
+    states = np.array([(0, 0), (1, 2), (3, 3)])
     taped = pol.log_prob_matrix(ad.Tape(), states)
     np.testing.assert_allclose(taped.data, pol.log_probs_numpy(states))
 
@@ -87,7 +87,7 @@ def test_step_log_probs_pick_chosen_slots():
     env = HyperGrid(2, 4)
     rng = np.random.default_rng(3)
     pol = mlp_forward(env, rng)
-    states = [(0, 0), (1, 2), (3, 1)]
+    states = np.array([(0, 0), (1, 2), (3, 1)])
     slots = np.array([0, 2, 1])
     got = pol.step_log_probs(ad.Tape(), states, slots)
     want = pol.log_probs_numpy(states)[np.arange(3), slots]
@@ -98,7 +98,7 @@ def test_backward_policy_masks_parent_slots():
     env = SequenceEnv(3, 2, np.ones(8))
     rng = np.random.default_rng(4)
     pol = BackwardPolicy(env, ad.Mlp((env.encoding_dim, 8, env.n_backward_slots), rng))
-    lp = pol.log_probs_numpy([(0, -1, 1)])
+    lp = pol.log_probs_numpy(np.array([(0, -1, 1)]))
     assert lp[0, 1] == -np.inf
     assert np.isfinite(lp[0, [0, 2]]).all()
 
@@ -107,7 +107,7 @@ def test_scalar_estimator_paths_agree():
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(5)
     est = ScalarEstimator(env, ad.Mlp((env.encoding_dim, 8, 1), rng))
-    states = [(0, 0), (2, 1), (1, 1)]
+    states = np.array([(0, 0), (2, 1), (1, 1)])
     tape = ad.Tape()
     taped = est.values(tape, states)
     assert taped.data.shape == (3,)
@@ -141,7 +141,7 @@ def tape_score_row(pol, state, slot):
     for p in pol.params():
         p.grad = None
     tape = ad.Tape()
-    tape.backward(pol.step_log_probs(tape, [state], np.array([slot])))
+    tape.backward(pol.step_log_probs(tape, state[None], np.array([slot])))
     return ad.flat_grad(pol.params())
 
 
@@ -182,7 +182,7 @@ def test_score_matrix_matches_per_row_tape():
     rng = np.random.default_rng(6)
     for pol in (mlp_forward(env, rng),
                 ForwardPolicy(env, ad.Tabular(9, 3, rng=rng, init_scale=0.5))):
-        states = [(0, 0), (1, 1), (2, 1), (0, 2)]
+        states = np.array([(0, 0), (1, 1), (2, 1), (0, 2)])
         slots = np.array([0, 2, 1, 0])
         scores = score_matrix(pol, states, slots)
         assert scores.shape == (len(states), ad.flatten(pol.params()).size)
@@ -204,7 +204,7 @@ def test_score_operator_matches_dense_fisher(env, tabular):
     pol = suite.forward
     idx = rng.integers(enum.n, size=10)
     idx = np.concatenate([idx, idx[:4]])  # repeated states share table rows
-    states = [enum.states[i] for i in idx]
+    states = enum.states[idx]
     masks = pol.masks(states)
     slots = np.array([rng.choice(np.flatnonzero(row)) for row in masks])
     dense = dense_scores(pol, states, slots)

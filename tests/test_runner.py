@@ -37,6 +37,12 @@ seeds = 0
 """
 
 
+def seed_run(cfg, seed, out_dir):
+    """run_seed on a fresh env of an enumerable config."""
+    env = build_env(cfg)
+    return run_seed(cfg, env, seed, out_dir, env.enumeration())
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -133,7 +139,7 @@ def test_build_env_uses_reward_table(tmp_path):
 def test_zero_iterations_writes_header_only(tmp_path):
     cfg = parse_config_text(SMALL_GRID.replace("iterations = 10",
                                                "iterations = 0"))
-    path = run_seed(cfg, build_env(cfg), 0, tmp_path)
+    path = seed_run(cfg, 0, tmp_path)
     assert path.read_text() == HEADER + "\n"
     assert read_metrics(path).shape == (0, 7)
     assert (tmp_path / "TB-U_seed0.params").exists()
@@ -145,7 +151,7 @@ def test_metric_rows_follow_eval_cadence(tmp_path):
     cfg = parse_config_text(SMALL_GRID.replace("iterations = 10",
                                                "iterations = 8")
                             .replace("eval_every = 5", "eval_every = 3"))
-    arr = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path))
+    arr = read_metrics(seed_run(cfg, 0, tmp_path))
     # Multiples of the cadence plus the final iteration.
     np.testing.assert_array_equal(arr[:, 0], [0, 3, 6, 7])
     assert np.all(np.isfinite(arr[:, 1]))
@@ -157,8 +163,8 @@ def test_rerun_is_byte_identical_with_timing_off(tmp_path):
     cfg = parse_config_text(SMALL_GRID)
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
-    a = run_seed(cfg, build_env(cfg), 0, tmp_path / "a")
-    b = run_seed(cfg, build_env(cfg), 0, tmp_path / "b")
+    a = seed_run(cfg, 0, tmp_path / "a")
+    b = seed_run(cfg, 0, tmp_path / "b")
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a" / "TB-U_seed0.params").read_bytes() == \
         (tmp_path / "b" / "TB-U_seed0.params").read_bytes()
@@ -168,16 +174,16 @@ def test_timing_column_is_the_only_nondeterminism(tmp_path):
     cfg = parse_config_text(SMALL_GRID.replace("timing = off", "timing = on"))
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
-    a = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path / "a"))
-    b = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path / "b"))
+    a = read_metrics(seed_run(cfg, 0, tmp_path / "a"))
+    b = read_metrics(seed_run(cfg, 0, tmp_path / "b"))
     np.testing.assert_array_equal(a[:, :6], b[:, :6])
     assert np.all(a[:, 6] > 0)
 
 
 def test_seeds_produce_distinct_runs(tmp_path):
     cfg = parse_config_text(SMALL_GRID)
-    a = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path))
-    b = read_metrics(run_seed(cfg, build_env(cfg), 1, tmp_path))
+    a = read_metrics(seed_run(cfg, 0, tmp_path))
+    b = read_metrics(seed_run(cfg, 1, tmp_path))
     assert not np.array_equal(a[:, 1], b[:, 1])
 
 
@@ -195,7 +201,7 @@ def test_non_enumerable_env_reports_nan_metrics(tmp_path):
         hidden = 8
         timing = off
     """)
-    arr = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path))
+    arr = read_metrics(run(cfg, out=tmp_path)[0])
     assert np.all(np.isfinite(arr[:, 1]))
     assert np.all(np.isnan(arr[:, 2:5]))
     assert np.all(arr[:, 5] == 0)
@@ -204,7 +210,7 @@ def test_non_enumerable_env_reports_nan_metrics(tmp_path):
 def test_checkpoint_loads_back_into_matching_suite(tmp_path):
     cfg = parse_config_text(SMALL_GRID)
     env = build_env(cfg)
-    run_seed(cfg, env, 0, tmp_path)
+    run_seed(cfg, env, 0, tmp_path, env.enumeration())
     trainer = Trainer(env, TrainerConfig(strategy="TB-U", batch_size=8,
                                          tabular=True),
                       np.random.default_rng(99))
@@ -245,7 +251,7 @@ def test_every_strategy_runs_clean(tmp_path, strategy):
     if strategy == "TB-Sub":
         text = text.replace("env = grid", "env = sequence").replace("n = 3", "n = 2")
     cfg = parse_config_text(text)
-    arr = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path))
+    arr = read_metrics(seed_run(cfg, 0, tmp_path))
     np.testing.assert_array_equal(arr[:, 0], [0, 5, 9])
     assert np.all(np.isfinite(arr[:, 1]))
     assert np.all((arr[:, 2] >= 0) & (arr[:, 2] <= 1))
@@ -257,7 +263,7 @@ def test_training_reduces_distribution_gap(tmp_path):
                             .replace("eval_every = 5", "eval_every = 50")
                             .replace("batch = 8", "batch = 32")
                             + "lr_policy = 0.05\n")
-    arr = read_metrics(run_seed(cfg, build_env(cfg), 0, tmp_path))
+    arr = read_metrics(seed_run(cfg, 0, tmp_path))
     assert arr[-1, 2] < 0.05 < arr[0, 2]
 
 

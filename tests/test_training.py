@@ -10,7 +10,15 @@ import pytest
 
 from gflow import autodiff as ad
 from gflow import exact
-from gflow.envs import ExplicitDag, HyperGrid, SequenceEnv, random_graded_dag, synthetic_rewards
+from gflow.envs import (
+    DagEnv,
+    ExplicitDag,
+    HyperGrid,
+    SequenceEnv,
+    random_dag,
+    random_graded_dag,
+    synthetic_rewards,
+)
 from gflow.errors import ConfigError
 from gflow.exact import (
     advantages,
@@ -24,9 +32,9 @@ from gflow.exact import (
     visit_probabilities,
 )
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
-from gflow.objectives import step_batch
+from gflow.objectives import backward_step_rewards, forward_step_rewards, step_batch
 from gflow.policy import BackwardPolicy, UniformBackward, make_suite
-from gflow.sampling import Trajectory, sample_forward
+from gflow.sampling import sample_backward, sample_forward
 from gflow.training import (
     STRATEGIES,
     Trainer,
@@ -40,6 +48,7 @@ from gflow.training import (
     surrogate_loss,
     trpo_step,
 )
+from test_objectives import gae_per_trajectory
 
 
 def make_optimizers(suite, lr=0.01, lr_logz=0.1):
@@ -60,18 +69,13 @@ def fixture_suite(env, logz_shift=0.0):
     return suite
 
 
-def path_trajectory(env, states, slots):
-    bslots = [env.backward_slot(states[j], slots[j]) for j in range(len(slots) - 1)]
-    return Trajectory(list(states), list(slots), bslots, env.log_reward(states[-2]))
-
-
 def traj_log_ratio(suite, t):
     """log Z + log P_F(tau) - log P_B(tau|x) - log R(x), from the policies
     evaluated on this trajectory's states."""
     log_ratio = suite.log_z.item() - t.log_reward
-    log_ratio += suite.forward.log_probs_numpy(t.states[:-1])[np.arange(t.length), t.slots].sum()
+    log_ratio += suite.forward.log_probs_numpy(t.states)[np.arange(t.length), t.slots].sum()
     if t.length > 1:
-        lpb = suite.backward.log_probs_numpy(t.states[1:-1])
+        lpb = suite.backward.log_probs_numpy(t.states[1:])
         log_ratio -= lpb[np.arange(t.length - 1), t.bslots].sum()
     return log_ratio
 
@@ -187,6 +191,89 @@ def test_logz_descends_toward_partition():
     assert suite.log_z.item() == pytest.approx(before - 0.1, abs=1e-6)
 
 
+def _slices(lengths):
+    ends = np.cumsum(lengths)
+    return [(int(e - n), int(e)) for n, e in zip(lengths, ends)]
+
+
+def forward_advantages_per_trajectory(sb, suite, lam):
+    """forward_advantages as it was: one advantage loop per trajectory, and
+    a second at lambda = 1 for the root estimate."""
+    if suite.value_f is not None:
+        values = suite.value_f.values_numpy(sb.states)
+    else:
+        values = np.zeros(sb.n_steps)
+    rewards = forward_step_rewards(sb, suite)
+    adv = np.empty(sb.n_steps)
+    targets = np.empty(sb.n_steps)
+    root_v1 = np.empty(sb.n_traj)
+    for b, (lo, hi) in enumerate(_slices(sb.lengths)):
+        a, t = gae_per_trajectory(rewards[lo:hi], values[lo:hi], lam)
+        adv[lo:hi] = a
+        targets[lo:hi] = t
+        if lam == 1.0:
+            root_v1[b] = t[0]
+        else:
+            root_v1[b] = gae_per_trajectory(rewards[lo:hi], values[lo:hi], 1.0)[1][0]
+    return adv, targets, root_v1
+
+
+def backward_advantages_per_trajectory(sb, suite, ref_int, lam):
+    """backward_advantages as it was: one reversed loop per trajectory."""
+    values = suite.value_b.values_numpy(sb.in_states) if len(sb.in_states) else np.zeros(0)
+    rewards = backward_step_rewards(sb, suite, ref_int)
+    adv = np.empty_like(rewards)
+    targets = np.empty_like(rewards)
+    for lo, hi in _slices(sb.lengths - 1):
+        if hi == lo:
+            continue
+        r_rev = rewards[lo:hi][::-1]
+        v_rev = values[lo:hi][::-1]
+        a, t = gae_per_trajectory(r_rev, v_rev, lam)
+        adv[lo:hi] = a[::-1]
+        if lam == 1.0:
+            targets[lo:hi] = t[::-1]
+        else:
+            targets[lo:hi] = gae_per_trajectory(r_rev, v_rev, 1.0)[1][::-1]
+    return adv, targets
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+ADVANTAGE_ENVS = ([pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
+                   pytest.param(lambda: SequenceEnv.synthetic(6, 4, seed=2), id="seq-6x4")]
+                  + [pytest.param(lambda seed=seed: random_dag(np.random.default_rng(seed)),
+                                  id=f"dag-{seed}") for seed in range(8)]
+                  + [pytest.param(lambda seed=seed: random_graded_dag(
+                      np.random.default_rng(seed)), id=f"graded-{seed}") for seed in range(8)])
+
+
+@pytest.mark.parametrize("make_env", ADVANTAGE_ENVS)
+def test_advantage_scans_match_the_per_trajectory_loops(make_env):
+    env = make_env()
+    rng = np.random.default_rng(6)
+    suite = make_suite(env, rng, tabular=True, learned_backward=True, need_value_f=True,
+                       need_value_b=True, init_scale=1.0, logz_init=0.4)
+    for table in (suite.value_f.model.table, suite.value_b.model.table):
+        table.data[:, 0] = rng.normal(0.0, 2.0, len(table.data))
+    trajs = sample_forward(env, suite.forward, 40, np.random.default_rng(7), eps=0.5)
+    sb = step_batch(trajs)
+    # Backward walks from the endpoints, each one twice.
+    xs = np.stack([tr.x for tr in trajs] * 2)
+    back = step_batch(sample_backward(env, suite.backward, xs, np.random.default_rng(8)))
+    lpf = suite.forward.log_probs_numpy(back.states)[np.arange(back.n_steps), back.slots]
+    ref = lpf[~back.terminal]
+    for lam in (0.0, 0.5, 0.99, 1.0):
+        assert_same_arrays(forward_advantages(sb, suite, lam),
+                           forward_advantages_per_trajectory(sb, suite, lam))
+        assert_same_arrays(backward_advantages(back, suite, ref, lam),
+                           backward_advantages_per_trajectory(back, suite, ref, lam))
+
+
 def test_backward_advantages_alignment():
     env = SequenceEnv(3, 2, np.arange(1.0, 9.0))
     rng = np.random.default_rng(6)
@@ -200,14 +287,13 @@ def test_backward_advantages_alignment():
     lam = 0.7
     adv, targets = backward_advantages(sb, suite, ref, lam)
 
-    from gflow.objectives import backward_step_rewards, gae_advantages
     rewards = backward_step_rewards(sb, suite, ref)
     values = suite.value_b.values_numpy(sb.in_states)
     lo = 0
     for n in sb.lengths - 1:
         hi = lo + n
-        a, _, _ = gae_advantages(rewards[lo:hi][::-1], values[lo:hi][::-1], lam)
-        t1 = gae_advantages(rewards[lo:hi][::-1], values[lo:hi][::-1], 1.0)[1]
+        a, _ = gae_per_trajectory(rewards[lo:hi][::-1], values[lo:hi][::-1], lam)
+        t1 = gae_per_trajectory(rewards[lo:hi][::-1], values[lo:hi][::-1], 1.0)[1]
         np.testing.assert_allclose(adv[lo:hi], a[::-1], atol=1e-12)
         np.testing.assert_allclose(targets[lo:hi], t1[::-1], atol=1e-12)
         lo = hi
@@ -218,7 +304,7 @@ def test_surrogate_loss_value():
     suite = make_suite(env, np.random.default_rng(8), tabular=True, init_scale=0.0)
     tape = ad.Tape()
     # Uniform two-action state: log pi = log 1/2 for both entries.
-    loss = surrogate_loss(tape, suite.forward, [(0,), (0,)], np.array([0, 1]),
+    loss = surrogate_loss(tape, suite.forward, np.array([(0,), (0,)]), np.array([0, 1]),
                           np.array([2.0, -1.0]), 2)
     assert float(loss.data) == pytest.approx(0.5 * (2.0 - 1.0) * np.log(0.5))
 
@@ -240,11 +326,8 @@ def exact_forward_gradient(env, suite):
 def all_path_batch(env, suite):
     enum = env.enumeration()
     fwd = suite.forward.log_probs_numpy(enum.states, enum.action_masks())
-    trajs, weights = [], []
-    for states, slots in enumerate_paths(env):
-        trajs.append(path_trajectory(env, states, slots))
-        weights.append(np.exp(path_log_prob(enum, fwd, states, slots)))
-    return trajs, np.asarray(weights)
+    trajs = enumerate_paths(env)
+    return trajs, np.asarray([np.exp(path_log_prob(enum, fwd, tr)) for tr in trajs])
 
 
 def test_expected_surrogate_gradient_is_exact_on_bandit():
@@ -360,7 +443,7 @@ def test_coupled_training_pulls_backward_to_guide():
     rows = [i for i in range(enum.n) if masks[i].any()]
 
     def max_prob_gap():
-        states = [enum.states[i] for i in rows]
+        states = enum.states[rows]
         pb = np.exp(suite.backward.log_probs_numpy(states))
         pg = np.exp(guide.backward_kernel()[rows])
         pg[~masks[rows]] = 0.0
@@ -497,6 +580,10 @@ def test_trainer_components_and_steps(strategy):
     assert trainer.iteration == 2
 
 
+PER_STATE_QUERIES = ("action_mask", "parent_mask", "encode", "n_parents", "child",
+                     "parent", "backward_slot", "forward_slot", "terminal_slot", "reward",
+                     "log_reward", "sequence_index")
+
 GUARD_ENVS = [
     pytest.param(lambda: HyperGrid(2, 4), id="grid"),
     pytest.param(lambda: SequenceEnv(2, 3, np.arange(1.0, 10.0)), id="sequence"),
@@ -506,10 +593,13 @@ GUARD_ENVS = [
 @pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
 @pytest.mark.parametrize("make_env", GUARD_ENVS)
 def test_steps_never_query_the_env_one_state_at_a_time(make_env, tabular):
-    # Masks, encodings and edges exist as batched queries only, so every
-    # step and exact evaluation below goes through them.
+    # Every env query exists in a batched form only, so every step and
+    # exact evaluation below goes through them.
     env = make_env()
-    for name in ("action_mask", "parent_mask", "encode", "children", "parents", "n_parents"):
+    for cls in (DagEnv, HyperGrid, SequenceEnv, ExplicitDag, type(env)):
+        for name in PER_STATE_QUERIES:
+            assert not hasattr(cls, name), (cls.__name__, name)
+    for name in PER_STATE_QUERIES:
         assert not hasattr(env, name), name
     enum = env.enumeration()
     for strategy in STRATEGIES:
