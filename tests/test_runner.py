@@ -112,6 +112,16 @@ def test_parse_config_defaults():
     ("seeds = 0, -2", "seed must be nonnegative"),
     ("subtb_base = 0", "subtb_base"),
     ("subtb_base = -0.5", "subtb_base"),
+    ("env = sequence\nreward_seed = -1", "reward_seed must be nonnegative"),
+    ("lr_policy = nan", "lr_policy must be finite"),
+    ("zeta = inf", "zeta must be finite"),
+    ("subtb_base = nan", "subtb_base must be finite"),
+    ("guide_eps = nan", "guide_eps must be finite"),
+    ("lambda = nan", "lambda must be finite"),
+    ("r1 = -inf", "r1 must be finite"),
+    ("hidden = 0", "hidden layer widths"),
+    ("hidden = 8, 0", "hidden layer widths"),
+    ("mode_samples = -4", "mode_samples must be nonnegative"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -418,6 +428,16 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "unknown strategy" in err
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_summarize_rejects_windows_below_one(tmp_path, capsys, window):
+    p = tmp_path / "m.csv"
+    p.write_text(HEADER + "\n0,1.0,0.5,0.1,0.9,2,0.0\n")
+    with pytest.raises(ConfigError, match="window must be at least 1"):
+        summarize([p], window=window)
+    assert main(["summarize", str(p), "--window", str(window)]) == 2
+    assert "error: window must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_summarize_error_exit(tmp_path, capsys):
