@@ -219,15 +219,13 @@ class SequenceGuide(_Guide):
         return (filled * (1 << np.arange(self.env.d))).sum(axis=1), on
 
     def edge_log_probs(self, trajectories):
-        # Distinct endpoints in order of first appearance, found by index.
+        # Each endpoint's tables depend on that endpoint alone, so the
+        # distinct endpoints can come in any order.
         ends = np.stack([tr.x for tr in trajectories])
-        _, first, inverse = np.unique(self.env.index(ends), return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        xs = ends[first[order]]
-        edge_x = np.repeat(rank[inverse], [tr.length - 1 for tr in trajectories])
+        _, first, which = np.unique(self.env.index(ends), return_index=True,
+                                    return_inverse=True)
+        xs = ends[first]
+        edge_x = np.repeat(which, [tr.length - 1 for tr in trajectories])
         children = np.concatenate([tr.states[1:] for tr in trajectories])
         j = np.concatenate([tr.bslots for tr in trajectories])
         u, on = self._lattice(children, xs[edge_x])

@@ -59,12 +59,11 @@ def step_batch(trajectories):
     return StepBatch(
         n_traj=n_traj,
         states=states,
-        slots=np.concatenate([tr.slots for tr in trajectories]).astype(np.intp, copy=False),
+        slots=np.concatenate([tr.slots for tr in trajectories]),
         traj=np.repeat(index, lengths),
         terminal=terminal,
         in_states=states[entered],
-        in_bslots=np.concatenate([tr.bslots for tr in trajectories]).astype(np.intp,
-                                                                            copy=False),
+        in_bslots=np.concatenate([tr.bslots for tr in trajectories]),
         in_traj=np.repeat(index, lengths - 1),
         log_rewards=np.fromiter((tr.log_reward for tr in trajectories), dtype=np.float64,
                                 count=n_traj),

@@ -30,12 +30,12 @@ _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 # Memory plan, in bytes: per enumerated state (its row, position entry,
-# terminal slot, log reward and encoding scratch), per (state, forward slot) pair (an edge's four intp entries
-# and the float64 tables of one exact evaluation), and per tabular
-# parameter entry (value, gradient, Adam m and v, and the two transient
-# buffers of a backward pass: the gather's scatter table and the tape's
-# first-write copy; 8 bytes each).  Adam's own scratch is one block, not
-# a table.
+# terminal slot, log reward and encoding scratch), per (state, forward
+# slot) pair (an edge's four intp entries and the float64 tables of one
+# exact evaluation), and per tabular parameter entry (value, gradient,
+# Adam m and v, and the two transient buffers of a backward pass: the
+# gather's scatter table and the tape's first-write copy; 8 bytes each).
+# Adam's own scratch is one block, not a table.
 STATE_BYTES = 256
 SLOT_BYTES = 80
 TABULAR_ENTRY_BYTES = 6 * 8

@@ -90,14 +90,11 @@ def backward_advantages(sb, suite, ref_int, lam):
     forward-order arrays.  Value targets are the unbiased lambda=1
     estimates.
     """
-    if len(sb.in_states):
-        values = suite.value_b.values_numpy(sb.in_states)
-    else:
-        values = np.zeros(0)
+    values = suite.value_b.values_numpy(sb.in_states) if len(sb.in_states) else np.zeros(0)
     rewards = obj.backward_step_rewards(sb, suite, ref_int)
     adv, _, targets = obj.gae_advantages(rewards[::-1], values[::-1],
                                          (sb.lengths - 1)[::-1], lam)
-    return adv[::-1].copy(), targets[::-1].copy()
+    return adv[::-1], targets[::-1]
 
 
 def surrogate_loss(tape, policy, states, slots, adv, n_traj):
