@@ -26,6 +26,7 @@ from ..errors import EnumerationLimit
 
 ENUMERATION_CAP = 2_000_000
 MIN_REWARD = 1e-6
+EDGE_BLOCK = 1 << 16  # edges whose child rows the enumeration builds at once
 
 
 class DagEnv:
@@ -152,10 +153,15 @@ class Enumeration:
         interior[term, self._terminal_slots[term]] = False
         # np.nonzero yields the edges in ascending source order, so the
         # edges leaving any contiguous range of states (a layer) form one
-        # contiguous slice.
+        # contiguous slice.  Child rows exist one block of edges at a time.
         self.edge_src, self.edge_slot = np.nonzero(interior)
-        dst_rows, self.edge_bslot = env.children(self.states[self.edge_src], self.edge_slot)
-        self.edge_dst = self.positions(dst_rows)
+        self.edge_dst = np.empty(len(self.edge_src), dtype=np.intp)
+        self.edge_bslot = np.empty(len(self.edge_src), dtype=np.intp)
+        for lo in range(0, len(self.edge_src), EDGE_BLOCK):
+            block = slice(lo, lo + EDGE_BLOCK)
+            rows, self.edge_bslot[block] = env.children(self.states[self.edge_src[block]],
+                                                        self.edge_slot[block])
+            self.edge_dst[block] = self.positions(rows)
         self._encodings = None
         self._parent_masks = None
         self._dst_order = None

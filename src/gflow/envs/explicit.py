@@ -16,10 +16,11 @@ from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD
 class ExplicitDag(DagEnv):
     """Environment over an explicit child map and reward map.
 
-    Every query answers from dense tables built once over the states in
-    topological order: the child of each (state, slot), the parent of each
-    (state, backward slot), the slot of each edge at its other end, the
-    terminal slots and the log rewards.
+    A state's row is its position in a fixed topological order, and every
+    batched query answers from dense tables built once over that order:
+    the child of each (state, slot), the parent of each (state, backward
+    slot), the slot of each edge at its other end, the terminal slots and
+    the log rewards.
 
     Parameters
     ----------
