@@ -69,7 +69,6 @@ def sample_forward(env, forward, n, rng, eps=0.0):
     slots = np.empty((n, t_max), dtype=np.intp)
     bslots = np.empty((n, t_max), dtype=np.intp)
     lengths = np.empty(n, dtype=np.intp)
-    log_r = np.empty(n)
     active = np.arange(n)
     cur = np.repeat(env.root[None], n, axis=0)
     for t in range(t_max + 1):
@@ -87,11 +86,11 @@ def sample_forward(env, forward, n, rng, eps=0.0):
         slots[active, t] = chosen
         stop = chosen == env.terminal_slots(cur)
         lengths[active[stop]] = t + 1
-        log_r[active[stop]] = env.log_rewards(cur[stop])
         go = ~stop
         active = active[go]
         cur, bslots[active, t] = env.children(cur[go], chosen[go])
 
+    log_r = env.log_rewards(states[np.arange(n), lengths - 1])
     return [Trajectory(states[i, :k], slots[i, :k], bslots[i, :k - 1], float(log_r[i]))
             for i, k in enumerate(lengths.tolist())]
 
@@ -101,11 +100,14 @@ def sample_backward(env, backward, xs, rng):
     walking parents backward to the root, in lockstep."""
     m = len(xs)
     t_max = env.max_trajectory_len
+    # Walk step t fills column t_max - 1 - t, so each row's path ends in its
+    # last columns in forward order: root first, x and its terminal slot last.
     chain = np.empty((m, t_max + 1, env.width), dtype=np.intp)
+    fslots = np.empty((m, t_max + 1), dtype=np.intp)
     picks = np.empty((m, t_max), dtype=np.intp)
-    fslots = np.empty((m, t_max), dtype=np.intp)
     depth = np.zeros(m, dtype=np.intp)
-    chain[:, 0] = xs
+    chain[:, t_max] = xs
+    fslots[:, t_max] = env.terminal_slots(xs)
     active = np.flatnonzero((xs != env.root).any(axis=1))
     cur = xs[active]
     for t in range(t_max + 1):
@@ -114,17 +116,17 @@ def sample_backward(env, backward, xs, rng):
         if t == t_max:
             raise ContractError("backward walk exceeded the environment's trajectory bound")
         chosen = sample_rows(backward.probs_numpy(cur), rng.random(len(active)))
-        picks[active, t] = chosen
-        cur, fslots[active, t] = env.parents(cur, chosen)
-        chain[active, t + 1] = cur
+        col = t_max - 1 - t
+        picks[active, col] = chosen
+        cur, fslots[active, col] = env.parents(cur, chosen)
+        chain[active, col] = cur
         depth[active] = t + 1
         keep = (cur != env.root).any(axis=1)
         active, cur = active[keep], cur[keep]
 
-    tslots = env.terminal_slots(xs)
     log_r = env.log_rewards(xs)
-    return [Trajectory(chain[i, :k + 1][::-1], np.append(fslots[i, :k][::-1], tslots[i]),
-                       picks[i, :k][::-1], float(log_r[i]))
+    return [Trajectory(chain[i, t_max - k:], fslots[i, t_max - k:], picks[i, t_max - k:],
+                       float(log_r[i]))
             for i, k in enumerate(depth.tolist())]
 
 
