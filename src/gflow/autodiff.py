@@ -5,13 +5,17 @@ the records in reverse and accumulates gradients into the participating
 tensors.  All operations are batched, so a training step produces a tape with
 tens of records rather than one per trajectory step.
 
-The op set is deliberately small: dense affine maps, elementwise maps, masked
-log-softmax, index gathers and segment sums.  That is enough to express every
-objective in this library as a handful of records.
+The op set is deliberately small: elementwise arithmetic, masked
+log-softmax, index gathers and picks, segment sums and reductions.  That is
+enough to express every objective in this library as a handful of records.
 
-The models also give their Jacobian-vector products without a tape:
-jvp (forward mode) and vjp (reverse mode) over per-sample outputs, which the
-trust-region step uses to apply the Fisher without forming it.
+The two models, Mlp and Tabular, share one protocol.  forward(tape, x)
+evaluates the model; taped, it adds exactly one record whose inputs are the
+model's params().  forward_cached(x) returns (output, *cache), and jvp(*cache,
+v) and vjp(*cache, g) are the forward- and reverse-mode products over
+per-sample outputs, which the trust-region step uses to apply the Fisher
+without forming it.  A taped forward's backward is the reverse pass that vjp
+flattens, so each model has one derivative.
 """
 
 import builtins
@@ -114,20 +118,6 @@ class Tape:
 # backward closure, so untaped model evaluations share the taped code path.
 # ---------------------------------------------------------------------------
 
-def matmul(tape, a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-    if tape is None:
-        return out
-
-    def bw(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return tape.record(out, (a, b), bw)
-
-
 def add(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
@@ -177,30 +167,6 @@ def scale(tape, a, c):
     return tape.record(out, (a,), bw)
 
 
-def log(tape, a):
-    a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (g / a.data,)
-
-    return tape.record(out, (a,), bw)
-
-
-def exp(tape, a):
-    a = _as_tensor(a)
-    out = Tensor(np.exp(a.data))
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (g * out.data,)
-
-    return tape.record(out, (a,), bw)
-
-
 def square(tape, a):
     a = _as_tensor(a)
     out = Tensor(a.data * a.data)
@@ -209,19 +175,6 @@ def square(tape, a):
 
     def bw(g):
         return (2.0 * g * a.data,)
-
-    return tape.record(out, (a,), bw)
-
-
-def leaky_relu(tape, a, slope=0.01):
-    a = _as_tensor(a)
-    pos = a.data > 0
-    out = Tensor(np.where(pos, a.data, slope * a.data))
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (np.where(pos, g, slope * g),)
 
     return tape.record(out, (a,), bw)
 
@@ -266,6 +219,13 @@ def log_softmax_masked(tape, logits, mask):
     return tape.record(out, (logits,), bw)
 
 
+def _scatter(shape, idx, g):
+    """Zeros of `shape` with g added at `idx`; repeated indices accumulate."""
+    acc = np.zeros(shape)
+    np.add.at(acc, idx, g)
+    return acc
+
+
 def gather(tape, a, idx):
     """Select rows (or scalars, for 1-D input) along axis 0; repeats allowed."""
     a = _as_tensor(a)
@@ -275,9 +235,7 @@ def gather(tape, a, idx):
         return out
 
     def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        return (acc,)
+        return (_scatter(a.data.shape, idx, g),)
 
     return tape.record(out, (a,), bw)
 
@@ -294,9 +252,7 @@ def pick(tape, a, cols):
         return out
 
     def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, (rows, cols), g)
-        return (acc,)
+        return (_scatter(a.data.shape, (rows, cols), g),)
 
     return tape.record(out, (a,), bw)
 
@@ -352,6 +308,9 @@ def glorot_uniform(rng, fan_in, fan_out):
 class Mlp:
     """Fully connected network, leaky-ReLU hidden activations, linear output.
 
+    Follows the model protocol of this module: a taped forward() is one
+    record over params() whose backward is the reverse pass of vjp().
+
     Parameters
     ----------
     dims : sequence of int
@@ -380,8 +339,13 @@ class Mlp:
         return out
 
     def forward(self, tape, x):
-        """Network output; untaped (eager) when tape is None."""
-        return self._layers(tape, x)
+        """Network output as a Tensor: one tape record over params(), or
+        eager, keeping no activations, when tape is None."""
+        if tape is None:
+            return Tensor(self._layers(x))
+        out, inputs, pre = self.forward_cached(x)
+        return tape.record(Tensor(out), self.params(),
+                           lambda g: self._param_grads(inputs, pre, g))
 
     def forward_numpy(self, x):
         return self.forward(None, x).data
@@ -393,25 +357,25 @@ class Mlp:
         and vjp.
         """
         inputs, pre = [], []
-        return self._layers(None, x, inputs, pre).data, inputs, pre
+        return self._layers(x, inputs, pre), inputs, pre
 
-    def _layers(self, tape, x, inputs=None, pre=None):
+    def _layers(self, x, inputs=None, pre=None):
         # Activations are kept only when lists are passed in, so a plain
         # forward frees each layer's output once the next one exists.
-        h = _as_tensor(x)
+        h = _as_tensor(x).data
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
-                inputs.append(h.data)
-            h = add(tape, matmul(tape, h, w), b)
+                inputs.append(h)
+            h = h @ w.data + b.data
             if i < last:
                 if pre is not None:
-                    pre.append(h.data)
-                h = leaky_relu(tape, h, self.slope)
+                    pre.append(h)
+                h = np.where(h > 0, h, self.slope * h)
         return h
 
     def n_params(self):
-        # builtins.sum: the taped `sum` op below shadows the builtin here.
+        # builtins.sum: the taped `sum` op above shadows the builtin here.
         return builtins.sum(p.data.size for p in self.params())
 
     def jvp(self, inputs, pre, v):
@@ -435,27 +399,30 @@ class Mlp:
         return t
 
     def vjp(self, inputs, pre, g_out):
-        """Flat gradient of sum(g_out * output) over params(), flatten() order.
+        """Flat gradient of sum(g_out * output) over params(), flatten() order;
+        `g_out` is the (M x out) gradient at the network output."""
+        return np.concatenate([g.ravel() for g in self._param_grads(inputs, pre, g_out)])
 
-        One reverse pass through the activations kept by forward_cached();
-        `g_out` is the (M x out) gradient at the network output.
-        """
+    def _param_grads(self, inputs, pre, g_out):
+        """Gradients of sum(g_out * output), one per params() entry: one
+        reverse pass through the activations kept by forward_cached()."""
         delta = np.asarray(g_out, dtype=np.float64)
-        blocks = []
+        grads = []
         for layer in range(len(self.weights) - 1, -1, -1):
-            blocks.append(delta.sum(axis=0))
-            blocks.append((inputs[layer].T @ delta).ravel())
+            grads += (delta.sum(axis=0), inputs[layer].T @ delta)
             if layer > 0:
                 delta = delta @ self.weights[layer].data.T
                 delta = np.where(pre[layer - 1] > 0, delta, self.slope * delta)
-        return np.concatenate(blocks[::-1])
+        return grads[::-1]
 
 
 class Tabular:
     """A dense table of logits or values indexed by enumerated row.
 
     Used for exact-gradient work on small state spaces: row r holds the
-    parameters attached to state r.
+    parameters attached to state r.  Follows the model protocol of this
+    module with the row indices as input: a taped forward() is one gather
+    record whose backward is the scatter that vjp() flattens.
     """
 
     def __init__(self, n_rows, n_cols, rng=None, init_scale=0.0):
@@ -475,18 +442,22 @@ class Tabular:
     def params(self):
         return [self.table]
 
-    def rows(self, tape, idx):
+    def forward(self, tape, idx):
+        """Rows `idx` of the table (repeats allowed); untaped when tape is None."""
         return gather(tape, self.table, idx)
+
+    def forward_cached(self, idx):
+        """(rows, idx); the indices are all that jvp and vjp need."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return self.table.data[idx], idx
 
     def jvp(self, idx, v):
         """Output tangents (M x n_cols) along the flat table direction `v`."""
         return v.reshape(self.table.data.shape)[idx]
 
     def vjp(self, idx, g_out):
-        """Flat gradient of sum(g_out * rows(idx)); repeated rows accumulate."""
-        g = np.zeros(self.table.data.shape)
-        np.add.at(g, idx, g_out)
-        return g.ravel()
+        """Flat gradient of sum(g_out * forward(idx)); repeated rows accumulate."""
+        return _scatter(self.table.data.shape, idx, g_out).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ class ExplicitDag(DagEnv):
     rewards : dict state -> float
         Terminal-capable states and their (positive) rewards.
     root : state, optional
-        Inferred as the unique state with no incoming edge when omitted.
+        The unique state with no incoming edge; inferred when omitted, and
+        a given root that is not that state raises ConfigError.
     """
 
     def __init__(self, children_map, rewards, root=None):
@@ -44,11 +45,14 @@ class ExplicitDag(DagEnv):
         for s, cs in self._children.items():
             for c in cs:
                 parents[c].append(s)
+        roots = sorted((s for s in states if not parents[s]), key=repr)
         if root is None:
-            roots = [s for s in states if not parents[s]]
             if len(roots) != 1:
                 raise ConfigError(f"need exactly one root, found {len(roots)}")
             root = roots[0]
+        elif roots != [root]:
+            raise ConfigError(f"root {root!r} must be the only state without a parent; "
+                              f"states without one: {roots[:3]}")
 
         # Longest-path depth from the root; a valid topological grading.
         depth = {root: 0}

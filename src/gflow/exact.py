@@ -5,15 +5,15 @@ Everything here works on the Enumeration index: policies become dense
 distribution, state values, accumulated state distribution, metrics) are
 computed one topological layer at a time, by per-state sums over the edges
 leaving or entering the layer.  These routines are the measurement
-instruments for the whole library; training code never depends on them.
+instruments for the whole library.  Training builds on them too: the
+grid guide's backward kernel and the theorem-bound audit use them, and so
+do the runner's eval rows.
 """
 
 import numpy as np
 
 from .errors import ContractError, EnumerationLimit
 from .sampling import Trajectory, sample_forward
-
-DENSE_CAP = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -94,38 +94,16 @@ def reward_distribution(enum):
     return p / p.sum()
 
 
-def accumulated_distribution(enum, fwd_log, method="layers"):
+def accumulated_distribution(enum, fwd_log):
     """Accumulated state distribution d(s) = (1/T) sum_t P(s_t = s).
 
     Defined for graded environments, where every trajectory has the same
-    length T.  Three routes must agree: direct layer propagation, the
-    fundamental-matrix solve (I - P)^-1 applied to the start distribution,
-    and the nilpotent power sum.  The sink's accumulated mass is 0 by
-    construction and is not represented.
+    length T, so it is the visit probability over T.  The sink's
+    accumulated mass is 0 by construction and is not represented.
     """
     if not enum.env.graded:
         raise ContractError("accumulated distribution requires a graded environment")
-    t_len = len(enum.layers)
-    if method == "layers":
-        return visit_probabilities(enum, fwd_log) / t_len
-    if enum.n > DENSE_CAP:
-        raise EnumerationLimit(
-            f"dense matrix route limited to {DENSE_CAP} states, have {enum.n}")
-    p = np.zeros((enum.n, enum.n))
-    p[enum.edge_src, enum.edge_dst] = np.exp(edge_logs_forward(enum, fwd_log))
-    mu = np.zeros(enum.n)
-    mu[enum.root_index] = 1.0
-    if method == "matrix":
-        d = np.linalg.solve(np.eye(enum.n) - p.T, mu)
-        return d / t_len
-    if method == "power":
-        acc = mu.copy()
-        vec = mu
-        for _ in range(t_len - 1):
-            vec = p.T @ vec
-            acc += vec
-        return acc / t_len
-    raise ValueError(f"unknown method {method!r}")
+    return visit_probabilities(enum, fwd_log) / len(enum.layers)
 
 
 # ---------------------------------------------------------------------------

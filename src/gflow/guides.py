@@ -31,6 +31,10 @@ from .errors import ContractError
 class _Guide:
     """Shared batch contract; subclasses supply edge_log_probs."""
 
+    def refresh(self, forward, batch):
+        """Bring the guide up to date after a training batch was sampled by
+        `forward`; a fixed guide has nothing to update."""
+
     def log_conditional(self, trajectories):
         """log P_G(tau | x) per trajectory: the sum of its edge log-probs."""
         lp = self.edge_log_probs(trajectories)
@@ -93,8 +97,9 @@ class HyperGridGuide(_MarkovGuide):
         self._pf_log = None
         self._low = None  # states at the reward floor, found on the first refresh
 
-    def refresh(self, forward):
-        """Rebuild P_f and the kernel from the current forward policy."""
+    def refresh(self, forward, batch):
+        """Rebuild P_f and the kernel from the current forward policy; the
+        batch is not used."""
         enum = self.enum
         env = self.env
         fwd_log = exact.forward_log_table(enum, forward)
@@ -134,7 +139,8 @@ class SequenceGuide(_Guide):
     its conditional given x comes from a subset-lattice sweep per x.
 
     The first query after construction or refresh() snapshots the replay
-    buffer; later queries read that snapshot until the next refresh().
+    buffer; later queries read that snapshot until the next refresh(), which
+    also feeds the buffer.
     """
 
     def __init__(self, env, buffer, floor=1e-8):
@@ -144,8 +150,11 @@ class SequenceGuide(_Guide):
         self.enum = None  # fetched and kept by the first exact per-x kernel
         self._replay = None
 
-    def refresh(self, forward=None):
-        """Drop the replay snapshot after the buffer changed."""
+    def refresh(self, forward, batch):
+        """Append the batch's endpoints and rewards to the replay buffer, in
+        batch order, and drop the replay snapshot; the policy is not used."""
+        self.buffer.update(np.stack([tr.x for tr in batch]),
+                           np.exp([tr.log_reward for tr in batch]))
         self._replay = None
 
     def _scores(self, xs):

@@ -44,8 +44,7 @@ class _StateModel:
         return self.env.encode_batch(states)
 
     def _outputs(self, tape, states):
-        x = self._model_inputs(states)
-        return self.model.rows(tape, x) if self.tabular else self.model.forward(tape, x)
+        return self.model.forward(tape, self._model_inputs(states))
 
 
 class _PolicyBase(_StateModel):
@@ -101,7 +100,6 @@ class UniformBackward:
 
     def __init__(self, env):
         self.env = env
-        self.tabular = False
 
     def params(self):
         return []
@@ -268,12 +266,7 @@ def score_matrix(policy, states, slots, masks=None):
     slots = np.asarray(slots, dtype=np.intp)
     if masks is None:
         masks = policy.masks(states)
-    x = policy._model_inputs(states)
-    if policy.tabular:
-        logits, cache = policy.model.rows(None, x).data, (x,)
-    else:
-        logits, inputs, pre = policy.model.forward_cached(x)
-        cache = (inputs, pre)
+    logits, *cache = policy.model.forward_cached(policy._model_inputs(states))
     d = -ad.masked_softmax(logits, masks)
     d[np.arange(len(states)), slots] += 1.0
     return ScoreOperator(policy.model, cache, d)

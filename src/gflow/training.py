@@ -419,10 +419,7 @@ class Trainer:
         batch = sample_forward(self.env, self.suite.forward, self.cfg.batch_size, rng,
                                eps=eps)
         if self.guide is not None:
-            if isinstance(self.guide, SequenceGuide):
-                self.guide.buffer.update(np.stack([tr.x for tr in batch]),
-                                         np.exp([tr.log_reward for tr in batch]))
-            self.guide.refresh(self.suite.forward)
+            self.guide.refresh(self.suite.forward, batch)
         stats = ROSTER[self.cfg.strategy].update(self, batch, rng)
         self.iteration += 1
         stats["batch"] = batch

@@ -38,6 +38,7 @@ from gflow.training import (
     surrogate_gradient,
     surrogate_loss,
 )
+from test_exact import accumulated_by_matrix, accumulated_by_powers
 
 
 _CAPTURE = None
@@ -221,8 +222,8 @@ def test_criterion_04_accumulated_distribution_routes_agree():
         enum = env.enumeration()
         fwd = forward_table_from(rng.normal(0, 1, (enum.n, env.n_action_slots)),
                                  enum)
-        outs = [exact.accumulated_distribution(enum, fwd, method=m)
-                for m in ("layers", "matrix", "power")]
+        outs = [route(enum, fwd) for route in (exact.accumulated_distribution,
+                                               accumulated_by_matrix, accumulated_by_powers)]
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = max(worst, float(np.abs(outs[i] - outs[j]).max()))

@@ -571,6 +571,12 @@ def test_explicit_root_inference_and_override():
     with pytest.raises(ConfigError):
         # Two parentless states and no explicit root.
         ExplicitDag({"r": ["x"], "q": ["x"]}, {"x": 1.0})
+    # A given root must be the only parentless state: not one of two, not
+    # absent from the graph, not a state with a parent.
+    for children, root in (({"r": ["x"], "q": ["x"]}, "r"), ({"r": ["x"]}, "zz"),
+                           ({"r": ["x"]}, "x")):
+        with pytest.raises(ConfigError):
+            ExplicitDag(children, {"x": 1.0}, root=root)
 
 
 def test_explicit_rejects_duplicate_edges():

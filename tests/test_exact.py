@@ -119,12 +119,41 @@ def test_visit_probabilities_root_one():
 # -- accumulated state distribution --------------------------------------------
 
 
+def dense_transitions(enum, fwd_log):
+    """Dense (n x n) forward transition matrix P and the root start vector."""
+    p = np.zeros((enum.n, enum.n))
+    p[enum.edge_src, enum.edge_dst] = np.exp(edge_logs_forward(enum, fwd_log))
+    mu = np.zeros(enum.n)
+    mu[enum.root_index] = 1.0
+    return p, mu
+
+
+def accumulated_by_matrix(enum, fwd_log):
+    """Oracle for accumulated_distribution on a graded DAG: the
+    fundamental-matrix solve (I - P^T)^-1 mu, over T."""
+    p, mu = dense_transitions(enum, fwd_log)
+    d = np.linalg.solve(np.eye(enum.n) - p.T, mu)
+    return d / len(enum.layers)
+
+
+def accumulated_by_powers(enum, fwd_log):
+    """Oracle for accumulated_distribution on a graded DAG: the nilpotent
+    power sum mu + P^T mu + ... + (P^T)^(T-1) mu, over T."""
+    p, mu = dense_transitions(enum, fwd_log)
+    acc = mu.copy()
+    vec = mu
+    for _ in range(len(enum.layers) - 1):
+        vec = p.T @ vec
+        acc += vec
+    return acc / len(enum.layers)
+
+
 def test_accumulated_distribution_three_routes_agree():
     env = SequenceEnv(2, 3, np.arange(1.0, 10.0))
     enum, fwd, _ = random_tables(env, seed=3)
-    d_layers = accumulated_distribution(enum, fwd, method="layers")
-    d_matrix = accumulated_distribution(enum, fwd, method="matrix")
-    d_power = accumulated_distribution(enum, fwd, method="power")
+    d_layers = accumulated_distribution(enum, fwd)
+    d_matrix = accumulated_by_matrix(enum, fwd)
+    d_power = accumulated_by_powers(enum, fwd)
     np.testing.assert_allclose(d_layers, d_matrix, atol=1e-10)
     np.testing.assert_allclose(d_layers, d_power, atol=1e-10)
     assert d_layers.sum() == pytest.approx(1.0, abs=1e-10)
@@ -143,13 +172,6 @@ def test_accumulated_distribution_requires_graded():
     enum, fwd, _ = random_tables(env, seed=5)
     with pytest.raises(ContractError):
         accumulated_distribution(enum, fwd)
-
-
-def test_accumulated_distribution_unknown_method():
-    env = SequenceEnv(2, 2, np.ones(4))
-    enum, fwd, _ = random_tables(env, seed=6)
-    with pytest.raises(ValueError):
-        accumulated_distribution(enum, fwd, method="nope")
 
 
 # -- metrics -------------------------------------------------------------------

@@ -142,7 +142,7 @@ def grid_setup(seed=0, d=2, n=4):
     suite = make_suite(env, np.random.default_rng(seed), tabular=True,
                        init_scale=0.7)
     guide = HyperGridGuide(env)
-    guide.refresh(suite.forward)
+    guide.refresh(suite.forward, [])
     return env, suite, guide
 
 
@@ -171,7 +171,7 @@ def adjusted_forward_probs(env, forward, eps=1e-5):
 def test_grid_guide_floor_matches_per_state_rewards(d, n):
     env = HyperGrid(d, n)
     guide = HyperGridGuide(env)
-    guide.refresh(make_suite(env, np.random.default_rng(0), tabular=True).forward)
+    guide.refresh(make_suite(env, np.random.default_rng(0), tabular=True).forward, [])
     assert guide._low.dtype == bool
     assert np.array_equal(guide._low, floor_states(env))
     assert guide._low.any() and not guide._low.all()
@@ -249,7 +249,7 @@ def test_grid_guide_tracks_policy_refresh():
     before = guide.backward_kernel().copy()
     suite.forward.model.table.data += np.random.default_rng(4).normal(
         0, 1, suite.forward.model.table.data.shape)
-    guide.refresh(suite.forward)
+    guide.refresh(suite.forward, [])
     assert not np.allclose(before, guide.backward_kernel())
 
 
@@ -384,8 +384,12 @@ def test_sequence_guide_refresh_invalidates_cache():
     buf.update([(1, 1, 0)] * 30, [100.0] * 30)
     # Stale snapshot: the conditional ignores the new entries until refresh().
     assert guide.log_conditional([tr]) == before
-    guide.refresh()
+    guide.refresh(None, [tr, tr])
     assert guide.log_conditional([tr]) != before
+    # refresh() also appends the batch's endpoints and rewards to the buffer.
+    assert len(buf) == 6 + 30 + 2
+    np.testing.assert_array_equal(buf.state_rows()[-2:], rows(env, [x, x]))
+    np.testing.assert_array_equal(buf.rewards()[-2:], np.exp([tr.log_reward] * 2))
 
 
 def test_guided_score():

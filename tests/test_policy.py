@@ -150,18 +150,16 @@ def dense_scores(pol, states, slots):
     masks = pol.masks(states)
     x = pol._model_inputs(states)
     model = pol.model
-    if pol.tabular:
-        logits = model.rows(None, x).data
-    else:
-        logits, inputs, pre = model.forward_cached(x)
+    logits, *cache = model.forward_cached(x)
     d = -ad.masked_softmax(logits, masks)
     d[np.arange(len(states)), slots] += 1.0
     m = len(states)
-    if pol.tabular:
+    if isinstance(model, ad.Tabular):
         g = np.zeros((m, model.n_rows * model.n_cols))
         cols = x[:, None] * model.n_cols + np.arange(model.n_cols)[None, :]
         np.put_along_axis(g, cols, d, axis=1)
         return g
+    inputs, pre = cache
     blocks = [None] * len(model.weights)
     delta = d
     for layer in range(len(model.weights) - 1, -1, -1):

@@ -637,6 +637,19 @@ def test_trainer_guide_on_sequences():
     assert len(trainer.guide.buffer) == 8
 
 
+def test_trainer_step_with_a_fixed_table_guide():
+    # A guide that needs no refresh still gets the refresh call each step.
+    env = HyperGrid(2, 4)
+    rng = np.random.default_rng(25)
+    guide = TableGuide.random(env, rng)
+    kernel = guide.backward_kernel().copy()
+    trainer = Trainer(env, TrainerConfig(strategy="RL-G", tabular=True, batch_size=4), rng,
+                      guide=guide)
+    stats = trainer.step(rng)
+    assert np.isfinite(stats["loss"])
+    assert np.array_equal(guide.backward_kernel(), kernel)
+
+
 def test_trainer_config_errors():
     env = HyperGrid(2, 3)
     with pytest.raises(ConfigError):
