@@ -13,7 +13,43 @@ group as:
 - training: per-strategy update steps and exact bound checks
 - exact: dynamic-programming distributions, values, metrics, oracles
 - runner / cli: config-driven experiments with CSV metrics
+
+Importing gflow sets the OpenBLAS that numpy loaded, if any, to one
+thread, whatever OPENBLAS_NUM_THREADS says.  A threaded dot or matrix
+product rounds differently from a serial one, so one thread keeps every
+output independent of the machine's core count; and the products here are
+too small for a second thread to save time, which it then spends spinning.
+Other BLAS builds are left alone.
 """
+
+import ctypes
+
+import numpy  # loads the BLAS library that _one_blas_thread looks up
+
+
+def _one_blas_thread():
+    """Set the OpenBLAS numpy loaded to one thread; without OpenBLAS, or
+    without a setter symbol, do nothing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = None, [ctypes.c_int]
+                fn(1)
+                return
+
+
+_one_blas_thread()
 
 from .envs import (EMPTY, DagEnv, Enumeration, ExplicitDag, HyperGrid,
                    SequenceEnv, random_dag, random_graded_dag)

@@ -104,12 +104,27 @@ class Tape:
             for t, g in zip(inputs, grads):
                 if g is None or not (t.requires_grad or t._taped):
                     continue
+                owned = isinstance(g, _Owned)
+                if owned:
+                    g = g.array
                 if t.grad is None:
-                    # zeros + g in one pass: adding +0.0 turns -0.0 into
-                    # +0.0 and broadcasts g exactly as accumulating would.
-                    t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+                    # An owned gradient is kept as it is.  Otherwise zeros + g
+                    # in one pass: adding +0.0 turns -0.0 into +0.0 and
+                    # broadcasts g exactly as accumulating would.
+                    t.grad = g if owned else np.add(g, 0.0, out=np.empty_like(t.data))
                 else:
                     t.grad += g
+
+
+class _Owned:
+    """A gradient that a backward allocated for this one input, with the
+    input's shape, starting from +0.0 (so holding no -0.0) and referenced
+    nowhere else; the tape may adopt it as a first gradient without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +250,7 @@ def gather(tape, a, idx):
         return out
 
     def bw(g):
-        return (_scatter(a.data.shape, idx, g),)
+        return (_Owned(_scatter(a.data.shape, idx, g)),)
 
     return tape.record(out, (a,), bw)
 
@@ -252,7 +267,7 @@ def pick(tape, a, cols):
         return out
 
     def bw(g):
-        return (_scatter(a.data.shape, (rows, cols), g),)
+        return (_Owned(_scatter(a.data.shape, (rows, cols), g)),)
 
     return tape.record(out, (a,), bw)
 
@@ -361,17 +376,21 @@ class Mlp:
 
     def _layers(self, x, inputs=None, pre=None):
         # Activations are kept only when lists are passed in, so a plain
-        # forward frees each layer's output once the next one exists.
+        # forward frees each layer's output once the next one exists and
+        # applies bias and activation in place.  For 0 < slope < 1,
+        # max(h, slope * h) is where(h > 0, h, slope * h) bit for bit,
+        # signed zeros and NaN included.
         h = _as_tensor(x).data
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            h = h @ w.data + b.data
+            h = h @ w.data
+            h += b.data
             if i < last:
                 if pre is not None:
                     pre.append(h)
-                h = np.where(h > 0, h, self.slope * h)
+                h = np.maximum(h, self.slope * h, out=None if pre is not None else h)
         return h
 
     def n_params(self):

@@ -33,12 +33,13 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 # terminal slot, log reward and encoding scratch), per (state, forward
 # slot) pair (an edge's four intp entries and the float64 tables of one
 # exact evaluation), and per tabular parameter entry (value, gradient,
-# Adam m and v, and the two transient buffers of a backward pass: the
-# gather's scatter table and the tape's first-write copy; 8 bytes each).
-# Adam's own scratch is one block, not a table.
+# Adam m and v, and the scatter table of a second gather of the same table
+# on one tape, as the balance losses make; 8 bytes each).  The first
+# gather's scatter table becomes the gradient, and Adam's own scratch is
+# one block, not a table.
 STATE_BYTES = 256
 SLOT_BYTES = 80
-TABULAR_ENTRY_BYTES = 6 * 8
+TABULAR_ENTRY_BYTES = 5 * 8
 
 
 @dataclass
@@ -284,6 +285,8 @@ def run(cfg, seed=None, out=None):
         threads = int(raw)
     except ValueError:
         raise ConfigError(f"GFLOW_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"GFLOW_THREADS must be at least 1, got {threads}")
     if seed is not None:
         _check_seed(seed)
     seeds = [seed] if seed is not None else list(cfg.seeds)

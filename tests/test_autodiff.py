@@ -188,6 +188,129 @@ def test_taped_model_forward_is_one_record():
         assert list(rec_inputs) == model.params()
 
 
+def signed_zero_net(hidden, rng):
+    """An Mlp whose pre-activations hit +0.0, -0.0 and NaN on the rows of
+    signed_zero_rows, at every layer.
+
+    Unit 1 has zero weights, so its pre-activation is +0.0 on every row.
+    Unit 0 has tiny negative weights and bias -0.0: on the row of tiny
+    positive inputs (and the non-negative tiny activations the other
+    weights then give it) each fused product underflows to -0.0."""
+    net = ad.Mlp((4, *hidden, 3), rng)
+    for w, b in zip(net.weights, net.biases):
+        np.abs(w.data, out=w.data)
+        w.data[:, 0] = -1e-200
+        w.data[:, 1] = 0.0
+        b.data[0] = -0.0
+    return net
+
+
+def signed_zero_rows(rng):
+    x = rng.normal(size=(8, 4))
+    x[1] = 1e-200
+    x[2] = 0.0
+    x[3, 1] = np.nan
+    return x
+
+
+def test_leaky_max_is_leaky_where_bit_for_bit():
+    h = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                  1e-310, -1e-310, 2.5, -2.5, np.finfo(float).max, -np.finfo(float).max])
+    slope = ad.Mlp.slope
+    want = np.where(h > 0, h, slope * h)
+    assert np.maximum(h, slope * h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["depth1", "depth2", "depth3"])
+def test_untaped_forward_matches_layered_oracle(hidden):
+    rng = np.random.default_rng(50 + len(hidden))
+    net = signed_zero_net(hidden, rng)
+    x = signed_zero_rows(rng)
+    x_before = x.copy()
+    want = layered_forward(net, None, x).data
+    _, _, pre = net.forward_cached(x)
+    for p in pre:
+        zero = p == 0
+        assert (zero & ~np.signbit(p)).any() and (zero & np.signbit(p)).any()
+        assert np.isnan(p).any()
+    for got in (net.forward(None, x).data, net.forward_numpy(x)):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["depth1", "depth2", "depth3"])
+def test_forward_cached_keeps_inputs_and_pre_activations(hidden):
+    rng = np.random.default_rng(60 + len(hidden))
+    net = signed_zero_net(hidden, rng)
+    x = signed_zero_rows(rng)
+    out, inputs, pre = net.forward_cached(x)
+    # Oracle: each layer's input and pre-activation built from scratch.
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        assert inputs[i].tobytes() == h.tobytes()
+        z = h @ w.data + b.data
+        if i < len(hidden):
+            assert pre[i].tobytes() == z.tobytes()
+            h = np.where(z > 0, z, net.slope * z)
+        else:
+            assert out.tobytes() == z.tobytes()
+    assert len(pre) == len(hidden)
+
+
+def test_untaped_forward_holds_two_layer_arrays():
+    # The seq-mlp shape: every SequenceEnv(6, 4) state through (64, 64) hidden layers.
+    rng = np.random.default_rng(70)
+    net = ad.Mlp((30, 64, 64, 25), rng)
+    x = rng.normal(size=(15625, 30))
+    net.forward_numpy(x[:10])  # warm-up
+    layer = x.shape[0] * 64 * 8
+    tracemalloc.start()
+    try:
+        net.forward_numpy(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * layer + layer // 8
+
+
+def test_tape_adopts_the_scatter_table_without_a_copy():
+    # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25 slots.
+    rng = np.random.default_rng(80)
+    table = ad.Tabular(15625, 25, rng=rng, init_scale=0.5)
+    idx = rng.integers(0, 15625, size=384)
+    w = ad.Tensor(rng.normal(size=(384, 25)))
+    tape = ad.Tape()
+    loss = ad.sum(tape, ad.mul(tape, table.forward(tape, idx), w))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = table.table.data.nbytes
+    assert peak <= nbytes + nbytes // 8
+    want = np.zeros_like(table.table.data)
+    np.add.at(want, idx, w.data)
+    assert table.table.grad.tobytes() == want.tobytes()
+
+
+def test_adopted_gradient_is_not_shared_with_other_inputs():
+    # add's backward hands the adopted table on as it is; the inputs that
+    # receive it must get copies of their own.
+    rng = np.random.default_rng(81)
+    a = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    tape = ad.Tape()
+    s = ad.add(tape, a, b)
+    loss = ad.sum(tape, ad.gather(tape, s, np.array([0, 3, 3])))
+    tape.backward(loss)
+    for x, y in ((a, b), (a, s), (b, s)):
+        assert not np.shares_memory(x.grad, y.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, s.grad)
+
+
 def test_square_gradient_is_two_theta():
     t = ad.Tensor(np.array([3.0, -1.5]), requires_grad=True)
     tape = ad.Tape()

@@ -1,7 +1,11 @@
 """Experiment orchestration: config parsing, CSV emission, determinism,
 aggregation, and the command-line wrappers."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +379,83 @@ def test_cli_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "GFLOW_THREADS" in err and "'x'" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-2"])
+def test_cli_rejects_thread_count_below_one(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("GFLOW_THREADS", raw)
+    cfg_path = write_cfg(tmp_path, SMALL_GRID)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"GFLOW_THREADS must be at least 1, got {raw}" in err
+    assert not out.exists()
+
+
+# -- BLAS threads ----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Prints the OpenBLAS thread count before and after `import gflow`, or
+# "none" when no OpenBLAS getter is loaded.
+BLAS_PROBE = """
+import ctypes
+import numpy
+getter = None
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        getter = getter or getattr(lib, sym, None)
+if getter is None:
+    print("none")
+else:
+    getter.restype, getter.argtypes = ctypes.c_int, []
+    before = getter()
+    import gflow
+    print(before, getter())
+"""
+
+
+def child(args, blas_threads, cwd):
+    """Run Python with `args` in `cwd`, gflow imported from this tree's src/
+    and OPENBLAS_NUM_THREADS set; returns stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_importing_gflow_sets_openblas_to_one_thread(tmp_path):
+    out = child(["-c", BLAS_PROBE], 2, tmp_path).split()
+    if out == ["none"]:
+        pytest.skip("numpy loaded no OpenBLAS with a thread-count getter")
+    # The environment asks for 2 threads (OpenBLAS caps that at the core
+    # count); after the import the getter reads 1.
+    assert int(out[1]) == 1
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # RL-T's conjugate gradient takes dot products over the 390 625-entry
+    # forward table, and every eval row scores 15 625 states; both are long
+    # enough for a threaded OpenBLAS to split and round differently.
+    cfg_path = write_cfg(tmp_path, "env = sequence\nd = 6\nn = 4\nstrategy = RL-T\n"
+                                   "tabular = on\niterations = 3\nbatch = 32\n"
+                                   "eval_every = 1\ntiming = off\nseeds = 0\n")
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        child(["-m", "gflow", "run", "--config", str(cfg_path), "--out", str(out)],
+              threads, tmp_path)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["RL-T_seed0.csv", "RL-T_seed0.params"]
+    assert outputs[0] == outputs[1]
 
 
 def fake_physical_memory(monkeypatch, nbytes):
