@@ -18,7 +18,6 @@ without forming it.  A taped forward's backward is the reverse pass that vjp
 flattens, so each model has one derivative.
 """
 
-import builtins
 import math
 
 import numpy as np
@@ -392,10 +391,6 @@ class Mlp:
                     pre.append(h)
                 h = np.maximum(h, self.slope * h, out=None if pre is not None else h)
         return h
-
-    def n_params(self):
-        # builtins.sum: the taped `sum` op above shadows the builtin here.
-        return builtins.sum(p.data.size for p in self.params())
 
     def jvp(self, inputs, pre, v):
         """Output tangents (M x out) along the flat parameter direction `v`.

@@ -192,18 +192,6 @@ class PolicySuite:
     def all_params(self):
         return [p for params in self.param_groups().values() for p in params]
 
-    def snapshot(self):
-        """Copy of all parameters as flat vectors, keyed by group."""
-        return {name: ad.flatten(params).copy()
-                for name, params in self.param_groups().items()}
-
-    def restore(self, snap):
-        groups = self.param_groups()
-        if set(snap) != set(groups):
-            raise ShapeError(f"snapshot groups {sorted(snap)} != suite groups {sorted(groups)}")
-        for name, vec in snap.items():
-            ad.assign_flat(groups[name], vec)
-
     def save(self, path, seed=0, kind="suite"):
         groups = self.param_groups()
         names = list(groups)

@@ -12,7 +12,6 @@ of (config, seed); set timing = off for byte-identical reruns.
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,8 +24,8 @@ from .training import ROSTER, STRATEGIES, Trainer, TrainerConfig
 
 HEADER = "iter,loss,d_tv,d_jsd,acc,modes,seconds"
 
-# Config keys that are not valid Python identifiers map to renamed fields.
-_KEY_TO_FIELD = {"lambda": "lam"}
+# Config keys that differ from their field names.
+_KEY_TO_FIELD = {"lambda": "lam", "batch": "batch_size"}
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 # Memory plan, in bytes: per enumerated state (its row, position entry,
@@ -43,7 +42,7 @@ TABULAR_ENTRY_BYTES = 5 * 8
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainerConfig):
     env: str = "grid"
     d: int = 2
     n: int = 8
@@ -53,24 +52,17 @@ class RunConfig:
     r0: float = 0.01
     r1: float = 0.5
     r2: float = 2.0
-    strategy: str = "TB-U"
     iterations: int = 1000
-    batch: int = 128
-    lam: float = 0.99
-    zeta: float = 0.01
-    gamma: float = 0.99
-    lr_policy: float = 1e-3
-    lr_value: float = 5e-3
-    lr_logz: float = 0.1
     eval_every: int = 10
     seeds: tuple = (0,)
     out: str = "runs"
-    hidden: tuple = (64, 64)
-    tabular: bool = False
-    subtb_base: float = 0.9
-    guide_eps: float = 1e-5
     mode_samples: int = 0
     timing: bool = True
+
+    @property
+    def batch(self):
+        # Read by perfbench/workloads.py, which builds its own TrainerConfig.
+        return self.batch_size
 
 
 def _convert(key, value, default):
@@ -93,7 +85,7 @@ def _convert(key, value, default):
 
 def parse_config_text(text):
     cfg = RunConfig()
-    known = {f.name: f for f in fields(RunConfig)}
+    keys = {_FIELD_TO_KEY.get(f.name, f.name) for f in fields(RunConfig)}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,9 +95,9 @@ def parse_config_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        name = _KEY_TO_FIELD.get(key, key)
-        if name not in known:
+        if key not in keys:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
+        name = _KEY_TO_FIELD.get(key, key)
         try:
             setattr(cfg, name, _convert(key, value, getattr(cfg, name)))
         except ValueError as err:
@@ -143,7 +135,7 @@ def validate_config(cfg):
             raise ConfigError(f"{name} must be positive")
     if cfg.iterations < 0:
         raise ConfigError("iterations must be nonnegative")
-    if cfg.batch < 1:
+    if cfg.batch_size < 1:
         raise ConfigError("batch must be at least 1")
     if not 0.0 <= cfg.lam <= 1.0:
         raise ConfigError("lambda must lie in [0, 1]")
@@ -179,9 +171,18 @@ def _check_seed(seed):
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
+def _check_fits(planned, what):
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if planned > physical:
+        raise ConfigError(
+            f"planned memory {planned / 2**20:.0f} MiB for {what} exceeds "
+            f"physical memory {physical / 2**20:.0f} MiB")
+
+
 def build_env(cfg):
     if cfg.env == "grid":
         return HyperGrid(cfg.d, cfg.n, r0=cfg.r0, r1=cfg.r1, r2=cfg.r2)
+    _check_fits(cfg.n ** cfg.d * 8, f"a reward table of {cfg.n}**{cfg.d} sequences")
     if cfg.reward_table:
         d, n, rewards = load_reward_table(cfg.reward_table)
         if (d, n) != (cfg.d, cfg.n):
@@ -216,21 +217,8 @@ def check_memory(cfg, env):
         cols = (env.n_action_slots + row.learned_backward * env.n_backward_slots
                 + row.value_f + row.value_b + row.flow)
         planned += TABULAR_ENTRY_BYTES * n * cols
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if planned > physical:
-        raise ConfigError(
-            f"planned memory {planned / 2**20:.0f} MiB for {n} states exceeds "
-            f"physical memory {physical / 2**20:.0f} MiB")
+    _check_fits(planned, f"{n} states")
     return planned
-
-
-def _trainer_config(cfg):
-    return TrainerConfig(
-        strategy=cfg.strategy, batch_size=cfg.batch, lam=cfg.lam,
-        gamma=cfg.gamma, zeta=cfg.zeta, lr_policy=cfg.lr_policy,
-        lr_value=cfg.lr_value, lr_logz=cfg.lr_logz, subtb_base=cfg.subtb_base,
-        hidden=tuple(cfg.hidden), tabular=cfg.tabular, guide_eps=cfg.guide_eps,
-    )
 
 
 def run_seed(cfg, env, seed, out_dir, enum):
@@ -242,11 +230,11 @@ def run_seed(cfg, env, seed, out_dir, enum):
     init_rng = np.random.default_rng([seed, 0])
     train_rng = np.random.default_rng([seed, 1])
     eval_rng = np.random.default_rng([seed, 2])
-    trainer = Trainer(env, _trainer_config(cfg), init_rng)
+    trainer = Trainer(env, cfg, init_rng)
     modes = exact.mode_states(enum) if enum is not None else None
     p_star = exact.reward_distribution(enum) if enum is not None else None
     seen = set()
-    n_mode_samples = cfg.mode_samples if cfg.mode_samples > 0 else cfg.batch
+    n_mode_samples = cfg.mode_samples if cfg.mode_samples > 0 else cfg.batch_size
 
     out_dir = Path(out_dir)
     path = out_dir / f"{cfg.strategy}_seed{seed}.csv"
@@ -269,40 +257,36 @@ def run_seed(cfg, env, seed, out_dir, enum):
                 count = 0
             lines.append(f"{it},{stats['loss']!r},{d_tv!r},{d_jsd!r},"
                          f"{acc!r},{count},{seconds:.3f}")
-    path.write_text("\n".join(lines) + "\n")
-    trainer.suite.save(out_dir / f"{cfg.strategy}_seed{seed}.params", seed=seed)
+    try:
+        path.write_text("\n".join(lines) + "\n")
+        trainer.suite.save(out_dir / f"{cfg.strategy}_seed{seed}.params", seed=seed)
+    except OSError as err:
+        raise ConfigError(f"{out_dir}: cannot write output: {err.strerror}") from None
     return path
 
 
 def run(cfg, seed=None, out=None):
     """Execute a config over its seeds; returns the list of CSV paths.
 
-    GFLOW_THREADS > 1 runs seeds on a thread pool (each seed owns its models;
-    the environment and its enumeration are shared read-only).
+    Seeds run in order in this process and share the env and its enumeration;
+    for parallel seeds, start one `gflow run --seed k` process per seed.
     """
-    raw = os.environ.get("GFLOW_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"GFLOW_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"GFLOW_THREADS must be at least 1, got {threads}")
     if seed is not None:
         _check_seed(seed)
     seeds = [seed] if seed is not None else list(cfg.seeds)
     env = build_env(cfg)
     check_memory(cfg, env)
     out_dir = Path(out if out is not None else cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{out_dir}: cannot create output directory: {err.strerror}") from None
     try:
         # Built once before the seeds start; this frame holds it until they
         # finish, since the env keeps only a weak reference.
         enum = env.enumeration()
     except EnumerationLimit:
         enum = None
-    if threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: run_seed(cfg, env, s, out_dir, enum), seeds))
     return [run_seed(cfg, env, s, out_dir, enum) for s in seeds]
 
 

@@ -551,7 +551,7 @@ class TestMlp:
         _, inputs, pre = net.forward_cached(x)
         params = net.params()
         # grads[i, k] = d out[i, k] / d theta, one taped backward each.
-        grads = np.empty((6, 4, net.n_params()))
+        grads = np.empty((6, 4, ad.flatten(params).size))
         for i in range(6):
             for k in range(4):
                 tape = ad.Tape()
@@ -559,7 +559,7 @@ class TestMlp:
                 ad.zero_grads(params)
                 tape.backward(ad.pick(tape, out, np.array([k])))
                 grads[i, k] = ad.flat_grad(params)
-        v = rng.normal(size=net.n_params())
+        v = rng.normal(size=ad.flatten(params).size)
         g_out = rng.normal(size=(6, 4))
         assert_close(net.jvp(inputs, pre, v), grads @ v, rel=1e-10)
         assert_close(net.vjp(inputs, pre, g_out), np.einsum("ik,ikp->p", g_out, grads),

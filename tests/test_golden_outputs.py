@@ -67,8 +67,7 @@ def run_digest(base, strategy, out_dir):
 
 
 @pytest.mark.parametrize("name, base, strategy", CASES, ids=[c[0] for c in CASES])
-def test_seeded_run_outputs_are_unchanged(name, base, strategy, tmp_path, monkeypatch):
-    monkeypatch.setenv("GFLOW_THREADS", "1")
+def test_seeded_run_outputs_are_unchanged(name, base, strategy, tmp_path):
     assert run_digest(base, strategy, tmp_path) == DIGESTS[name]
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,8 @@ def test_parse_config_defaults():
 
 @pytest.mark.parametrize("text,fragment", [
     ("wibble = 3", "unknown key"),
+    ("batch_size = 4", "unknown key 'batch_size'"),
+    ("lam = 0.5", "unknown key 'lam'"),
     ("iterations = soon", "bad value"),
     ("just a line", "expected 'key = value'"),
     ("strategy = TB-X", "unknown strategy"),
@@ -233,6 +236,47 @@ def test_checkpoint_loads_back_into_matching_suite(tmp_path):
     assert not np.array_equal(before, trainer.suite.forward.model.table.data)
 
 
+def test_every_trainer_field_reaches_the_trainer(tmp_path, monkeypatch):
+    want = {"strategy": "RL-G", "batch_size": 6, "lam": 0.5, "gamma": 0.9,
+            "zeta": 0.05, "lr_policy": 0.02, "lr_value": 0.03, "lr_logz": 0.2,
+            "subtb_base": 0.8, "hidden": (5, 3), "tabular": True, "guide_eps": 1e-4}
+    # A new TrainerConfig field must be added here, with a non-default value.
+    assert set(want) == {f.name for f in fields(TrainerConfig)}
+    cfg = parse_config_text("""
+        env = grid
+        d = 2
+        n = 3
+        iterations = 1
+        timing = off
+        strategy = RL-G
+        batch = 6
+        lambda = 0.5
+        gamma = 0.9
+        zeta = 0.05
+        lr_policy = 0.02
+        lr_value = 0.03
+        lr_logz = 0.2
+        subtb_base = 0.8
+        hidden = 5, 3
+        tabular = on
+        guide_eps = 1e-4
+    """)
+    built = []
+
+    class RecordingTrainer(Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner, "Trainer", RecordingTrainer)
+    seed_run(cfg, 0, tmp_path)
+    (trainer,) = built
+    default = TrainerConfig()
+    for name, value in want.items():
+        assert value != getattr(default, name), name
+        assert getattr(trainer.cfg, name) == value, name
+
+
 # -- run over seeds ------------------------------------------------------------
 
 
@@ -247,15 +291,6 @@ def test_run_single_seed_override(tmp_path):
     cfg = parse_config_text(SMALL_GRID.replace("seeds = 0", "seeds = 0, 1"))
     paths = run(cfg, seed=3, out=tmp_path)
     assert [p.name for p in paths] == ["TB-U_seed3.csv"]
-
-
-def test_thread_pool_matches_serial(tmp_path, monkeypatch):
-    cfg = parse_config_text(SMALL_GRID.replace("seeds = 0", "seeds = 0, 1"))
-    serial = run(cfg, out=tmp_path / "serial")
-    monkeypatch.setenv("GFLOW_THREADS", "2")
-    pooled = run(cfg, out=tmp_path / "pooled")
-    for a, b in zip(serial, pooled):
-        assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("strategy", ["DB-U", "DB-B", "TB-U", "TB-B",
@@ -372,24 +407,31 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_rejects_non_integer_thread_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GFLOW_THREADS", "x")
+def test_cli_rejects_an_output_directory_under_a_file(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
     cfg_path = write_cfg(tmp_path, SMALL_GRID)
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "afile" / "sub"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "GFLOW_THREADS" in err and "'x'" in err
+    assert f"{out}: cannot create output directory" in err
 
 
-@pytest.mark.parametrize("raw", ["0", "-2"])
-def test_cli_rejects_thread_count_below_one(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("GFLOW_THREADS", raw)
-    cfg_path = write_cfg(tmp_path, SMALL_GRID)
+def test_unwritable_outputs_raise_config_error(tmp_path):
+    cfg = parse_config_text(SMALL_GRID.replace("iterations = 10", "iterations = 1"))
+    env = build_env(cfg)
+    with pytest.raises(ConfigError, match="cannot write output"):
+        run_seed(cfg, env, 0, tmp_path / "missing", env.enumeration())
+
+
+def test_cli_rejects_a_reward_table_larger_than_memory(tmp_path, capsys):
+    # 20**30 entries: numpy cannot even shape such a table.
+    cfg_path = write_cfg(tmp_path, "env = sequence\nd = 30\nn = 20\niterations = 1\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert f"GFLOW_THREADS must be at least 1, got {raw}" in err
+    assert "reward table of 20**30 sequences exceeds physical memory" in err
     assert not out.exists()
 
 
