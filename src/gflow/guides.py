@@ -6,11 +6,11 @@ conditioned on the endpoint x, that s' was reached from s.  Guides are
 consumed by the guided backward rewards log pi_B - log pi_G and by the
 guided balance loss; they carry no trainable parameters.
 
-Every guide answers for a whole batch of trajectories at once:
-`edge_log_probs(trajectories)` returns the interior-edge log-probabilities
-concatenated in trajectory order (the order of StepBatch's interior
-arrays), and `log_conditional(trajectories)` returns log P_G(tau | x), one
-sum per trajectory.
+Every guide reads a batch as the StepBatch that objectives.step_batch
+builds: `refresh(forward, sb)` updates the guide after a training batch,
+`edge_log_probs(sb)` returns the log-probabilities of the batch's interior
+edges in StepBatch order (from `in_states` and `in_bslots`), and
+`log_conditional(sb)` returns log P_G(tau | x), one sum per trajectory.
 
 Markov guides (grid, table) reduce to a dense backward kernel over the
 enumerated states, so a batch is one fancy-index into it.  The replay guide
@@ -31,14 +31,14 @@ from .errors import ContractError
 class _Guide:
     """Shared batch contract; subclasses supply edge_log_probs."""
 
-    def refresh(self, forward, batch):
-        """Bring the guide up to date after a training batch was sampled by
-        `forward`; a fixed guide has nothing to update."""
+    def refresh(self, forward, sb):
+        """Bring the guide up to date after the training batch `sb` was
+        sampled by `forward`; a fixed guide has nothing to update."""
 
-    def log_conditional(self, trajectories):
+    def log_conditional(self, sb):
         """log P_G(tau | x) per trajectory: the sum of its edge log-probs."""
-        lp = self.edge_log_probs(trajectories)
-        ends = np.cumsum([0] + [tr.length - 1 for tr in trajectories])
+        lp = self.edge_log_probs(sb)
+        ends = np.concatenate([[0], np.cumsum(sb.lengths - 1)])
         return np.array([lp[lo:hi].sum() for lo, hi in zip(ends[:-1], ends[1:])])
 
 
@@ -55,10 +55,8 @@ class _MarkovGuide(_Guide):
             raise ContractError("guide kernel not built; call refresh() first")
         return self.log_table
 
-    def edge_log_probs(self, trajectories):
-        table = self.backward_kernel()
-        rows = self.enum.positions(np.concatenate([tr.states[1:] for tr in trajectories]))
-        return table[rows, np.concatenate([tr.bslots for tr in trajectories])]
+    def edge_log_probs(self, sb):
+        return self.backward_kernel()[self.enum.positions(sb.in_states), sb.in_bslots]
 
 
 class TableGuide(_MarkovGuide):
@@ -97,7 +95,7 @@ class HyperGridGuide(_MarkovGuide):
         self._pf_log = None
         self._low = None  # states at the reward floor, found on the first refresh
 
-    def refresh(self, forward, batch):
+    def refresh(self, forward, sb):
         """Rebuild P_f and the kernel from the current forward policy; the
         batch is not used."""
         enum = self.enum
@@ -147,14 +145,12 @@ class SequenceGuide(_Guide):
         self.env = env
         self.buffer = buffer
         self.floor = float(floor)
-        self.enum = None  # fetched and kept by the first exact per-x kernel
         self._replay = None
 
-    def refresh(self, forward, batch):
+    def refresh(self, forward, sb):
         """Append the batch's endpoints and rewards to the replay buffer, in
         batch order, and drop the replay snapshot; the policy is not used."""
-        self.buffer.update(np.stack([tr.x for tr in batch]),
-                           np.exp([tr.log_reward for tr in batch]))
+        self.buffer.update(sb.xs, np.exp(sb.log_rewards))
         self._replay = None
 
     def _scores(self, xs):
@@ -227,36 +223,18 @@ class SequenceGuide(_Guide):
         on = ~(filled & (rows != x_rows)).any(axis=1)
         return (filled * (1 << np.arange(self.env.d))).sum(axis=1), on
 
-    def edge_log_probs(self, trajectories):
+    def edge_log_probs(self, sb):
         # Each endpoint's tables depend on that endpoint alone, so the
         # distinct endpoints can come in any order.
-        ends = np.stack([tr.x for tr in trajectories])
+        ends = sb.xs
         _, first, which = np.unique(self.env.index(ends), return_index=True,
                                     return_inverse=True)
         xs = ends[first]
-        edge_x = np.repeat(which, [tr.length - 1 for tr in trajectories])
-        children = np.concatenate([tr.states[1:] for tr in trajectories])
-        j = np.concatenate([tr.bslots for tr in trajectories])
-        u, on = self._lattice(children, xs[edge_x])
+        edge_x = which[sb.in_traj]
+        j = sb.in_bslots
+        u, on = self._lattice(sb.in_states, xs[edge_x])
         if not on.all():
             raise ContractError("guided edge leaves the lattice under x")
         reach, cond = self._tables(xs)
         prev = u & ~(1 << j)
         return np.log(reach[edge_x, prev] * cond[edge_x, prev, j] / reach[edge_x, u])
-
-    def backward_kernel_given_x(self, x):
-        """Dense (state-index -> backward slot) log kernel for one endpoint
-        row x; rows off the lattice under x stay -inf.  For exact per-x
-        sweeps."""
-        if self.enum is None:
-            self.enum = self.env.enumeration()
-        xs = np.asarray(x, dtype=np.intp).reshape(1, self.env.d)
-        reach, cond = (t[0] for t in self._tables(xs))
-        u, on = self._lattice(self.enum.states, xs)
-        table = np.full((self.enum.n, self.env.n_backward_slots), -np.inf)
-        for j in range(self.env.d):
-            idx = np.flatnonzero(on & ((u >> j) & 1).astype(bool))
-            prev = u[idx] & ~(1 << j)
-            with np.errstate(divide="ignore"):
-                table[idx, j] = np.log(reach[prev] * cond[prev, j] / reach[u[idx]])
-        return table

@@ -1,6 +1,8 @@
-"""Training objectives over trajectory batches.
+"""Training objectives over step batches.
 
-The value-based losses (trajectory balance, detailed balance, sub-trajectory
+`step_batch` lays a sampler's trajectory list out once as a StepBatch of
+flat row arrays; every loss, update step and guide reads only that.  The
+value-based losses (trajectory balance, detailed balance, sub-trajectory
 balance) are differentiable scalars built on one batched policy evaluation
 per loss.  The policy-gradient path instead uses per-step rewards
 R_F = log pi_F - log pi_B (with the R(x)/Z convention on the terminal hop)
@@ -43,6 +45,11 @@ class StepBatch:
     def n_steps(self):
         return len(self.states)
 
+    @property
+    def xs(self):
+        """Endpoint row of every trajectory (n_traj x width)."""
+        return self.states[self.terminal]
+
 
 def step_batch(trajectories):
     """Concatenate trajectory records into one StepBatch."""
@@ -78,14 +85,13 @@ def _reduce(tape, per_traj_sq, weights):
     return ad.sum(tape, ad.mul(tape, per_traj_sq, ad.Tensor(w)))
 
 
-def tb_loss(tape, trajectories, suite, weights=None):
+def tb_loss(tape, sb, suite, weights=None):
     """Mean squared trajectory-balance residual
     (log Z + log P_F(tau) - log P_B(tau|x) - log R(x))^2.
 
     `weights` replaces the batch mean with a weighted sum (used for exact
     expectations over enumerated trajectories).
     """
-    sb = step_batch(trajectories)
     lpf = suite.forward.step_log_probs(tape, sb.states, sb.slots)
     sum_f = ad.segment_sum(tape, lpf, sb.traj, sb.n_traj)
     if len(sb.in_states):
@@ -115,7 +121,7 @@ def _flow_values(tape, suite, states):
     return ad.add(tape, ad.mul(tape, out, ad.Tensor(keep)), ad.Tensor(pinned))
 
 
-def db_loss(tape, trajectories, suite, weights=None):
+def db_loss(tape, sb, suite, weights=None):
     """Detailed-balance residuals summed over each trajectory's edges.
 
     Interior edge s -> s':  log F(s) pi_F(s,a) - log F(s') pi_B(s',a).
@@ -123,7 +129,6 @@ def db_loss(tape, trajectories, suite, weights=None):
     """
     if suite.state_flow is None:
         raise ContractError("db_loss needs a state-flow estimator")
-    sb = step_batch(trajectories)
     lpf = suite.forward.step_log_probs(tape, sb.states, sb.slots)
     flow_src = _flow_values(tape, suite, sb.states)
     lhs = ad.add(tape, flow_src, lpf)
@@ -156,7 +161,7 @@ def subtb_weights(n_edges, base):
     return pairs, w / w.sum()
 
 
-def subtb_loss(tape, trajectories, suite, weight_base=0.9, weights=None):
+def subtb_loss(tape, sb, suite, weight_base=0.9, weights=None):
     """Sub-trajectory balance over all layer spans of graded trajectories.
 
     Span (i, j) compares F(s_i) plus forward transport against F(s_j) plus
@@ -168,7 +173,6 @@ def subtb_loss(tape, trajectories, suite, weight_base=0.9, weights=None):
         raise ContractError("sub-trajectory balance requires a graded environment")
     if suite.state_flow is None:
         raise ContractError("subtb_loss needs a state-flow estimator")
-    sb = step_batch(trajectories)
     d = int(sb.lengths[0]) - 1
     if np.any(sb.lengths != d + 1):
         raise ContractError("graded trajectories must share one length")
@@ -183,21 +187,18 @@ def subtb_loss(tape, trajectories, suite, weight_base=0.9, weights=None):
 
     pairs, w = subtb_weights(d, weight_base)
     n_pairs = len(pairs)
-    rep_step, rep_bucket = [], []
-    pos_i = np.empty(sb.n_traj * n_pairs, dtype=np.intp)
-    pos_j = np.empty(sb.n_traj * n_pairs, dtype=np.intp)
-    w_full = np.empty(sb.n_traj * n_pairs)
-    for b in range(sb.n_traj):
-        for k, (i, j) in enumerate(pairs):
-            bucket = b * n_pairs + k
-            for t in range(i, j):
-                rep_step.append(b * d + t)
-                rep_bucket.append(bucket)
-            pos_i[bucket] = b * (d + 1) + i
-            pos_j[bucket] = b * (d + 1) + j
-            w_full[bucket] = w[k]
-    rep_step = np.asarray(rep_step, dtype=np.intp)
-    rep_bucket = np.asarray(rep_bucket, dtype=np.intp)
+    # One trajectory's span steps, span buckets and span endpoints, offset
+    # per trajectory b by b * d interior steps, b * n_pairs buckets and
+    # b * (d + 1) states.
+    steps = np.array([t for i, j in pairs for t in range(i, j)], dtype=np.intp)
+    buckets = np.repeat(np.arange(n_pairs), [j - i for i, j in pairs])
+    ends = np.array(pairs, dtype=np.intp).reshape(n_pairs, 2)
+    b = np.arange(sb.n_traj)[:, None]
+    rep_step = (b * d + steps).ravel()
+    rep_bucket = (b * n_pairs + buckets).ravel()
+    pos_i = (b * (d + 1) + ends[:, 0]).ravel()
+    pos_j = (b * (d + 1) + ends[:, 1]).ravel()
+    w_full = np.tile(w, sb.n_traj)
 
     n_buckets = sb.n_traj * n_pairs
     span_f = ad.segment_sum(tape, ad.gather(tape, lpf, rep_step), rep_bucket, n_buckets)
@@ -212,13 +213,12 @@ def subtb_loss(tape, trajectories, suite, weight_base=0.9, weights=None):
     return _reduce(tape, per_traj, weights)
 
 
-def guided_tb_loss(tape, trajectories, suite, guide, weights=None):
+def guided_tb_loss(tape, sb, suite, guide, weights=None):
     """Mean squared guided balance residual
     (log P_B(tau|x) - log P_G(tau|x))^2; gradients flow through pi_B only."""
-    sb = step_batch(trajectories)
     lpb = suite.backward.step_log_probs(tape, sb.in_states, sb.in_bslots)
     sum_b = ad.segment_sum(tape, lpb, sb.in_traj, sb.n_traj)
-    log_pg = guide.log_conditional(trajectories)
+    log_pg = guide.log_conditional(sb)
     resid = ad.sub(tape, sum_b, ad.Tensor(log_pg))
     return _reduce(tape, ad.square(tape, resid), weights)
 

@@ -31,14 +31,19 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 # Memory plan, in bytes: per enumerated state (its row, position entry,
 # terminal slot, log reward and encoding scratch), per (state, forward
 # slot) pair (an edge's four intp entries and the float64 tables of one
-# exact evaluation), and per tabular parameter entry (value, gradient,
-# Adam m and v, and the scatter table of a second gather of the same table
-# on one tape, as the balance losses make; 8 bytes each).  The first
-# gather's scatter table becomes the gradient, and Adam's own scratch is
-# one block, not a table.
+# exact evaluation), per tabular parameter entry (value, gradient, Adam m
+# and v, and the scatter table of a second gather of the same table on one
+# tape, as the balance losses make; 8 bytes each), per sampled trajectory
+# (its Trajectory object and three array views, about 490 bytes measured),
+# and per sampled (trajectory, step, column) entry, the columns being the
+# state row plus its forward and backward slot (the sampler's array entry
+# and its StepBatch copy).  The first gather's scatter table becomes the
+# gradient, and Adam's own scratch is one block, not a table.
 STATE_BYTES = 256
 SLOT_BYTES = 80
 TABULAR_ENTRY_BYTES = 5 * 8
+TRAJECTORY_BYTES = 512
+SAMPLE_ENTRY_BYTES = 2 * 8
 
 
 @dataclass
@@ -199,25 +204,35 @@ def check_memory(cfg, env):
     The plan is arithmetic on sizes and allocates nothing:
 
         S * (STATE_BYTES + SLOT_BYTES * A) + TABULAR_ENTRY_BYTES * S * C
+          + N * (TRAJECTORY_BYTES + SAMPLE_ENTRY_BYTES * (T + 1) * (W + 2))
 
     S is env.n_states(), or 0 above the enumeration cap, where nothing is
     enumerated.  A and B are the forward and backward slot counts.  C counts
     the tabular columns per state of the strategy's parameter groups: A for
     the forward policy, plus B when the backward policy is learned, plus 1
     per value or flow estimator (0 for Mlp models, whose size does not grow
-    with S).  Physical memory is
+    with S).  N counts the trajectories sampled at once: the batch, the
+    backward walks from its endpoints when the backward policy is learned,
+    and the mode-count samples when S > 0, since the step's batch is still
+    held during evaluation.  T is env.max_trajectory_len and W env.width.
+    Physical memory is
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE").
     """
     n = env.n_states()
     if n > ENUMERATION_CAP:
         n = 0
     planned = n * (STATE_BYTES + SLOT_BYTES * env.n_action_slots)
+    row = ROSTER[cfg.strategy]
+    sampled = cfg.batch_size * (1 + row.learned_backward)
+    if n:
+        sampled += cfg.mode_samples or cfg.batch_size
+    planned += sampled * (TRAJECTORY_BYTES + SAMPLE_ENTRY_BYTES
+                          * (env.max_trajectory_len + 1) * (env.width + 2))
     if cfg.tabular:
-        row = ROSTER[cfg.strategy]
         cols = (env.n_action_slots + row.learned_backward * env.n_backward_slots
                 + row.value_f + row.value_b + row.flow)
         planned += TABULAR_ENTRY_BYTES * n * cols
-    _check_fits(planned, f"{n} states")
+    _check_fits(planned, f"{n} states and {sampled} sampled trajectories")
     return planned
 
 

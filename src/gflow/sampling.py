@@ -7,16 +7,16 @@ rows.  Sampling is deterministic given the Generator: action order is fixed
 by slot index, draws use inverse-CDF per row, and each step draws one
 uniform per active trajectory in trajectory order.
 
-Trajectories carry the path as row arrays and its reward only.  Objectives
-evaluate the policies' log-probabilities along a batch themselves, through
-a tape when they need gradients.
+Trajectories carry the path as row arrays and its reward only; training
+reads them through objectives.step_batch.  Non-finite policy probabilities
+raise NumericFault naming the policy instead of being drawn from.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericFault
 
 
 @dataclass
@@ -78,6 +78,8 @@ def sample_forward(env, forward, n, rng, eps=0.0):
             raise ContractError("rollout exceeded the environment's trajectory bound")
         masks = forward.masks(cur)
         probs = forward.probs_numpy(cur, masks)
+        if not np.isfinite(probs).all():
+            raise NumericFault("forward policy probabilities are non-finite")
         if eps > 0.0:
             uniform = masks / masks.sum(axis=-1, keepdims=True)
             probs = (1.0 - eps) * probs + eps * uniform
@@ -115,7 +117,10 @@ def sample_backward(env, backward, xs, rng):
             break
         if t == t_max:
             raise ContractError("backward walk exceeded the environment's trajectory bound")
-        chosen = sample_rows(backward.probs_numpy(cur), rng.random(len(active)))
+        probs = backward.probs_numpy(cur)
+        if not np.isfinite(probs).all():
+            raise NumericFault("backward policy probabilities are non-finite")
+        chosen = sample_rows(probs, rng.random(len(active)))
         col = t_max - 1 - t
         picks[active, col] = chosen
         cur, fslots[active, col] = env.parents(cur, chosen)

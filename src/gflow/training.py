@@ -104,13 +104,12 @@ def surrogate_loss(tape, policy, states, slots, adv, n_traj):
     return ad.scale(tape, ad.sum(tape, weighted), 1.0 / n_traj)
 
 
-def surrogate_gradient(suite, trajectories, lam, weights=None):
-    """Flat gradient of the forward surrogate over a trajectory set.
+def surrogate_gradient(suite, sb, lam, weights=None):
+    """Flat gradient of the forward surrogate over a step batch.
 
     `weights` (one per trajectory) replaces the batch mean with a weighted
     sum, which computes exact expectations over enumerated trajectories.
     """
-    sb = obj.step_batch(trajectories)
     adv, _, _ = forward_advantages(sb, suite, lam)
     params = suite.forward.params()
     tape = ad.Tape()
@@ -154,10 +153,10 @@ def _logz_step(suite, root_v1, optimizer):
 # Strategy steps
 # ---------------------------------------------------------------------------
 
-def balance_step(suite, trajectories, optimizers, loss_fn, **kwargs):
+def balance_step(suite, sb, optimizers, loss_fn, **kwargs):
     """One Adam step of every parameter group on a balance loss."""
     tape = ad.Tape()
-    loss = loss_fn(tape, trajectories, suite, **kwargs)
+    loss = loss_fn(tape, sb, suite, **kwargs)
     value = _descend(tape, loss, suite.all_params(), optimizers.values(), "balance loss")
     return {"loss": value}
 
@@ -168,8 +167,7 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
     The per-step reward is log pi_B minus the forward policy's edge log-prob
     (standard) or the guide kernel's (guided).
     """
-    trajs = sample_backward(suite.env, suite.backward, xs, rng)
-    sb = obj.step_batch(trajs)
+    sb = obj.step_batch(sample_backward(suite.env, suite.backward, xs, rng))
     if not len(sb.in_states):
         return {"backward_loss": 0.0, "backward_value_loss": 0.0}
     interior = ~sb.terminal
@@ -178,7 +176,7 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
         lp = suite.forward.log_probs_numpy(src)
         ref = lp[np.arange(len(src)), sb.slots[interior]]
     else:
-        ref = guide.edge_log_probs(trajs)
+        ref = guide.edge_log_probs(sb)
     adv, targets = backward_advantages(sb, suite, ref, lam)
     tape = ad.Tape()
     loss = surrogate_loss(tape, suite.backward, sb.in_states, sb.in_bslots,
@@ -190,11 +188,10 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
     return {"backward_loss": surr, "backward_value_loss": vloss}
 
 
-def actor_critic_step(suite, trajectories, optimizers, lam=0.99, rng=None,
-                      guide=None):
+def actor_critic_step(suite, sb, optimizers, lam=0.99, rng=None, guide=None):
     """Policy-gradient step: forward surrogate, log Z, value regression, and
-    (when the backward policy is learned) the mirrored backward update."""
-    sb = obj.step_batch(trajectories)
+    (when the backward policy is learned) the mirrored backward update,
+    trained toward `guide` when one is given."""
     adv, targets, root_v1 = forward_advantages(sb, suite, lam)
     tape = ad.Tape()
     loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
@@ -208,21 +205,11 @@ def actor_critic_step(suite, trajectories, optimizers, lam=0.99, rng=None,
     if "policy_b" in optimizers:
         if rng is None:
             raise ConfigError("learned backward policy updates need an rng")
-        xs = np.stack([tr.x for tr in trajectories])
-        stats.update(_policy_b_update(suite, xs, optimizers, lam, rng, guide=guide))
+        stats.update(_policy_b_update(suite, sb.xs, optimizers, lam, rng, guide=guide))
     return stats
 
 
-def _batch_kl(old_log, new_log, masks):
-    """Mean over batch states of KL(old || new) across valid slots."""
-    p = np.where(masks, np.exp(old_log), 0.0)
-    valid = masks & (p > 0)
-    diff = np.zeros_like(p)
-    diff[valid] = old_log[valid] - new_log[valid]
-    return float((p * diff).sum(axis=1).mean())
-
-
-def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
+def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
     """Trust-region forward-policy step; log Z and values as the plain step.
 
     The step direction solves F x = g by conjugate gradients with F the
@@ -232,7 +219,6 @@ def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
     F is applied matrix-free: F v = J^T (J v) / M + DAMPING v through the
     ScoreOperator J from score_matrix, so no M x P array is allocated.
     """
-    sb = obj.step_batch(trajectories)
     adv, targets, root_v1 = forward_advantages(sb, suite, lam)
     params = suite.forward.params()
     old = ad.flatten(params).copy()
@@ -268,11 +254,12 @@ def trpo_step(suite, trajectories, optimizers, zeta=0.01, lam=0.99):
             direction_ok = False
     if direction_ok:
         full = -np.sqrt(2.0 * zeta / gx) * x
+        state_weights = np.full(sb.n_steps, 1.0 / sb.n_steps)
         scale = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             ad.assign_flat(params, old + scale * full)
             new_log = suite.forward.log_probs_numpy(sb.states, masks)
-            kl = _batch_kl(old_log, new_log, masks)
+            kl = exact.policy_kl(old_log, new_log, state_weights, masks)
             chosen = new_log[np.arange(sb.n_steps), sb.slots]
             new_surr = float((chosen * adv).sum() / sb.n_traj)
             if kl <= zeta and new_surr < surr0:
@@ -310,7 +297,7 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class Strategy:
-    """One roster entry: `update(trainer, batch, rng)` returns the step's stats;
+    """One roster entry: `update(trainer, sb, rng)` returns the step's stats;
     the flags name the suite components and guide it trains, whether batches
     come from the exploration mixture, and whether it needs a graded env."""
 
@@ -328,34 +315,27 @@ class Strategy:
 # on each call, so replacing a module attribute (as a tracer does) reaches
 # every strategy.
 
-def _tb(trainer, batch, rng):
-    return balance_step(trainer.suite, batch, trainer.optimizers, obj.tb_loss)
+def _tb(trainer, sb, rng):
+    return balance_step(trainer.suite, sb, trainer.optimizers, obj.tb_loss)
 
 
-def _db(trainer, batch, rng):
-    return balance_step(trainer.suite, batch, trainer.optimizers, obj.db_loss)
+def _db(trainer, sb, rng):
+    return balance_step(trainer.suite, sb, trainer.optimizers, obj.db_loss)
 
 
-def _subtb(trainer, batch, rng):
-    return balance_step(trainer.suite, batch, trainer.optimizers, obj.subtb_loss,
+def _subtb(trainer, sb, rng):
+    return balance_step(trainer.suite, sb, trainer.optimizers, obj.subtb_loss,
                         weight_base=trainer.cfg.subtb_base)
 
 
-def _actor_critic(trainer, batch, rng):
-    return actor_critic_step(trainer.suite, batch, trainer.optimizers,
-                             lam=trainer.cfg.lam, rng=rng)
-
-
-def _trust_region(trainer, batch, rng):
-    return trpo_step(trainer.suite, batch, trainer.optimizers,
-                     zeta=trainer.cfg.zeta, lam=trainer.cfg.lam)
-
-
-def _guided(trainer, batch, rng):
-    """Forward policy-gradient update, then the backward policy trained toward
-    the guide on trajectories resampled backward from the batch's endpoints."""
-    return actor_critic_step(trainer.suite, batch, trainer.optimizers,
+def _actor_critic(trainer, sb, rng):
+    return actor_critic_step(trainer.suite, sb, trainer.optimizers,
                              lam=trainer.cfg.lam, rng=rng, guide=trainer.guide)
+
+
+def _trust_region(trainer, sb, rng):
+    return trpo_step(trainer.suite, sb, trainer.optimizers,
+                     zeta=trainer.cfg.zeta, lam=trainer.cfg.lam)
 
 
 ROSTER = {
@@ -367,7 +347,7 @@ ROSTER = {
     "RL-U": Strategy(_actor_critic, value_f=True),
     "RL-B": Strategy(_actor_critic, learned_backward=True, value_f=True, value_b=True),
     "RL-T": Strategy(_trust_region, value_f=True),
-    "RL-G": Strategy(_guided, learned_backward=True, value_f=True, value_b=True,
+    "RL-G": Strategy(_actor_critic, learned_backward=True, value_f=True, value_b=True,
                      guide=True),
 }
 STRATEGIES = tuple(ROSTER)
@@ -384,10 +364,12 @@ def default_guide(env, cfg):
 class Trainer:
     """One training strategy bound to an environment and a policy suite.
 
-    step(rng) runs one iteration: sample a batch, apply the strategy's
-    update, return a stats dict whose "loss" entry is the balance loss for
+    step(rng) runs one iteration: sample a batch, lay it out once as a
+    StepBatch, refresh the guide and apply the strategy's update on it, and
+    return a stats dict whose "loss" entry is the balance loss for
     value-based strategies and the batch mean squared balance log-ratio for
-    policy-gradient ones.
+    policy-gradient ones; stats["batch"] is the sampled trajectory list.
+    A guide is accepted only by strategies that train toward one.
     """
 
     def __init__(self, env, cfg, rng, suite=None, guide=None):
@@ -398,6 +380,8 @@ class Trainer:
         if row.graded and not env.graded:
             raise ConfigError(f"{cfg.strategy} needs a graded environment "
                               "(equal-length trajectories)")
+        if guide is not None and not row.guide:
+            raise ConfigError(f"strategy {cfg.strategy} does not use a guide")
         self.env = env
         self.cfg = cfg
         if suite is None:
@@ -418,9 +402,10 @@ class Trainer:
         eps = self.mixture.eps(self.iteration) if self.mixture else 0.0
         batch = sample_forward(self.env, self.suite.forward, self.cfg.batch_size, rng,
                                eps=eps)
+        sb = obj.step_batch(batch)
         if self.guide is not None:
-            self.guide.refresh(self.suite.forward, batch)
-        stats = ROSTER[self.cfg.strategy].update(self, batch, rng)
+            self.guide.refresh(self.suite.forward, sb)
+        stats = ROSTER[self.cfg.strategy].update(self, sb, rng)
         self.iteration += 1
         stats["batch"] = batch
         return stats

@@ -107,7 +107,7 @@ def test_criterion_01_forward_gradient_equivalence():
     # Half the balance-loss gradient, exactly enumerated over trajectories
     # with stop-gradient sampling weights.
     tape = ad.Tape()
-    loss = tb_loss(tape, trajs, suite, weights=pf)
+    loss = tb_loss(tape, step_batch(trajs), suite, weights=pf)
     params = suite.forward.params() + [suite.log_z.value]
     ad.zero_grads(params)
     tape.backward(loss)
@@ -172,12 +172,12 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
             return float(rho @ v)
         return f
 
-    lhs_b = half_grad(lambda tape: tb_loss(tape, trajs, suite, weights=w))
+    lhs_b = half_grad(lambda tape: tb_loss(tape, step_batch(trajs), suite, weights=w))
     rhs_b = exact.finite_difference_grad(expected_divergence(ref_f), phi0)
     gap_b = float(np.abs(lhs_b - rhs_b).max())
 
     lhs_g = half_grad(
-        lambda tape: guided_tb_loss(tape, trajs, suite, guide, weights=w))
+        lambda tape: guided_tb_loss(tape, step_batch(trajs), suite, guide, weights=w))
     rhs_g = exact.finite_difference_grad(expected_divergence(ref_g), phi0)
     gap_g = float(np.abs(lhs_g - rhs_g).max())
 
@@ -199,7 +199,7 @@ def test_criterion_03_lambda_one_unbiasedness():
     fwd = suite.forward.log_probs_numpy(enum.states, masks)
     trajs = exact.enumerate_paths(env)
     pf = np.array([np.exp(exact.path_log_prob(enum, fwd, tr)) for tr in trajs])
-    got = surrogate_gradient(suite, trajs, lam=1.0, weights=pf)
+    got = surrogate_gradient(suite, step_batch(trajs), lam=1.0, weights=pf)
 
     bwd = exact.backward_log_table(enum, suite.backward)
     ref_b = exact.edge_logs_backward(enum, bwd)
@@ -281,7 +281,7 @@ def test_criterion_06_perfect_flow_fixtures():
         trajs = sample_forward(env, suite.forward, 64, np.random.default_rng(41))
         for loss_fn in (tb_loss, db_loss, subtb_loss):
             tape = ad.Tape()
-            worst_loss = max(worst_loss, float(loss_fn(tape, trajs, suite).data))
+            worst_loss = max(worst_loss, float(loss_fn(tape, step_batch(trajs), suite).data))
         pt = exact.terminating_distribution(enum, fwd_log)
         gap = np.abs(pt - exact.reward_distribution(enum)).max()
         worst_dist = max(worst_dist, float(gap))
@@ -408,15 +408,15 @@ def test_criterion_10_composite_loss_gradients():
 
         def make_loss(tape):
             if kind == "tb":
-                return tb_loss(tape, trajs, suite)
+                return tb_loss(tape, sb, suite)
             if kind == "db":
-                return db_loss(tape, trajs, suite)
+                return db_loss(tape, sb, suite)
             if kind == "subtb":
-                return subtb_loss(tape, trajs, suite, weight_base=0.8)
+                return subtb_loss(tape, sb, suite, weight_base=0.8)
             if kind == "guided":
                 if env not in guide_cache:
                     guide_cache[env] = TableGuide.random(env, np.random.default_rng(5))
-                return guided_tb_loss(tape, trajs, suite, guide_cache[env])
+                return guided_tb_loss(tape, sb, suite, guide_cache[env])
             return surrogate_loss(tape, suite.forward, sb.states, sb.slots,
                                   adv, sb.n_traj)
 

@@ -7,6 +7,7 @@ from gflow.envs import EMPTY, HyperGrid, SequenceEnv
 from gflow.errors import ContractError
 from gflow.exact import enumerate_paths
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
+from gflow.objectives import step_batch
 from gflow.policy import UniformBackward, make_suite
 from gflow.sampling import ReplayBuffer, Trajectory, sample_backward
 from test_envs import reward, root, rows, state_tuples
@@ -142,7 +143,7 @@ def grid_setup(seed=0, d=2, n=4):
     suite = make_suite(env, np.random.default_rng(seed), tabular=True,
                        init_scale=0.7)
     guide = HyperGridGuide(env)
-    guide.refresh(suite.forward, [])
+    guide.refresh(suite.forward, None)
     return env, suite, guide
 
 
@@ -171,7 +172,7 @@ def adjusted_forward_probs(env, forward, eps=1e-5):
 def test_grid_guide_floor_matches_per_state_rewards(d, n):
     env = HyperGrid(d, n)
     guide = HyperGridGuide(env)
-    guide.refresh(make_suite(env, np.random.default_rng(0), tabular=True).forward, [])
+    guide.refresh(make_suite(env, np.random.default_rng(0), tabular=True).forward, None)
     assert guide._low.dtype == bool
     assert np.array_equal(guide._low, floor_states(env))
     assert guide._low.any() and not guide._low.all()
@@ -232,7 +233,7 @@ def test_grid_guide_conditional_matches_path_enumeration():
         den = sum(by_end[x])
         for tr in trajs:
             num = interior_weight(tr)
-            assert guide.log_conditional([tr])[0] == pytest.approx(
+            assert guide.log_conditional(step_batch([tr]))[0] == pytest.approx(
                 np.log(num / den), abs=1e-10)
 
 
@@ -249,7 +250,7 @@ def test_grid_guide_tracks_policy_refresh():
     before = guide.backward_kernel().copy()
     suite.forward.model.table.data += np.random.default_rng(4).normal(
         0, 1, suite.forward.model.table.data.shape)
-    guide.refresh(suite.forward, [])
+    guide.refresh(suite.forward, None)
     assert not np.allclose(before, guide.backward_kernel())
 
 
@@ -278,10 +279,10 @@ def test_table_guide_conditional_is_edge_sum():
     guide = TableGuide(env, uniform)
     tr = sample_backward(env, UniformBackward(env), rows(env, [(1, 1)]),
                          np.random.default_rng(6))[0]
-    lp = guide.edge_log_probs([tr])
+    lp = guide.edge_log_probs(step_batch([tr]))
     # First hop enters a single-parent state, second enters (1,1) which has two.
     np.testing.assert_allclose(lp, [0.0, np.log(0.5)])
-    assert guide.log_conditional([tr])[0] == pytest.approx(np.log(0.5))
+    assert guide.log_conditional(step_batch([tr]))[0] == pytest.approx(np.log(0.5))
 
 
 # -- sequence replay guide -----------------------------------------------------
@@ -332,7 +333,7 @@ def test_sequence_guide_conditional_matches_score_ratios():
                                    floor=guide.floor) for k in free)
             want += np.log(num / den)
             mask |= 1 << j
-        assert guide.log_conditional([tr])[0] == pytest.approx(want, abs=1e-10)
+        assert guide.log_conditional(step_batch([tr]))[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_sequence_guide_walk_always_completes():
@@ -346,12 +347,12 @@ def test_sequence_kernel_given_x_consistent():
     env, buf, guide = seq_setup(seed=11)
     enum = env.enumeration()
     x = (0, 1, 1)
-    table = guide.backward_kernel_given_x(np.array(x))
+    table = oracle_kernel_given_x(guide, x)
     position = position_of(enum)
     trajs = sample_backward(env, UniformBackward(env), rows(env, [x] * 4),
                             np.random.default_rng(12))
     for tr in trajs:
-        lp = guide.edge_log_probs([tr])
+        lp = guide.edge_log_probs(step_batch([tr]))
         for t in range(tr.length - 1):
             child = tuple(tr.states[t + 1].tolist())
             assert table[position[child], tr.bslots[t]] == pytest.approx(lp[t])
@@ -372,7 +373,7 @@ def test_sequence_guide_rejects_off_lattice_trajectory():
         slots=np.array([2, 2, 4, 6]),
         bslots=np.array([0, 1, 2]), log_reward=0.0)
     with pytest.raises(ContractError):
-        guide.edge_log_probs([bad])
+        guide.edge_log_probs(step_batch([bad]))
 
 
 def test_sequence_guide_refresh_invalidates_cache():
@@ -380,12 +381,12 @@ def test_sequence_guide_refresh_invalidates_cache():
     x = (1, 1, 0)
     tr = sample_backward(env, UniformBackward(env), rows(env, [x]),
                          np.random.default_rng(15))[0]
-    before = guide.log_conditional([tr])
+    before = guide.log_conditional(step_batch([tr]))
     buf.update([(1, 1, 0)] * 30, [100.0] * 30)
     # Stale snapshot: the conditional ignores the new entries until refresh().
-    assert guide.log_conditional([tr]) == before
-    guide.refresh(None, [tr, tr])
-    assert guide.log_conditional([tr]) != before
+    assert guide.log_conditional(step_batch([tr])) == before
+    guide.refresh(None, step_batch([tr, tr]))
+    assert guide.log_conditional(step_batch([tr])) != before
     # refresh() also appends the batch's endpoints and rewards to the buffer.
     assert len(buf) == 6 + 30 + 2
     np.testing.assert_array_equal(buf.state_rows()[-2:], rows(env, [x, x]))
@@ -444,8 +445,8 @@ def test_batched_sequence_guide_matches_per_endpoint_oracles(d, n, capacity, ent
     guide = SequenceGuide(env, buf)
     trajs = endpoint_batch(env, buf, rng, 12)
     want = [oracle_sequence_edges(guide, tr) for tr in trajs]
-    assert np.array_equal(guide.edge_log_probs(trajs), np.concatenate(want))
-    assert np.array_equal(guide.log_conditional(trajs),
+    assert np.array_equal(guide.edge_log_probs(step_batch(trajs)), np.concatenate(want))
+    assert np.array_equal(guide.log_conditional(step_batch(trajs)),
                           np.asarray([float(w.sum()) for w in want]))
     xs = np.asarray(sorted({tuple(tr.x.tolist()) for tr in trajs}))
     reach, cond = guide._tables(xs)
@@ -461,10 +462,10 @@ def test_batched_grid_guide_matches_per_trajectory_loop():
     trajs = sample_backward(env, UniformBackward(env), rows(env, xs + [root(env)] + xs[:2]),
                             rng)
     want = [oracle_markov_edges(guide, tr) for tr in trajs]
-    assert np.array_equal(guide.edge_log_probs(trajs), np.concatenate(want))
-    assert np.array_equal(guide.log_conditional(trajs),
+    assert np.array_equal(guide.edge_log_probs(step_batch(trajs)), np.concatenate(want))
+    assert np.array_equal(guide.log_conditional(step_batch(trajs)),
                           np.asarray([float(w.sum()) for w in want]))
-    assert guide.log_conditional(trajs)[len(xs)] == 0.0  # the root stops at once
+    assert guide.log_conditional(step_batch(trajs))[len(xs)] == 0.0  # the root stops at once
 
 
 def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
@@ -476,16 +477,8 @@ def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
                           (0, 1, 0)]),
         slots=np.array([5, 3, 0, 6]),
         bslots=np.array([2, 1, 0]), log_reward=0.0)
-    guide.edge_log_probs(good)
+    guide.edge_log_probs(step_batch(good))
     with pytest.raises(ContractError):
-        guide.edge_log_probs(good[:1] + [bad] + good[1:])
+        guide.edge_log_probs(step_batch(good[:1] + [bad] + good[1:]))
     with pytest.raises(ContractError):
-        guide.log_conditional([bad])
-
-
-def test_sequence_kernel_given_x_matches_per_state_loop_and_keeps_enumeration():
-    env, _, guide = seq_setup(seed=19, d=4, n=3, entries=30)
-    for x in [(0, 1, 2, 0), (2, 2, 2, 2), (1, 0, 0, 1)]:
-        assert np.array_equal(guide.backward_kernel_given_x(np.array(x)),
-                              oracle_kernel_given_x(guide, x))
-    assert guide.enum is env.enumeration()
+        guide.log_conditional(step_batch([bad]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow.envs import HyperGrid, SequenceEnv, random_dag, random_graded_dag
+from gflow.envs import ExplicitDag, HyperGrid, SequenceEnv, random_dag, random_graded_dag
 from gflow.errors import ContractError
 from gflow.exact import flow_from_rewards
 from gflow.guides import TableGuide
@@ -137,19 +137,19 @@ def test_perfect_flow_zeroes_tb_and_db_on_grid():
     env = HyperGrid(2, 3)
     suite, _ = perfect_suite(env)
     trajs = sample_batch(env, suite)
-    assert float(tb_loss(ad.Tape(), trajs, suite).data) <= 1e-10
-    assert float(db_loss(ad.Tape(), trajs, suite).data) <= 1e-10
+    assert float(tb_loss(ad.Tape(), step_batch(trajs), suite).data) <= 1e-10
+    assert float(db_loss(ad.Tape(), step_batch(trajs), suite).data) <= 1e-10
 
 
 def test_perfect_flow_zeroes_all_losses_on_sequence():
     env = SequenceEnv(2, 3, np.arange(1.0, 10.0))
     suite, bwd_log = perfect_suite(env)
     trajs = sample_batch(env, suite)
-    assert float(tb_loss(ad.Tape(), trajs, suite).data) <= 1e-10
-    assert float(db_loss(ad.Tape(), trajs, suite).data) <= 1e-10
-    assert float(subtb_loss(ad.Tape(), trajs, suite).data) <= 1e-10
+    assert float(tb_loss(ad.Tape(), step_batch(trajs), suite).data) <= 1e-10
+    assert float(db_loss(ad.Tape(), step_batch(trajs), suite).data) <= 1e-10
+    assert float(subtb_loss(ad.Tape(), step_batch(trajs), suite).data) <= 1e-10
     guide = TableGuide(env, bwd_log)
-    assert float(guided_tb_loss(ad.Tape(), trajs, suite, guide).data) <= 1e-10
+    assert float(guided_tb_loss(ad.Tape(), step_batch(trajs), suite, guide).data) <= 1e-10
 
 
 # -- straight-line recomputation -----------------------------------------------
@@ -161,7 +161,7 @@ def test_tb_loss_matches_hand_recompute():
                        learned_backward=True, logz_init=0.3)
     trajs = sample_batch(env, suite, n=16, seed=3)
     want = np.mean([traj_log_ratio(suite, t) ** 2 for t in trajs])
-    got = float(tb_loss(ad.Tape(), trajs, suite).data)
+    got = float(tb_loss(ad.Tape(), step_batch(trajs), suite).data)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -171,7 +171,7 @@ def test_tb_loss_weighted_sum():
     trajs = sample_batch(env, suite, n=2, seed=5)
     w = np.array([0.25, 0.75])
     want = sum(wi * traj_log_ratio(suite, t) ** 2 for wi, t in zip(w, trajs))
-    got = float(tb_loss(ad.Tape(), trajs, suite, weights=w).data)
+    got = float(tb_loss(ad.Tape(), step_batch(trajs), suite, weights=w).data)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -197,7 +197,7 @@ def test_db_loss_matches_hand_recompute():
                 rhs = flow[pos[j + 1]] + lpb[j]
             acc += (lhs - rhs) ** 2
         want += acc / len(trajs)
-    got = float(db_loss(ad.Tape(), trajs, suite).data)
+    got = float(db_loss(ad.Tape(), step_batch(trajs), suite).data)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -206,7 +206,7 @@ def test_db_loss_needs_flow():
     suite = make_suite(env, np.random.default_rng(8), hidden=(8,))
     trajs = sample_batch(env, suite, n=2, seed=9)
     with pytest.raises(ContractError):
-        db_loss(ad.Tape(), trajs, suite)
+        db_loss(ad.Tape(), step_batch(trajs), suite)
 
 
 # -- sub-trajectory spans ------------------------------------------------------
@@ -235,8 +235,8 @@ def test_subtb_full_span_reduces_to_tb():
     suite.state_flow.model.table.data[env.enumeration().root_index, 0] = \
         suite.log_z.item()
     trajs = sample_batch(env, suite, n=8, seed=11)
-    full = float(subtb_loss(ad.Tape(), trajs, suite, weight_base=None).data)
-    tb = float(tb_loss(ad.Tape(), trajs, suite).data)
+    full = float(subtb_loss(ad.Tape(), step_batch(trajs), suite, weight_base=None).data)
+    tb = float(tb_loss(ad.Tape(), step_batch(trajs), suite).data)
     assert full == pytest.approx(tb, rel=1e-10)
 
 
@@ -266,8 +266,19 @@ def test_subtb_matches_hand_recompute():
             resid += lpf[i:j].sum() - lpb[i:j].sum()
             acc += wk * resid ** 2
         want += acc / len(trajs)
-    got = float(subtb_loss(ad.Tape(), trajs, suite, weight_base=base).data)
+    got = float(subtb_loss(ad.Tape(), step_batch(trajs), suite, weight_base=base).data)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_subtb_without_spans_is_zero():
+    # A graded DAG whose root is terminal: every trajectory is the stop hop.
+    env = ExplicitDag({"r": []}, {"r": 2.0})
+    suite = make_suite(env, np.random.default_rng(22), tabular=True,
+                       learned_backward=True, need_flow=True)
+    tape = ad.Tape()
+    loss = subtb_loss(tape, step_batch(sample_batch(env, suite, n=3)), suite)
+    assert float(loss.data) == 0.0
+    tape.backward(loss)
 
 
 def test_subtb_requires_graded():
@@ -276,7 +287,7 @@ def test_subtb_requires_graded():
                        need_flow=True)
     trajs = sample_batch(env, suite, n=2, seed=15)
     with pytest.raises(ContractError):
-        subtb_loss(ad.Tape(), trajs, suite)
+        subtb_loss(ad.Tape(), step_batch(trajs), suite)
 
 
 # -- guided balance ------------------------------------------------------------
@@ -289,7 +300,7 @@ def test_guided_tb_only_touches_backward_params():
     guide = TableGuide(env, np.where(env.enumeration().parent_masks(), 0.0, -np.inf))
     trajs = sample_batch(env, suite, n=4, seed=17)
     tape = ad.Tape()
-    loss = guided_tb_loss(tape, trajs, suite, guide)
+    loss = guided_tb_loss(tape, step_batch(trajs), suite, guide)
     assert float(loss.data) > 0.0
     tape.backward(loss)
     assert all(p.grad is None for p in suite.forward.params())

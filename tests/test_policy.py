@@ -240,8 +240,8 @@ def test_trpo_direction_matches_dense_fisher(monkeypatch, tabular, rel):
         return x
 
     monkeypatch.setattr(training, "conjugate_gradient", recording_cg)
-    trpo_step(suite, batch, {name: ad.Adam(params, 0.01)
-                             for name, params in suite.param_groups().items()})
+    trpo_step(suite, sb, {name: ad.Adam(params, 0.01)
+                          for name, params in suite.param_groups().items()})
     (g, x), = solves
     m = dense.shape[0]
     assert_rel(x, conjugate_gradient(lambda v: dense.T @ (dense @ v) / m + DAMPING * v, g),

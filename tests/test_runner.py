@@ -510,12 +510,17 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
     cfg = parse_config_text("env = sequence\nd = 6\nn = 4\nstrategy = RL-G\ntabular = on\n")
     env = build_env(cfg)
     s, a, b = 5 ** 6, 25, 6
+    # The batch, its backward walks and the mode samples: one Trajectory
+    # and a (T + 1) x (width + 2) block of entries each.
+    sampled = (128 + 128 + 128) * (runner.TRAJECTORY_BYTES + runner.SAMPLE_ENTRY_BYTES
+                                   * (env.max_trajectory_len + 1) * (6 + 2))
     # Forward table, learned backward table, and two value tables.
     want = s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) \
-        + runner.TABULAR_ENTRY_BYTES * s * (a + b + 2)
+        + runner.TABULAR_ENTRY_BYTES * s * (a + b + 2) + sampled
     assert check_memory(cfg, env) == want
     cfg.tabular = False
-    assert check_memory(cfg, env) == s * (runner.STATE_BYTES + runner.SLOT_BYTES * a)
+    assert check_memory(cfg, env) == \
+        s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + sampled
     # Tabular SequenceEnv(9, 4) passes the enumeration cap but not 8 GiB.
     big = parse_config_text("env = sequence\nd = 9\nn = 4\nstrategy = RL-U\ntabular = on\n")
     with pytest.raises(ConfigError, match="exceeds physical memory"):
@@ -543,6 +548,34 @@ def test_cli_rejects_a_run_larger_than_memory_before_allocating(tmp_path, capsys
     # Reading the reward table peaks near 1 MB; the enumeration of the
     # 15 625 states alone would take about 7 MB, the forward table 3 MB more.
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("line", ["batch = 1000000000000", "mode_samples = 1000000000000"])
+def test_cli_rejects_a_sample_larger_than_memory_before_allocating(tmp_path, capsys, line):
+    cfg_path = write_cfg(tmp_path, f"iterations = 2\n{line}\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds physical memory" in err
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+def test_cli_reports_a_diverged_policy_as_non_finite(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, "env = grid\nd = 2\nn = 8\nhidden = 16, 16\n"
+                                   "strategy = TB-U\nbatch = 16\nlr_policy = 1e300\n"
+                                   "iterations = 30\n")
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "probabilities are non-finite" in err
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from gflow import autodiff as ad
 from gflow.envs import HyperGrid, SequenceEnv, random_dag, random_graded_dag
-from gflow.errors import ContractError
+from gflow.errors import ContractError, NumericFault
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import (
     MixtureSchedule,
@@ -270,6 +270,25 @@ def test_rollout_bound_guard():
     fwd = forced_forward(env, 50.0)
     with pytest.raises(ContractError):
         sample_forward(env, fwd, 4, np.random.default_rng(13))
+
+
+def test_forward_sampler_rejects_non_finite_probabilities():
+    # NaN parameters once made every draw pick slot 0 until the bound guard.
+    env = HyperGrid(2, 4)
+    fwd = forced_forward(env, np.nan)
+    with pytest.raises(NumericFault, match="forward policy probabilities are non-finite"), \
+            np.errstate(invalid="ignore"):
+        sample_forward(env, fwd, 4, np.random.default_rng(13), eps=0.5)
+
+
+def test_backward_sampler_rejects_non_finite_probabilities():
+    env = HyperGrid(2, 4)
+    suite = make_suite(env, np.random.default_rng(14), tabular=True, learned_backward=True)
+    suite.backward.model.table.data[:, 1] = np.inf
+    with pytest.raises(NumericFault, match="backward policy probabilities are non-finite"), \
+            np.errstate(invalid="ignore"):
+        sample_backward(env, suite.backward, rows(env, [(3, 3), (0, 0)]),
+                        np.random.default_rng(15))
 
 
 def test_mixture_schedule():

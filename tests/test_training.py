@@ -172,7 +172,7 @@ def test_zero_advantage_batch_leaves_suite_unchanged():
     suite = fixture_suite(env)
     trajs = sample_forward(env, suite.forward, 32, np.random.default_rng(4))
     before = {name: ad.flatten(ps) for name, ps in suite.param_groups().items()}
-    stats = actor_critic_step(suite, trajs, make_optimizers(suite), lam=0.99)
+    stats = actor_critic_step(suite, step_batch(trajs), make_optimizers(suite), lam=0.99)
     for name, params in suite.param_groups().items():
         np.testing.assert_allclose(ad.flatten(params), before[name], atol=1e-9)
     assert stats["loss"] <= 1e-20
@@ -183,7 +183,7 @@ def test_logz_descends_toward_partition():
     suite = fixture_suite(env, logz_shift=0.5)
     trajs = sample_forward(env, suite.forward, 16, np.random.default_rng(5))
     before = suite.log_z.item()
-    stats = actor_critic_step(suite, trajs, make_optimizers(suite, lr_logz=0.1))
+    stats = actor_critic_step(suite, step_batch(trajs), make_optimizers(suite, lr_logz=0.1))
     # Every balance ratio is +0.5, so the loss is 0.25 and log Z moves down.
     assert stats["loss"] == pytest.approx(0.25, abs=1e-12)
     assert suite.log_z.item() < before
@@ -334,7 +334,7 @@ def test_expected_surrogate_gradient_is_exact_on_bandit():
     rng = np.random.default_rng(9)
     suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.6)
     trajs, weights = all_path_batch(env, suite)
-    got = surrogate_gradient(suite, trajs, lam=1.0, weights=weights)
+    got = surrogate_gradient(suite, step_batch(trajs), lam=1.0, weights=weights)
     np.testing.assert_allclose(got, exact_forward_gradient(env, suite), atol=1e-9)
 
 
@@ -353,7 +353,7 @@ def test_expected_surrogate_gradient_is_exact_with_any_baseline():
         else:
             base.value_f.model.table.data[:, 0] = rng.normal(0, 3, env.n_states())
         trajs, weights = all_path_batch(env, base)
-        got = surrogate_gradient(base, trajs, lam=1.0, weights=weights)
+        got = surrogate_gradient(base, step_batch(trajs), lam=1.0, weights=weights)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
@@ -369,7 +369,7 @@ def test_trpo_accepted_steps_respect_kl_budget():
     for _ in range(6):
         batch = sample_forward(env, suite.forward, 64, rng)
         before = ad.flatten(suite.forward.params()).copy()
-        stats = trpo_step(suite, batch, opts)
+        stats = trpo_step(suite, step_batch(batch), opts)
         after = ad.flatten(suite.forward.params())
         if stats["accepted"]:
             n_accepted += 1
@@ -387,7 +387,7 @@ def test_trpo_zero_budget_is_rejected_no_op():
     suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
     batch = sample_forward(env, suite.forward, 32, rng)
     before = ad.flatten(suite.forward.params()).copy()
-    stats = trpo_step(suite, batch, make_optimizers(suite), zeta=0.0)
+    stats = trpo_step(suite, step_batch(batch), make_optimizers(suite), zeta=0.0)
     assert stats["accepted"] is False
     assert stats["step_scale"] == 0.0
     np.testing.assert_array_equal(before, ad.flatten(suite.forward.params()))
@@ -402,7 +402,7 @@ def test_trpo_zero_gradient_is_no_op():
     batch = sample_forward(env, suite.forward, 8, rng)
     before = ad.flatten(suite.forward.params()).copy()
     logz_before = suite.log_z.item()
-    stats = trpo_step(suite, batch, make_optimizers(suite))
+    stats = trpo_step(suite, step_batch(batch), make_optimizers(suite))
     assert stats["accepted"] is False
     np.testing.assert_array_equal(before, ad.flatten(suite.forward.params()))
     # log Z and the value function still update.
@@ -417,7 +417,7 @@ def test_trpo_step_never_allocates_the_dense_score_matrix():
     dense_bytes = step_batch(batch).n_steps * ad.flatten(suite.forward.params()).size * 8
     tracemalloc.start()
     try:
-        trpo_step(suite, batch, make_optimizers(suite))
+        trpo_step(suite, step_batch(batch), make_optimizers(suite))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,7 +451,7 @@ def test_coupled_training_pulls_backward_to_guide():
     start = max_prob_gap()
     for _ in range(150):
         batch = sample_forward(env, suite.forward, 64, rng)
-        actor_critic_step(suite, batch, opts, lam=1.0, rng=rng, guide=guide)
+        actor_critic_step(suite, step_batch(batch), opts, lam=1.0, rng=rng, guide=guide)
     end = max_prob_gap()
     assert start > 0.2
     assert end < 0.05
@@ -464,7 +464,7 @@ def test_learned_backward_update_requires_rng():
                        need_value_b=True, init_scale=0.1)
     batch = sample_forward(env, suite.forward, 4, np.random.default_rng(16))
     with pytest.raises(ConfigError):
-        actor_critic_step(suite, batch, make_optimizers(suite), rng=None)
+        actor_critic_step(suite, step_batch(batch), make_optimizers(suite), rng=None)
 
 
 # -- bound checks --------------------------------------------------------------
@@ -655,3 +655,9 @@ def test_trainer_config_errors():
         Trainer(env, TrainerConfig(strategy="TB-X"), np.random.default_rng(23))
     with pytest.raises(ConfigError):
         Trainer(env, TrainerConfig(strategy="TB-Sub"), np.random.default_rng(24))
+    # Only RL-G reads a guide; any other strategy would refresh it unread.
+    guide = TableGuide.random(env, np.random.default_rng(25))
+    for strategy in ("RL-B", "TB-U"):
+        with pytest.raises(ConfigError, match="does not use a guide"):
+            Trainer(env, TrainerConfig(strategy=strategy), np.random.default_rng(26),
+                    guide=guide)
