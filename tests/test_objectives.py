@@ -270,6 +270,39 @@ def test_subtb_matches_hand_recompute():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def subtb_spans_per_trajectory(n_traj, d, base):
+    """subtb_loss's span index arrays as a loop over trajectories and spans:
+    interior steps and their span buckets, span endpoint states, weights."""
+    pairs, w = subtb_weights(d, base)
+    rep_step, rep_bucket, pos_i, pos_j, w_full = [], [], [], [], []
+    for b in range(n_traj):
+        for k, (i, j) in enumerate(pairs):
+            for t in range(i, j):
+                rep_step.append(b * d + t)
+                rep_bucket.append(b * len(pairs) + k)
+            pos_i.append(b * (d + 1) + i)
+            pos_j.append(b * (d + 1) + j)
+            w_full.append(w[k])
+    return rep_step, rep_bucket, pos_i, pos_j, w_full
+
+
+@pytest.mark.parametrize("d, n_traj", [(2, 5), (4, 3)])
+def test_subtb_span_arrays_match_the_per_trajectory_loop(monkeypatch, d, n_traj):
+    env = SequenceEnv(d, 2, np.arange(1.0, 2 ** d + 1.0))
+    suite = make_suite(env, np.random.default_rng(23), tabular=True,
+                       learned_backward=True, need_flow=True, init_scale=0.5)
+    seen = []
+    for name in ("gather", "segment_sum", "mul"):
+        op = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda *a, op=op: seen.append(a) or op(*a))
+    subtb_loss(ad.Tape(), step_batch(sample_batch(env, suite, n=n_traj)), suite,
+               weight_base=0.7)
+    arrays = [np.asarray(x.data if isinstance(x, ad.Tensor) else x)
+              for call in seen for x in call[2:] if not isinstance(x, int)]
+    for want in subtb_spans_per_trajectory(n_traj, d, 0.7):
+        assert any(got.shape == (len(want),) and np.array_equal(got, want) for got in arrays)
+
+
 def test_subtb_without_spans_is_zero():
     # A graded DAG whose root is terminal: every trajectory is the stop hop.
     env = ExplicitDag({"r": []}, {"r": 2.0})
