@@ -378,18 +378,21 @@ class Mlp:
         # forward frees each layer's output once the next one exists and
         # applies bias and activation in place.  For 0 < slope < 1,
         # max(h, slope * h) is where(h > 0, h, slope * h) bit for bit,
-        # signed zeros and NaN included.
+        # signed zeros and NaN included.  Diverged weights overflow here
+        # without a warning: the samplers raise NumericFault on the
+        # non-finite probabilities that follow.
         h = _as_tensor(x).data
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if inputs is not None:
-                inputs.append(h)
-            h = h @ w.data
-            h += b.data
-            if i < last:
-                if pre is not None:
-                    pre.append(h)
-                h = np.maximum(h, self.slope * h, out=None if pre is not None else h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                if inputs is not None:
+                    inputs.append(h)
+                h = h @ w.data
+                h += b.data
+                if i < last:
+                    if pre is not None:
+                        pre.append(h)
+                    h = np.maximum(h, self.slope * h, out=None if pre is not None else h)
         return h
 
     def jvp(self, inputs, pre, v):

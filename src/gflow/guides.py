@@ -121,12 +121,6 @@ class HyperGridGuide(_MarkovGuide):
             table[e.edge_dst, e.edge_bslot] = np.log(vals)
         self.log_table = table
 
-    def stop_probability(self, states):
-        """P_f's stop probability at each state row (for inspection)."""
-        if self._pf_log is None:
-            raise ContractError("guide kernel not built; call refresh() first")
-        return np.exp(self._pf_log[self.enum.positions(states), self.env.d])
-
 
 class SequenceGuide(_Guide):
     """Replay-derived guide for the sequence environment.

@@ -217,24 +217,31 @@ class ScoreOperator:
     """The per-sample score matrix J (M x P) of a policy, never formed.
 
     Row i of J is d log pi(slot_i | state_i) / d theta, with columns in
-    flatten() order over the policy's parameters.  Each row is the chain rule
+    flatten() order over the model's parameters.  Each row is the chain rule
     through the per-row output gradient d_i = onehot(slot_i) - softmax_i, so
     `S @ v` = J v is one forward-mode pass of the model dotted with d, and
     `S.T @ u` = J^T u is one reverse pass with output gradient u_i d_i.
     Neither allocates anything of size M x P.
+
+    `rows` is None when the columns cover every parameter.  For a tabular
+    policy it holds the table rows the batch visits, ascending, and the
+    columns are those rows' entries in row-major order; every other column
+    of the full score matrix is zero.
     """
 
-    def __init__(self, model, cache, d_out, transposed=False):
+    def __init__(self, model, cache, d_out, rows=None, transposed=False):
         self._model = model
         self._cache = cache
         self._d = d_out
+        self.rows = rows
         shape = (d_out.shape[0], sum(p.data.size for p in model.params()))
         self.shape = shape[::-1] if transposed else shape
         self._transposed = transposed
 
     @property
     def T(self):
-        return ScoreOperator(self._model, self._cache, self._d, not self._transposed)
+        return ScoreOperator(self._model, self._cache, self._d, self.rows,
+                             not self._transposed)
 
     def __matmul__(self, vec):
         if self._transposed:
@@ -243,21 +250,31 @@ class ScoreOperator:
 
 
 def score_matrix(policy, states, slots, masks=None):
-    """Per-sample score vectors d log pi(slot | state) / d theta as an M x P
+    """Per-sample score vectors d log pi(slot | state) / d theta as a
     ScoreOperator.
 
     Used for the empirical Fisher product J^T (J v) / M of the trust-region
-    step.  `masks` defaults to policy.masks(states).  The model is evaluated
-    once here; each product afterwards costs one pass over the batch and
-    the parameters, O(M x slots + P) for a tabular policy.
+    step.  `masks` defaults to policy.masks(states).  An Mlp policy gets all
+    P parameter columns.  A tabular policy gets only the K = rows x slots
+    entries of the rows the batch visits (`.rows`), as a table of their
+    own, so the solve never touches the rest of the table.  The model is
+    evaluated once here; each product afterwards costs one pass over the
+    batch and the columns, O(M x slots + K) for a tabular policy.
     """
     slots = np.asarray(slots, dtype=np.intp)
     if masks is None:
         masks = policy.masks(states)
-    logits, *cache = policy.model.forward_cached(policy._model_inputs(states))
+    model = policy.model
+    inputs = policy._model_inputs(states)
+    rows = None
+    if policy.tabular:
+        rows, inputs = np.unique(inputs, return_inverse=True)
+        model = ad.Tabular(len(rows), model.n_cols)
+        model.table.data[...] = policy.model.table.data[rows]
+    logits, *cache = model.forward_cached(inputs)
     d = -ad.masked_softmax(logits, masks)
     d[np.arange(len(states)), slots] += 1.0
-    return ScoreOperator(policy.model, cache, d)
+    return ScoreOperator(model, cache, d, rows)
 
 
 def save_checkpoint(path, kind, dims, seed, vec):

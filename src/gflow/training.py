@@ -12,6 +12,7 @@ backward-sampled trajectories against the forward policy or a guide.
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,9 +28,11 @@ from .sampling import MixtureSchedule, ReplayBuffer, sample_backward, sample_for
 
 logger = logging.getLogger("gflow")
 
-# Trust-region step constants: Fisher damping, and the backtracking factor
-# and count of the step-size search.
+# Trust-region step constants: Fisher damping, the relative residual at
+# which conjugate gradients stop, and the backtracking factor and count of
+# the step-size search.
 DAMPING = 1e-3
+CG_TOL = 1e-10
 BACKTRACK = 0.8
 MAX_BACKTRACKS = 10
 
@@ -37,28 +40,54 @@ MAX_BACKTRACKS = 10
 REPLAY_BATCHES = 10
 
 
-def conjugate_gradient(matvec, b, iters=10, tol=1e-10):
+def conjugate_gradient(matvec, b, iters=10, tol=CG_TOL):
     """Solve A x = b for symmetric positive definite A given only x -> A x.
 
-    The vector updates run in place through one scratch vector.
+    Stops after `iters` products, or earlier once the residual norm is at
+    most `tol` times that of b.  Each new residual is orthogonalized
+    against the earlier ones (one classical Gram-Schmidt pass), a no-op in
+    exact arithmetic.  Without it, once CG resolves the large eigenvalues
+    of a Fisher, rounding in the products grows about tenfold per
+    iteration, and two equal evaluation orders of the same product give
+    steps 1e-11 apart after ten iterations.  The vector updates run in
+    place through one scratch vector.
     """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     scratch = np.empty_like(b)
+    basis = np.empty((iters, b.size))
     rs = float(r @ r)
-    for _ in range(iters):
-        if np.sqrt(rs) < tol:
+    stop = tol * np.sqrt(rs)
+    for k in range(iters):
+        if np.sqrt(rs) <= stop:
             break
+        np.divide(r, np.sqrt(rs), out=basis[k])
         ap = matvec(p)
         alpha = rs / float(p @ ap)
         x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, ap, out=scratch)
+        done = basis[:k + 1]
+        r -= np.matmul(done @ r, done, out=scratch)
         rs_new = float(r @ r)
         p *= rs_new / rs
         p += r
         rs = rs_new
     return x
+
+
+def fisher_product(scores):
+    """v -> F v = J^T (J v) / M + DAMPING v, the damped empirical Fisher of
+    the ScoreOperator J over its M samples, applied matrix-free."""
+    m = scores.shape[0]
+    damped = np.empty(scores.shape[1])
+
+    def matvec(v):
+        out = scores.T @ (scores @ v)
+        out /= m
+        out += np.multiply(DAMPING, v, out=damped)
+        return out
+    return matvec
 
 
 # ---------------------------------------------------------------------------
@@ -209,42 +238,49 @@ def actor_critic_step(suite, sb, optimizers, lam=0.99, rng=None, guide=None):
     return stats
 
 
+def _solved_entries(policy, rows):
+    """(values, gradient, assign) of the parameters a trust-region solve
+    covers: the table rows `rows` of a tabular policy, else every
+    parameter in flatten() order.  assign(vec) writes those entries only."""
+    if rows is None:
+        params = policy.params()
+        return ad.flatten(params), ad.flat_grad(params), partial(ad.assign_flat, params)
+    table = policy.model.table
+
+    def assign(vec):
+        table.data[rows] = vec.reshape(len(rows), -1)
+    return table.data[rows].ravel(), table.grad[rows].ravel(), assign
+
+
 def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
     """Trust-region forward-policy step; log Z and values as the plain step.
 
-    The step direction solves F x = g by conjugate gradients with F the
-    damped empirical Fisher of the batch scores, scaled to the KL budget
-    `zeta` and backtracked until the batch KL stays inside it and the
-    surrogate improves.  An exhausted search restores the old parameters.
-    F is applied matrix-free: F v = J^T (J v) / M + DAMPING v through the
-    ScoreOperator J from score_matrix, so no M x P array is allocated.
+    The step direction solves F x = g by conjugate gradients (stopping on a
+    residual of CG_TOL relative to g) with F the damped empirical Fisher of
+    the batch scores, scaled to the KL budget `zeta` and backtracked until
+    the batch KL stays inside it and the surrogate improves.  An exhausted
+    search restores the old parameters.  F is applied matrix-free through
+    the ScoreOperator J from score_matrix, so no M x P array is allocated.
+    A tabular policy is solved on the rows the batch visits only: elsewhere
+    g is 0 and F is DAMPING times the identity, so the full solution is 0
+    there, and the line search writes and restores those rows alone.
     """
     adv, targets, root_v1 = forward_advantages(sb, suite, lam)
-    params = suite.forward.params()
-    old = ad.flatten(params).copy()
-    masks = suite.forward.masks(sb.states)
-    old_log = suite.forward.log_probs_numpy(sb.states, masks)
+    policy = suite.forward
+    masks = policy.masks(sb.states)
+    old_log = policy.log_probs_numpy(sb.states, masks)
 
     tape = ad.Tape()
-    loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
-    surr0 = _descend(tape, loss, params, [], "policy surrogate")
-    g = ad.flat_grad(params)
+    loss = surrogate_loss(tape, policy, sb.states, sb.slots, adv, sb.n_traj)
+    surr0 = _descend(tape, loss, policy.params(), [], "policy surrogate")
+    scores = score_matrix(policy, sb.states, sb.slots, masks)
+    old, g, assign = _solved_entries(policy, scores.rows)
 
     stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr0,
              "accepted": False, "kl": 0.0, "step_scale": 0.0}
     direction_ok = bool(np.any(g))
     if direction_ok:
-        scores = score_matrix(suite.forward, sb.states, sb.slots, masks)
-        m = scores.shape[0]
-        damped = np.empty_like(g)
-
-        def matvec(v):
-            out = scores.T @ (scores @ v)
-            out /= m
-            out += np.multiply(DAMPING, v, out=damped)
-            return out
-
-        x = conjugate_gradient(matvec, g)
+        x = conjugate_gradient(fisher_product(scores), g)
         gx = float(g @ x)
         if not np.all(np.isfinite(x)):
             logger.warning("conjugate gradient produced non-finite direction; "
@@ -257,8 +293,8 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
         state_weights = np.full(sb.n_steps, 1.0 / sb.n_steps)
         scale = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
-            ad.assign_flat(params, old + scale * full)
-            new_log = suite.forward.log_probs_numpy(sb.states, masks)
+            assign(old + scale * full)
+            new_log = policy.log_probs_numpy(sb.states, masks)
             kl = exact.policy_kl(old_log, new_log, state_weights, masks)
             chosen = new_log[np.arange(sb.n_steps), sb.slots]
             new_surr = float((chosen * adv).sum() / sb.n_traj)
@@ -268,7 +304,7 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
                 break
             scale *= BACKTRACK
         if not stats["accepted"]:
-            ad.assign_flat(params, old)
+            assign(old)
     _logz_step(suite, root_v1, optimizers["log_z"])
     stats["value_loss"] = _value_step(suite.value_f, sb.states, targets,
                                       optimizers["value_f"], sb.n_traj)

@@ -4,8 +4,9 @@ perfbench/spans.py records spans by replacing gflow module and class
 attributes.  A call path that stops going through those attributes leaves
 the trace silently empty, so one traced trust-region step on a tabular
 suite and one trajectory-balance step on an MLP suite must record the
-trust-region call, the score matrix, the loss, the MLP forward and the
-policy log-probabilities; one traced guided step must record both samplers
+trust-region call, the score matrix over the batch's visited table rows,
+the conjugate-gradient solve, the loss, the MLP forward and the policy
+log-probabilities; one traced guided step must record both samplers
 and the guide; and one traced theorem audit plus flow construction must
 record every exact dynamic-programming sweep.
 """
@@ -19,6 +20,7 @@ from gflow import autodiff as ad
 from gflow import exact, training
 from gflow.envs import HyperGrid, SequenceEnv
 from gflow.guides import TableGuide
+from gflow.objectives import step_batch
 from gflow.training import Trainer, TrainerConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,21 +33,27 @@ def load_spans(monkeypatch):
 
 def test_traced_steps_reach_every_span(monkeypatch):
     spans = load_spans(monkeypatch)
-    env = HyperGrid(2, 3)
+    env = HyperGrid(2, 8)
     original_step = vars(training.Trainer)["step"]
     tracer = spans.Tracer("t")
     with tracer.installed():
         tabular = Trainer(env, TrainerConfig(strategy="RL-T", batch_size=8, tabular=True),
                           np.random.default_rng(0))
-        tabular.step(np.random.default_rng(1))
+        batch = tabular.step(np.random.default_rng(1))["batch"]
         mlp = Trainer(env, TrainerConfig(strategy="TB-U", batch_size=8, hidden=(8,)),
                       np.random.default_rng(2))
         mlp.step(np.random.default_rng(3))
     assert vars(training.Trainer)["step"] is original_step
     assert tracer.trpo_calls == 1
-    assert tracer.score_shapes
     names = {span[0] for span in tracer.spans}
-    assert {"objectives.loss", "autodiff.mlp_forward", "policy.log_probs"} <= names
+    assert {"training.cg", "objectives.loss", "autodiff.mlp_forward",
+            "policy.log_probs"} <= names
+    # The recorded score shape, which the score-matrix and CG traffic
+    # metrics are computed from, is that of the visited-row solve.
+    sb = step_batch(batch)
+    visited = np.unique(env.enumeration().positions(sb.states))
+    assert len(visited) < env.enumeration().n
+    assert tracer.score_shapes == [(sb.n_steps, len(visited) * env.n_action_slots)]
 
 
 def test_traced_guided_step_reaches_samplers_and_guide(monkeypatch):

@@ -40,7 +40,7 @@ DIGESTS = {
     "grid-TB-B": "4f732a392d3a35a084d5452317a27fc9a234464fd1c0747b7406c002d8301e09",
     "grid-RL-U": "51a802d0a43937375514bc10311a3c2bea578f07b888a550be94c37615480085",
     "grid-RL-B": "ebf749582c57076c8bff4f3063a70eeef67c8b103333e11d0c3905cbc5d902cf",
-    "grid-RL-T": "26b89f844f2631723ec285f79da715571cbcc021ff89a124b24af0f4b2a14b93",
+    "grid-RL-T": "482e35501398c53d172b644e6401e552f303c534c0efc2ea294ac7b474e6d69e",
     "grid-RL-G": "c302c3bc62fd7c180e182c804a2c3af434c99e633bdace6095a17b31e2880391",
     "seq-DB-U": "31e88ff2e5ea454c6e05cedb4d20def6b8b221e478029414f35e3c65c086486b",
     "seq-DB-B": "0cb9650dd80c45f0972442adee8b2c2dc8223e1a08e73f9bf3a0ce57775a8e6c",
@@ -49,7 +49,7 @@ DIGESTS = {
     "seq-TB-Sub": "57815382d2c0beaed2fb9c5cc3b451a6401a72695df41df6dfba6f3a04da674e",
     "seq-RL-U": "4d7b46eb550cbe0839efc0c1b631ba2f7b6895e0587afb3614913621a3d29040",
     "seq-RL-B": "c6985652f43f3476ea67ad1954f549a98e7a1a481c295e0998feb3fb47d1510b",
-    "seq-RL-T": "93b960217956dbc065049701f1f65d027016265eddf0b13fcf845bc04456cebd",
+    "seq-RL-T": "749844edea575ad496e1e6ddd019a6fec21897229e48c5f20c8cf2e7aeabd1aa",
     "seq-RL-G": "9876e827488196c7a7ada7166a82a66b6eb81e458aceafdcd72c28ddc91eee80",
     "grid-mlp-TB-U": "d335b11c4c3235ab383cce6f28c11eab2f377bbe1384dfe9473e5bcb35639dc6",
     "grid-mlp-RL-B": "4889c75e283673eceb8d29978c532654f2382f38174dd3570f6b2a5186d3b426",

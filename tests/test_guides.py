@@ -178,12 +178,17 @@ def test_grid_guide_floor_matches_per_state_rewards(d, n):
     assert guide._low.any() and not guide._low.all()
 
 
+def stop_probability(guide, states):
+    """The guiding law P_f's stop probability at each state row."""
+    return np.exp(guide._pf_log[guide.enum.positions(states), guide.env.d])
+
+
 def test_grid_guide_stop_probability_formula():
     env, suite, guide = grid_setup()
     enum = env.enumeration()
     pf = suite.forward.probs_numpy(enum.states, enum.action_masks())
     eps = guide.eps
-    got = guide.stop_probability(enum.states)
+    got = stop_probability(guide, enum.states)
     for i, s in enumerate(state_tuples(enum)):
         non_stop = pf[i, :env.d].sum()
         if reward(env, s) <= env.r0:
@@ -197,7 +202,7 @@ def test_grid_guide_low_reward_states_rarely_stop():
     env, _, guide = grid_setup()
     # (1, 1) has base reward on the 4x4 grid; its stop probability collapses.
     assert reward(env, (1, 1)) == pytest.approx(0.01)
-    assert guide.stop_probability(rows(env, [(1, 1)]))[0] < 1e-4
+    assert stop_probability(guide, rows(env, [(1, 1)]))[0] < 1e-4
 
 
 def test_grid_guide_kernel_rows_normalized():
@@ -241,8 +246,6 @@ def test_grid_guide_requires_refresh():
     guide = HyperGridGuide(HyperGrid(2, 3))
     with pytest.raises(ContractError):
         guide.backward_kernel()
-    with pytest.raises(ContractError):
-        guide.stop_probability(np.zeros((1, 2), dtype=np.intp))
 
 
 def test_grid_guide_tracks_policy_refresh():

@@ -462,14 +462,19 @@ else:
 """
 
 
-def child(args, blas_threads, cwd):
+def run_python(args, blas_threads, cwd):
     """Run Python with `args` in `cwd`, gflow imported from this tree's src/
-    and OPENBLAS_NUM_THREADS set; returns stdout."""
+    and OPENBLAS_NUM_THREADS set; returns the finished process."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def child(args, blas_threads, cwd):
+    """run_python that must succeed; returns stdout."""
+    proc = run_python(args, blas_threads, cwd)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
 
@@ -484,9 +489,10 @@ def test_importing_gflow_sets_openblas_to_one_thread(tmp_path):
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # RL-T's conjugate gradient takes dot products over the 390 625-entry
-    # forward table, and every eval row scores 15 625 states; both are long
-    # enough for a threaded OpenBLAS to split and round differently.
+    # RL-T's conjugate gradient takes dot products over the batch's visited
+    # table rows (a few thousand entries), and every eval row scores 15 625
+    # states, which is long enough for a threaded OpenBLAS to split and
+    # round differently.
     cfg_path = write_cfg(tmp_path, "env = sequence\nd = 6\nn = 4\nstrategy = RL-T\n"
                                    "tabular = on\niterations = 3\nbatch = 32\n"
                                    "eval_every = 1\ntiming = off\nseeds = 0\n")
@@ -567,15 +573,15 @@ def test_cli_rejects_a_sample_larger_than_memory_before_allocating(tmp_path, cap
     assert peak < 1 << 20
 
 
-def test_cli_reports_a_diverged_policy_as_non_finite(tmp_path, capsys):
+def test_cli_reports_a_diverged_policy_as_non_finite(tmp_path):
+    # A fresh process, so that any numpy warning would reach stderr.
     cfg_path = write_cfg(tmp_path, "env = grid\nd = 2\nn = 8\nhidden = 16, 16\n"
                                    "strategy = TB-U\nbatch = 16\nlr_policy = 1e300\n"
                                    "iterations = 30\n")
-    with np.errstate(all="ignore"):
-        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "probabilities are non-finite" in err
+    proc = run_python(["-m", "gflow", "run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")], 1, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: forward policy probabilities are non-finite\n"
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gflow import autodiff as ad
-from gflow import exact
+from gflow import exact, runner, training
 from gflow.envs import (
     DagEnv,
     ExplicitDag,
@@ -33,9 +33,11 @@ from gflow.exact import (
 )
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
 from gflow.objectives import backward_step_rewards, forward_step_rewards, step_batch
-from gflow.policy import BackwardPolicy, UniformBackward, make_suite
+from gflow.policy import BackwardPolicy, ScoreOperator, UniformBackward, make_suite
 from gflow.sampling import sample_backward, sample_forward
 from gflow.training import (
+    CG_TOL,
+    DAMPING,
     STRATEGIES,
     Trainer,
     TrainerConfig,
@@ -43,6 +45,7 @@ from gflow.training import (
     backward_advantages,
     check_theorem_bounds,
     conjugate_gradient,
+    fisher_product,
     forward_advantages,
     surrogate_gradient,
     surrogate_loss,
@@ -92,19 +95,24 @@ def test_conjugate_gradient_matches_dense_solve():
     np.testing.assert_allclose(x, np.linalg.solve(a, rhs), atol=1e-8)
 
 
-def reference_conjugate_gradient(matvec, b, iters=10, tol=1e-10):
+def reference_conjugate_gradient(matvec, b, iters=10, tol=CG_TOL):
     """conjugate_gradient with every vector update allocating a new array."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    basis = []
     rs = float(r @ r)
+    stop = tol * np.sqrt(rs)
     for _ in range(iters):
-        if np.sqrt(rs) < tol:
+        if np.sqrt(rs) <= stop:
             break
+        basis.append(r / np.sqrt(rs))
         ap = matvec(p)
         alpha = rs / float(p @ ap)
         x = x + alpha * p
         r = r - alpha * ap
+        done = np.array(basis)
+        r = r - (done @ r) @ done
         rs_new = float(r @ r)
         p = r + (rs_new / rs) * p
         rs = rs_new
@@ -123,6 +131,29 @@ def test_conjugate_gradient_in_place_updates_are_bit_identical():
     x = conjugate_gradient(matvec, rhs)
     assert x.tobytes() == reference_conjugate_gradient(matvec, rhs).tobytes()
     assert rhs.tobytes() == kept.tobytes()
+
+
+def test_conjugate_gradient_stop_is_relative_to_the_right_hand_side():
+    rng = np.random.default_rng(2)
+    j = rng.normal(0, 1, (40, 300))
+    rhs = rng.normal(0, 1, 300)
+
+    def matvec(v):
+        return j.T @ (j @ v) / 40 + 1e-3 * v
+
+    x = conjugate_gradient(matvec, rhs)
+    for scale in (1e-12, 1e12):
+        np.testing.assert_allclose(conjugate_gradient(matvec, scale * rhs), scale * x,
+                                   rtol=1e-12, atol=0)
+    # A = 2I is solved by the first product, which leaves a zero residual.
+    calls = []
+
+    def double(v):
+        calls.append(1)
+        return 2.0 * v
+
+    np.testing.assert_array_equal(conjugate_gradient(double, rhs), rhs / 2)
+    assert len(calls) == 1
 
 
 def test_conjugate_gradient_zero_rhs():
@@ -422,6 +453,70 @@ def test_trpo_step_never_allocates_the_dense_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 4
+
+
+def full_table_direction(suite, sb, lam=0.99):
+    """(g, x) of the trust-region solve over every table entry, as the step
+    ran before it solved on the visited rows: the full surrogate gradient g
+    and CG on the Fisher of the full-table score operator."""
+    policy = suite.forward
+    g = surrogate_gradient(suite, sb, lam)
+    logits, *cache = policy.model.forward_cached(policy._model_inputs(sb.states))
+    d = -ad.masked_softmax(logits, policy.masks(sb.states))
+    d[np.arange(sb.n_steps), sb.slots] += 1.0
+    return g, conjugate_gradient(fisher_product(ScoreOperator(policy.model, cache, d)), g)
+
+
+@pytest.mark.parametrize("env", [HyperGrid(2, 16),
+                                 SequenceEnv(4, 4, synthetic_rewards(4, 4, seed=1))],
+                         ids=["grid", "sequence"])
+def test_visited_row_step_matches_the_full_table_solve(env, monkeypatch):
+    rng = np.random.default_rng(18)
+    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    table = suite.forward.model.table.data
+    sb = step_batch(sample_forward(env, suite.forward, 32, rng))
+    visited = np.zeros(len(table), dtype=bool)
+    visited[env.enumeration().positions(sb.states)] = True
+    assert not visited.all()
+
+    g, x = full_table_direction(suite, sb)
+    step = (-np.sqrt(2.0 * 0.01 / (g @ x)) * x).reshape(table.shape)
+    assert not step[~visited].any()
+    before = table.copy()
+    stats = trpo_step(suite, sb, make_optimizers(suite), zeta=0.01)
+    assert stats["accepted"]
+    want = stats["step_scale"] * step
+    assert np.abs((table - before) - want).max() <= 1e-12 * np.abs(want).max()
+    np.testing.assert_array_equal(table[~visited], before[~visited])
+
+    # A search whose every trial breaks the KL budget restores the visited
+    # rows and never wrote the others.
+    monkeypatch.setattr(exact, "policy_kl", lambda *args: np.inf)
+    before = table.copy()
+    sb = step_batch(sample_forward(env, suite.forward, 32, rng))
+    assert not trpo_step(suite, sb, make_optimizers(suite))["accepted"]
+    assert table.tobytes() == before.tobytes()
+
+
+def dense_fisher_product(scores):
+    """fisher_product with J^T J formed first: v -> (J^T J) v / M + DAMPING v."""
+    m, k = scores.shape
+    j = np.stack([scores @ e for e in np.eye(k)], axis=1)
+    jtj = j.T @ j
+    return lambda v: jtj @ v / m + DAMPING * v
+
+
+def test_rl_t_output_does_not_depend_on_the_fisher_product_order(tmp_path, monkeypatch):
+    cfg = runner.parse_config_text(
+        "env = grid\nd = 2\nn = 16\ntabular = on\nstrategy = RL-T\niterations = 200\n"
+        "batch = 64\neval_every = 10\ntiming = off\nlr_policy = 0.04\nlr_value = 0.3\n"
+        "lr_logz = 0.02\nseeds = 0\n")
+    runner.run(cfg, out=tmp_path / "matrix_free")
+    monkeypatch.setattr(training, "fisher_product", dense_fisher_product)
+    runner.run(cfg, out=tmp_path / "dense")
+    a, b = (np.loadtxt(tmp_path / out / "RL-T_seed0.csv", delimiter=",", skiprows=1)
+            for out in ("matrix_free", "dense"))
+    np.testing.assert_allclose(b, a, rtol=1e-12, atol=0)
 
 
 # -- guided coupling -----------------------------------------------------------
