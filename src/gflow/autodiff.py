@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ContractError, MaskError, NumericFault, ShapeError
 
 NEG_INF = -np.inf
+BLOCK = 1 << 15  # entries per cache-sized block of the blocked loops
 
 
 class Tensor:
@@ -37,14 +38,19 @@ class Tensor:
     requires_grad : bool
         Marks leaf parameters.  Gradients are accumulated into any tensor
         that either requires grad or was produced by a taped op.
+
+    `support` is None, or the ascending flat indices of the only entries
+    whose gradient may be non-zero; a Tabular sets it from a sparse mask on
+    its C-contiguous table, and Adam updates those entries alone.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_taped")
+    __slots__ = ("data", "grad", "requires_grad", "support", "_taped")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.support = None
         self._taped = False
 
     @property
@@ -220,8 +226,19 @@ def log_softmax_masked(tape, logits, mask):
         raise ShapeError(f"mask shape {mask.shape} != logits shape {logits.data.shape}")
     if not mask.any(axis=-1).all():
         raise MaskError("log_softmax_masked: a row masks out every entry")
-    m, w, s = _masked_exp(logits.data, mask)
-    out = Tensor(np.where(mask, logits.data - (m + np.log(s)), NEG_INF))
+    x = logits.data
+    if tape is None and x.ndim > 1 and x.size > BLOCK:
+        # Row blocks into one output, with block-sized temporaries.  The
+        # operation is row-wise, so this is the single pass below bit for bit.
+        out = np.full(x.shape, NEG_INF)
+        step = max(1, BLOCK // _row_size(x))
+        for lo in range(0, len(x), step):
+            rows = slice(lo, lo + step)
+            m, _, s = _masked_exp(x[rows], mask[rows])
+            np.subtract(x[rows], m + np.log(s), out=out[rows], where=mask[rows])
+        return Tensor(out)
+    m, w, s = _masked_exp(x, mask)
+    out = Tensor(np.where(mask, x - (m + np.log(s)), NEG_INF))
     if tape is None:
         return out
     p = w / s
@@ -440,13 +457,30 @@ class Tabular:
     parameters attached to state r.  Follows the model protocol of this
     module with the row indices as input: a taped forward() is one gather
     record whose backward is the scatter that vjp() flattens.
+
+    A boolean `mask` of the table's shape names the admitted entries, such
+    as a policy's valid slots.  When that saves memory it is recorded as the
+    table's support, the flat indices of its True entries: Adam then keeps
+    moments for and updates those entries only, and the gradient must be
+    zero everywhere else, as log_softmax_masked's backward makes it.
+    `table.data` stays the dense table.
     """
 
-    def __init__(self, n_rows, n_cols, rng=None, init_scale=0.0):
+    def __init__(self, n_rows, n_cols, rng=None, init_scale=0.0, mask=None):
         data = np.zeros((int(n_rows), int(n_cols)))
         if rng is not None and init_scale > 0:
             data = rng.normal(0.0, init_scale, size=data.shape)
         self.table = Tensor(data, requires_grad=True)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != data.shape:
+                raise ShapeError(f"mask shape {mask.shape} != table shape {data.shape}")
+            # Dense m and v take 16 bytes an entry.  With a support they take
+            # 16 bytes an admitted entry, plus 8 for its index and 1 an entry
+            # for Adam's off-support mask: less when under 5/8 of the entries
+            # are admitted.
+            if 24 * np.count_nonzero(mask) + mask.size < 16 * mask.size:
+                self.table.support = np.flatnonzero(mask)
 
     @property
     def n_rows(self):
@@ -523,74 +557,133 @@ class Adam:
 
     Raises NumericFault when a gradient contains NaN or infinity, so a
     diverged loss stops a run instead of silently corrupting parameters.
-    The update runs in place, one block of whole rows of about `block`
-    entries at a time, through two scratch vectors of one block each and in
-    the same operation order as the textbook expressions.  No step
-    allocates a parameter-sized array, and a block's operands stay in cache.
+    The update runs in place, one block of about `block` entries at a time,
+    through block-sized scratch vectors and in the same operation order as
+    the textbook expressions.  No step allocates a parameter-sized array,
+    and a block's operands stay in cache.
+
+    A parameter with a `support` (see Tensor) keeps m and v over the support
+    only, in its order.  Each block of support entries gathers its
+    gradient, is updated as above and is written back; every other entry
+    keeps its value, as dense Adam would leave it from a zero gradient
+    (m = v = 0 gives a step of 0).  A non-zero or non-finite gradient off
+    the support raises ContractError.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-    block = 1 << 15
+    block = BLOCK
 
     def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p.data) if p.support is None else np.zeros(p.support.size)
+                  for p in self.params]
+        self.v = [np.zeros_like(m) for m in self.m]
+        self._off = [None if p.support is None else _off_support(p) for p in self.params]
         self._scratch = None  # sized on the first step, so setup stays cheap
 
-    def _blocks(self, p, m, v):
+    def _dense_blocks(self, p, m, v):
         """(param, grad, m, v, scratch a, scratch b) views per block of whole
         rows; a missing grad reads as zero."""
         data = p.data
         g = p.grad if p.grad is not None else 0.0
         step = max(1, self.block // _row_size(data))
         if data.ndim == 0 or len(data) <= step:
-            yield (data, g, m, v, *(s[:data.size].reshape(data.shape) for s in self._scratch))
+            yield (data, g, m, v, *(s[:data.size].reshape(data.shape) for s in self._scratch[:2]))
             return
         g = np.broadcast_to(g, data.shape)
         for lo in range(0, len(data), step):
             part = data[lo:lo + step]
             yield (part, g[lo:lo + step], m[lo:lo + step], v[lo:lo + step],
-                   *(s[:part.size].reshape(part.shape) for s in self._scratch))
+                   *(s[:part.size].reshape(part.shape) for s in self._scratch[:2]))
+
+    def _check_support(self, p, off):
+        """Raise ContractError for a non-zero gradient entry off p's support
+        (NaN and infinity included), then NumericFault for a non-finite one
+        on it; a block at a time through a boolean view of scratch."""
+        if p.grad is None:
+            return
+        g = p.grad.reshape(-1)
+        flags = self._scratch[0].view(bool)
+        finite = True
+        for lo in range(0, g.size, max(1, flags.size)):
+            part = g[lo:lo + flags.size]
+            f = flags[:part.size]
+            finite = finite and np.isfinite(part, out=f).all()
+            np.not_equal(part, 0.0, out=f)
+            f &= off[lo:lo + part.size]
+            if f.any():
+                raise ContractError("Adam step: non-zero gradient outside the parameter's support")
+        if not finite:
+            raise NumericFault("non-finite gradient in Adam step")
 
     def step(self):
         """Update every parameter from its .grad; a missing grad reads as zero."""
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
         if self._scratch is None:
             size = max((min(p.data.size, max(self.block, _row_size(p.data)))
                         for p in self.params), default=0)
-            self._scratch = (np.empty(size), np.empty(size))
-        blocks = [blk for p, m, v in zip(self.params, self.m, self.v)
-                  for blk in self._blocks(p, m, v)]
-        # g * 0.0 is 0 where g is finite and NaN where it is not; every
-        # gradient is checked before any parameter changes.
+            self._scratch = tuple(np.empty(size) for _ in range(3))
+        dense = [blk for p, m, v in zip(self.params, self.m, self.v) if p.support is None
+                 for blk in self._dense_blocks(p, m, v)]
+        # Every gradient is checked before any state changes.  g * 0.0 is 0
+        # where g is finite and NaN where it is not.
         with np.errstate(invalid="ignore"):
-            for _, g, _, _, a, _ in blocks:
+            for _, g, _, _, a, _ in dense:
                 if np.multiply(g, 0.0, out=a).sum() != 0.0:
                     raise NumericFault("non-finite gradient in Adam step")
-        for data, g, m, v, a, b in blocks:
-            # m = beta1 * m + (1 - beta1) * g
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            # v = beta2 * v + (1 - beta2) * g * g
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            a *= g
-            v += a
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            data -= a
+        for p, off in zip(self.params, self._off):
+            if off is not None:
+                self._check_support(p, off)
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for data, g, m, v, a, b in dense:
+            data -= self._step(g, m, v, a, b, bc1, bc2)
+        a, b, c = self._scratch
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.support is None:
+                continue
+            flat = p.data.reshape(-1)  # a view: Tabular tables are C-contiguous
+            for lo in range(0, p.support.size, self.block):
+                idx = p.support[lo:lo + self.block]
+                n = idx.size
+                # mode="clip" skips the bounds check, which would copy
+                # through a buffer; the support is in range.
+                g = 0.0 if p.grad is None else p.grad.take(idx, out=c[:n], mode="clip")
+                step = self._step(g, m[lo:lo + n], v[lo:lo + n], a[:n], b[:n], bc1, bc2)
+                # flat[i] -= step[k] entry by entry: the same subtraction as
+                # the dense path, with no gather of the parameter.
+                np.subtract.at(flat, idx, step)
+
+    def _step(self, g, m, v, a, b, bc1, bc2):
+        """Update one block of m and v in place and return the parameter
+        step, held in scratch a; b is scratch too."""
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=a)
+        # v = beta2 * v + (1 - beta2) * g * g
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=a)
+        a *= g
+        v += a
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        return a
+
+
+def _off_support(p):
+    """Flat boolean mask of the entries of `p` outside its support."""
+    off = np.ones(p.data.size, dtype=bool)
+    off[p.support] = False
+    return off
 
 
 def _row_size(x):

@@ -92,7 +92,6 @@ class HyperGridGuide(_MarkovGuide):
     def __init__(self, env, eps=1e-5):
         super().__init__(env)
         self.eps = float(eps)
-        self._pf_log = None
         self._low = None  # states at the reward floor, found on the first refresh
 
     def refresh(self, forward, sb):
@@ -112,8 +111,7 @@ class HyperGridGuide(_MarkovGuide):
         adj[low, :stop] = pf[low, :stop] / denom[low, None]
         adj[low, stop] = self.eps / denom[low]
         with np.errstate(divide="ignore"):
-            self._pf_log = np.log(adj)
-        reach = exact.visit_probabilities(enum, self._pf_log)
+            reach = exact.visit_probabilities(enum, np.log(adj))
         table = np.full((enum.n, env.n_backward_slots), -np.inf)
         e = enum
         vals = reach[e.edge_src] * adj[e.edge_src, e.edge_slot] / reach[e.edge_dst]

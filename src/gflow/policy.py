@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
+from .envs import Enumeration
 from .errors import ShapeError
 
 CHECKPOINT_MAGIC = b"GFLW"
@@ -332,14 +333,17 @@ def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
     """Construct a PolicySuite with freshly initialized models.
 
     Tabular suites index the enumerated state space directly (exact-gradient
-    work); Mlp suites share the architecture `hidden` across components.
+    work), and a policy table is masked by its valid slots; Mlp suites share
+    the architecture `hidden` across components.
     """
     # Held for the whole construction: the env memoizes it only weakly.
     enum = env.enumeration() if tabular else None
 
-    def policy_model(n_slots):
+    def policy_model(n_slots, masks):
+        # `masks` is the Enumeration method giving the valid slots per state.
         if tabular:
-            return ad.Tabular(enum.n, n_slots, rng=rng, init_scale=init_scale)
+            return ad.Tabular(enum.n, n_slots, rng=rng, init_scale=init_scale,
+                              mask=masks(enum))
         return ad.Mlp((env.encoding_dim, *hidden, n_slots), rng)
 
     def scalar_model():
@@ -347,9 +351,10 @@ def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
             return ad.Tabular(enum.n, 1, rng=rng, init_scale=init_scale)
         return ad.Mlp((env.encoding_dim, *hidden, 1), rng)
 
-    forward = ForwardPolicy(env, policy_model(env.n_action_slots))
+    forward = ForwardPolicy(env, policy_model(env.n_action_slots, Enumeration.action_masks))
     if learned_backward:
-        backward = BackwardPolicy(env, policy_model(env.n_backward_slots))
+        backward = BackwardPolicy(env, policy_model(env.n_backward_slots,
+                                                    Enumeration.parent_masks))
     else:
         backward = UniformBackward(env)
     return PolicySuite(

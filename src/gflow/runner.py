@@ -38,7 +38,11 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 # and per sampled (trajectory, step, column) entry, the columns being the
 # state row plus its forward and backward slot (the sampler's array entry
 # and its StepBatch copy).  The first gather's scatter table becomes the
-# gradient, and Adam's own scratch is one block, not a table.
+# gradient, and Adam's own scratch is three blocks, not a table.  A policy
+# table with a support (autodiff.Tabular) keeps m and v for its valid slots
+# only, with an 8-byte index each and Adam's 1-byte off-support mask per
+# entry; it has one only when that totals under the 16 bytes an entry of
+# dense m and v, so 5 x 8 bytes an entry still bound every table.
 STATE_BYTES = 256
 SLOT_BYTES = 80
 TABULAR_ENTRY_BYTES = 5 * 8

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gflow import autodiff as ad
+from gflow.envs import SequenceEnv
 from gflow.errors import ContractError, MaskError, NumericFault, ShapeError
 
 REL_TOL = 1e-5
@@ -496,6 +499,21 @@ def test_eager_op_matches_taped_and_records_nothing(name):
     assert tape._records
 
 
+def test_eager_log_softmax_masked_in_row_blocks_matches_single_pass():
+    # Larger than one block, so the eager op runs block by block; the taped
+    # op is one pass over the whole input.
+    rng = np.random.default_rng(12)
+    mask = sequence_action_masks()[:4000]
+    logits = rng.normal(size=mask.shape) * 10.0
+    logits[:, 3] = -np.inf
+    logits[5, 7] = np.inf
+    assert logits.size > ad.BLOCK
+    with np.errstate(invalid="ignore"):
+        eager = ad.log_softmax_masked(None, logits, mask).data
+        taped = ad.log_softmax_masked(ad.Tape(), logits, mask).data
+    assert eager.tobytes() == taped.tobytes()
+
+
 def test_eager_log_softmax_masked_rejects_empty_row():
     mask = np.array([[True, False], [False, False]])
     with pytest.raises(MaskError):
@@ -594,6 +612,17 @@ class TestTabular:
         np.testing.assert_array_equal(got, ad.flat_grad(table.params()))
 
 
+def test_masked_tabular_records_a_support_that_saves_memory():
+    # 24 bytes an admitted entry plus 1 an entry, against 16 an entry.
+    mask = np.array([[True, False, True], [False, False, True]])
+    assert ad.Tabular(2, 3).table.support is None
+    np.testing.assert_array_equal(ad.Tabular(2, 3, mask=mask).table.support, [0, 2, 5])
+    mask[1, :2] = True  # 5 of 6 entries: 126 bytes against 96
+    assert ad.Tabular(2, 3, mask=mask).table.support is None
+    with pytest.raises(ShapeError):
+        ad.Tabular(3, 2, mask=mask)
+
+
 class TestAdam:
     def test_zero_gradient_is_identity_from_fresh_state(self):
         t = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -631,7 +660,7 @@ class TestAdam:
         with pytest.raises(NumericFault):
             opt.step()
         np.testing.assert_array_equal(t.data, np.arange(5.0))
-        assert not opt.m[0].any() and not opt.v[0].any()
+        assert not opt.m[0].any() and not opt.v[0].any() and opt.t == 0
 
     def test_huge_finite_gradient_does_not_raise(self):
         t = ad.Tensor(np.zeros(3), requires_grad=True)
@@ -689,11 +718,23 @@ class TestAdam:
                 assert v_live.tobytes() == v.tobytes()
 
     def test_step_allocates_no_parameter_sized_array(self):
-        # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25 slots.
-        table = ad.Tabular(15625, 25, rng=np.random.default_rng(21), init_scale=0.5)
+        self.assert_step_allocates_no_parameter_sized_array(mask=None)
+
+    def test_supported_step_allocates_no_parameter_sized_array(self):
+        self.assert_step_allocates_no_parameter_sized_array(mask=sequence_action_masks())
+
+    @staticmethod
+    def assert_step_allocates_no_parameter_sized_array(mask):
+        # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25
+        # slots, dense or with its valid slots as its support.
+        table = ad.Tabular(15625, 25, rng=np.random.default_rng(21), init_scale=0.5,
+                           mask=mask)
         p = table.table
+        assert (p.support is None) == (mask is None)
         opt = ad.Adam([p], lr=1e-3)
         p.grad = np.random.default_rng(22).normal(size=p.data.shape)
+        if mask is not None:
+            p.grad[~mask] = 0.0
         opt.step()  # warm-up
         nbytes = p.data.nbytes
         for grad in (p.grad, None):
@@ -705,6 +746,96 @@ class TestAdam:
             finally:
                 tracemalloc.stop()
             assert peak <= nbytes
+
+
+def sequence_action_masks():
+    """Valid forward slots of tabular SequenceEnv(6, 4), 15 625 x 25."""
+    return SequenceEnv(6, 4, np.ones(4 ** 6)).enumeration().action_masks()
+
+
+# Entries of parameters and gradients: signed zeros, and magnitudes from
+# 1e-6 to 1e3.
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: abs(x) > 1e-6))
+
+
+@st.composite
+def supported_tables(draw):
+    """(initial table, mask, Adam block) with at least one entry off the mask."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 5)))
+    mask = draw(hnp.arrays(bool, shape))
+    mask.flat[draw(st.integers(0, mask.size - 1))] = False
+    table = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    return table, mask, draw(st.sampled_from([1, 2, 3, ad.Adam.block]))
+
+
+def gradient_on(draw, mask):
+    """A gradient that is zero, of either sign, off the mask."""
+    g = draw(hnp.arrays(np.float64, mask.shape, elements=ENTRIES))
+    g[~mask] = np.where(g[~mask] > 0, 0.0, -0.0)
+    return g
+
+
+def masked_adam(table, mask, block):
+    t = ad.Tensor(table.copy(), requires_grad=True)
+    t.support = np.flatnonzero(mask)
+    return t, type("Blocked", (ad.Adam,), {"block": block})([t], lr=0.03)
+
+
+class TestSupportedAdam:
+    """Adam over a parameter's support against the dense textbook loop."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(supported_tables(), st.data())
+    def test_matches_dense_allocating_loop_bit_for_bit(self, case, data):
+        table, mask, block = case
+        live, opt = masked_adam(table, mask, block)
+        ref = ad.Tensor(table.copy(), requires_grad=True)
+        ms, vs = [np.zeros_like(table)], [np.zeros_like(table)]
+        for t in range(1, data.draw(st.integers(1, 5)) + 1):
+            missing = data.draw(st.booleans())
+            g = None if missing else gradient_on(data.draw, mask)
+            live.grad = ref.grad = None if g is None else g.copy()
+            opt.step()
+            TestAdam.allocating_step(opt, [ref], ms, vs, t)
+            assert live.data.tobytes() == ref.data.tobytes()
+            assert opt.m[0].tobytes() == ms[0][mask].tobytes()
+            assert opt.v[0].tobytes() == vs[0][mask].tobytes()
+            # Off the support, dense Adam keeps m = v = +0.0: a fixed point.
+            assert not np.signbit(ms[0][~mask]).any() and not ms[0][~mask].any()
+            assert not np.signbit(vs[0][~mask]).any() and not vs[0][~mask].any()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(supported_tables(), st.data())
+    def test_non_finite_gradient_on_the_support_raises_and_changes_nothing(self, case, data):
+        table, mask, block = case
+        mask.flat[0] = True
+        live, opt = masked_adam(table, mask, block)
+        live.grad = gradient_on(data.draw, mask)
+        opt.step()
+        before = live.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes(), opt.t
+        g = gradient_on(data.draw, mask)
+        g.flat[data.draw(st.sampled_from(list(live.support)))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        live.grad = g
+        with pytest.raises(NumericFault):
+            opt.step()
+        assert (live.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes(), opt.t) == before
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(supported_tables(), st.data())
+    def test_non_zero_gradient_off_the_support_raises(self, case, data):
+        table, mask, block = case
+        live, opt = masked_adam(table, mask, block)
+        g = gradient_on(data.draw, mask)
+        off = np.flatnonzero(~mask)
+        g.flat[data.draw(st.sampled_from(list(off)))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, 1e-300, -2.0]))
+        live.grad = g
+        with pytest.raises(ContractError, match="outside the parameter's support"):
+            opt.step()
+        assert live.data.tobytes() == table.tobytes()
+        assert not opt.m[0].any() and not opt.v[0].any() and opt.t == 0
 
 
 def test_flatten_assign_roundtrip():

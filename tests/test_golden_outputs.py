@@ -25,13 +25,16 @@ ITERATIONS = 20
 GRID = "env = grid\nd = 4\nn = 4\ntabular = on\n"
 SEQ = "env = sequence\nd = 3\nn = 3\nreward_seed = 2\ntabular = on\n"
 GRID_MLP = "env = grid\nd = 4\nn = 4\ntabular = off\nhidden = 8, 8\n"
+# The benchmark's sequence shape: 15 625 states, a 15 625 x 25 forward table.
+SEQ_BENCH = "env = sequence\nd = 6\nn = 4\ntabular = on\n"
 COMMON = (f"iterations = {ITERATIONS}\nbatch = 16\neval_every = 5\ntiming = off\n"
           f"lr_policy = 0.04\nlr_value = 0.3\nlr_logz = 0.02\n"
           f"seeds = {', '.join(map(str, SEEDS))}\n")
 
 CASES = ([(f"grid-{s}", GRID, s) for s, row in ROSTER.items() if not row.graded]
          + [(f"seq-{s}", SEQ, s) for s in ROSTER]
-         + [(f"grid-mlp-{s}", GRID_MLP, s) for s in ("TB-U", "RL-B")])
+         + [(f"grid-mlp-{s}", GRID_MLP, s) for s in ("TB-U", "RL-B")]
+         + [("seq-bench-RL-U", SEQ_BENCH, "RL-U")])
 
 DIGESTS = {
     "grid-DB-U": "fa52a8d63226edf2914dd73ecc357d5e599c9320075f9f8aad52697b2786f829",
@@ -53,6 +56,7 @@ DIGESTS = {
     "seq-RL-G": "9876e827488196c7a7ada7166a82a66b6eb81e458aceafdcd72c28ddc91eee80",
     "grid-mlp-TB-U": "d335b11c4c3235ab383cce6f28c11eab2f377bbe1384dfe9473e5bcb35639dc6",
     "grid-mlp-RL-B": "4889c75e283673eceb8d29978c532654f2382f38174dd3570f6b2a5186d3b426",
+    "seq-bench-RL-U": "a562de36f33067d53ebb1301e8efd41cbe203eaa099938c1c4461f677fcff450",
 }
 
 

@@ -178,9 +178,10 @@ def test_grid_guide_floor_matches_per_state_rewards(d, n):
     assert guide._low.any() and not guide._low.all()
 
 
-def stop_probability(guide, states):
-    """The guiding law P_f's stop probability at each state row."""
-    return np.exp(guide._pf_log[guide.enum.positions(states), guide.env.d])
+def stop_probability(env, forward, states):
+    """The guiding law P_f's stop probability at each state row, read from
+    the adjusted_forward_probs oracle."""
+    return adjusted_forward_probs(env, forward)[env.enumeration().positions(states), env.d]
 
 
 def test_grid_guide_stop_probability_formula():
@@ -188,7 +189,7 @@ def test_grid_guide_stop_probability_formula():
     enum = env.enumeration()
     pf = suite.forward.probs_numpy(enum.states, enum.action_masks())
     eps = guide.eps
-    got = stop_probability(guide, enum.states)
+    got = stop_probability(env, suite.forward, enum.states)
     for i, s in enumerate(state_tuples(enum)):
         non_stop = pf[i, :env.d].sum()
         if reward(env, s) <= env.r0:
@@ -199,10 +200,33 @@ def test_grid_guide_stop_probability_formula():
 
 
 def test_grid_guide_low_reward_states_rarely_stop():
-    env, _, guide = grid_setup()
+    env, suite, _ = grid_setup()
     # (1, 1) has base reward on the 4x4 grid; its stop probability collapses.
     assert reward(env, (1, 1)) == pytest.approx(0.01)
-    assert stop_probability(guide, rows(env, [(1, 1)]))[0] < 1e-4
+    assert stop_probability(env, suite.forward, rows(env, [(1, 1)]))[0] < 1e-4
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_grid_guide_kernel_reverses_the_oracle_law(d, n):
+    # reach(s') = sum over parents s of reach(s) P_f(s'|s), by a per-state
+    # sweep in order of coordinate sum; the kernel is reach(s) P_f(s'|s) / reach(s').
+    env, suite, guide = grid_setup(seed=5, d=d, n=n)
+    enum = env.enumeration()
+    adj = adjusted_forward_probs(env, suite.forward)
+    position = position_of(enum)
+    reach = np.zeros(enum.n)
+    reach[position[root(env)]] = 1.0
+    edges = []
+    for s in sorted(position, key=sum):
+        for k in range(d):
+            if s[k] < n - 1:
+                child = s[:k] + (s[k] + 1,) + s[k + 1:]
+                reach[position[child]] += reach[position[s]] * adj[position[s], k]
+                edges.append((s, k, child))
+    table = guide.backward_kernel()
+    for s, k, child in edges:
+        want = reach[position[s]] * adj[position[s], k] / reach[position[child]]
+        assert np.exp(table[position[child], k]) == pytest.approx(want, rel=1e-12)
 
 
 def test_grid_guide_kernel_rows_normalized():

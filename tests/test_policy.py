@@ -279,6 +279,28 @@ def test_suite_param_groups_by_need():
     assert set(full.param_groups()) == set(PolicySuite.GROUPS)
 
 
+@pytest.mark.parametrize("env", [HyperGrid(2, 3), SequenceEnv(2, 3, np.arange(1.0, 10.0)),
+                                 SequenceEnv(3, 2, np.arange(1.0, 9.0))])
+def test_tabular_suite_policy_supports_are_the_valid_slots(env):
+    # A policy table records its valid slots as its support when they are
+    # under 5/8 of its entries (autodiff.Tabular); value tables never do.
+    enum = env.enumeration()
+    suite = make_suite(env, np.random.default_rng(8), tabular=True, learned_backward=True,
+                       need_value_f=True, need_flow=True)
+    for policy, masks in ((suite.forward, enum.action_masks()),
+                          (suite.backward, enum.parent_masks())):
+        support = policy.model.table.support
+        if masks.mean() < 5 / 8:
+            np.testing.assert_array_equal(support, np.flatnonzero(masks))
+        else:
+            assert support is None
+    assert suite.value_f.model.table.support is None
+    assert suite.state_flow.model.table.support is None
+    assert all(p.support is None for p in make_suite(env, np.random.default_rng(8)).all_params())
+    # Sequence forward tables admit few slots; grid ones nearly all.
+    assert (suite.forward.model.table.support is not None) == isinstance(env, SequenceEnv)
+
+
 def test_suite_checkpoint_round_trip(tmp_path):
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(9)

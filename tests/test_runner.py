@@ -533,6 +533,22 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
         check_memory(big, SequenceEnv(9, 4, np.ones(4 ** 9)))
 
 
+def test_memory_plan_covers_a_tabular_step():
+    # Everything a tabular RL-G run on SequenceEnv(6, 4) holds through its
+    # first step: the enumeration, the tables, Adam's state and one batch.
+    cfg = parse_config_text("env = sequence\nd = 6\nn = 4\nstrategy = RL-G\ntabular = on\n")
+    tracemalloc.start()
+    try:
+        env = build_env(cfg)
+        enum = env.enumeration()
+        Trainer(env, cfg, np.random.default_rng(0)).step(np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.n == 5 ** 6
+    assert peak <= check_memory(cfg, env)
+
+
 def test_cli_rejects_a_run_larger_than_memory_before_allocating(tmp_path, capsys,
                                                                 monkeypatch):
     fake_physical_memory(monkeypatch, 4 << 20)
