@@ -16,6 +16,10 @@ v) and vjp(*cache, g) are the forward- and reverse-mode products over
 per-sample outputs, which the trust-region step uses to apply the Fisher
 without forming it.  A taped forward's backward is the reverse pass that vjp
 flattens, so each model has one derivative.
+
+Adam has one update path.  Every parameter keeps flat m and v vectors, in
+flatten() order or, for a parameter with a support, in support order; one
+check and one walk over blocks of entries serve both.
 """
 
 import math
@@ -231,7 +235,7 @@ def log_softmax_masked(tape, logits, mask):
         # Row blocks into one output, with block-sized temporaries.  The
         # operation is row-wise, so this is the single pass below bit for bit.
         out = np.full(x.shape, NEG_INF)
-        step = max(1, BLOCK // _row_size(x))
+        step = max(1, BLOCK // math.prod(x.shape[1:]))
         for lo in range(0, len(x), step):
             rows = slice(lo, lo + step)
             m, _, s = _masked_exp(x[rows], mask[rows])
@@ -555,19 +559,22 @@ def zero_grads(params):
 class Adam:
     """Adam optimizer with bias correction (Kingma & Ba, arXiv 1412.6980).
 
-    Raises NumericFault when a gradient contains NaN or infinity, so a
-    diverged loss stops a run instead of silently corrupting parameters.
-    The update runs in place, one block of about `block` entries at a time,
-    through block-sized scratch vectors and in the same operation order as
-    the textbook expressions.  No step allocates a parameter-sized array,
-    and a block's operands stay in cache.
+    Each parameter keeps flat m and v vectors: over every entry, in
+    flatten() order, or over its `support` (see Tensor) only, in support
+    order.  Before any state changes, every gradient is checked: a non-zero
+    entry off a support raises ContractError, then a NaN or infinity raises
+    NumericFault, so a diverged loss stops a run instead of silently
+    corrupting parameters.  A missing gradient reads as zero.
 
-    A parameter with a `support` (see Tensor) keeps m and v over the support
-    only, in its order.  Each block of support entries gathers its
-    gradient, is updated as above and is written back; every other entry
-    keeps its value, as dense Adam would leave it from a zero gradient
-    (m = v = 0 gives a step of 0).  A non-zero or non-finite gradient off
-    the support raises ContractError.
+    The update walks `block` entries at a time, through block-sized scratch
+    vectors and in the same operation order as the textbook expressions, so
+    no step allocates a parameter-sized array and a block's operands stay
+    in cache.  A dense block is a slice of the flat parameter; a supported
+    block gathers its gradient at its indices and is written back there.
+    Entries off a support keep their values, as dense Adam would leave them
+    from a zero gradient (m = v = 0 gives a step of 0).  Adam is elementwise,
+    so the result does not depend on the block size.  Parameters must be
+    C-contiguous, as every model here makes them.
     """
 
     beta1 = 0.9
@@ -577,86 +584,70 @@ class Adam:
 
     def __init__(self, params, lr):
         self.params = list(params)
+        if not all(p.data.flags.c_contiguous for p in self.params):
+            raise ContractError("Adam needs C-contiguous parameters")
         self.lr = float(lr)
         self.t = 0
-        self.m = [np.zeros_like(p.data) if p.support is None else np.zeros(p.support.size)
+        self.m = [np.zeros(p.data.size if p.support is None else p.support.size)
                   for p in self.params]
         self.v = [np.zeros_like(m) for m in self.m]
         self._off = [None if p.support is None else _off_support(p) for p in self.params]
         self._scratch = None  # sized on the first step, so setup stays cheap
 
-    def _dense_blocks(self, p, m, v):
-        """(param, grad, m, v, scratch a, scratch b) views per block of whole
-        rows; a missing grad reads as zero."""
-        data = p.data
-        g = p.grad if p.grad is not None else 0.0
-        step = max(1, self.block // _row_size(data))
-        if data.ndim == 0 or len(data) <= step:
-            yield (data, g, m, v, *(s[:data.size].reshape(data.shape) for s in self._scratch[:2]))
-            return
-        g = np.broadcast_to(g, data.shape)
-        for lo in range(0, len(data), step):
-            part = data[lo:lo + step]
-            yield (part, g[lo:lo + step], m[lo:lo + step], v[lo:lo + step],
-                   *(s[:part.size].reshape(part.shape) for s in self._scratch[:2]))
-
-    def _check_support(self, p, off):
-        """Raise ContractError for a non-zero gradient entry off p's support
-        (NaN and infinity included), then NumericFault for a non-finite one
-        on it; a block at a time through a boolean view of scratch."""
+    def _check(self, p, off, flags):
+        """Raise ContractError for a non-zero gradient entry off the support
+        (`off` masks the entries outside it; NaN and infinity count), then
+        NumericFault for a non-finite one; a block at a time into the
+        boolean scratch `flags`."""
         if p.grad is None:
             return
         g = p.grad.reshape(-1)
-        flags = self._scratch[0].view(bool)
         finite = True
-        for lo in range(0, g.size, max(1, flags.size)):
-            part = g[lo:lo + flags.size]
+        for lo in range(0, g.size, self.block):
+            part = g[lo:lo + self.block]
             f = flags[:part.size]
             finite = finite and np.isfinite(part, out=f).all()
-            np.not_equal(part, 0.0, out=f)
-            f &= off[lo:lo + part.size]
-            if f.any():
-                raise ContractError("Adam step: non-zero gradient outside the parameter's support")
+            if off is not None:
+                np.not_equal(part, 0.0, out=f)
+                f &= off[lo:lo + part.size]
+                if f.any():
+                    raise ContractError(
+                        "Adam step: non-zero gradient outside the parameter's support")
         if not finite:
             raise NumericFault("non-finite gradient in Adam step")
 
     def step(self):
         """Update every parameter from its .grad; a missing grad reads as zero."""
         if self._scratch is None:
-            size = max((min(p.data.size, max(self.block, _row_size(p.data)))
-                        for p in self.params), default=0)
+            size = max((min(p.data.size, self.block) for p in self.params), default=0)
             self._scratch = tuple(np.empty(size) for _ in range(3))
-        dense = [blk for p, m, v in zip(self.params, self.m, self.v) if p.support is None
-                 for blk in self._dense_blocks(p, m, v)]
-        # Every gradient is checked before any state changes.  g * 0.0 is 0
-        # where g is finite and NaN where it is not.
-        with np.errstate(invalid="ignore"):
-            for _, g, _, _, a, _ in dense:
-                if np.multiply(g, 0.0, out=a).sum() != 0.0:
-                    raise NumericFault("non-finite gradient in Adam step")
+        a, b, c = self._scratch
         for p, off in zip(self.params, self._off):
-            if off is not None:
-                self._check_support(p, off)
+            self._check(p, off, a.view(bool))
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for data, g, m, v, a, b in dense:
-            data -= self._step(g, m, v, a, b, bc1, bc2)
-        a, b, c = self._scratch
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.support is None:
-                continue
-            flat = p.data.reshape(-1)  # a view: Tabular tables are C-contiguous
-            for lo in range(0, p.support.size, self.block):
-                idx = p.support[lo:lo + self.block]
-                n = idx.size
-                # mode="clip" skips the bounds check, which would copy
-                # through a buffer; the support is in range.
-                g = 0.0 if p.grad is None else p.grad.take(idx, out=c[:n], mode="clip")
-                step = self._step(g, m[lo:lo + n], v[lo:lo + n], a[:n], b[:n], bc1, bc2)
-                # flat[i] -= step[k] entry by entry: the same subtraction as
-                # the dense path, with no gather of the parameter.
-                np.subtract.at(flat, idx, step)
+            flat = p.data.reshape(-1)  # a view: parameters are C-contiguous
+            g = None if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, m.size, self.block):
+                n = min(self.block, m.size - lo)
+                idx = None if p.support is None else p.support[lo:lo + n]
+                if g is None:
+                    g_blk = 0.0
+                elif idx is None:
+                    g_blk = g[lo:lo + n]
+                else:
+                    # mode="clip" skips the bounds check, which would copy
+                    # through a buffer; the support is in range.
+                    g_blk = g.take(idx, out=c[:n], mode="clip")
+                step = self._step(g_blk, m[lo:lo + n], v[lo:lo + n], a[:n], b[:n], bc1, bc2)
+                if idx is None:
+                    flat[lo:lo + n] -= step
+                else:
+                    # flat[i] -= step[k] entry by entry: the same subtraction
+                    # as a dense block, with no gather of the parameter.
+                    np.subtract.at(flat, idx, step)
 
     def _step(self, g, m, v, a, b, bc1, bc2):
         """Update one block of m and v in place and return the parameter
@@ -684,8 +675,3 @@ def _off_support(p):
     off = np.ones(p.data.size, dtype=bool)
     off[p.support] = False
     return off
-
-
-def _row_size(x):
-    """Entries per row (along axis 0) of an array, at least 1."""
-    return max(1, math.prod(x.shape[1:]))

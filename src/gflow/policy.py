@@ -207,6 +207,9 @@ class PolicySuite:
         groups = self.param_groups()
         if names != list(groups):
             raise ShapeError(f"checkpoint groups {names} do not match suite")
+        if len(dims) != len(names) or sum(dims) != vec.size:
+            raise ShapeError(f"checkpoint dims {dims} do not split its {vec.size} floats "
+                             f"into groups {names}")
         offset = 0
         for name, size in zip(names, dims):
             ad.assign_flat(groups[name], vec[offset:offset + size])

@@ -31,13 +31,13 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 # Memory plan, in bytes: per enumerated state (its row, position entry,
 # terminal slot, log reward and encoding scratch), per (state, forward
 # slot) pair (an edge's four intp entries and the float64 tables of one
-# exact evaluation), per tabular parameter entry (value, gradient, Adam m
-# and v, and the scatter table of a second gather of the same table on one
-# tape, as the balance losses make; 8 bytes each), per sampled trajectory
-# (its Trajectory object and three array views, about 490 bytes measured),
-# and per sampled (trajectory, step, column) entry, the columns being the
-# state row plus its forward and backward slot (the sampler's array entry
-# and its StepBatch copy).  The first gather's scatter table becomes the
+# exact evaluation), per parameter entry of a table or an Mlp (value,
+# gradient, Adam m and v, and the scatter table of a second gather of the
+# same table on one tape, as the balance losses make; 8 bytes each), per
+# sampled trajectory (its Trajectory object and three array views, about
+# 490 bytes measured), and per sampled (trajectory, step, column) entry, the
+# columns being the state row plus its forward and backward slot (the
+# sampler's array entry and its StepBatch copy).  The first gather's scatter table becomes the
 # gradient, and Adam's own scratch is three blocks, not a table.  A policy
 # table with a support (autodiff.Tabular) keeps m and v for its valid slots
 # only, with an 8-byte index each and Adam's 1-byte off-support mask per
@@ -170,8 +170,11 @@ def validate_config(cfg):
         raise ConfigError(f"reward_seed must be nonnegative, got {cfg.reward_seed}")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
-    for seed in cfg.seeds:
+    for i, seed in enumerate(cfg.seeds):
         _check_seed(seed)
+        if seed in cfg.seeds[:i]:
+            raise ConfigError(f"seed {seed} is repeated; each seed writes one CSV and "
+                              "one .params file")
     return cfg
 
 
@@ -207,18 +210,19 @@ def check_memory(cfg, env):
 
     The plan is arithmetic on sizes and allocates nothing:
 
-        S * (STATE_BYTES + SLOT_BYTES * A) + TABULAR_ENTRY_BYTES * S * C
+        S * (STATE_BYTES + SLOT_BYTES * A) + TABULAR_ENTRY_BYTES * P
           + N * (TRAJECTORY_BYTES + SAMPLE_ENTRY_BYTES * (T + 1) * (W + 2))
 
     S is env.n_states(), or 0 above the enumeration cap, where nothing is
-    enumerated.  A and B are the forward and backward slot counts.  C counts
-    the tabular columns per state of the strategy's parameter groups: A for
-    the forward policy, plus B when the backward policy is learned, plus 1
-    per value or flow estimator (0 for Mlp models, whose size does not grow
-    with S).  N counts the trajectories sampled at once: the batch, the
-    backward walks from its endpoints when the backward policy is learned,
-    and the mode-count samples when S > 0, since the step's batch is still
-    held during evaluation.  T is env.max_trajectory_len and W env.width.
+    enumerated.  A and B are the forward and backward slot counts.  P counts
+    the parameter entries of the strategy's models, each with K outputs: K
+    is A for the forward policy, B for a learned backward policy and 1 for
+    each value or flow estimator.  A table has S * K entries.  An Mlp with
+    layer widths (E, *hidden, K), E being env.encoding_dim, has
+    (fan_in + 1) * fan_out per layer.  N counts the trajectories sampled at
+    once: the batch, the backward walks from its endpoints when the backward
+    policy is learned, and the mode-count samples when S > 0, since the
+    step's batch is still held during evaluation.  T is env.max_trajectory_len and W env.width.
     Physical memory is
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE").
     """
@@ -232,11 +236,14 @@ def check_memory(cfg, env):
         sampled += cfg.mode_samples or cfg.batch_size
     planned += sampled * (TRAJECTORY_BYTES + SAMPLE_ENTRY_BYTES
                           * (env.max_trajectory_len + 1) * (env.width + 2))
-    if cfg.tabular:
-        cols = (env.n_action_slots + row.learned_backward * env.n_backward_slots
-                + row.value_f + row.value_b + row.flow)
-        planned += TABULAR_ENTRY_BYTES * n * cols
-    _check_fits(planned, f"{n} states and {sampled} sampled trajectories")
+    outputs = ([env.n_action_slots] + [env.n_backward_slots] * row.learned_backward
+               + [1] * (row.value_f + row.value_b + row.flow))
+    n_params = 0
+    for k in outputs:
+        dims = (env.encoding_dim, *cfg.hidden, k)
+        n_params += n * k if cfg.tabular else sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+    planned += TABULAR_ENTRY_BYTES * n_params
+    _check_fits(planned, f"{n} states, {n_params} parameters and {sampled} sampled trajectories")
     return planned
 
 

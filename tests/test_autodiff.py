@@ -760,62 +760,75 @@ ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
 
 
 @st.composite
-def supported_tables(draw):
-    """(initial table, mask, Adam block) with at least one entry off the mask."""
+def adam_cases(draw, dense=True):
+    """(initial parameter, mask, Adam block).  With `dense`, half the cases
+    are dense parameters of shape (), (k,) or (r, c), whose mask is None;
+    the rest are tables with at least one entry off the mask."""
+    block = draw(st.sampled_from([1, 2, 3, ad.Adam.block]))
+    if dense and draw(st.booleans()):
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=6))
+        return draw(hnp.arrays(np.float64, shape, elements=ENTRIES)), None, block
     shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 5)))
     mask = draw(hnp.arrays(bool, shape))
     mask.flat[draw(st.integers(0, mask.size - 1))] = False
-    table = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
-    return table, mask, draw(st.sampled_from([1, 2, 3, ad.Adam.block]))
+    return draw(hnp.arrays(np.float64, shape, elements=ENTRIES)), mask, block
 
 
-def gradient_on(draw, mask):
-    """A gradient that is zero, of either sign, off the mask."""
-    g = draw(hnp.arrays(np.float64, mask.shape, elements=ENTRIES))
-    g[~mask] = np.where(g[~mask] > 0, 0.0, -0.0)
+def gradient_on(draw, shape, mask):
+    """A gradient that is zero, of either sign, off the mask, if any."""
+    g = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    if mask is not None:
+        g[~mask] = np.where(g[~mask] > 0, 0.0, -0.0)
     return g
 
 
-def masked_adam(table, mask, block):
-    t = ad.Tensor(table.copy(), requires_grad=True)
-    t.support = np.flatnonzero(mask)
+def blocked_adam(init, mask, block):
+    t = ad.Tensor(init.copy(), requires_grad=True)
+    if mask is not None:
+        t.support = np.flatnonzero(mask)
     return t, type("Blocked", (ad.Adam,), {"block": block})([t], lr=0.03)
 
 
 class TestSupportedAdam:
-    """Adam over a parameter's support against the dense textbook loop."""
+    """Adam over a dense parameter, or over a parameter's support, against
+    the dense textbook loop."""
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(supported_tables(), st.data())
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(adam_cases(), st.data())
     def test_matches_dense_allocating_loop_bit_for_bit(self, case, data):
-        table, mask, block = case
-        live, opt = masked_adam(table, mask, block)
-        ref = ad.Tensor(table.copy(), requires_grad=True)
-        ms, vs = [np.zeros_like(table)], [np.zeros_like(table)]
+        init, mask, block = case
+        live, opt = blocked_adam(init, mask, block)
+        ref = ad.Tensor(init.copy(), requires_grad=True)
+        ms, vs = [np.zeros_like(init)], [np.zeros_like(init)]
+        # m and v are flat, over the support or in flatten() order.
+        kept = np.ones(init.shape, dtype=bool) if mask is None else mask
         for t in range(1, data.draw(st.integers(1, 5)) + 1):
             missing = data.draw(st.booleans())
-            g = None if missing else gradient_on(data.draw, mask)
+            g = None if missing else gradient_on(data.draw, init.shape, mask)
             live.grad = ref.grad = None if g is None else g.copy()
             opt.step()
             TestAdam.allocating_step(opt, [ref], ms, vs, t)
             assert live.data.tobytes() == ref.data.tobytes()
-            assert opt.m[0].tobytes() == ms[0][mask].tobytes()
-            assert opt.v[0].tobytes() == vs[0][mask].tobytes()
+            assert opt.m[0].shape == opt.v[0].shape == (np.count_nonzero(kept),)
+            assert opt.m[0].tobytes() == ms[0][kept].tobytes()
+            assert opt.v[0].tobytes() == vs[0][kept].tobytes()
             # Off the support, dense Adam keeps m = v = +0.0: a fixed point.
-            assert not np.signbit(ms[0][~mask]).any() and not ms[0][~mask].any()
-            assert not np.signbit(vs[0][~mask]).any() and not vs[0][~mask].any()
+            assert not np.signbit(ms[0][~kept]).any() and not ms[0][~kept].any()
+            assert not np.signbit(vs[0][~kept]).any() and not vs[0][~kept].any()
 
     @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(supported_tables(), st.data())
+    @given(adam_cases(), st.data())
     def test_non_finite_gradient_on_the_support_raises_and_changes_nothing(self, case, data):
-        table, mask, block = case
-        mask.flat[0] = True
-        live, opt = masked_adam(table, mask, block)
-        live.grad = gradient_on(data.draw, mask)
+        init, mask, block = case
+        if mask is not None:
+            mask.flat[0] = True
+        live, opt = blocked_adam(init, mask, block)
+        live.grad = gradient_on(data.draw, init.shape, mask)
         opt.step()
         before = live.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes(), opt.t
-        g = gradient_on(data.draw, mask)
-        g.flat[data.draw(st.sampled_from(list(live.support)))] = data.draw(
+        g = gradient_on(data.draw, init.shape, mask)
+        on = range(init.size) if mask is None else list(live.support)
+        g.flat[data.draw(st.sampled_from(on))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
         live.grad = g
         with pytest.raises(NumericFault):
@@ -823,18 +836,18 @@ class TestSupportedAdam:
         assert (live.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes(), opt.t) == before
 
     @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(supported_tables(), st.data())
+    @given(adam_cases(dense=False), st.data())
     def test_non_zero_gradient_off_the_support_raises(self, case, data):
-        table, mask, block = case
-        live, opt = masked_adam(table, mask, block)
-        g = gradient_on(data.draw, mask)
+        init, mask, block = case
+        live, opt = blocked_adam(init, mask, block)
+        g = gradient_on(data.draw, init.shape, mask)
         off = np.flatnonzero(~mask)
         g.flat[data.draw(st.sampled_from(list(off)))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf, 1e-300, -2.0]))
         live.grad = g
         with pytest.raises(ContractError, match="outside the parameter's support"):
             opt.step()
-        assert live.data.tobytes() == table.tobytes()
+        assert live.data.tobytes() == init.tobytes()
         assert not opt.m[0].any() and not opt.v[0].any() and opt.t == 0
 
 

@@ -361,3 +361,14 @@ def test_checkpoint_rejects_truncated_and_padded_files(tmp_path):
     path.write_bytes(data + b"\0")
     with pytest.raises(ShapeError, match="trailing"):
         load_checkpoint(path)
+    # Well-formed files whose dims do not split the body into the groups:
+    # a dims list one short, and a body one float longer than the dims.
+    path.write_bytes(data)
+    kind, dims, _, vec = load_checkpoint(path)
+    before = ad.flatten(suite.all_params())
+    for bad_dims, bad_vec in ((dims[:-1], vec[:sum(dims[:-1])]),
+                              (dims, np.append(vec, 1.0))):
+        save_checkpoint(path, kind, bad_dims, 3, bad_vec)
+        with pytest.raises(ShapeError, match="do not split"):
+            suite.load(path)
+        assert ad.flatten(suite.all_params()).tobytes() == before.tobytes()

@@ -117,6 +117,8 @@ def test_parse_config_defaults():
     ("guide_eps = -1", "guide_eps"),
     ("seeds = -1", "seed must be nonnegative"),
     ("seeds = 0, -2", "seed must be nonnegative"),
+    ("seeds = 0, 0", "seed 0 is repeated"),
+    ("seeds = 3, 1, 3", "seed 3 is repeated"),
     ("subtb_base = 0", "subtb_base"),
     ("subtb_base = -0.5", "subtb_base"),
     ("env = sequence\nreward_seed = -1", "reward_seed must be nonnegative"),
@@ -524,13 +526,27 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
     want = s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) \
         + runner.TABULAR_ENTRY_BYTES * s * (a + b + 2) + sampled
     assert check_memory(cfg, env) == want
+    # The same four models as (64, 64) Mlps on the 30-wide encoding: each
+    # layer holds (fan_in + 1) * fan_out weights and biases.
     cfg.tabular = False
+    mlp = sum(31 * 64 + 65 * 64 + 65 * k for k in (a, b, 1, 1))
     assert check_memory(cfg, env) == \
-        s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + sampled
+        s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * mlp \
+        + sampled
     # Tabular SequenceEnv(9, 4) passes the enumeration cap but not 8 GiB.
     big = parse_config_text("env = sequence\nd = 9\nn = 4\nstrategy = RL-U\ntabular = on\n")
     with pytest.raises(ConfigError, match="exceeds physical memory"):
         check_memory(big, SequenceEnv(9, 4, np.ones(4 ** 9)))
+    # Between two 100 000-wide hidden layers sit 10**10 weights, 80 GB: the
+    # plan counts them, and refuses them, without building anything.
+    cfg.hidden = (100000, 100000)
+    wide = sum(31 * 100000 + 100001 * 100000 + 100001 * k for k in (a, b, 1, 1))
+    with pytest.raises(ConfigError, match="exceeds physical memory"):
+        check_memory(cfg, env)
+    fake_physical_memory(monkeypatch, 1 << 50)
+    assert check_memory(cfg, env) == \
+        s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * wide \
+        + sampled
 
 
 def test_memory_plan_covers_a_tabular_step():
