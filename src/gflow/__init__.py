@@ -11,7 +11,7 @@ group as:
 - objectives: balance losses, policy-dependent step rewards, advantages
 - guides: backward kernels that condition training on good endpoints
 - training: per-strategy update steps and exact bound checks
-- exact: dynamic-programming distributions, values, metrics, oracles
+- exact: dynamic-programming distributions, values, metrics
 - runner / cli: config-driven experiments with CSV metrics
 
 Importing gflow sets the OpenBLAS that numpy loaded, if any, to one

@@ -470,10 +470,8 @@ class Tabular:
     `table.data` stays the dense table.
     """
 
-    def __init__(self, n_rows, n_cols, rng=None, init_scale=0.0, mask=None):
+    def __init__(self, n_rows, n_cols, mask=None):
         data = np.zeros((int(n_rows), int(n_cols)))
-        if rng is not None and init_scale > 0:
-            data = rng.normal(0.0, init_scale, size=data.shape)
         self.table = Tensor(data, requires_grad=True)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)

@@ -96,18 +96,12 @@ class DagEnv:
         """Total non-sink state count, computed without materializing states."""
         raise NotImplementedError
 
-    def enumerate_states(self, cap=ENUMERATION_CAP):
+    def enumerate_states(self):
         """All non-sink states grouped into topological layers (root first),
         one row array per layer."""
         raise NotImplementedError
 
-    def check_cap(self, cap):
-        n = self.n_states()
-        if n > cap:
-            raise EnumerationLimit(f"{n} states exceed enumeration cap {cap}")
-        return n
-
-    def enumeration(self, cap=ENUMERATION_CAP):
+    def enumeration(self):
         """Memoized Enumeration index over this environment.
 
         The memo is a weak reference: an enumeration lives while some caller
@@ -117,7 +111,7 @@ class DagEnv:
         ref = getattr(self, "_enumeration", None)
         enum = ref() if ref is not None else None
         if enum is None:
-            enum = Enumeration(self, cap)
+            enum = Enumeration(self)
             self._enumeration = weakref.ref(enum)
         return enum
 
@@ -130,12 +124,16 @@ class Enumeration:
     are flat arrays (src, slot, dst, bslot) of positions and slots, sorted
     by source and then slot, built once from the env's batched queries.
     The exact-evaluation routines and tabular policies all work in this
-    index space.
+    index space.  An env of more than ENUMERATION_CAP states raises
+    EnumerationLimit before any state row exists.
     """
 
-    def __init__(self, env, cap=ENUMERATION_CAP):
+    def __init__(self, env):
+        n = env.n_states()
+        if n > ENUMERATION_CAP:
+            raise EnumerationLimit(f"{n} states exceed enumeration cap {ENUMERATION_CAP}")
         self.env = env
-        layers = env.enumerate_states(cap)
+        layers = env.enumerate_states()
         self.states = np.concatenate(layers)
         self.n = len(self.states)
         ends = np.cumsum([0] + [len(layer) for layer in layers]).tolist()

@@ -10,7 +10,7 @@ in the parent list.
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD
+from .base import DagEnv, MIN_REWARD
 
 
 class ExplicitDag(DagEnv):
@@ -39,6 +39,9 @@ class ExplicitDag(DagEnv):
         for s, cs in self._children.items():
             if len(set(cs)) != len(cs):
                 raise ConfigError(f"duplicate edges out of {s!r}")
+        bad = [s for s, r in rewards.items() if not np.isfinite(float(r))]
+        if bad:
+            raise ConfigError(f"reward of state {bad[0]!r} is not finite: {rewards[bad[0]]}")
         self._rewards = {s: max(float(r), MIN_REWARD) for s, r in rewards.items()}
         states = set(self._children).union(*self._children.values(), self._rewards)
         parents = {s: [] for s in states}
@@ -174,9 +177,8 @@ class ExplicitDag(DagEnv):
     def n_states(self):
         return len(self._order)
 
-    def enumerate_states(self, cap=ENUMERATION_CAP):
+    def enumerate_states(self):
         """Layer k holds the states at depth k, in topological order."""
-        self.check_cap(cap)
         depth = np.array([self._depth[s] for s in self._order])
         return [np.flatnonzero(depth == k)[:, None] for k in range(depth.max() + 1)]
 

@@ -8,7 +8,7 @@ band bonuses around the grid corners, producing well separated modes.
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv
+from .base import DagEnv
 
 
 class HyperGrid(DagEnv):
@@ -86,10 +86,9 @@ class HyperGrid(DagEnv):
     def n_states(self):
         return self.n ** self.d
 
-    def enumerate_states(self, cap=ENUMERATION_CAP):
+    def enumerate_states(self):
         """Layer k holds the cells with coordinate sum k, in lexicographic
         order."""
-        self.check_cap(cap)
         coords = np.indices((self.n,) * self.d, dtype=np.intp).reshape(self.d, -1).T
         layer = coords.sum(axis=1)
         coords = coords[np.argsort(layer, kind="stable")]

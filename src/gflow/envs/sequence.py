@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ..errors import ConfigError
-from .base import ENUMERATION_CAP, DagEnv, MIN_REWARD
+from .base import DagEnv, MIN_REWARD
 
 EMPTY = -1
 SCORE_BLOCK = 256  # sequences scored at once by synthetic_rewards
@@ -38,6 +38,10 @@ class SequenceEnv(DagEnv):
         if rewards.size != self.n ** self.d:
             raise ConfigError(
                 f"reward table has {rewards.size} entries, need n**d = {self.n ** self.d}")
+        bad = np.flatnonzero(~np.isfinite(rewards))
+        if len(bad):
+            seq = tuple(int(c) for c in np.unravel_index(bad[0], (self.n,) * self.d))
+            raise ConfigError(f"reward of sequence {seq} is not finite: {rewards[bad[0]]}")
         self.rewards_table = np.maximum(rewards, MIN_REWARD)
         self.width = self.d
         self.root = np.full(self.d, EMPTY, dtype=np.intp)
@@ -52,11 +56,6 @@ class SequenceEnv(DagEnv):
         # position most significant.
         self._radix = (self.n + 1) ** np.arange(self.d)
         self._place = self.n ** np.arange(self.d - 1, -1, -1)
-
-    @classmethod
-    def synthetic(cls, d, n, seed, beta=3.0, r_min=1e-3, r_max=10.0, n_modes=None):
-        return cls(d, n, synthetic_rewards(d, n, seed, beta=beta, r_min=r_min,
-                                           r_max=r_max, n_modes=n_modes))
 
     # -- structure -----------------------------------------------------------
 
@@ -110,10 +109,9 @@ class SequenceEnv(DagEnv):
     def n_states(self):
         return (self.n + 1) ** self.d
 
-    def enumerate_states(self, cap=ENUMERATION_CAP):
+    def enumerate_states(self):
         """Layer t holds the sequences with t filled positions, by filled
         positions (lexicographic) and then by symbols (lexicographic)."""
-        self.check_cap(cap)
         layers = []
         for t in range(self.d + 1):
             syms = np.indices((self.n,) * t, dtype=np.intp).reshape(t, self.n ** t).T
@@ -192,6 +190,8 @@ def load_reward_table(path):
                 r = float(r_part)
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad reward-table line {line!r}") from e
+            if not np.isfinite(r):
+                raise ConfigError(f"{path}:{lineno}: reward {r_part!r} is not finite")
             if d is None:
                 d = len(seq)
             elif len(seq) != d:

@@ -12,8 +12,12 @@ do the runner's eval rows.
 
 import numpy as np
 
-from .errors import ContractError, EnumerationLimit
-from .sampling import Trajectory, sample_forward
+from .errors import ContractError
+from .sampling import sample_forward
+
+# Share of the terminal-capable states, by reward, that mode_states counts
+# as modes.
+MODE_QUANTILE = 0.005
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +163,6 @@ def advantages(v, q, masks):
     return np.where(masks, q - v[:, None], 0.0)
 
 
-def exact_logit_gradient(visit, log_table, adv):
-    """d J / d logits for a tabular policy: visit(s) * pi(s,a) * A(s,a).
-
-    Valid for forward policies with `visit` probabilities and forward
-    advantages, and for backward policies with the analogous quantities.
-    Masked slots contribute 0 through exp(-inf).
-    """
-    return visit[:, None] * np.exp(log_table) * adv
-
-
 # ---------------------------------------------------------------------------
 # Flow construction
 # ---------------------------------------------------------------------------
@@ -232,12 +226,12 @@ def reward_accuracy(pt, enum):
     return min(e_model / e_target, 1.0)
 
 
-def mode_states(enum, quantile=0.005):
-    """Rows of the terminal-capable states in the top reward quantile (ties
-    included), in enumeration order."""
+def mode_states(enum):
+    """Rows of the terminal-capable states in the top MODE_QUANTILE of
+    rewards (ties included), in enumeration order."""
     idx = np.flatnonzero(enum.terminal)
     rewards = np.exp(enum.log_rewards[idx])
-    threshold = np.quantile(rewards, 1.0 - quantile)
+    threshold = np.quantile(rewards, 1.0 - MODE_QUANTILE)
     return enum.states[idx[rewards >= threshold]]
 
 
@@ -255,70 +249,6 @@ def mode_count(env, forward, modes, n_samples, rng, seen=None):
         found = env.index(np.stack([tr.x for tr in trajs]))
         seen.update(found[np.isin(found, env.index(modes))].tolist())
     return len(seen), seen
-
-
-# ---------------------------------------------------------------------------
-# Trajectory enumeration and finite differences
-# ---------------------------------------------------------------------------
-
-def enumerate_paths(env, limit=1_000_000):
-    """All root-to-sink trajectories, depth first, from the enumeration's
-    edge arrays and terminal slots."""
-    enum = env.enumeration()
-    edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
-    tslots = enum.terminal_slots()
-    out = []
-    stack = [((enum.root_index,), (), ())]
-    while stack:
-        path, slots, bslots = stack.pop()
-        i = path[-1]
-        edges = range(edge_ptr[i], edge_ptr[i + 1])
-        moves = [(int(enum.edge_slot[e]), int(enum.edge_dst[e]), int(enum.edge_bslot[e]))
-                 for e in edges]
-        if tslots[i] >= 0:
-            moves = sorted(moves + [(int(tslots[i]), -1, -1)])
-        for a, j, b in reversed(moves):
-            if j < 0:
-                out.append(Trajectory(enum.states[list(path)], np.array(slots + (a,)),
-                                      np.array(bslots, dtype=np.intp),
-                                      float(enum.log_rewards[i])))
-                if len(out) > limit:
-                    raise EnumerationLimit(f"more than {limit} trajectories")
-            else:
-                stack.append((path + (j,), slots + (a,), bslots + (b,)))
-    return out
-
-
-def path_log_prob(enum, log_table, trajectory, backward=False):
-    """Log-probability of a trajectory under a dense slot table, summed
-    edge by edge from the root.
-
-    Forward tables cover every edge including the terminal hop; backward
-    tables cover interior edges only (the terminal hop is skipped).
-    """
-    if backward:
-        picked = log_table[enum.positions(trajectory.states[1:]), trajectory.bslots]
-    else:
-        picked = log_table[enum.positions(trajectory.states), trajectory.slots]
-    total = 0.0
-    for v in picked.tolist():
-        total += v
-    return total
-
-
-def finite_difference_grad(f, x0, step=1e-5):
-    """Central-difference gradient of a scalar function of a flat vector."""
-    x = np.array(x0, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + step
-        fp = f(x)
-        x[i] = orig - step
-        fm = f(x)
-        x[i] = orig
-        g[i] = (fp - fm) / (2.0 * step)
-    return g
 
 
 def policy_kl(p_log, q_log, weights, masks):

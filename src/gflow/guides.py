@@ -3,14 +3,13 @@
 A guide assigns each interior edge (s -> s') a backward probability
 pi_G(s', edge): the chance, under a guiding distribution over trajectories
 conditioned on the endpoint x, that s' was reached from s.  Guides are
-consumed by the guided backward rewards log pi_B - log pi_G and by the
-guided balance loss; they carry no trainable parameters.
+consumed by the guided backward rewards log pi_B - log pi_G; they carry
+no trainable parameters.
 
 Every guide reads a batch as the StepBatch that objectives.step_batch
 builds: `refresh(forward, sb)` updates the guide after a training batch,
-`edge_log_probs(sb)` returns the log-probabilities of the batch's interior
-edges in StepBatch order (from `in_states` and `in_bslots`), and
-`log_conditional(sb)` returns log P_G(tau | x), one sum per trajectory.
+and `edge_log_probs(sb)` returns the log-probabilities of the batch's
+interior edges in StepBatch order (from `in_states` and `in_bslots`).
 
 Markov guides (grid, table) reduce to a dense backward kernel over the
 enumerated states, so a batch is one fancy-index into it.  The replay guide
@@ -27,6 +26,9 @@ from . import exact
 from .envs import EMPTY
 from .errors import ContractError
 
+# Score of a partial sequence that no replay entry extends.
+SCORE_FLOOR = 1e-8
+
 
 class _Guide:
     """Shared batch contract; subclasses supply edge_log_probs."""
@@ -34,12 +36,6 @@ class _Guide:
     def refresh(self, forward, sb):
         """Bring the guide up to date after the training batch `sb` was
         sampled by `forward`; a fixed guide has nothing to update."""
-
-    def log_conditional(self, sb):
-        """log P_G(tau | x) per trajectory: the sum of its edge log-probs."""
-        lp = self.edge_log_probs(sb)
-        ends = np.concatenate([[0], np.cumsum(sb.lengths - 1)])
-        return np.array([lp[lo:hi].sum() for lo, hi in zip(ends[:-1], ends[1:])])
 
 
 class _MarkovGuide(_Guide):
@@ -68,10 +64,12 @@ class TableGuide(_MarkovGuide):
         self.log_table = np.asarray(log_table, dtype=np.float64)
 
     @classmethod
-    def random(cls, env, rng, scale=1.0):
+    def random(cls, env, rng):
+        """Guide whose kernel rows softmax standard normal logits over the
+        parent slots."""
         enum = env.enumeration()
         masks = enum.parent_masks()
-        logits = rng.normal(0.0, scale, size=masks.shape)
+        logits = rng.normal(0.0, 1.0, size=masks.shape)
         table = np.full(masks.shape, -np.inf)
         rows = np.flatnonzero(masks.any(axis=1))
         table[rows] = ad.log_softmax_masked(None, logits[rows], masks[rows]).data
@@ -124,7 +122,7 @@ class SequenceGuide(_Guide):
     """Replay-derived guide for the sequence environment.
 
     The score of a partial sequence s compatible with x is the mean reward
-    of replay entries extending s (a small floor when none do); the guiding
+    of replay entries extending s (SCORE_FLOOR when none do); the guiding
     forward law normalizes scores over children, and the backward kernel of
     its conditional given x comes from a subset-lattice sweep per x.
 
@@ -133,10 +131,9 @@ class SequenceGuide(_Guide):
     also feeds the buffer.
     """
 
-    def __init__(self, env, buffer, floor=1e-8):
+    def __init__(self, env, buffer):
         self.env = env
         self.buffer = buffer
-        self.floor = float(floor)
         self._replay = None
 
     def refresh(self, forward, sb):
@@ -173,7 +170,7 @@ class SequenceGuide(_Guide):
             idx = np.flatnonzero((subsets & bit) == 0)
             count[:, idx] += count[:, idx | bit]
             total[:, idx] += total[:, idx | bit]
-        scores = np.full((n_x, size), self.floor)
+        scores = np.full((n_x, size), SCORE_FLOOR)
         has = count > 0
         scores[has] = total[has] / count[has]
         return scores

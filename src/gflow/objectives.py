@@ -152,12 +152,9 @@ def db_loss(tape, sb, suite, weights=None):
 
 def subtb_weights(n_edges, base):
     """Normalized weights over sub-trajectory spans (i, j), 0 <= i < j <= n_edges,
-    proportional to base ** (j - i); base None puts all mass on the full span."""
+    proportional to base ** (j - i)."""
     pairs = [(i, j) for i in range(n_edges) for j in range(i + 1, n_edges + 1)]
-    if base is None:
-        w = np.asarray([1.0 if (i, j) == (0, n_edges) else 0.0 for i, j in pairs])
-    else:
-        w = np.asarray([float(base) ** (j - i) for i, j in pairs])
+    w = np.asarray([float(base) ** (j - i) for i, j in pairs])
     return pairs, w / w.sum()
 
 
@@ -211,16 +208,6 @@ def subtb_loss(tape, sb, suite, weight_base=0.9, weights=None):
         tape, ad.mul(tape, ad.square(tape, resid), ad.Tensor(w_full)),
         bucket_traj, sb.n_traj)
     return _reduce(tape, per_traj, weights)
-
-
-def guided_tb_loss(tape, sb, suite, guide, weights=None):
-    """Mean squared guided balance residual
-    (log P_B(tau|x) - log P_G(tau|x))^2; gradients flow through pi_B only."""
-    lpb = suite.backward.step_log_probs(tape, sb.in_states, sb.in_bslots)
-    sum_b = ad.segment_sum(tape, lpb, sb.in_traj, sb.n_traj)
-    log_pg = guide.log_conditional(sb)
-    resid = ad.sub(tape, sum_b, ad.Tensor(log_pg))
-    return _reduce(tape, ad.square(tape, resid), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,10 @@ class ScalarEstimator(_StateModel):
 
 
 class LogZ:
-    """Learned scalar log Z."""
+    """Learned scalar log Z, starting at 0."""
 
-    def __init__(self, init=0.0):
-        self.value = ad.Tensor(np.array([float(init)]), requires_grad=True)
+    def __init__(self):
+        self.value = ad.Tensor(np.zeros(1), requires_grad=True)
 
     def params(self):
         return [self.value]
@@ -331,13 +331,13 @@ def load_checkpoint(path):
 
 
 def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
-               need_value_f=False, need_value_b=False, need_flow=False,
-               logz_init=0.0, init_scale=0.0):
-    """Construct a PolicySuite with freshly initialized models.
+               need_value_f=False, need_value_b=False, need_flow=False):
+    """Construct a PolicySuite with freshly initialized models and log Z 0.
 
     Tabular suites index the enumerated state space directly (exact-gradient
-    work), and a policy table is masked by its valid slots; Mlp suites share
-    the architecture `hidden` across components.
+    work) with zero tables, so every policy starts uniform, and a policy
+    table is masked by its valid slots; Mlp suites draw their weights from
+    `rng` and share the architecture `hidden` across components.
     """
     # Held for the whole construction: the env memoizes it only weakly.
     enum = env.enumeration() if tabular else None
@@ -345,13 +345,12 @@ def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
     def policy_model(n_slots, masks):
         # `masks` is the Enumeration method giving the valid slots per state.
         if tabular:
-            return ad.Tabular(enum.n, n_slots, rng=rng, init_scale=init_scale,
-                              mask=masks(enum))
+            return ad.Tabular(enum.n, n_slots, mask=masks(enum))
         return ad.Mlp((env.encoding_dim, *hidden, n_slots), rng)
 
     def scalar_model():
         if tabular:
-            return ad.Tabular(enum.n, 1, rng=rng, init_scale=init_scale)
+            return ad.Tabular(enum.n, 1)
         return ad.Mlp((env.encoding_dim, *hidden, 1), rng)
 
     forward = ForwardPolicy(env, policy_model(env.n_action_slots, Enumeration.action_masks))
@@ -361,7 +360,7 @@ def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
     else:
         backward = UniformBackward(env)
     return PolicySuite(
-        env, forward, backward, LogZ(logz_init),
+        env, forward, backward, LogZ(),
         value_f=ScalarEstimator(env, scalar_model()) if need_value_f else None,
         value_b=ScalarEstimator(env, scalar_model()) if need_value_b else None,
         state_flow=ScalarEstimator(env, scalar_model()) if need_flow else None,

@@ -28,10 +28,11 @@ from .sampling import MixtureSchedule, ReplayBuffer, sample_backward, sample_for
 
 logger = logging.getLogger("gflow")
 
-# Trust-region step constants: Fisher damping, the relative residual at
-# which conjugate gradients stop, and the backtracking factor and count of
-# the step-size search.
+# Trust-region step constants: Fisher damping, the most products and the
+# relative residual at which conjugate gradients stop, and the backtracking
+# factor and count of the step-size search.
 DAMPING = 1e-3
+CG_ITERS = 10
 CG_TOL = 1e-10
 BACKTRACK = 0.8
 MAX_BACKTRACKS = 10
@@ -39,12 +40,16 @@ MAX_BACKTRACKS = 10
 # Replay capacity of the default sequence guide, in batches.
 REPLAY_BATCHES = 10
 
+# Rounding allowance of check_theorem_bounds: a bound holds when its left
+# side exceeds its right by at most this much.
+BOUND_TOL = 1e-9
 
-def conjugate_gradient(matvec, b, iters=10, tol=CG_TOL):
+
+def conjugate_gradient(matvec, b):
     """Solve A x = b for symmetric positive definite A given only x -> A x.
 
-    Stops after `iters` products, or earlier once the residual norm is at
-    most `tol` times that of b.  Each new residual is orthogonalized
+    Stops after CG_ITERS products, or earlier once the residual norm is at
+    most CG_TOL times that of b.  Each new residual is orthogonalized
     against the earlier ones (one classical Gram-Schmidt pass), a no-op in
     exact arithmetic.  Without it, once CG resolves the large eigenvalues
     of a Fisher, rounding in the products grows about tenfold per
@@ -56,10 +61,10 @@ def conjugate_gradient(matvec, b, iters=10, tol=CG_TOL):
     r = b.copy()
     p = r.copy()
     scratch = np.empty_like(b)
-    basis = np.empty((iters, b.size))
+    basis = np.empty((CG_ITERS, b.size))
     rs = float(r @ r)
-    stop = tol * np.sqrt(rs)
-    for k in range(iters):
+    stop = CG_TOL * np.sqrt(rs)
+    for k in range(CG_ITERS):
         if np.sqrt(rs) <= stop:
             break
         np.divide(r, np.sqrt(rs), out=basis[k])
@@ -131,25 +136,6 @@ def surrogate_loss(tape, policy, states, slots, adv, n_traj):
     lp = policy.step_log_probs(tape, states, slots)
     weighted = ad.mul(tape, lp, ad.Tensor(np.asarray(adv)))
     return ad.scale(tape, ad.sum(tape, weighted), 1.0 / n_traj)
-
-
-def surrogate_gradient(suite, sb, lam, weights=None):
-    """Flat gradient of the forward surrogate over a step batch.
-
-    `weights` (one per trajectory) replaces the batch mean with a weighted
-    sum, which computes exact expectations over enumerated trajectories.
-    """
-    adv, _, _ = forward_advantages(sb, suite, lam)
-    params = suite.forward.params()
-    tape = ad.Tape()
-    if weights is None:
-        loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
-    else:
-        w = np.asarray(weights, dtype=np.float64)[sb.traj]
-        lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
-        loss = ad.sum(tape, ad.mul(tape, lp, ad.Tensor(adv * w)))
-    _descend(tape, loss, params, [], "policy surrogate")
-    return ad.flat_grad(params)
 
 
 def _descend(tape, loss, params, optimizers, what):
@@ -451,29 +437,24 @@ class Trainer:
 # Exact bound checks
 # ---------------------------------------------------------------------------
 
-def check_theorem_bounds(env, forward, backward, log_z, guide,
-                         forward_alt=None, tol=1e-9):
+def check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
     """Exact verification of the coupling and performance-difference bounds.
 
     Bound 1: the guided objective J_F^G is at most J_F + J_B^G plus a slack
     proportional to the largest guided backward reward magnitude and the
     square root of half the balance divergence J_F + log Z* - log Z.
 
-    Bound 2 (when a second forward policy is supplied): the per-step change
+    Bound 2 (when a second forward table is supplied): the per-step change
     of J_F is at most the old-distribution expectation of the new policy's
     advantages plus zeta + eps_F * sqrt(2 zeta), where zeta is the
     accumulated-distribution KL between new and old policies.
 
-    Policies may be dense log tables or policy objects.  Returns a report
-    dict with both sides and a boolean per bound.
+    The policies are dense log tables over the enumeration (see
+    exact.forward_log_table); the guide is a log table or a Markov guide.
+    Each bound holds up to BOUND_TOL.  Returns a report dict with both
+    sides and a boolean per bound.
     """
     enum = env.enumeration()
-
-    def table(policy, build):
-        return policy if isinstance(policy, np.ndarray) else build(enum, policy)
-
-    fwd_log = table(forward, exact.forward_log_table)
-    bwd_log = table(backward, exact.backward_log_table)
     g_table = guide if isinstance(guide, np.ndarray) else guide.backward_kernel()
     log_z = float(log_z)
     log_z_star = float(np.log(enum.partition()))
@@ -494,7 +475,7 @@ def check_theorem_bounds(env, forward, backward, log_z, guide,
     rhs1 = j_f + j_bg + slack
     report = {
         "theorem1": {
-            "lhs": float(j_fg), "rhs": float(rhs1), "holds": bool(j_fg <= rhs1 + tol),
+            "lhs": float(j_fg), "rhs": float(rhs1), "holds": bool(j_fg <= rhs1 + BOUND_TOL),
             "j_f": float(j_f), "j_b_g": float(j_bg), "r_max": r_max,
             "kl_mu": float(kl_mu), "slack": float(slack),
         },
@@ -502,21 +483,20 @@ def check_theorem_bounds(env, forward, backward, log_z, guide,
     if forward_alt is None:
         return report
 
-    alt_log = table(forward_alt, exact.forward_log_table)
     masks = enum.action_masks()
     d_old = exact.accumulated_distribution(enum, fwd_log)
-    d_new = exact.accumulated_distribution(enum, alt_log)
-    zeta = exact.policy_kl(alt_log, fwd_log, d_new, masks)
+    d_new = exact.accumulated_distribution(enum, forward_alt)
+    zeta = exact.policy_kl(forward_alt, fwd_log, d_new, masks)
     a = exact.advantages(v, q, masks)
-    pi_new = np.where(masks, np.exp(alt_log), 0.0)
+    pi_new = np.where(masks, np.exp(forward_alt), 0.0)
     ea_new = (pi_new * a).sum(axis=1)
     expected = float(d_old @ ea_new)
     eps_f = float(np.abs(ea_new).max())
-    j_new = exact.forward_values(enum, alt_log, ref_b, log_z)[0][enum.root_index]
+    j_new = exact.forward_values(enum, forward_alt, ref_b, log_z)[0][enum.root_index]
     lhs2 = (j_new - j_f) / t_len
     rhs2 = expected + zeta + eps_f * np.sqrt(2.0 * zeta)
     report["theorem2"] = {
-        "lhs": float(lhs2), "rhs": float(rhs2), "holds": bool(lhs2 <= rhs2 + tol),
+        "lhs": float(lhs2), "rhs": float(rhs2), "holds": bool(lhs2 <= rhs2 + BOUND_TOL),
         "zeta": float(zeta), "eps_f": eps_f, "expected_advantage": expected,
         "j_f": float(j_f), "j_f_new": float(j_new),
     }

@@ -22,21 +22,23 @@ from gflow.envs import (
     synthetic_rewards,
 )
 from gflow.guides import TableGuide
-from gflow.objectives import (
-    db_loss,
-    guided_tb_loss,
-    step_batch,
-    subtb_loss,
-    tb_loss,
-)
+from gflow.objectives import db_loss, step_batch, subtb_loss, tb_loss
 from gflow.policy import make_suite
 from gflow.sampling import sample_forward
 from gflow.training import (
     Trainer,
     TrainerConfig,
     check_theorem_bounds,
-    surrogate_gradient,
     surrogate_loss,
+)
+from oracles import (
+    enumerate_paths,
+    exact_logit_gradient,
+    finite_difference_grad,
+    guided_tb_loss,
+    path_log_prob,
+    random_suite,
+    surrogate_gradient,
 )
 from test_exact import accumulated_by_matrix, accumulated_by_powers
 
@@ -81,9 +83,8 @@ def small_random_suite(seed, learned_backward=True, need_value_f=False):
     rng = np.random.default_rng(seed)
     env = random_dag(rng)
     assert env.n_states() <= 50
-    suite = make_suite(env, rng, tabular=True, learned_backward=learned_backward,
-                       need_value_f=need_value_f, init_scale=0.7,
-                       logz_init=float(rng.normal(0, 1)))
+    suite = random_suite(env, rng, 0.7, log_z=float(rng.normal(0, 1)), tabular=True,
+                         learned_backward=learned_backward, need_value_f=need_value_f)
     return env, suite
 
 
@@ -99,9 +100,9 @@ def test_criterion_01_forward_gradient_equivalence():
     ref_b = exact.edge_logs_backward(enum, bwd)
     masks = enum.action_masks()
 
-    trajs = exact.enumerate_paths(env)
+    trajs = enumerate_paths(env)
     fwd0 = suite.forward.log_probs_numpy(enum.states, masks)
-    pf = np.array([np.exp(exact.path_log_prob(enum, fwd0, tr)) for tr in trajs])
+    pf = np.array([np.exp(path_log_prob(enum, fwd0, tr)) for tr in trajs])
     assert abs(pf.sum() - 1.0) < 1e-12
 
     # Half the balance-loss gradient, exactly enumerated over trajectories
@@ -124,7 +125,7 @@ def test_criterion_01_forward_gradient_equivalence():
         return v[enum.root_index]
 
     theta0 = suite.forward.model.table.data.ravel()
-    rhs_theta = exact.finite_difference_grad(divergence, theta0)
+    rhs_theta = finite_difference_grad(divergence, theta0)
     rhs_logz = divergence(theta0) + (suite.log_z.item() - log_z_star)
     rhs = np.concatenate([rhs_theta, [rhs_logz]])
     gap = float(np.abs(lhs - rhs).max())
@@ -148,9 +149,9 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
     guide = TableGuide.random(env, np.random.default_rng(7))
     ref_g = exact.edge_logs_backward(enum, guide.backward_kernel())
 
-    trajs = exact.enumerate_paths(env)
+    trajs = enumerate_paths(env)
     w = np.array([rho[enum.positions(tr.x[None])[0]]
-                  * np.exp(exact.path_log_prob(enum, bwd0, tr, backward=True))
+                  * np.exp(path_log_prob(enum, bwd0, tr, backward=True))
                   for tr in trajs])
     assert abs(w.sum() - 1.0) < 1e-12
 
@@ -173,12 +174,12 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
         return f
 
     lhs_b = half_grad(lambda tape: tb_loss(tape, step_batch(trajs), suite, weights=w))
-    rhs_b = exact.finite_difference_grad(expected_divergence(ref_f), phi0)
+    rhs_b = finite_difference_grad(expected_divergence(ref_f), phi0)
     gap_b = float(np.abs(lhs_b - rhs_b).max())
 
     lhs_g = half_grad(
         lambda tape: guided_tb_loss(tape, step_batch(trajs), suite, guide, weights=w))
-    rhs_g = exact.finite_difference_grad(expected_divergence(ref_g), phi0)
+    rhs_g = finite_difference_grad(expected_divergence(ref_g), phi0)
     gap_g = float(np.abs(lhs_g - rhs_g).max())
 
     report(2, gap_b <= 1e-8 and gap_g <= 1e-8,
@@ -197,15 +198,15 @@ def test_criterion_03_lambda_one_unbiasedness():
         np.random.default_rng(8).normal(0, 3, enum.n)
 
     fwd = suite.forward.log_probs_numpy(enum.states, masks)
-    trajs = exact.enumerate_paths(env)
-    pf = np.array([np.exp(exact.path_log_prob(enum, fwd, tr)) for tr in trajs])
+    trajs = enumerate_paths(env)
+    pf = np.array([np.exp(path_log_prob(enum, fwd, tr)) for tr in trajs])
     got = surrogate_gradient(suite, step_batch(trajs), lam=1.0, weights=pf)
 
     bwd = exact.backward_log_table(enum, suite.backward)
     ref_b = exact.edge_logs_backward(enum, bwd)
     v, q = exact.forward_values(enum, fwd, ref_b, suite.log_z.item())
     adv = exact.advantages(v, q, masks)
-    want = exact.exact_logit_gradient(
+    want = exact_logit_gradient(
         exact.visit_probabilities(enum, fwd), fwd, adv).ravel()
     gap = float(np.abs(got - want).max())
     report(3, gap <= 1e-8, f"max coordinate gap {gap:.2e}")
@@ -263,8 +264,7 @@ def test_criterion_05_theorem_bounds_hold():
 def perfect_suite(env):
     enum = env.enumeration()
     fwd_log, _, log_z_star, log_flow = exact.flow_from_rewards(enum)
-    suite = make_suite(env, np.random.default_rng(0), tabular=True,
-                       need_flow=True, init_scale=0.0)
+    suite = make_suite(env, np.random.default_rng(0), tabular=True, need_flow=True)
     suite.forward.model.table.data[...] = fwd_log
     suite.log_z.value.data[0] = log_z_star
     suite.state_flow.model.table.data[:, 0] = log_flow
@@ -398,10 +398,9 @@ def test_criterion_10_composite_loss_gradients():
         kind = ("tb", "db", "subtb", "guided", "surrogate")[trial % 5]
         env = seqenv if kind in ("subtb", "guided") or trial % 2 else grid
         mlp = trial % 10 == 7
-        suite = make_suite(env, rng, tabular=not mlp, hidden=(4,),
-                           learned_backward=bool(trial % 3),
-                           need_flow=kind in ("db", "subtb"),
-                           init_scale=0.5, logz_init=float(rng.normal()))
+        suite = random_suite(env, rng, 0.5, log_z=float(rng.normal()), tabular=not mlp,
+                             hidden=(4,), learned_backward=bool(trial % 3),
+                             need_flow=kind in ("db", "subtb"))
         trajs = sample_forward(env, suite.forward, 4, rng)
         sb = step_batch(trajs)
         adv = rng.normal(0, 1, sb.n_steps)
@@ -434,7 +433,7 @@ def test_criterion_10_composite_loss_gradients():
             value = float(make_loss(ad.Tape()).data)
             return value
 
-        want = exact.finite_difference_grad(scalar, x0)
+        want = finite_difference_grad(scalar, x0)
         ad.assign_flat(params, x0)
         if np.allclose(got, want, rtol=1e-5, atol=1e-8):
             scale = np.maximum(np.abs(want), 1.0)

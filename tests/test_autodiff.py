@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from gflow import autodiff as ad
 from gflow.envs import SequenceEnv
 from gflow.errors import ContractError, MaskError, NumericFault, ShapeError
+from oracles import random_table
 
 REL_TOL = 1e-5
 FD_STEP = 1e-5
@@ -169,7 +170,7 @@ def test_one_record_mlp_matches_layered_oracle(hidden, m, n_evals):
 
 def test_tabular_forward_matches_scatter_gather_oracle():
     rng = np.random.default_rng(40)
-    table = ad.Tabular(6, 4, rng=rng, init_scale=0.5)
+    table = random_table(6, 4, rng, 0.5)
     inputs = [np.array([3, 1, 3, 3, 0]), np.array([1, 5, 1])]  # repeated rows
     masks, cols, weights = loss_inputs(rng, [len(idx) for idx in inputs], 4)
     params = table.params()
@@ -280,7 +281,7 @@ def test_untaped_forward_holds_two_layer_arrays():
 def test_tape_adopts_the_scatter_table_without_a_copy():
     # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25 slots.
     rng = np.random.default_rng(80)
-    table = ad.Tabular(15625, 25, rng=rng, init_scale=0.5)
+    table = random_table(15625, 25, rng, 0.5)
     idx = rng.integers(0, 15625, size=384)
     w = ad.Tensor(rng.normal(size=(384, 25)))
     tape = ad.Tape()
@@ -727,8 +728,7 @@ class TestAdam:
     def assert_step_allocates_no_parameter_sized_array(mask):
         # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25
         # slots, dense or with its valid slots as its support.
-        table = ad.Tabular(15625, 25, rng=np.random.default_rng(21), init_scale=0.5,
-                           mask=mask)
+        table = random_table(15625, 25, np.random.default_rng(21), 0.5, mask=mask)
         p = table.table
         assert (p.support is None) == (mask is None)
         opt = ad.Adam([p], lr=1e-3)

@@ -27,6 +27,7 @@ from gflow.envs import (
 from gflow.envs.sequence import SCORE_BLOCK
 from gflow.errors import ConfigError, EnumerationLimit
 from gflow.sampling import Trajectory
+from oracles import synthetic_env
 
 # -- per-state oracles ---------------------------------------------------------
 # One state at a time, the way each environment defines its slots.  A state
@@ -477,6 +478,14 @@ def test_sequence_rejects_wrong_table_size():
         SequenceEnv(2, 3, np.ones(8))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sequence_rejects_non_finite_rewards(value):
+    table = np.ones(9)
+    table[5] = value
+    with pytest.raises(ConfigError, match=r"reward of sequence \(1, 2\) is not finite"):
+        SequenceEnv(2, 3, table)
+
+
 # -- synthetic reward tables ---------------------------------------------------
 
 
@@ -528,6 +537,14 @@ def test_reward_table_load_errors(tmp_path):
     ragged.write_text("0,0\t1.0\n0,1,1\t2.0\n")
     with pytest.raises(ConfigError):
         load_reward_table(ragged)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reward_table_rejects_non_finite_lines(tmp_path, value):
+    path = tmp_path / "table.tsv"
+    path.write_text(f"0,0\t1.0\n0,1\t{value}\n1,0\t3.0\n1,1\t4.0\n")
+    with pytest.raises(ConfigError, match=f"table.tsv:2: reward '{value}' is not finite"):
+        load_reward_table(path)
 
 
 def test_save_reward_table_rejects_wrong_size(tmp_path):
@@ -598,6 +615,12 @@ def test_explicit_rejects_dead_ends():
 def test_explicit_clamps_rewards():
     env = ExplicitDag({"r": ["a"]}, {"a": 0.0})
     assert env.log_rewards(label_rows(env, "a")).tolist() == [np.log(MIN_REWARD)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_explicit_rejects_non_finite_rewards(value):
+    with pytest.raises(ConfigError, match="reward of state 'b' is not finite"):
+        ExplicitDag({"r": ["a", "b"]}, {"a": 1.0, "b": value})
 
 
 def test_explicit_skip_edges_not_graded():
@@ -686,12 +709,20 @@ def test_enumeration_memoized():
 
 
 def test_enumeration_cap():
-    env = HyperGrid(2, 4)
-    with pytest.raises(EnumerationLimit):
-        env.enumerate_states(cap=15)
-    with pytest.raises(EnumerationLimit):
-        Enumeration(HyperGrid(2, 4), cap=15)
-    assert ENUMERATION_CAP >= 16
+    # 200**3 = 8 000 000 states, counted by n_states() without a state row;
+    # their rows would take 192 MB.
+    env = HyperGrid(3, 200)
+    assert env.n_states() == 8_000_000 > ENUMERATION_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimit, match="8000000 states exceed"):
+            env.enumeration()
+        with pytest.raises(EnumerationLimit, match="8000000 states exceed"):
+            Enumeration(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_sink_parents_are_terminal_states():
@@ -730,9 +761,9 @@ BATCHED_ENVS = [
     pytest.param(lambda: HyperGrid(1, 5), id="grid-1x5"),
     pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
     pytest.param(lambda: HyperGrid(3, 4), id="grid-3x4"),
-    pytest.param(lambda: SequenceEnv.synthetic(1, 2, seed=0), id="seq-1x2"),
-    pytest.param(lambda: SequenceEnv.synthetic(3, 3, seed=1), id="seq-3x3"),
-    pytest.param(lambda: SequenceEnv.synthetic(6, 4, seed=2), id="seq-6x4"),
+    pytest.param(lambda: synthetic_env(1, 2, 0), id="seq-1x2"),
+    pytest.param(lambda: synthetic_env(3, 3, 1), id="seq-3x3"),
+    pytest.param(lambda: synthetic_env(6, 4, 2), id="seq-6x4"),
     pytest.param(lambda: random_dag(np.random.default_rng(3)), id="dag-3"),
 ]
 

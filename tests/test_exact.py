@@ -20,16 +20,12 @@ from gflow.exact import (
     backward_values,
     edge_logs_backward,
     edge_logs_forward,
-    enumerate_paths,
-    exact_logit_gradient,
-    finite_difference_grad,
     flow_from_rewards,
     forward_log_table,
     forward_values,
     jensen_shannon,
     mode_count,
     mode_states,
-    path_log_prob,
     policy_kl,
     reward_accuracy,
     reward_distribution,
@@ -39,6 +35,7 @@ from gflow.exact import (
 )
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import sample_forward
+from oracles import enumerate_paths, exact_logit_gradient, finite_difference_grad, path_log_prob
 from test_envs import log_reward, validate_trajectory
 
 
@@ -89,7 +86,7 @@ def test_uniform_chain_splits_evenly():
     # Two-state chain, uniform policy: stop at 0 w.p. 1/2, else forced stop at 1.
     env = HyperGrid(1, 2)
     enum = env.enumeration()
-    suite = make_suite(env, np.random.default_rng(0), tabular=True, init_scale=0.0)
+    suite = make_suite(env, np.random.default_rng(0), tabular=True)
     pt = terminating_distribution(enum, forward_log_table(enum, suite.forward))
     np.testing.assert_allclose(pt, [0.5, 0.5])
 
@@ -218,8 +215,7 @@ def test_mode_count_plateaus():
     env = HyperGrid(1, 8)
     enum = env.enumeration()
     modes = mode_states(enum)
-    model = ad.Tabular(enum.n, env.n_action_slots, rng=np.random.default_rng(7),
-                       init_scale=0.0)
+    model = ad.Tabular(enum.n, env.n_action_slots)
     model.table.data[:, 0] = 50.0  # march to the far edge and stop there
     fwd = ForwardPolicy(env, model)
     rng = np.random.default_rng(8)
@@ -229,8 +225,7 @@ def test_mode_count_plateaus():
     count2, _ = mode_count(env, fwd, modes, 32, rng, seen=seen)
     assert count2 == count
 
-    never = ForwardPolicy(env, ad.Tabular(enum.n, env.n_action_slots,
-                                          rng=np.random.default_rng(9), init_scale=0.0))
+    never = ForwardPolicy(env, ad.Tabular(enum.n, env.n_action_slots))
     never.model.table.data[:, 1] = 50.0  # stop at the root immediately
     count3, _ = mode_count(env, never, modes, 64, np.random.default_rng(10))
     assert count3 == 0

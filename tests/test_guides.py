@@ -5,11 +5,11 @@ import pytest
 
 from gflow.envs import EMPTY, HyperGrid, SequenceEnv
 from gflow.errors import ContractError
-from gflow.exact import enumerate_paths
-from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
+from gflow.guides import SCORE_FLOOR, HyperGridGuide, SequenceGuide, TableGuide
 from gflow.objectives import step_batch
 from gflow.policy import UniformBackward, make_suite
 from gflow.sampling import ReplayBuffer, Trajectory, sample_backward
+from oracles import enumerate_paths, log_conditional, random_suite
 from test_envs import reward, root, rows, state_tuples
 
 
@@ -29,17 +29,17 @@ def _extends(s, x):
     return all(c == EMPTY or c == xc for c, xc in zip(s, x))
 
 
-def guided_score(buffer, s, x, floor=1e-8):
+def guided_score(buffer, s, x):
     """Replay-derived score of a partial sequence s under conditioning x.
 
     0 when s is incompatible with x; otherwise the mean reward of buffer
-    entries extending s, or `floor` when none do.
+    entries extending s, or SCORE_FLOOR when none do.
     """
     if not _extends(s, x):
         return 0.0
     vals = [r for xp, r in zip(buffered(buffer), buffer.rewards()) if _extends(s, xp)]
     if not vals:
-        return float(floor)
+        return SCORE_FLOOR
     return float(np.mean(vals))
 
 
@@ -61,7 +61,7 @@ def oracle_scores(guide, x):
         idx = np.flatnonzero((np.arange(size) & bit) == 0)
         count[idx] += count[idx | bit]
         total[idx] += total[idx | bit]
-    scores = np.full(size, guide.floor)
+    scores = np.full(size, SCORE_FLOOR)
     has = count > 0
     scores[has] = total[has] / count[has]
     return scores
@@ -140,8 +140,7 @@ def oracle_markov_edges(guide, traj):
 
 def grid_setup(seed=0, d=2, n=4):
     env = HyperGrid(d, n)
-    suite = make_suite(env, np.random.default_rng(seed), tabular=True,
-                       init_scale=0.7)
+    suite = random_suite(env, np.random.default_rng(seed), 0.7, tabular=True)
     guide = HyperGridGuide(env)
     guide.refresh(suite.forward, None)
     return env, suite, guide
@@ -262,7 +261,7 @@ def test_grid_guide_conditional_matches_path_enumeration():
         den = sum(by_end[x])
         for tr in trajs:
             num = interior_weight(tr)
-            assert guide.log_conditional(step_batch([tr]))[0] == pytest.approx(
+            assert log_conditional(guide, step_batch([tr]))[0] == pytest.approx(
                 np.log(num / den), abs=1e-10)
 
 
@@ -309,7 +308,7 @@ def test_table_guide_conditional_is_edge_sum():
     lp = guide.edge_log_probs(step_batch([tr]))
     # First hop enters a single-parent state, second enters (1,1) which has two.
     np.testing.assert_allclose(lp, [0.0, np.log(0.5)])
-    assert guide.log_conditional(step_batch([tr]))[0] == pytest.approx(np.log(0.5))
+    assert log_conditional(guide, step_batch([tr]))[0] == pytest.approx(np.log(0.5))
 
 
 # -- sequence replay guide -----------------------------------------------------
@@ -338,7 +337,7 @@ def test_sequence_scores_match_brute_force():
         scores = guide._scores(np.asarray([x]))[0]
         for mask in range(1 << d):
             s = state_of_mask(x, mask, d)
-            want = guided_score(buf, s, x, floor=guide.floor)
+            want = guided_score(buf, s, x)
             assert scores[mask] == pytest.approx(want, rel=1e-12)
 
 
@@ -354,13 +353,12 @@ def test_sequence_guide_conditional_matches_score_ratios():
         for t in range(tr.length - 1):
             j = tr.bslots[t]
             free = [k for k in range(d) if not mask & (1 << k)]
-            num = guided_score(buf, state_of_mask(x, mask | (1 << j), d), x,
-                               floor=guide.floor)
-            den = sum(guided_score(buf, state_of_mask(x, mask | (1 << k), d), x,
-                                   floor=guide.floor) for k in free)
+            num = guided_score(buf, state_of_mask(x, mask | (1 << j), d), x)
+            den = sum(guided_score(buf, state_of_mask(x, mask | (1 << k), d), x)
+                      for k in free)
             want += np.log(num / den)
             mask |= 1 << j
-        assert guide.log_conditional(step_batch([tr]))[0] == pytest.approx(want, abs=1e-10)
+        assert log_conditional(guide, step_batch([tr]))[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_sequence_guide_walk_always_completes():
@@ -408,12 +406,12 @@ def test_sequence_guide_refresh_invalidates_cache():
     x = (1, 1, 0)
     tr = sample_backward(env, UniformBackward(env), rows(env, [x]),
                          np.random.default_rng(15))[0]
-    before = guide.log_conditional(step_batch([tr]))
+    before = log_conditional(guide, step_batch([tr]))
     buf.update([(1, 1, 0)] * 30, [100.0] * 30)
     # Stale snapshot: the conditional ignores the new entries until refresh().
-    assert guide.log_conditional(step_batch([tr])) == before
+    assert log_conditional(guide, step_batch([tr])) == before
     guide.refresh(None, step_batch([tr, tr]))
-    assert guide.log_conditional(step_batch([tr])) != before
+    assert log_conditional(guide, step_batch([tr])) != before
     # refresh() also appends the batch's endpoints and rewards to the buffer.
     assert len(buf) == 6 + 30 + 2
     np.testing.assert_array_equal(buf.state_rows()[-2:], rows(env, [x, x]))
@@ -473,7 +471,7 @@ def test_batched_sequence_guide_matches_per_endpoint_oracles(d, n, capacity, ent
     trajs = endpoint_batch(env, buf, rng, 12)
     want = [oracle_sequence_edges(guide, tr) for tr in trajs]
     assert np.array_equal(guide.edge_log_probs(step_batch(trajs)), np.concatenate(want))
-    assert np.array_equal(guide.log_conditional(step_batch(trajs)),
+    assert np.array_equal(log_conditional(guide, step_batch(trajs)),
                           np.asarray([float(w.sum()) for w in want]))
     xs = np.asarray(sorted({tuple(tr.x.tolist()) for tr in trajs}))
     reach, cond = guide._tables(xs)
@@ -490,9 +488,9 @@ def test_batched_grid_guide_matches_per_trajectory_loop():
                             rng)
     want = [oracle_markov_edges(guide, tr) for tr in trajs]
     assert np.array_equal(guide.edge_log_probs(step_batch(trajs)), np.concatenate(want))
-    assert np.array_equal(guide.log_conditional(step_batch(trajs)),
+    assert np.array_equal(log_conditional(guide, step_batch(trajs)),
                           np.asarray([float(w.sum()) for w in want]))
-    assert guide.log_conditional(step_batch(trajs))[len(xs)] == 0.0  # the root stops at once
+    assert log_conditional(guide, step_batch(trajs))[len(xs)] == 0.0  # the root stops at once
 
 
 def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
@@ -508,4 +506,4 @@ def test_sequence_guide_rejects_off_lattice_trajectory_in_a_batch():
     with pytest.raises(ContractError):
         guide.edge_log_probs(step_batch(good[:1] + [bad] + good[1:]))
     with pytest.raises(ContractError):
-        guide.log_conditional(step_batch([bad]))
+        log_conditional(guide, step_batch([bad]))

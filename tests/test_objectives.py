@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gflow import autodiff as ad
+from gflow import objectives
 from gflow.envs import ExplicitDag, HyperGrid, SequenceEnv, random_dag, random_graded_dag
 from gflow.errors import ContractError
 from gflow.exact import flow_from_rewards
@@ -14,7 +15,6 @@ from gflow.objectives import (
     db_loss,
     forward_step_rewards,
     gae_advantages,
-    guided_tb_loss,
     step_batch,
     subtb_loss,
     subtb_weights,
@@ -22,6 +22,7 @@ from gflow.objectives import (
 )
 from gflow.policy import make_suite
 from gflow.sampling import Trajectory, sample_backward, sample_forward
+from oracles import guided_tb_loss, random_suite, synthetic_env
 from test_envs import log_reward, terminal_slot
 
 
@@ -29,8 +30,7 @@ def perfect_suite(env, need_flow=True):
     """Tabular suite loaded with the ground-truth flow solution."""
     enum = env.enumeration()
     fwd_log, bwd_log, log_z_star, log_flow = flow_from_rewards(enum)
-    suite = make_suite(env, np.random.default_rng(0), tabular=True,
-                       need_flow=need_flow, init_scale=0.0)
+    suite = make_suite(env, np.random.default_rng(0), tabular=True, need_flow=need_flow)
     suite.forward.model.table.data[...] = fwd_log
     suite.log_z.value.data[0] = log_z_star
     if need_flow:
@@ -110,14 +110,14 @@ def test_step_batch_layout():
 
 
 @pytest.mark.parametrize("make_env", [
-    lambda: HyperGrid(2, 16), lambda: SequenceEnv.synthetic(6, 4, seed=2),
+    lambda: HyperGrid(2, 16), lambda: synthetic_env(6, 4, 2),
     *[lambda seed=seed: random_dag(np.random.default_rng(seed)) for seed in range(8)],
     *[lambda seed=seed: random_graded_dag(np.random.default_rng(seed)) for seed in range(8)],
 ], ids=["grid-2x16", "seq-6x4", *[f"dag-{k}" for k in range(8)],
         *[f"graded-{k}" for k in range(8)]])
 def test_step_batch_matches_the_list_building_oracle(make_env):
     env = make_env()
-    suite = make_suite(env, np.random.default_rng(3), tabular=True, init_scale=1.0)
+    suite = random_suite(env, np.random.default_rng(3), 1.0, tabular=True)
     trajs = sample_forward(env, suite.forward, 40, np.random.default_rng(4), eps=0.5)
     xs = np.stack([tr.x for tr in trajs] * 2)
     for batch in (trajs, sample_backward(env, suite.backward, xs, np.random.default_rng(5))):
@@ -157,8 +157,8 @@ def test_perfect_flow_zeroes_all_losses_on_sequence():
 
 def test_tb_loss_matches_hand_recompute():
     env = HyperGrid(2, 3)
-    suite = make_suite(env, np.random.default_rng(2), hidden=(8,),
-                       learned_backward=True, logz_init=0.3)
+    suite = random_suite(env, np.random.default_rng(2), log_z=0.3, hidden=(8,),
+                         learned_backward=True)
     trajs = sample_batch(env, suite, n=16, seed=3)
     want = np.mean([traj_log_ratio(suite, t) ** 2 for t in trajs])
     got = float(tb_loss(ad.Tape(), step_batch(trajs), suite).data)
@@ -178,8 +178,8 @@ def test_tb_loss_weighted_sum():
 def test_db_loss_matches_hand_recompute():
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(6)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True,
-                       need_flow=True, init_scale=0.4)
+    suite = random_suite(env, rng, 0.4, tabular=True, learned_backward=True,
+                         need_flow=True)
     trajs = sample_batch(env, suite, n=12, seed=7)
     flow = suite.state_flow.model.table.data[:, 0]
     enum = env.enumeration()
@@ -219,23 +219,24 @@ def test_subtb_weights_geometric():
     assert w.sum() == pytest.approx(1.0)
 
 
-def test_subtb_weights_full_span_only():
-    pairs, w = subtb_weights(3, None)
-    assert w[pairs.index((0, 3))] == 1.0
-    assert w.sum() == 1.0
+def full_span_weights(n_edges, base):
+    """subtb_weights with all the mass on the full span (0, n_edges)."""
+    pairs = [(i, j) for i in range(n_edges) for j in range(i + 1, n_edges + 1)]
+    return pairs, np.asarray([float((i, j) == (0, n_edges)) for i, j in pairs])
 
 
-def test_subtb_full_span_reduces_to_tb():
+def test_subtb_full_span_reduces_to_tb(monkeypatch):
     # On a graded environment the terminal hop is forced (log-prob 0), so the
     # full-span residual with F(root) set to log Z equals the TB residual.
     env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
     rng = np.random.default_rng(10)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True,
-                       need_flow=True, init_scale=0.5, logz_init=0.7)
+    suite = random_suite(env, rng, 0.5, log_z=0.7, tabular=True, learned_backward=True,
+                         need_flow=True)
     suite.state_flow.model.table.data[env.enumeration().root_index, 0] = \
         suite.log_z.item()
     trajs = sample_batch(env, suite, n=8, seed=11)
-    full = float(subtb_loss(ad.Tape(), step_batch(trajs), suite, weight_base=None).data)
+    monkeypatch.setattr(objectives, "subtb_weights", full_span_weights)
+    full = float(subtb_loss(ad.Tape(), step_batch(trajs), suite).data)
     tb = float(tb_loss(ad.Tape(), step_batch(trajs), suite).data)
     assert full == pytest.approx(tb, rel=1e-10)
 
@@ -243,8 +244,8 @@ def test_subtb_full_span_reduces_to_tb():
 def test_subtb_matches_hand_recompute():
     env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
     rng = np.random.default_rng(12)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True,
-                       need_flow=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, learned_backward=True,
+                         need_flow=True)
     trajs = sample_batch(env, suite, n=6, seed=13)
     enum = env.enumeration()
     flow_tab = suite.state_flow.model.table.data[:, 0]
@@ -289,8 +290,8 @@ def subtb_spans_per_trajectory(n_traj, d, base):
 @pytest.mark.parametrize("d, n_traj", [(2, 5), (4, 3)])
 def test_subtb_span_arrays_match_the_per_trajectory_loop(monkeypatch, d, n_traj):
     env = SequenceEnv(d, 2, np.arange(1.0, 2 ** d + 1.0))
-    suite = make_suite(env, np.random.default_rng(23), tabular=True,
-                       learned_backward=True, need_flow=True, init_scale=0.5)
+    suite = random_suite(env, np.random.default_rng(23), 0.5, tabular=True,
+                         learned_backward=True, need_flow=True)
     seen = []
     for name in ("gather", "segment_sum", "mul"):
         op = getattr(ad, name)
@@ -347,8 +348,8 @@ def test_forward_step_rewards_telescope():
     # Interior backward log-probabilities cancel pairwise, so the per-step
     # sums collapse to the trajectory balance log-ratio for any policies.
     env = HyperGrid(2, 4)
-    suite = make_suite(env, np.random.default_rng(18), hidden=(8,),
-                       learned_backward=True, logz_init=-0.4)
+    suite = random_suite(env, np.random.default_rng(18), log_z=-0.4, hidden=(8,),
+                         learned_backward=True)
     trajs = sample_batch(env, suite, n=16, seed=19)
     sb = step_batch(trajs)
     r = forward_step_rewards(sb, suite)

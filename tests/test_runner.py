@@ -616,6 +616,23 @@ def test_cli_reports_a_diverged_policy_as_non_finite(tmp_path):
     assert proc.stderr == "error: forward policy probabilities are non-finite\n"
 
 
+def test_cli_rejects_a_non_finite_reward_table_line(tmp_path):
+    # A fresh process, so that any numpy warning would reach stderr.  Run
+    # on, the nan reward fails training with a message blaming the loss.
+    table = tmp_path / "rewards.tsv"
+    save_reward_table(table, 2, 3, np.arange(1.0, 10.0))
+    lines = table.read_text().splitlines()
+    lines[4] = lines[4].split("\t")[0] + "\tnan"
+    table.write_text("\n".join(lines) + "\n")
+    cfg_path = write_cfg(tmp_path, f"env = sequence\nd = 2\nn = 3\ntabular = on\n"
+                                   "strategy = TB-U\nbatch = 16\niterations = 3\n"
+                                   f"reward_table = {table}\n")
+    proc = run_python(["-m", "gflow", "run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")], 1, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {table}:5: reward 'nan' is not finite\n"
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "strategy = nope\n")
     assert main(["run", "--config", str(cfg_path)]) == 2

@@ -16,6 +16,7 @@ from gflow.sampling import (
     sample_forward,
     sample_rows,
 )
+from oracles import random_suite, synthetic_env
 from test_envs import (
     backward_slot,
     child,
@@ -33,8 +34,7 @@ N_MC = 100_000
 
 def forced_forward(env, push, favored=0):
     """Tabular forward policy with one strongly favored slot per state."""
-    model = ad.Tabular(env.enumeration().n, env.n_action_slots,
-                       rng=np.random.default_rng(0), init_scale=0.0)
+    model = ad.Tabular(env.enumeration().n, env.n_action_slots)
     model.table.data[:, favored] = push
     return ForwardPolicy(env, model)
 
@@ -127,7 +127,7 @@ def assert_same_trajectories(fast, slow):
 
 
 ORACLE_ENVS = ([pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
-                pytest.param(lambda: SequenceEnv.synthetic(6, 4, seed=2), id="seq-6x4")]
+                pytest.param(lambda: synthetic_env(6, 4, 2), id="seq-6x4")]
                + [pytest.param(lambda seed=seed: random_dag(np.random.default_rng(seed)),
                                id=f"dag-{seed}") for seed in range(8)]
                + [pytest.param(lambda seed=seed: random_graded_dag(np.random.default_rng(seed)),
@@ -137,8 +137,8 @@ ORACLE_ENVS = ([pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
 @pytest.mark.parametrize("make_env", ORACLE_ENVS)
 def test_batched_samplers_match_per_state_oracles(make_env):
     env = make_env()
-    suite = make_suite(env, np.random.default_rng(1), tabular=True, learned_backward=True,
-                       init_scale=1.0)
+    suite = random_suite(env, np.random.default_rng(1), 1.0, tabular=True,
+                         learned_backward=True)
     for eps in (0.0, 0.3):
         fast = sample_forward(env, suite.forward, 48, np.random.default_rng(2), eps=eps)
         slow = sample_forward_per_state(env, suite.forward, 48, np.random.default_rng(2),
@@ -184,7 +184,7 @@ def test_forward_rollouts_match_hand_distribution():
     # Uniform policy on the 2-state chain: state 0 stops or moves with
     # probability 1/2 each, state 1 can only stop, so P(x=0) = P(x=1) = 1/2.
     env = HyperGrid(1, 2)
-    suite = make_suite(env, np.random.default_rng(2), tabular=True, init_scale=0.0)
+    suite = make_suite(env, np.random.default_rng(2), tabular=True)
     trajs = sample_forward(env, suite.forward, N_MC, np.random.default_rng(3))
     freq = np.mean([t.x[0] == 0 for t in trajs])
     assert freq == pytest.approx(0.5, abs=three_sigma(0.5, N_MC))

@@ -1,17 +1,24 @@
 """Strategy update steps: advantage assembly, surrogate gradients, the
 trust-region contract, guided coupling, and exact bound checks."""
 
+import ast
 import gc
+import importlib
+import inspect
+import pkgutil
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gflow
 from gflow import autodiff as ad
 from gflow import exact, runner, training
 from gflow.envs import (
     DagEnv,
+    Enumeration,
     ExplicitDag,
     HyperGrid,
     SequenceEnv,
@@ -24,18 +31,21 @@ from gflow.exact import (
     advantages,
     backward_log_table,
     edge_logs_backward,
-    enumerate_paths,
-    exact_logit_gradient,
     flow_from_rewards,
     forward_values,
-    path_log_prob,
     visit_probabilities,
 )
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
-from gflow.objectives import backward_step_rewards, forward_step_rewards, step_batch
-from gflow.policy import BackwardPolicy, ScoreOperator, UniformBackward, make_suite
+from gflow.objectives import (
+    backward_step_rewards,
+    forward_step_rewards,
+    step_batch,
+    subtb_weights,
+)
+from gflow.policy import BackwardPolicy, LogZ, ScoreOperator, UniformBackward, make_suite
 from gflow.sampling import sample_backward, sample_forward
 from gflow.training import (
+    CG_ITERS,
     CG_TOL,
     DAMPING,
     STRATEGIES,
@@ -47,9 +57,16 @@ from gflow.training import (
     conjugate_gradient,
     fisher_product,
     forward_advantages,
-    surrogate_gradient,
     surrogate_loss,
     trpo_step,
+)
+from oracles import (
+    enumerate_paths,
+    exact_logit_gradient,
+    path_log_prob,
+    random_suite,
+    surrogate_gradient,
+    synthetic_env,
 )
 from test_objectives import gae_per_trajectory
 
@@ -64,8 +81,7 @@ def fixture_suite(env, logz_shift=0.0):
     zeroes every advantage: V(s) = log Z* - log F(s)."""
     enum = env.enumeration()
     fwd_log, _, log_z_star, log_flow = flow_from_rewards(enum)
-    suite = make_suite(env, np.random.default_rng(0), tabular=True,
-                       need_value_f=True, init_scale=0.0)
+    suite = make_suite(env, np.random.default_rng(0), tabular=True, need_value_f=True)
     suite.forward.model.table.data[...] = fwd_log
     suite.log_z.value.data[0] = log_z_star + logz_shift
     suite.value_f.model.table.data[:, 0] = log_z_star - log_flow
@@ -91,19 +107,19 @@ def test_conjugate_gradient_matches_dense_solve():
     b_mat = rng.normal(0, 1, (6, 6))
     a = b_mat @ b_mat.T + 0.5 * np.eye(6)
     rhs = rng.normal(0, 1, 6)
-    x = conjugate_gradient(lambda v: a @ v, rhs, iters=50, tol=1e-12)
+    x = conjugate_gradient(lambda v: a @ v, rhs)
     np.testing.assert_allclose(x, np.linalg.solve(a, rhs), atol=1e-8)
 
 
-def reference_conjugate_gradient(matvec, b, iters=10, tol=CG_TOL):
+def reference_conjugate_gradient(matvec, b):
     """conjugate_gradient with every vector update allocating a new array."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     basis = []
     rs = float(r @ r)
-    stop = tol * np.sqrt(rs)
-    for _ in range(iters):
+    stop = CG_TOL * np.sqrt(rs)
+    for _ in range(CG_ITERS):
         if np.sqrt(rs) <= stop:
             break
         basis.append(r / np.sqrt(rs))
@@ -170,8 +186,8 @@ def test_root_value_estimate_is_balance_ratio():
     # a value function.
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(1)
-    with_v = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.4)
-    without = make_suite(env, rng, tabular=True, init_scale=0.0)
+    with_v = random_suite(env, rng, 0.4, tabular=True, need_value_f=True)
+    without = make_suite(env, rng, tabular=True)
     without.forward.model.table.data[...] = with_v.forward.model.table.data
     without.log_z.value.data[...] = with_v.log_z.value.data
 
@@ -275,7 +291,7 @@ def assert_same_arrays(got, want):
 
 
 ADVANTAGE_ENVS = ([pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
-                   pytest.param(lambda: SequenceEnv.synthetic(6, 4, seed=2), id="seq-6x4")]
+                   pytest.param(lambda: synthetic_env(6, 4, 2), id="seq-6x4")]
                   + [pytest.param(lambda seed=seed: random_dag(np.random.default_rng(seed)),
                                   id=f"dag-{seed}") for seed in range(8)]
                   + [pytest.param(lambda seed=seed: random_graded_dag(
@@ -286,8 +302,8 @@ ADVANTAGE_ENVS = ([pytest.param(lambda: HyperGrid(2, 16), id="grid-2x16"),
 def test_advantage_scans_match_the_per_trajectory_loops(make_env):
     env = make_env()
     rng = np.random.default_rng(6)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True, need_value_f=True,
-                       need_value_b=True, init_scale=1.0, logz_init=0.4)
+    suite = random_suite(env, rng, 1.0, log_z=0.4, tabular=True, learned_backward=True,
+                         need_value_f=True, need_value_b=True)
     for table in (suite.value_f.model.table, suite.value_b.model.table):
         table.data[:, 0] = rng.normal(0.0, 2.0, len(table.data))
     trajs = sample_forward(env, suite.forward, 40, np.random.default_rng(7), eps=0.5)
@@ -307,8 +323,8 @@ def test_advantage_scans_match_the_per_trajectory_loops(make_env):
 def test_backward_advantages_alignment():
     env = SequenceEnv(3, 2, np.arange(1.0, 9.0))
     rng = np.random.default_rng(6)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True,
-                       need_value_f=True, need_value_b=True, init_scale=0.3)
+    suite = random_suite(env, rng, 0.3, tabular=True, learned_backward=True,
+                         need_value_f=True, need_value_b=True)
     trajs = sample_forward(env, suite.forward, 6, np.random.default_rng(7))
     sb = step_batch(trajs)
     interior = ~sb.terminal
@@ -331,7 +347,7 @@ def test_backward_advantages_alignment():
 
 def test_surrogate_loss_value():
     env = HyperGrid(1, 2)
-    suite = make_suite(env, np.random.default_rng(8), tabular=True, init_scale=0.0)
+    suite = make_suite(env, np.random.default_rng(8), tabular=True)
     tape = ad.Tape()
     # Uniform two-action state: log pi = log 1/2 for both entries.
     loss = surrogate_loss(tape, suite.forward, np.array([(0,), (0,)]), np.array([0, 1]),
@@ -363,7 +379,7 @@ def all_path_batch(env, suite):
 def test_expected_surrogate_gradient_is_exact_on_bandit():
     env = ExplicitDag({"r": ["x1", "x2"]}, {"x1": 1.0, "x2": 3.0})
     rng = np.random.default_rng(9)
-    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.6)
+    suite = random_suite(env, rng, 0.6, tabular=True, need_value_f=True)
     trajs, weights = all_path_batch(env, suite)
     got = surrogate_gradient(suite, step_batch(trajs), lam=1.0, weights=weights)
     np.testing.assert_allclose(got, exact_forward_gradient(env, suite), atol=1e-9)
@@ -376,8 +392,7 @@ def test_expected_surrogate_gradient_is_exact_with_any_baseline():
     rng = np.random.default_rng(10)
     want = None
     for trial in range(3):
-        suite = make_suite(env, rng, tabular=True, need_value_f=True,
-                           init_scale=0.5)
+        suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
         if want is None:
             base = suite
             want = exact_forward_gradient(env, base)
@@ -394,7 +409,7 @@ def test_expected_surrogate_gradient_is_exact_with_any_baseline():
 def test_trpo_accepted_steps_respect_kl_budget():
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(11)
-    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
     opts = make_optimizers(suite)
     n_accepted = 0
     for _ in range(6):
@@ -415,7 +430,7 @@ def test_trpo_accepted_steps_respect_kl_budget():
 def test_trpo_zero_budget_is_rejected_no_op():
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(12)
-    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
     batch = sample_forward(env, suite.forward, 32, rng)
     before = ad.flatten(suite.forward.params()).copy()
     stats = trpo_step(suite, step_batch(batch), make_optimizers(suite), zeta=0.0)
@@ -429,7 +444,7 @@ def test_trpo_zero_gradient_is_no_op():
     # vanishes identically and the policy step is skipped.
     env = ExplicitDag({"r": ["a"], "a": ["x"]}, {"x": 2.0})
     rng = np.random.default_rng(13)
-    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
     batch = sample_forward(env, suite.forward, 8, rng)
     before = ad.flatten(suite.forward.params()).copy()
     logz_before = suite.log_z.item()
@@ -443,7 +458,7 @@ def test_trpo_zero_gradient_is_no_op():
 def test_trpo_step_never_allocates_the_dense_score_matrix():
     env = SequenceEnv(4, 4, synthetic_rewards(4, 4, seed=0))
     rng = np.random.default_rng(15)
-    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
     batch = sample_forward(env, suite.forward, 64, rng)
     dense_bytes = step_batch(batch).n_steps * ad.flatten(suite.forward.params()).size * 8
     tracemalloc.start()
@@ -472,7 +487,7 @@ def full_table_direction(suite, sb, lam=0.99):
                          ids=["grid", "sequence"])
 def test_visited_row_step_matches_the_full_table_solve(env, monkeypatch):
     rng = np.random.default_rng(18)
-    suite = make_suite(env, rng, tabular=True, need_value_f=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
     table = suite.forward.model.table.data
     sb = step_batch(sample_forward(env, suite.forward, 32, rng))
     visited = np.zeros(len(table), dtype=bool)
@@ -525,8 +540,8 @@ def test_rl_t_output_does_not_depend_on_the_fisher_product_order(tmp_path, monke
 def test_coupled_training_pulls_backward_to_guide():
     env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
     rng = np.random.default_rng(14)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True,
-                       need_value_f=True, need_value_b=True, init_scale=0.5)
+    suite = random_suite(env, rng, 0.5, tabular=True, learned_backward=True,
+                         need_value_f=True, need_value_b=True)
     guide = TableGuide.random(env, np.random.default_rng(42))
     opts = {}
     for name, params in suite.param_groups().items():
@@ -554,9 +569,8 @@ def test_coupled_training_pulls_backward_to_guide():
 
 def test_learned_backward_update_requires_rng():
     env = SequenceEnv(2, 2, np.ones(4))
-    suite = make_suite(env, np.random.default_rng(15), tabular=True,
-                       learned_backward=True, need_value_f=True,
-                       need_value_b=True, init_scale=0.1)
+    suite = random_suite(env, np.random.default_rng(15), 0.1, tabular=True,
+                         learned_backward=True, need_value_f=True, need_value_b=True)
     batch = sample_forward(env, suite.forward, 4, np.random.default_rng(16))
     with pytest.raises(ConfigError):
         actor_critic_step(suite, step_batch(batch), make_optimizers(suite), rng=None)
@@ -610,21 +624,17 @@ def test_theorem_bounds_random_instances():
         assert report["theorem2"]["holds"], (seed, report["theorem2"])
 
 
-def test_theorem_bounds_accept_policy_objects():
+def test_theorem_bounds_accept_a_guide_or_its_table():
     env = SequenceEnv(2, 2, [1.0, 2.0, 3.0, 4.0])
     rng = np.random.default_rng(18)
-    suite = make_suite(env, rng, tabular=True, learned_backward=True,
-                       init_scale=0.4)
+    suite = random_suite(env, rng, 0.4, tabular=True, learned_backward=True)
     guide = TableGuide.random(env, rng)
-    r_obj = check_theorem_bounds(env, suite.forward, suite.backward,
-                                 suite.log_z.item(), guide)
     enum = env.enumeration()
-    fwd = suite.forward.log_probs_numpy(enum.states, enum.action_masks())
+    fwd = exact.forward_log_table(enum, suite.forward)
     bwd = backward_log_table(enum, suite.backward)
-    r_tab = check_theorem_bounds(env, fwd, bwd, suite.log_z.item(),
-                                 guide.backward_kernel())
-    for key, val in r_obj["theorem1"].items():
-        assert val == pytest.approx(r_tab["theorem1"][key])
+    log_z = suite.log_z.item()
+    assert (check_theorem_bounds(env, fwd, bwd, log_z, guide)
+            == check_theorem_bounds(env, fwd, bwd, log_z, guide.backward_kernel()))
 
 
 # -- trainer wiring ------------------------------------------------------------
@@ -704,6 +714,61 @@ def test_steps_never_query_the_env_one_state_at_a_time(make_env, tabular):
         assert np.isfinite(trainer.step(np.random.default_rng(26))["loss"])
         assert np.all(np.isfinite(exact.forward_log_table(enum, trainer.suite.forward)
                                   [enum.action_masks()]))
+
+
+# Reference computations that live in tests/oracles.py, and keyword options
+# that only tests set and that became module constants.
+MOVED_TO_ORACLES = ("enumerate_paths", "path_log_prob", "exact_logit_gradient",
+                    "finite_difference_grad", "surrogate_gradient", "guided_tb_loss",
+                    "log_conditional")
+REMOVED_KEYWORDS = [
+    (DagEnv.enumeration, ("cap",)),
+    (DagEnv.enumerate_states, ("cap",)),
+    (HyperGrid.enumerate_states, ("cap",)),
+    (SequenceEnv.enumerate_states, ("cap",)),
+    (ExplicitDag.enumerate_states, ("cap",)),
+    (Enumeration.__init__, ("cap",)),
+    (make_suite, ("init_scale", "logz_init")),
+    (ad.Tabular.__init__, ("rng", "init_scale")),
+    (LogZ.__init__, ("init",)),
+    (check_theorem_bounds, ("forward", "backward", "tol")),
+    (conjugate_gradient, ("iters", "tol")),
+    (exact.mode_states, ("quantile",)),
+    (SequenceGuide.__init__, ("floor",)),
+    (TableGuide.random, ("scale",)),
+]
+
+
+def test_library_keeps_no_test_only_code():
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(gflow.__path__, "gflow.")
+               if info.name != "gflow.__main__"]
+    for module in [gflow] + modules:
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+        for owner in owners:
+            for name in MOVED_TO_ORACLES:
+                assert not hasattr(owner, name), (owner.__name__, name)
+    assert not hasattr(DagEnv, "check_cap")
+    assert not hasattr(SequenceEnv, "synthetic")
+    for fn, names in REMOVED_KEYWORDS:
+        for name in names:
+            assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
+    with pytest.raises(TypeError):
+        subtb_weights(3, None)  # no full-span-only weights
+
+    # No gflow module imports from the tests.
+    for path in Path(gflow.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top not in ("tests", "oracles", "conftest"), (path.name, name)
+                assert not top.startswith("test_"), (path.name, name)
 
 
 def test_trained_env_is_freed_by_refcount():
