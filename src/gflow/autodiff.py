@@ -15,14 +15,14 @@ model's params().  forward_cached(x) returns (output, *cache), and jvp(*cache,
 v) and vjp(*cache, g) are the forward- and reverse-mode products over
 per-sample outputs, which the trust-region step uses to apply the Fisher
 without forming it.  A taped forward's backward is the reverse pass that vjp
-flattens, so each model has one derivative.
+flattens, so each model has one derivative.  `widest` is the number of
+entries in one input row's widest layer output, which bounds a row's
+activations.
 
 Adam has one update path.  Every parameter keeps flat m and v vectors, in
 flatten() order or, for a parameter with a support, in support order; one
 check and one walk over blocks of entries serve both.
 """
-
-import math
 
 import numpy as np
 
@@ -231,16 +231,6 @@ def log_softmax_masked(tape, logits, mask):
     if not mask.any(axis=-1).all():
         raise MaskError("log_softmax_masked: a row masks out every entry")
     x = logits.data
-    if tape is None and x.ndim > 1 and x.size > BLOCK:
-        # Row blocks into one output, with block-sized temporaries.  The
-        # operation is row-wise, so this is the single pass below bit for bit.
-        out = np.full(x.shape, NEG_INF)
-        step = max(1, BLOCK // math.prod(x.shape[1:]))
-        for lo in range(0, len(x), step):
-            rows = slice(lo, lo + step)
-            m, _, s = _masked_exp(x[rows], mask[rows])
-            np.subtract(x[rows], m + np.log(s), out=out[rows], where=mask[rows])
-        return Tensor(out)
     m, w, s = _masked_exp(x, mask)
     out = Tensor(np.where(mask, x - (m + np.log(s)), NEG_INF))
     if tape is None:
@@ -361,6 +351,7 @@ class Mlp:
         if len(dims) < 2:
             raise ShapeError("Mlp needs at least input and output dims")
         self.dims = tuple(int(d) for d in dims)
+        self.widest = max(self.dims[1:])  # entries per row of the widest layer output
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
@@ -491,6 +482,11 @@ class Tabular:
     @property
     def n_cols(self):
         return self.table.data.shape[1]
+
+    @property
+    def widest(self):
+        """Entries per row of the output, as Mlp.widest."""
+        return self.n_cols
 
     def params(self):
         return [self.table]

@@ -160,7 +160,6 @@ class Enumeration:
             rows, self.edge_bslot[block] = env.children(self.states[self.edge_src[block]],
                                                         self.edge_slot[block])
             self.edge_dst[block] = self.positions(rows)
-        self._encodings = None
         self._parent_masks = None
         self._dst_order = None
 
@@ -169,9 +168,9 @@ class Enumeration:
         return self._position[self.env.index(states)]
 
     def encodings(self):
-        if self._encodings is None:
-            self._encodings = self.env.encode_batch(self.states)
-        return self._encodings
+        """Every state's encoding, computed afresh and not kept.  Nothing in
+        gflow calls this; perfbench/spans.py traces it by name."""
+        return self.env.encode_batch(self.states)
 
     def action_masks(self):
         return self._action_masks

@@ -12,6 +12,18 @@ import numpy as np
 from ..errors import ConfigError
 from .base import DagEnv, MIN_REWARD
 
+# Shape of the random DAGs: layers (the root's included), the largest
+# layer, the chance that a state links to a given state one layer deeper,
+# the further factor on edges that skip layers (random_dag), the chance that
+# an interior state carries a reward (random_dag), and the reward range.
+RANDOM_LAYERS = 4
+RANDOM_MAX_WIDTH = 4
+RANDOM_EDGE_PROB = 0.6
+RANDOM_SKIP_PROB = 0.2
+RANDOM_INTERIOR_REWARD_PROB = 0.4
+RANDOM_REWARD_LOW = 0.5
+RANDOM_REWARD_HIGH = 2.0
+
 
 class ExplicitDag(DagEnv):
     """Environment over an explicit child map and reward map.
@@ -183,18 +195,17 @@ class ExplicitDag(DagEnv):
         return [np.flatnonzero(depth == k)[:, None] for k in range(depth.max() + 1)]
 
 
-def random_graded_dag(rng, n_layers=4, max_width=4, edge_prob=0.6,
-                      reward_low=0.5, reward_high=2.0):
+def random_graded_dag(rng):
     """Random graded DAG: rewards only on the last layer, edges between
     consecutive layers, every state connected forward and backward."""
-    widths = [1] + [int(rng.integers(1, max_width + 1)) for _ in range(n_layers - 1)]
+    widths = [1] + [int(rng.integers(1, RANDOM_MAX_WIDTH + 1)) for _ in range(RANDOM_LAYERS - 1)]
     nodes = [[("g", t, i) for i in range(w)] for t, w in enumerate(widths)]
     children = {}
-    for t in range(n_layers - 1):
+    for t in range(RANDOM_LAYERS - 1):
         for s in nodes[t]:
             children[s] = []
         for c in nodes[t + 1]:
-            picks = [s for s in nodes[t] if rng.random() < edge_prob]
+            picks = [s for s in nodes[t] if rng.random() < RANDOM_EDGE_PROB]
             if not picks:
                 picks = [nodes[t][int(rng.integers(len(nodes[t])))]]
             for s in picks:
@@ -202,34 +213,33 @@ def random_graded_dag(rng, n_layers=4, max_width=4, edge_prob=0.6,
         for s in nodes[t]:
             if not children[s]:
                 children[s].append(nodes[t + 1][int(rng.integers(len(nodes[t + 1])))])
-    rewards = {x: float(rng.uniform(reward_low, reward_high)) for x in nodes[-1]}
+    rewards = {x: float(rng.uniform(RANDOM_REWARD_LOW, RANDOM_REWARD_HIGH)) for x in nodes[-1]}
     return ExplicitDag(children, rewards, root=nodes[0][0])
 
 
-def random_dag(rng, n_layers=4, max_width=4, edge_prob=0.6, skip_prob=0.2,
-               interior_reward_prob=0.4, reward_low=0.5, reward_high=2.0):
+def random_dag(rng):
     """Random non-graded DAG: skip-level edges and interior rewards give
     variable-length trajectories, as on the grid."""
-    widths = [1] + [int(rng.integers(1, max_width + 1)) for _ in range(n_layers - 1)]
+    widths = [1] + [int(rng.integers(1, RANDOM_MAX_WIDTH + 1)) for _ in range(RANDOM_LAYERS - 1)]
     nodes = [[("r", t, i) for i in range(w)] for t, w in enumerate(widths)]
     children = {s: [] for layer in nodes for s in layer}
-    for t in range(n_layers - 1):
+    for t in range(RANDOM_LAYERS - 1):
         for c in nodes[t + 1]:
-            picks = [s for s in nodes[t] if rng.random() < edge_prob]
+            picks = [s for s in nodes[t] if rng.random() < RANDOM_EDGE_PROB]
             if not picks:
                 picks = [nodes[t][int(rng.integers(len(nodes[t])))]]
             for s in picks:
                 children[s].append(c)
-        for u in range(t + 2, n_layers):
+        for u in range(t + 2, RANDOM_LAYERS):
             for c in nodes[u]:
                 for s in nodes[t]:
-                    if rng.random() < skip_prob * edge_prob:
+                    if rng.random() < RANDOM_SKIP_PROB * RANDOM_EDGE_PROB:
                         children[s].append(c)
-    rewards = {x: float(rng.uniform(reward_low, reward_high)) for x in nodes[-1]}
+    rewards = {x: float(rng.uniform(RANDOM_REWARD_LOW, RANDOM_REWARD_HIGH)) for x in nodes[-1]}
     for layer in nodes[1:-1]:
         for s in layer:
-            if rng.random() < interior_reward_prob:
-                rewards[s] = float(rng.uniform(reward_low, reward_high))
+            if rng.random() < RANDOM_INTERIOR_REWARD_PROB:
+                rewards[s] = float(rng.uniform(RANDOM_REWARD_LOW, RANDOM_REWARD_HIGH))
     for layer in nodes[:-1]:
         for s in layer:
             if not children[s] and s not in rewards:

@@ -51,25 +51,46 @@ class _StateModel:
 class _PolicyBase(_StateModel):
     """Shared mechanics for forward and backward policies.
 
-    The model has one output per slot; `env_masks` is the environment's
-    batched query for the masks over those slots.
+    The model has one output per slot, `n_slots` of them; `env_masks` is
+    the environment's batched query for the masks over those slots.
     """
 
-    def __init__(self, env, model, env_masks):
+    def __init__(self, env, model, env_masks, n_slots):
         super().__init__(env, model)
         if self.tabular and model.n_rows != self._enum.n:
             raise ShapeError(
                 f"tabular model has {model.n_rows} rows, env has {self._enum.n} states")
         self._env_masks = env_masks
+        self.n_slots = n_slots
 
     def masks(self, states):
         return self._env_masks(states)
 
     def log_prob_matrix(self, tape, states, masks=None):
-        """(M x slots) masked log-probabilities; untaped when tape is None."""
-        if masks is None:
-            masks = self.masks(states)
-        return ad.log_softmax_masked(tape, self._outputs(tape, states), masks)
+        """(M x slots) masked log-probabilities; untaped when tape is None.
+
+        Untaped, more rows than one block are evaluated a block at a time,
+        masks, model forward and log-softmax together, into one (M x slots)
+        output.  A block holds max(1, ad.BLOCK // model.widest) rows, so a
+        layer output holds about ad.BLOCK entries (one row, if wider),
+        however many states an exact evaluation passes.  Every step is
+        row-wise, so a row's value does not depend on its block, except
+        through BLAS: a matrix product may pick its kernel by the operands'
+        sizes (OpenBLAS does), and an Mlp block can then round an output in
+        the last bit unlike one pass over all rows.
+        """
+        step = max(1, ad.BLOCK // self.model.widest)
+        if tape is not None or len(states) <= step:
+            if masks is None:
+                masks = self.masks(states)
+            return ad.log_softmax_masked(tape, self._outputs(tape, states), masks)
+        out = np.empty((len(states), self.n_slots))
+        for lo in range(0, len(states), step):
+            rows = slice(lo, lo + step)
+            block = self.masks(states[rows]) if masks is None else masks[rows]
+            out[rows] = ad.log_softmax_masked(None, self._outputs(None, states[rows]),
+                                              block).data
+        return ad.Tensor(out)
 
     def step_log_probs(self, tape, states, slots):
         """Taped log-probabilities of chosen slots, shape (M,)."""
@@ -86,14 +107,14 @@ class ForwardPolicy(_PolicyBase):
     """Distribution over forward action slots, masked per state."""
 
     def __init__(self, env, model):
-        super().__init__(env, model, env.action_masks)
+        super().__init__(env, model, env.action_masks, env.n_action_slots)
 
 
 class BackwardPolicy(_PolicyBase):
     """Learned distribution over backward slots (which parent came before)."""
 
     def __init__(self, env, model):
-        super().__init__(env, model, env.parent_masks)
+        super().__init__(env, model, env.parent_masks, env.n_backward_slots)
 
 
 class UniformBackward:

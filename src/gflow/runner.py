@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exact
+from .autodiff import BLOCK
 from .envs import ENUMERATION_CAP, HyperGrid, SequenceEnv, load_reward_table, synthetic_rewards
 from .errors import ConfigError, EnumerationLimit
 from .training import ROSTER, STRATEGIES, Trainer, TrainerConfig
@@ -42,12 +43,18 @@ _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 # table with a support (autodiff.Tabular) keeps m and v for its valid slots
 # only, with an 8-byte index each and Adam's 1-byte off-support mask per
 # entry; it has one only when that totals under the 16 bytes an entry of
-# dense m and v, so 5 x 8 bytes an entry still bound every table.
+# dense m and v, so 5 x 8 bytes an entry still bound every table.  An
+# untaped policy evaluation (policy.log_prob_matrix), an eval row's over
+# every state included, holds one row block at a time, in at most five
+# float64 arrays of the block's size: the model input and two layer
+# outputs, or the logits and the log-softmax temporaries (4.1 measured for
+# a tabular policy on SequenceEnv(6, 4)).
 STATE_BYTES = 256
 SLOT_BYTES = 80
 TABULAR_ENTRY_BYTES = 5 * 8
 TRAJECTORY_BYTES = 512
 SAMPLE_ENTRY_BYTES = 2 * 8
+EVAL_BLOCK_BYTES = 5 * 8
 
 
 @dataclass
@@ -212,6 +219,7 @@ def check_memory(cfg, env):
 
         S * (STATE_BYTES + SLOT_BYTES * A) + TABULAR_ENTRY_BYTES * P
           + N * (TRAJECTORY_BYTES + SAMPLE_ENTRY_BYTES * (T + 1) * (W + 2))
+          + EVAL_BLOCK_BYTES * X
 
     S is env.n_states(), or 0 above the enumeration cap, where nothing is
     enumerated.  A and B are the forward and backward slot counts.  P counts
@@ -223,6 +231,12 @@ def check_memory(cfg, env):
     once: the batch, the backward walks from its endpoints when the backward
     policy is learned, and the mode-count samples when S > 0, since the
     step's batch is still held during evaluation.  T is env.max_trajectory_len and W env.width.
+    X is the entry count of the largest row block of an untaped policy
+    evaluation, the way an eval row passes every state through the forward
+    policy.  A policy whose widest layer output has V entries (K for a
+    table, the largest of hidden and K for an Mlp) evaluates
+    max(1, autodiff.BLOCK // V) rows at a time, of V entries each, or of E
+    for an Mlp whose input is wider.  X does not grow with S.
     Physical memory is
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE").
     """
@@ -236,13 +250,19 @@ def check_memory(cfg, env):
         sampled += cfg.mode_samples or cfg.batch_size
     planned += sampled * (TRAJECTORY_BYTES + SAMPLE_ENTRY_BYTES
                           * (env.max_trajectory_len + 1) * (env.width + 2))
-    outputs = ([env.n_action_slots] + [env.n_backward_slots] * row.learned_backward
-               + [1] * (row.value_f + row.value_b + row.flow))
+    policies = [env.n_action_slots] + [env.n_backward_slots] * row.learned_backward
+    outputs = policies + [1] * (row.value_f + row.value_b + row.flow)
     n_params = 0
     for k in outputs:
         dims = (env.encoding_dim, *cfg.hidden, k)
         n_params += n * k if cfg.tabular else sum((a + 1) * b for a, b in zip(dims, dims[1:]))
     planned += TABULAR_ENTRY_BYTES * n_params
+    block = 0
+    for k in policies:
+        widest = k if cfg.tabular else max((*cfg.hidden, k))
+        width = widest if cfg.tabular else max(widest, env.encoding_dim)
+        block = max(block, max(1, BLOCK // widest) * width)
+    planned += EVAL_BLOCK_BYTES * block
     _check_fits(planned, f"{n} states, {n_params} parameters and {sampled} sampled trajectories")
     return planned
 

@@ -501,8 +501,10 @@ def test_eager_op_matches_taped_and_records_nothing(name):
 
 
 def test_eager_log_softmax_masked_in_row_blocks_matches_single_pass():
-    # Larger than one block, so the eager op runs block by block; the taped
-    # op is one pass over the whole input.
+    # Larger than one block.  Both ops are one pass over the whole input:
+    # policies evaluate their rows in blocks themselves
+    # (policy.log_prob_matrix), so the eager op keeps no block loop.  The two
+    # must agree bit for bit, non-finite logits included.
     rng = np.random.default_rng(12)
     mask = sequence_action_masks()[:4000]
     logits = rng.normal(size=mask.shape) * 10.0

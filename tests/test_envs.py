@@ -460,7 +460,7 @@ def test_sequence_encoding():
     assert v.shape == (1, 6)
     # Per-position one-hot over {empty, 0, .., n-1}.
     assert np.flatnonzero(v[0]).tolist() == [0, 5]
-    enc = env.enumeration().encodings()
+    enc = env.encode_batch(env.enumeration().states)
     assert enc.shape == (9, 6)
     assert len({tuple(row) for row in enc}) == 9
 
@@ -811,7 +811,7 @@ def check_tables_match_per_state_oracles(env):
         "edge_bslot": enum.edge_bslot, "terminal": enum.terminal,
         "log_rewards": enum.log_rewards, "terminal_slots": enum.terminal_slots(),
         "action_masks": enum.action_masks(), "parent_masks": enum.parent_masks(),
-        "encodings": enum.encodings(),
+        "encodings": env.encode_batch(enum.states),
     }
     slow = per_state_tables(env, enum)
     assert fast.keys() == slow.keys()

@@ -1,6 +1,8 @@
 """Dynamic-programming evaluation checked against brute-force trajectory
 enumeration and hand-computed distributions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,13 @@ from gflow.exact import (
 )
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import sample_forward
-from oracles import enumerate_paths, exact_logit_gradient, finite_difference_grad, path_log_prob
+from oracles import (
+    enumerate_paths,
+    exact_logit_gradient,
+    finite_difference_grad,
+    path_log_prob,
+    synthetic_env,
+)
 from test_envs import log_reward, validate_trajectory
 
 
@@ -429,6 +437,23 @@ def test_log_tables_and_edge_views():
     for e in range(len(enum.edge_src)):
         assert ef[e] == fwd[enum.edge_src[e], enum.edge_slot[e]]
         assert eb[e] == bwd[enum.edge_dst[e], enum.edge_bslot[e]]
+
+
+def test_forward_log_table_holds_one_row_block_at_a_time():
+    # A (1000,) Mlp over the 15 625 states of SequenceEnv(6, 4).  One pass
+    # would hold 15 625 x 1000 activations, about 250 MB in all; a row block
+    # holds 32 rows of 1000.
+    env = synthetic_env(6, 4, 0)
+    enum = env.enumeration()
+    suite = make_suite(env, np.random.default_rng(0), hidden=(1000,))
+    tracemalloc.start()
+    try:
+        table = forward_log_table(enum, suite.forward)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (5 ** 6, env.n_action_slots)
+    assert peak <= table.nbytes + 4 * ad.BLOCK * 8
 
 
 def test_path_enumeration_probabilities_sum_to_one():

@@ -22,7 +22,7 @@ from gflow.policy import (
 )
 from gflow.sampling import sample_forward
 from gflow.training import DAMPING, conjugate_gradient, trpo_step
-from oracles import random_suite, random_table
+from oracles import random_suite, random_table, synthetic_env
 
 
 def mlp_forward(env, rng, hidden=(8,)):
@@ -102,6 +102,55 @@ def test_backward_policy_masks_parent_slots():
     lp = pol.log_probs_numpy(np.array([(0, -1, 1)]))
     assert lp[0, 1] == -np.inf
     assert np.isfinite(lp[0, [0, 2]]).all()
+
+
+def policy_rows(suite, enum):
+    """(policy, states, masks): the forward policy over every state with the
+    enumeration's masks, and the learned backward policy over every state
+    but the root with the masks left to the policy, as the exact tables
+    pass them."""
+    keep = np.arange(enum.n) != enum.root_index
+    return [(suite.forward, enum.states, enum.action_masks()),
+            (suite.backward, enum.states[keep], None)]
+
+
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp-64-64"])
+def test_blocked_evaluation_matches_one_taped_pass(tabular):
+    # 15 625 states make several row blocks, the last one short.  For the
+    # (64, 64) Mlp, OpenBLAS's small-matrix kernel (AVX-512) rounds the last
+    # logit column of a 512-row block unlike one pass, but that column, the
+    # stop slot, is admitted only where it is the only admitted slot, so its
+    # log-probability is exactly 0 either way.
+    env = synthetic_env(6, 4, 0)
+    enum = env.enumeration()
+    suite = random_suite(env, np.random.default_rng(30), 1.0, tabular=tabular,
+                         hidden=(64, 64), learned_backward=True)
+    for pol, states, masks in policy_rows(suite, enum):
+        step = ad.BLOCK // pol.model.widest
+        assert len(states) > step and len(states) % step
+        taped = pol.log_prob_matrix(ad.Tape(), states, masks).data
+        assert pol.log_probs_numpy(states, masks).tobytes() == taped.tobytes()
+
+
+def test_blocked_evaluation_of_a_layer_wider_than_a_block():
+    # A block is one row.  numpy hands a one-row product to BLAS as a
+    # matrix-vector product, which rounds unlike the matrix product of one
+    # pass over every row, so each row is checked bit for bit against a
+    # taped pass over that row alone, and against one taped pass to 1e-12.
+    env = HyperGrid(2, 4)
+    enum = env.enumeration()
+    suite = make_suite(env, np.random.default_rng(31), hidden=(ad.BLOCK + 1,),
+                       learned_backward=True)
+    for pol, states, masks in policy_rows(suite, enum):
+        assert pol.model.widest > ad.BLOCK
+        blocked = pol.log_probs_numpy(states, masks)
+        rows = [pol.log_prob_matrix(ad.Tape(), states[i:i + 1],
+                                    None if masks is None else masks[i:i + 1]).data
+                for i in range(len(states))]
+        assert blocked.tobytes() == np.concatenate(rows).tobytes()
+        taped = pol.log_prob_matrix(ad.Tape(), states, masks).data
+        assert np.array_equal(np.isinf(blocked), np.isinf(taped))
+        np.testing.assert_allclose(blocked, taped, rtol=0.0, atol=1e-12)
 
 
 def test_scalar_estimator_paths_agree():

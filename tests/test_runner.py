@@ -522,17 +522,21 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
     # and a (T + 1) x (width + 2) block of entries each.
     sampled = (128 + 128 + 128) * (runner.TRAJECTORY_BYTES + runner.SAMPLE_ENTRY_BYTES
                                    * (env.max_trajectory_len + 1) * (6 + 2))
-    # Forward table, learned backward table, and two value tables.
+    # Forward table, learned backward table, and two value tables.  The
+    # largest evaluation block is the backward table's: 32 768 // 6 rows of
+    # 6 entries.
     want = s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) \
-        + runner.TABULAR_ENTRY_BYTES * s * (a + b + 2) + sampled
+        + runner.TABULAR_ENTRY_BYTES * s * (a + b + 2) + sampled \
+        + runner.EVAL_BLOCK_BYTES * 5461 * 6
     assert check_memory(cfg, env) == want
     # The same four models as (64, 64) Mlps on the 30-wide encoding: each
-    # layer holds (fan_in + 1) * fan_out weights and biases.
+    # layer holds (fan_in + 1) * fan_out weights and biases, and an
+    # evaluation block 32 768 // 64 rows of 64 entries.
     cfg.tabular = False
     mlp = sum(31 * 64 + 65 * 64 + 65 * k for k in (a, b, 1, 1))
     assert check_memory(cfg, env) == \
         s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * mlp \
-        + sampled
+        + sampled + runner.EVAL_BLOCK_BYTES * 512 * 64
     # Tabular SequenceEnv(9, 4) passes the enumeration cap but not 8 GiB.
     big = parse_config_text("env = sequence\nd = 9\nn = 4\nstrategy = RL-U\ntabular = on\n")
     with pytest.raises(ConfigError, match="exceeds physical memory"):
@@ -544,9 +548,17 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
     with pytest.raises(ConfigError, match="exceeds physical memory"):
         check_memory(cfg, env)
     fake_physical_memory(monkeypatch, 1 << 50)
+    # A layer wider than autodiff.BLOCK makes a block of one row.
     assert check_memory(cfg, env) == \
         s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * wide \
-        + sampled
+        + sampled + runner.EVAL_BLOCK_BYTES * 100000
+    # Narrower than the 30-wide encoding, an Mlp block is as wide as its
+    # input: the backward policy's, widest output 8, is the largest.
+    cfg.hidden = (8, 8)
+    narrow = sum(31 * 8 + 9 * 8 + 9 * k for k in (a, b, 1, 1))
+    assert check_memory(cfg, env) == \
+        s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * narrow \
+        + sampled + runner.EVAL_BLOCK_BYTES * (32768 // 8) * 30
 
 
 def test_memory_plan_covers_a_tabular_step():
@@ -563,6 +575,21 @@ def test_memory_plan_covers_a_tabular_step():
         tracemalloc.stop()
     assert enum.n == 5 ** 6
     assert peak <= check_memory(cfg, env)
+
+
+def test_memory_plan_covers_a_wide_mlp_run(tmp_path):
+    # One iteration of a (1000,) Mlp run on SequenceEnv(6, 4), its eval row
+    # over the 15 625 states included.
+    cfg = parse_config_text("env = sequence\nd = 6\nn = 4\nstrategy = TB-U\ntabular = off\n"
+                            "hidden = 1000\nbatch = 16\niterations = 1\nseeds = 0\n"
+                            "timing = off\n")
+    tracemalloc.start()
+    try:
+        runner.run(cfg, out=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= check_memory(cfg, build_env(cfg))
 
 
 def test_cli_rejects_a_run_larger_than_memory_before_allocating(tmp_path, capsys,

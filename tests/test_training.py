@@ -736,6 +736,9 @@ REMOVED_KEYWORDS = [
     (exact.mode_states, ("quantile",)),
     (SequenceGuide.__init__, ("floor",)),
     (TableGuide.random, ("scale",)),
+    (random_graded_dag, ("n_layers", "max_width", "edge_prob", "reward_low", "reward_high")),
+    (random_dag, ("n_layers", "max_width", "edge_prob", "skip_prob", "interior_reward_prob",
+                  "reward_low", "reward_high")),
 ]
 
 
