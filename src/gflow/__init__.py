@@ -7,11 +7,11 @@ group as:
 - autodiff: tape-based reverse-mode gradients, MLP and table models, Adam
 - envs: hyper-grid, fixed-length sequences, explicit DAGs, enumeration
 - policy: masked slot policies, value estimators, checkpoints
-- sampling: forward/backward rollouts, exploration mixtures, replay
+- sampling: forward/backward rollouts with uniform exploration, replay
 - objectives: balance losses, policy-dependent step rewards, advantages
 - guides: backward kernels that condition training on good endpoints
-- training: per-strategy update steps and exact bound checks
-- exact: dynamic-programming distributions, values, metrics
+- training: per-strategy update steps, exploration weights, bound checks
+- exact: distributions, values and flows by one layer sweep; metrics
 - runner / cli: config-driven experiments with CSV metrics
 
 Importing gflow sets the OpenBLAS that numpy loaded, if any, to one
@@ -58,7 +58,7 @@ from .errors import (ConfigError, ContractError, EnumerationLimit, GflowError,
 from .policy import (BackwardPolicy, ForwardPolicy, LogZ, PolicySuite,
                      ScalarEstimator, UniformBackward, load_checkpoint,
                      make_suite, save_checkpoint)
-from .sampling import MixtureSchedule, ReplayBuffer, Trajectory, sample_backward, sample_forward
+from .sampling import ReplayBuffer, Trajectory, sample_backward, sample_forward
 from .guides import HyperGridGuide, SequenceGuide, TableGuide
 from .training import (STRATEGIES, Trainer, TrainerConfig, actor_critic_step,
                        check_theorem_bounds, trpo_step)
@@ -74,8 +74,7 @@ __all__ = [
     "BackwardPolicy", "ForwardPolicy", "LogZ", "PolicySuite",
     "ScalarEstimator", "UniformBackward", "load_checkpoint", "make_suite",
     "save_checkpoint",
-    "MixtureSchedule", "ReplayBuffer", "Trajectory", "sample_backward",
-    "sample_forward",
+    "ReplayBuffer", "Trajectory", "sample_backward", "sample_forward",
     "HyperGridGuide", "SequenceGuide", "TableGuide",
     "STRATEGIES", "Trainer", "TrainerConfig", "actor_critic_step",
     "check_theorem_bounds", "trpo_step",

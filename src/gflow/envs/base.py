@@ -119,10 +119,13 @@ class DagEnv:
 class Enumeration:
     """Flat index over an enumerable environment.
 
-    `states` holds every state as one (n x width) row array, layer by layer;
+    `states` holds every state as one (n x width) row array, layer by layer,
+    and `layers` holds each topological layer's range of positions;
     `positions` maps rows back to their place in it.  The interior edges
     are flat arrays (src, slot, dst, bslot) of positions and slots, sorted
     by source and then slot, built once from the env's batched queries.
+    So the edges leaving a layer form one slice, and each ends in a deeper
+    layer: the exact layer sweep walks these slices in either direction.
     The exact-evaluation routines and tabular policies all work in this
     index space.  An env of more than ENUMERATION_CAP states raises
     EnumerationLimit before any state row exists.
@@ -161,7 +164,6 @@ class Enumeration:
                                                         self.edge_slot[block])
             self.edge_dst[block] = self.positions(rows)
         self._parent_masks = None
-        self._dst_order = None
 
     def positions(self, states):
         """Enumeration positions of state rows, as an intp array."""
@@ -186,13 +188,6 @@ class Enumeration:
     def terminal_slots(self):
         """Per-state terminal slot, -1 where the state cannot terminate."""
         return self._terminal_slots
-
-    def dst_order(self):
-        """Edge indices in stable ascending order of edge_dst, sorted on
-        first use."""
-        if self._dst_order is None:
-            self._dst_order = np.argsort(self.edge_dst, kind="stable")
-        return self._dst_order
 
     def rewards(self):
         r = np.zeros(self.n)

@@ -153,7 +153,10 @@ def synthetic_rewards(d, n, seed, beta=3.0, r_min=1e-3, r_max=10.0, n_modes=None
         dist = (seqs[:, None, :] != modes[None, :, :]).sum(axis=2)
         bumps = amps[None, :] * np.exp(-(dist ** 2) / (2.0 * widths[None, :] ** 2))
         score[lo:lo + len(seqs)] = bumps.sum(axis=1)
-    raw = score ** float(beta)
+    with np.errstate(over="ignore", divide="ignore"):
+        raw = score ** float(beta)
+    if not np.isfinite(raw).all():
+        raise ConfigError(f"beta = {beta} overflows float64 in the synthetic reward scores")
     lo, hi = raw.min(), raw.max()
     if hi - lo < 1e-300:
         return np.full(total, float(r_max))

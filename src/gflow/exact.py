@@ -3,11 +3,11 @@
 Everything here works on the Enumeration index: policies become dense
 (state x slot) log-probability tables, and all quantities (terminating
 distribution, state values, accumulated state distribution, metrics) are
-computed one topological layer at a time, by per-state sums over the edges
-leaving or entering the layer.  These routines are the measurement
-instruments for the whole library.  Training builds on them too: the
-grid guide's backward kernel and the theorem-bound audit use them, and so
-do the runner's eval rows.
+computed by one sweep over the topological layers, root first or deepest
+first, that sums per state over the edges leaving each layer.  These
+routines are the measurement instruments for the whole library.  Training
+builds on them too: the grid guide's backward kernel and the theorem-bound
+audit use them, and so do the runner's eval rows.
 """
 
 import numpy as np
@@ -29,16 +29,6 @@ def forward_log_table(enum, forward):
     return forward.log_probs_numpy(enum.states, enum.action_masks())
 
 
-def backward_log_table(enum, backward):
-    """Dense (n_states x n_backward_slots) log pi_B table; root row is -inf."""
-    env = enum.env
-    out = np.full((enum.n, env.n_backward_slots), -np.inf)
-    idx = np.flatnonzero(np.arange(enum.n) != enum.root_index)
-    if len(idx):
-        out[idx] = backward.log_probs_numpy(enum.states[idx])
-    return out
-
-
 def edge_logs_forward(enum, fwd_log):
     """Per-edge log pi_F, aligned with the enumeration's interior edge arrays."""
     return fwd_log[enum.edge_src, enum.edge_slot]
@@ -53,33 +43,36 @@ def edge_logs_backward(enum, bwd_log):
 # Distributions
 # ---------------------------------------------------------------------------
 
-def _layer_edges(enum, entering=False):
-    """Edge selectors per topological layer, root first.
+def _sweep(enum, values, edge_p, edge_q=None, toward_root=False):
+    """Accumulate values[w] += edge_p * (edge_q + values[r]) over the
+    interior edges, one topological layer at a time, and return `values`.
 
-    Each selects the interior edges leaving one layer: a slice, since edges
-    are sorted by source.  With entering=True each selects the edges
-    entering the layer instead, in edge order, from the stable argsort of
-    edge_dst that the enumeration keeps.  Every edge ends in a strictly
-    deeper layer, so a sweep in this order, or reversed, reads only layers
-    it has finished.
+    Root first, r is an edge's source and w its destination; toward_root,
+    the layers run deepest first, r is the destination and w the source.
+    Each step takes the edges leaving one layer, a slice since edges are
+    sorted by source.  Every edge ends in a strictly deeper layer, so each
+    read value is final, and every state adds its edges in ascending edge
+    order.  edge_q, if given, holds per-edge rewards; the sweep adds
+    values[r] to each, in place, and so leaves each edge's Q in it.
     """
     bounds = [layer[0] for layer in enum.layers] + [enum.n]
-    if not entering:
-        cuts = np.searchsorted(enum.edge_src, bounds)
-        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    order = enum.dst_order()
-    cuts = np.searchsorted(enum.edge_dst[order], bounds)
-    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    cuts = np.searchsorted(enum.edge_src, bounds)
+    layers = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    read, write = (enum.edge_dst, enum.edge_src) if toward_root else (enum.edge_src, enum.edge_dst)
+    for e in reversed(layers) if toward_root else layers:
+        term = values[read[e]]
+        if edge_q is not None:
+            edge_q[e] += term
+            term = edge_q[e]
+        np.add.at(values, write[e], edge_p[e] * term)
+    return values
 
 
 def visit_probabilities(enum, fwd_log):
     """P(trajectory passes through s) for every state; root gets 1."""
     reach = np.zeros(enum.n)
     reach[enum.root_index] = 1.0
-    edge_p = np.exp(edge_logs_forward(enum, fwd_log))
-    for e in _layer_edges(enum):
-        np.add.at(reach, enum.edge_dst[e], reach[enum.edge_src[e]] * edge_p[e])
-    return reach
+    return _sweep(enum, reach, np.exp(edge_logs_forward(enum, fwd_log)))
 
 
 def terminating_distribution(enum, fwd_log):
@@ -123,7 +116,6 @@ def forward_values(enum, fwd_log, ref_edge_logs, log_z):
     backward policy for the standard reward, a guide kernel for the guided
     variant.  Returns (V, Q); invalid Q entries are 0.
     """
-    src, dst, slot = enum.edge_src, enum.edge_dst, enum.edge_slot
     term = np.flatnonzero(enum.terminal)
     tslots = enum.terminal_slots()[term]
     q = np.zeros(fwd_log.shape)
@@ -131,12 +123,9 @@ def forward_values(enum, fwd_log, ref_edge_logs, log_z):
     v = np.zeros(enum.n)
     v[term] = np.exp(fwd_log[term, tslots]) * q[term, tslots]
     edge_lf = edge_logs_forward(enum, fwd_log)
-    edge_r = edge_lf - ref_edge_logs
-    edge_p = np.exp(edge_lf)
-    for e in reversed(_layer_edges(enum)):
-        qe = edge_r[e] + v[dst[e]]
-        q[src[e], slot[e]] = qe
-        np.add.at(v, src[e], edge_p[e] * qe)
+    edge_q = edge_lf - ref_edge_logs
+    _sweep(enum, v, np.exp(edge_lf), edge_q, toward_root=True)
+    q[enum.edge_src, enum.edge_slot] = edge_q
     return v, q
 
 
@@ -145,16 +134,11 @@ def backward_values(enum, bwd_log, ref_edge_logs):
     log pi_B(s', b) - ref(edge) per interior edge, accumulated from x toward
     the root; the root's value is pinned to 0.  The terminal hop carries no
     backward reward.  Returns (V, Q) with Q over backward slots."""
-    src, dst, bslot = enum.edge_src, enum.edge_dst, enum.edge_bslot
-    q = np.zeros(bwd_log.shape)
-    v = np.zeros(enum.n)
     edge_lb = edge_logs_backward(enum, bwd_log)
-    edge_r = edge_lb - ref_edge_logs
-    edge_p = np.exp(edge_lb)
-    for e in _layer_edges(enum, entering=True):
-        qe = edge_r[e] + v[src[e]]
-        q[dst[e], bslot[e]] = qe
-        np.add.at(v, dst[e], edge_p[e] * qe)
+    edge_q = edge_lb - ref_edge_logs
+    v = _sweep(enum, np.zeros(enum.n), np.exp(edge_lb), edge_q)
+    q = np.zeros(bwd_log.shape)
+    q[enum.edge_dst, enum.edge_bslot] = edge_q
     return v, q
 
 
@@ -182,11 +166,8 @@ def flow_from_rewards(enum, bwd_log=None):
         counts = masks.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             bwd_log = np.where(masks, -np.log(counts), -np.inf)
-    flow = enum.rewards()
     edge_pb = np.exp(edge_logs_backward(enum, bwd_log))
-    for e in reversed(_layer_edges(enum)):
-        np.add.at(flow, enum.edge_src[e], edge_pb[e] * flow[enum.edge_dst[e]])
-    log_flow = np.log(flow)
+    log_flow = np.log(_sweep(enum, enum.rewards(), edge_pb, toward_root=True))
     fwd_log = np.full((enum.n, env.n_action_slots), -np.inf)
     e_src, e_dst, e_slot = enum.edge_src, enum.edge_dst, enum.edge_slot
     fwd_log[e_src, e_slot] = np.log(edge_pb) + log_flow[e_dst] - log_flow[e_src]

@@ -163,8 +163,10 @@ def validate_config(cfg):
         raise ConfigError("eval_every must be at least 1")
     if cfg.d < 1 or cfg.n < 2:
         raise ConfigError("need d >= 1 and n >= 2")
-    if cfg.env == "grid" and min(cfg.r0, cfg.r0 + cfg.r1, cfg.r0 + cfg.r1 + cfg.r2) <= 0:
-        raise ConfigError("grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive")
+    grid_rewards = (cfg.r0, cfg.r0 + cfg.r1, cfg.r0 + cfg.r1 + cfg.r2)
+    if cfg.env == "grid" and (min(grid_rewards) <= 0 or max(grid_rewards) == math.inf):
+        raise ConfigError("grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive "
+                          "and finite")
     if cfg.guide_eps < 0:
         raise ConfigError("guide_eps must be nonnegative")
     if cfg.subtb_base <= 0:
@@ -322,17 +324,24 @@ def run(cfg, seed=None, out=None):
     seeds = [seed] if seed is not None else list(cfg.seeds)
     env = build_env(cfg)
     check_memory(cfg, env)
-    out_dir = Path(out if out is not None else cfg.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"{out_dir}: cannot create output directory: {err.strerror}") from None
     try:
         # Built once before the seeds start; this frame holds it until they
         # finish, since the env keeps only a weak reference.
         enum = env.enumeration()
     except EnumerationLimit:
         enum = None
+    if enum is not None:
+        with np.errstate(over="ignore"):
+            total = enum.partition()
+        if total == math.inf:
+            names = "r0, r1 and r2" if cfg.env == "grid" else "the reward table's entries"
+            raise ConfigError(f"the rewards of the {int(enum.terminal.sum())} terminal "
+                              f"states total more than float64 holds; lower {names}")
+    out_dir = Path(out if out is not None else cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{out_dir}: cannot create output directory: {err.strerror}") from None
     return [run_seed(cfg, env, s, out_dir, enum) for s in seeds]
 
 

@@ -43,16 +43,6 @@ class Trajectory:
         return len(self.slots)
 
 
-@dataclass
-class MixtureSchedule:
-    """Exploration weight eps_iter = gamma ** iteration (starts at 1.0)."""
-
-    gamma: float = 0.99
-
-    def eps(self, iteration):
-        return float(self.gamma) ** int(iteration)
-
-
 def sample_rows(probs, u):
     """Inverse-CDF categorical draw per row; u in [0, 1) per row."""
     cum = np.cumsum(probs, axis=1)

@@ -24,7 +24,7 @@ from .envs import HyperGrid, SequenceEnv
 from .errors import ConfigError, NumericFault
 from .guides import HyperGridGuide, SequenceGuide
 from .policy import PolicySuite, make_suite, score_matrix
-from .sampling import MixtureSchedule, ReplayBuffer, sample_backward, sample_forward
+from .sampling import ReplayBuffer, sample_backward, sample_forward
 
 logger = logging.getLogger("gflow")
 
@@ -390,7 +390,9 @@ class Trainer:
     StepBatch, refresh the guide and apply the strategy's update on it, and
     return a stats dict whose "loss" entry is the balance loss for
     value-based strategies and the batch mean squared balance log-ratio for
-    policy-gradient ones; stats["batch"] is the sampled trajectory list.
+    policy-gradient ones; stats["batch"] is the sampled trajectory list and
+    stats["eps"] the batch's uniform exploration weight: gamma ** iteration
+    for strategies that sample from the exploration mixture, else 0.
     A guide is accepted only by strategies that train toward one.
     """
 
@@ -417,19 +419,20 @@ class Trainer:
             for name, params in suite.param_groups().items()
         }
         self.guide = default_guide(env, cfg) if row.guide and guide is None else guide
-        self.mixture = MixtureSchedule(cfg.gamma) if row.mixture else None
         self.iteration = 0
 
     def step(self, rng):
-        eps = self.mixture.eps(self.iteration) if self.mixture else 0.0
+        row = ROSTER[self.cfg.strategy]
+        eps = float(self.cfg.gamma) ** self.iteration if row.mixture else 0.0
         batch = sample_forward(self.env, self.suite.forward, self.cfg.batch_size, rng,
                                eps=eps)
         sb = obj.step_batch(batch)
         if self.guide is not None:
             self.guide.refresh(self.suite.forward, sb)
-        stats = ROSTER[self.cfg.strategy].update(self, sb, rng)
+        stats = row.update(self, sb, rng)
         self.iteration += 1
         stats["batch"] = batch
+        stats["eps"] = eps
         return stats
 
 

@@ -6,13 +6,16 @@ path probabilities, central differences, the closed-form tabular policy
 gradient, the surrogate gradient as an expectation over enumerated paths,
 the guided balance loss and the per-trajectory guide conditional.  The
 acceptance criteria hold the library to them, so they live here and not
-in gflow.
+in gflow.  The layer-loop references keep the exact layer's recurrences
+in the form they had before one sweep replaced them: a hand-written loop
+each, with backward values summed over the edges entering each layer.
 """
 
 import numpy as np
 
 from gflow import autodiff as ad
 from gflow.envs import SequenceEnv, synthetic_rewards
+from gflow.exact import edge_logs_backward, edge_logs_forward
 from gflow.policy import make_suite
 from gflow.sampling import Trajectory
 from gflow.training import forward_advantages, surrogate_loss
@@ -159,3 +162,84 @@ def guided_tb_loss(tape, sb, suite, guide, weights=None):
     if weights is None:
         return ad.mean(tape, sq)
     return ad.sum(tape, ad.mul(tape, sq, ad.Tensor(np.asarray(weights, dtype=np.float64))))
+
+
+def backward_log_table(enum, backward):
+    """Dense (n_states x n_backward_slots) log pi_B table; root row is -inf."""
+    out = np.full((enum.n, enum.env.n_backward_slots), -np.inf)
+    idx = np.flatnonzero(np.arange(enum.n) != enum.root_index)
+    if len(idx):
+        out[idx] = backward.log_probs_numpy(enum.states[idx])
+    return out
+
+
+def layer_edges(enum, entering=False):
+    """Edge selectors per topological layer, root first.
+
+    Each selects the interior edges leaving one layer: a slice, since edges
+    are sorted by source.  With entering=True each selects the edges
+    entering the layer instead, in edge order, from a stable argsort of
+    edge_dst.
+    """
+    bounds = [layer[0] for layer in enum.layers] + [enum.n]
+    if not entering:
+        cuts = np.searchsorted(enum.edge_src, bounds)
+        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    order = np.argsort(enum.edge_dst, kind="stable")
+    cuts = np.searchsorted(enum.edge_dst[order], bounds)
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def layer_loop_visits(enum, fwd_log):
+    """exact.visit_probabilities as a loop over the layers, root first."""
+    reach = np.zeros(enum.n)
+    reach[enum.root_index] = 1.0
+    edge_p = np.exp(edge_logs_forward(enum, fwd_log))
+    for e in layer_edges(enum):
+        np.add.at(reach, enum.edge_dst[e], reach[enum.edge_src[e]] * edge_p[e])
+    return reach
+
+
+def layer_loop_forward_values(enum, fwd_log, ref_edge_logs, log_z):
+    """exact.forward_values as a loop over the layers, deepest first."""
+    src, dst, slot = enum.edge_src, enum.edge_dst, enum.edge_slot
+    term = np.flatnonzero(enum.terminal)
+    tslots = enum.terminal_slots()[term]
+    q = np.zeros(fwd_log.shape)
+    q[term, tslots] = fwd_log[term, tslots] - enum.log_rewards[term] + log_z
+    v = np.zeros(enum.n)
+    v[term] = np.exp(fwd_log[term, tslots]) * q[term, tslots]
+    edge_lf = edge_logs_forward(enum, fwd_log)
+    edge_r = edge_lf - ref_edge_logs
+    edge_p = np.exp(edge_lf)
+    for e in reversed(layer_edges(enum)):
+        qe = edge_r[e] + v[dst[e]]
+        q[src[e], slot[e]] = qe
+        np.add.at(v, src[e], edge_p[e] * qe)
+    return v, q
+
+
+def layer_loop_backward_values(enum, bwd_log, ref_edge_logs):
+    """exact.backward_values as a loop over the edges entering each layer,
+    root first."""
+    src, dst, bslot = enum.edge_src, enum.edge_dst, enum.edge_bslot
+    q = np.zeros(bwd_log.shape)
+    v = np.zeros(enum.n)
+    edge_lb = edge_logs_backward(enum, bwd_log)
+    edge_r = edge_lb - ref_edge_logs
+    edge_p = np.exp(edge_lb)
+    for e in layer_edges(enum, entering=True):
+        qe = edge_r[e] + v[src[e]]
+        q[dst[e], bslot[e]] = qe
+        np.add.at(v, dst[e], edge_p[e] * qe)
+    return v, q
+
+
+def layer_loop_flows(enum, bwd_log):
+    """exact.flow_from_rewards' state flows F as a loop over the layers,
+    deepest first."""
+    flow = enum.rewards()
+    edge_pb = np.exp(edge_logs_backward(enum, bwd_log))
+    for e in reversed(layer_edges(enum)):
+        np.add.at(flow, enum.edge_src[e], edge_pb[e] * flow[enum.edge_dst[e]])
+    return flow

@@ -32,6 +32,7 @@ from gflow.training import (
     surrogate_loss,
 )
 from oracles import (
+    backward_log_table,
     enumerate_paths,
     exact_logit_gradient,
     finite_difference_grad,
@@ -96,7 +97,7 @@ def test_criterion_01_forward_gradient_equivalence():
     env, suite = small_random_suite(1001)
     enum = env.enumeration()
     log_z_star = exact.flow_from_rewards(enum)[2]
-    bwd = exact.backward_log_table(enum, suite.backward)
+    bwd = backward_log_table(enum, suite.backward)
     ref_b = exact.edge_logs_backward(enum, bwd)
     masks = enum.action_masks()
 
@@ -143,7 +144,7 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
     enum = env.enumeration()
     masks = enum.action_masks()
     fwd = suite.forward.log_probs_numpy(enum.states, masks)
-    bwd0 = exact.backward_log_table(enum, suite.backward)
+    bwd0 = backward_log_table(enum, suite.backward)
     ref_f = exact.edge_logs_forward(enum, fwd)
     rho = exact.reward_distribution(enum)
     guide = TableGuide.random(env, np.random.default_rng(7))
@@ -202,7 +203,7 @@ def test_criterion_03_lambda_one_unbiasedness():
     pf = np.array([np.exp(path_log_prob(enum, fwd, tr)) for tr in trajs])
     got = surrogate_gradient(suite, step_batch(trajs), lam=1.0, weights=pf)
 
-    bwd = exact.backward_log_table(enum, suite.backward)
+    bwd = backward_log_table(enum, suite.backward)
     ref_b = exact.edge_logs_backward(enum, bwd)
     v, q = exact.forward_values(enum, fwd, ref_b, suite.log_z.item())
     adv = exact.advantages(v, q, masks)

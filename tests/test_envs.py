@@ -266,10 +266,6 @@ def check_enumeration(enum):
     # The exact layer sweeps rely on every edge reaching a strictly deeper layer.
     depth = layer_of(enum)
     assert np.all(depth[enum.edge_dst] > depth[enum.edge_src])
-    order = enum.dst_order()
-    assert order is enum.dst_order()
-    np.testing.assert_array_equal(order, sorted(range(len(order)),
-                                                key=lambda e: enum.edge_dst[e]))
     edge_ptr = np.searchsorted(enum.edge_src, np.arange(enum.n + 1))
     tslots = enum.terminal_slots()
     for i, s in enumerate(states):

@@ -18,7 +18,6 @@ from gflow.errors import ContractError
 from gflow.exact import (
     accumulated_distribution,
     advantages,
-    backward_log_table,
     backward_values,
     edge_logs_backward,
     edge_logs_forward,
@@ -38,13 +37,18 @@ from gflow.exact import (
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import sample_forward
 from oracles import (
+    backward_log_table,
     enumerate_paths,
     exact_logit_gradient,
     finite_difference_grad,
+    layer_loop_backward_values,
+    layer_loop_flows,
+    layer_loop_forward_values,
+    layer_loop_visits,
     path_log_prob,
     synthetic_env,
 )
-from test_envs import log_reward, validate_trajectory
+from test_envs import layer_of, log_reward, validate_trajectory
 
 
 def at(enum, state):
@@ -559,3 +563,54 @@ def test_layer_sweeps_match_per_state_loops(make_env):
         want = loop_log_flow(enum, bwd_used)
         assert_close_to_oracle(log_flow, want)
         assert log_z_star == log_flow[enum.root_index]
+
+
+# -- the one sweep against the layer loops it replaced ------------------------
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def entered_from_two_layers(enum):
+    """Whether some state has parents in two or more layers, so summing per
+    source layer and per entered layer group its edges differently."""
+    depth = layer_of(enum)
+    pairs = np.unique(np.stack([enum.edge_dst, depth[enum.edge_src]]), axis=1)
+    return len(np.unique(pairs[0])) < pairs.shape[1]
+
+
+# Each entry makes the environments and gives how many of them, at least,
+# have a state entered from two or more layers.
+LAYER_LOOP_ENVS = [
+    pytest.param(lambda: [HyperGrid(2, 16), HyperGrid(3, 5)], 0, id="grid"),
+    pytest.param(lambda: [synthetic_env(6, 4, 0), synthetic_env(3, 3, 1)], 0, id="sequence"),
+    pytest.param(lambda: [random_dag(np.random.default_rng(s)) for s in range(100)], 50,
+                 id="random_dag"),
+    pytest.param(lambda: [random_graded_dag(np.random.default_rng(s)) for s in range(50)], 0,
+                 id="random_graded_dag"),
+]
+
+
+@pytest.mark.parametrize("make_envs, n_mixed", LAYER_LOOP_ENVS)
+def test_layer_sweep_matches_layer_loops_byte_for_byte(make_envs, n_mixed):
+    # In both forms every state adds its edges in ascending edge order, so
+    # the sweep reproduces each loop exactly, including the backward values
+    # that the loop sums over the edges entering each layer.
+    envs = make_envs()
+    assert sum(entered_from_two_layers(env.enumeration()) for env in envs) >= n_mixed
+    for seed, env in enumerate(envs):
+        enum, fwd, bwd = random_tables(env, seed=seed)
+        ref_b = edge_logs_backward(enum, bwd)
+        ref_f = edge_logs_forward(enum, fwd)
+        assert_same_bytes(visit_probabilities(enum, fwd), layer_loop_visits(enum, fwd))
+        for got, want in zip(forward_values(enum, fwd, ref_b, 0.7),
+                             layer_loop_forward_values(enum, fwd, ref_b, 0.7)):
+            assert_same_bytes(got, want)
+        for got, want in zip(backward_values(enum, bwd, ref_f),
+                             layer_loop_backward_values(enum, bwd, ref_f)):
+            assert_same_bytes(got, want)
+        for table in (None, bwd):
+            _, bwd_used, _, log_flow = flow_from_rewards(enum, bwd_log=table)
+            assert_same_bytes(log_flow, np.log(layer_loop_flows(enum, bwd_used)))

@@ -660,6 +660,26 @@ def test_cli_rejects_a_non_finite_reward_table_line(tmp_path):
     assert proc.stderr == f"error: {table}:5: reward 'nan' is not finite\n"
 
 
+@pytest.mark.parametrize("settings, message", [
+    # Each reward is finite, but the 256 of them total more than float64 holds.
+    ("env = grid\nd = 2\nn = 16\nr0 = 1e307\n",
+     "the rewards of the 256 terminal states total more than float64 holds; "
+     "lower r0, r1 and r2"),
+    ("env = grid\nr0 = 1e308\nr1 = 1e308\n",
+     "grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive and finite"),
+    ("env = sequence\nd = 3\nn = 3\nbeta = -1000\n",
+     "beta = -1000.0 overflows float64 in the synthetic reward scores"),
+], ids=["grid-total", "grid-reward", "sequence-beta"])
+def test_cli_rejects_rewards_that_overflow_before_training(tmp_path, settings, message):
+    # A fresh process, so that any numpy warning would reach stderr.
+    cfg_path = write_cfg(tmp_path, settings + "tabular = on\niterations = 3\n")
+    proc = run_python(["-m", "gflow", "run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")], 1, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "strategy = nope\n")
     assert main(["run", "--config", str(cfg_path)]) == 2

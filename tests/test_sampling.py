@@ -9,13 +9,13 @@ from gflow.envs import HyperGrid, SequenceEnv, random_dag, random_graded_dag
 from gflow.errors import ContractError, NumericFault
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import (
-    MixtureSchedule,
     ReplayBuffer,
     Trajectory,
     sample_backward,
     sample_forward,
     sample_rows,
 )
+from gflow.training import Trainer, TrainerConfig
 from oracles import random_suite, synthetic_env
 from test_envs import (
     backward_slot,
@@ -292,10 +292,14 @@ def test_backward_sampler_rejects_non_finite_probabilities():
 
 
 def test_mixture_schedule():
-    sched = MixtureSchedule(gamma=0.9)
-    assert sched.eps(0) == 1.0
-    assert sched.eps(1) == pytest.approx(0.9)
-    assert sched.eps(10) == pytest.approx(0.9 ** 10)
+    # Trainer.step samples the balance strategies' batches with exploration
+    # weight gamma ** iteration and reports it; the RL rows sample on-policy.
+    env = HyperGrid(2, 3)
+    rng = np.random.default_rng(0)
+    for strategy, want in (("TB-U", [1.0, 0.9, 0.9 ** 2]), ("RL-U", [0.0, 0.0, 0.0])):
+        cfg = TrainerConfig(strategy=strategy, batch_size=4, gamma=0.9, tabular=True)
+        trainer = Trainer(env, cfg, rng)
+        assert [trainer.step(rng)["eps"] for _ in range(3)] == want
 
 
 def test_replay_buffer_fifo():

@@ -29,7 +29,6 @@ from gflow.envs import (
 from gflow.errors import ConfigError
 from gflow.exact import (
     advantages,
-    backward_log_table,
     edge_logs_backward,
     flow_from_rewards,
     forward_values,
@@ -61,6 +60,7 @@ from gflow.training import (
     trpo_step,
 )
 from oracles import (
+    backward_log_table,
     enumerate_paths,
     exact_logit_gradient,
     path_log_prob,
@@ -670,13 +670,14 @@ def test_trainer_components_and_steps(strategy):
     assert (trainer.suite.value_b is not None) == need_vb
     assert (trainer.suite.state_flow is not None) == need_flow
     assert ("policy_b" in trainer.optimizers) == learned_b
-    assert (trainer.mixture is not None) == strategy.startswith(("TB", "DB"))
     if strategy == "RL-G":
         assert isinstance(trainer.guide, HyperGridGuide)
 
     rng = np.random.default_rng(20)
-    for _ in range(2):
+    for it in range(2):
         stats = trainer.step(rng)
+        # Only the balance strategies sample from the exploration mixture.
+        assert stats["eps"] == (cfg.gamma ** it if strategy.startswith(("TB", "DB")) else 0.0)
         assert np.isfinite(stats["loss"])
         assert len(stats["batch"]) == 8
         # Only the trust-region step reports its KL and step scale.
