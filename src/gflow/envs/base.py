@@ -22,7 +22,7 @@ import weakref
 
 import numpy as np
 
-from ..errors import EnumerationLimit
+from ..errors import ConfigError, EnumerationLimit
 
 ENUMERATION_CAP = 2_000_000
 MIN_REWARD = 1e-6
@@ -128,7 +128,8 @@ class Enumeration:
     layer: the exact layer sweep walks these slices in either direction.
     The exact-evaluation routines and tabular policies all work in this
     index space.  An env of more than ENUMERATION_CAP states raises
-    EnumerationLimit before any state row exists.
+    EnumerationLimit before any state row exists, and rewards whose total
+    overflows float64 raise ConfigError.
     """
 
     def __init__(self, env):
@@ -148,6 +149,11 @@ class Enumeration:
         self._terminal_slots = env.terminal_slots(self.states)
         self.terminal = self._terminal_slots >= 0
         self.log_rewards = env.log_rewards(self.states)
+        with np.errstate(over="ignore"):
+            self._partition = float(np.exp(self.log_rewards[self.terminal]).sum())
+        if self._partition == np.inf:
+            raise ConfigError(f"the rewards of the {int(self.terminal.sum())} terminal "
+                              "states total more than float64 holds")
         self._action_masks = env.action_masks(self.states)
         interior = self._action_masks.copy()
         term = np.flatnonzero(self.terminal)
@@ -190,6 +196,7 @@ class Enumeration:
         return self._terminal_slots
 
     def rewards(self):
+        """Per-state rewards, 0 off the terminals; fresh, as flow_from_rewards sweeps into it."""
         r = np.zeros(self.n)
         mask = self.terminal
         r[mask] = np.exp(self.log_rewards[mask])
@@ -197,4 +204,4 @@ class Enumeration:
 
     def partition(self):
         """Total reward mass Z* = sum of R over terminal-capable states."""
-        return float(np.exp(self.log_rewards[self.terminal]).sum())
+        return self._partition

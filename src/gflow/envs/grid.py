@@ -24,6 +24,10 @@ class HyperGrid(DagEnv):
         if self.d < 1 or self.n < 2:
             raise ConfigError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
         self.r0, self.r1, self.r2 = float(r0), float(r1), float(r2)
+        levels = (self.r0, self.r0 + self.r1, self.r0 + self.r1 + self.r2)
+        if not all(0.0 < r < np.inf for r in levels):
+            raise ConfigError("grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive "
+                              "and finite")
         self.width = self.d
         self.root = np.zeros(self.d, dtype=np.intp)
         self.graded = False

@@ -11,6 +11,7 @@ sharpens with an exponent and rescales into [r_min, r_max].
 """
 
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -179,27 +180,28 @@ def load_reward_table(path):
     entries = {}
     d = None
     try:
-        fh = open(path)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as err:
         raise ConfigError(f"{path}: cannot read reward table: {err.strerror}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sym_part, r_part = line.split("\t")
-                seq = tuple(int(c) for c in sym_part.split(","))
-                r = float(r_part)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: bad reward-table line {line!r}") from e
-            if not np.isfinite(r):
-                raise ConfigError(f"{path}:{lineno}: reward {r_part!r} is not finite")
-            if d is None:
-                d = len(seq)
-            elif len(seq) != d:
-                raise ConfigError(f"{path}:{lineno}: sequence length {len(seq)} != {d}")
-            entries[seq] = r
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: reward table is not UTF-8 text") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sym_part, r_part = line.split("\t")
+            seq = tuple(int(c) for c in sym_part.split(","))
+            r = float(r_part)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: bad reward-table line {line!r}") from e
+        if not np.isfinite(r):
+            raise ConfigError(f"{path}:{lineno}: reward {r_part!r} is not finite")
+        if d is None:
+            d = len(seq)
+        elif len(seq) != d:
+            raise ConfigError(f"{path}:{lineno}: sequence length {len(seq)} != {d}")
+        entries[seq] = r
     if not entries:
         raise ConfigError(f"{path}: empty reward table")
     n = max(max(seq) for seq in entries) + 1

@@ -78,13 +78,6 @@ def step_batch(trajectories):
     )
 
 
-def _reduce(tape, per_traj_sq, weights):
-    if weights is None:
-        return ad.mean(tape, per_traj_sq)
-    w = np.asarray(weights, dtype=np.float64)
-    return ad.sum(tape, ad.mul(tape, per_traj_sq, ad.Tensor(w)))
-
-
 def tb_loss(tape, sb, suite, weights=None):
     """Mean squared trajectory-balance residual
     (log Z + log P_F(tau) - log P_B(tau|x) - log R(x))^2.
@@ -101,7 +94,10 @@ def tb_loss(tape, sb, suite, weights=None):
         sum_b = ad.Tensor(np.zeros(sb.n_traj))
     ratio = ad.sub(tape, ad.add(tape, sum_f, suite.log_z.value),
                    ad.add(tape, sum_b, ad.Tensor(sb.log_rewards)))
-    return _reduce(tape, ad.square(tape, ratio), weights)
+    sq = ad.square(tape, ratio)
+    if weights is None:
+        return ad.mean(tape, sq)
+    return ad.sum(tape, ad.mul(tape, sq, ad.Tensor(np.asarray(weights, dtype=np.float64))))
 
 
 def _flow_values(tape, suite, states):
@@ -121,7 +117,7 @@ def _flow_values(tape, suite, states):
     return ad.add(tape, ad.mul(tape, out, ad.Tensor(keep)), ad.Tensor(pinned))
 
 
-def db_loss(tape, sb, suite, weights=None):
+def db_loss(tape, sb, suite):
     """Detailed-balance residuals summed over each trajectory's edges.
 
     Interior edge s -> s':  log F(s) pi_F(s,a) - log F(s') pi_B(s',a).
@@ -147,7 +143,7 @@ def db_loss(tape, sb, suite, weights=None):
     rhs_parts[sb.terminal] = sb.log_rewards
     resid = ad.sub(tape, lhs, ad.add(tape, rhs, ad.Tensor(rhs_parts)))
     per_traj = ad.segment_sum(tape, ad.square(tape, resid), sb.traj, sb.n_traj)
-    return _reduce(tape, per_traj, weights)
+    return ad.mean(tape, per_traj)
 
 
 def subtb_weights(n_edges, base):
@@ -158,7 +154,7 @@ def subtb_weights(n_edges, base):
     return pairs, w / w.sum()
 
 
-def subtb_loss(tape, sb, suite, weight_base=0.9, weights=None):
+def subtb_loss(tape, sb, suite, weight_base=0.9):
     """Sub-trajectory balance over all layer spans of graded trajectories.
 
     Span (i, j) compares F(s_i) plus forward transport against F(s_j) plus
@@ -207,7 +203,7 @@ def subtb_loss(tape, sb, suite, weight_base=0.9, weights=None):
     per_traj = ad.segment_sum(
         tape, ad.mul(tape, ad.square(tape, resid), ad.Tensor(w_full)),
         bucket_traj, sb.n_traj)
-    return _reduce(tape, per_traj, weights)
+    return ad.mean(tape, per_traj)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ Every emitted number except the seconds column is a deterministic function
 of (config, seed); set timing = off for byte-identical reruns.
 """
 
-import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +20,9 @@ from . import exact
 from .autodiff import BLOCK
 from .envs import ENUMERATION_CAP, HyperGrid, SequenceEnv, load_reward_table, synthetic_rewards
 from .errors import ConfigError, EnumerationLimit
-from .training import ROSTER, STRATEGIES, Trainer, TrainerConfig
+from .training import FIELD_KEYS, ROSTER, Trainer, TrainerConfig
 
 HEADER = "iter,loss,d_tv,d_jsd,acc,modes,seconds"
-
-# Config keys that differ from their field names.
-_KEY_TO_FIELD = {"lambda": "lam", "batch": "batch_size"}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 # Memory plan, in bytes: per enumerated state (its row, position entry,
 # terminal slot, log reward and encoding scratch), per (state, forward
@@ -57,8 +52,10 @@ SAMPLE_ENTRY_BYTES = 2 * 8
 EVAL_BLOCK_BYTES = 5 * 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(TrainerConfig):
+    """A run's settings; grid rewards are checked by HyperGrid, their total by Enumeration."""
+
     env: str = "grid"
     d: int = 2
     n: int = 8
@@ -72,13 +69,42 @@ class RunConfig(TrainerConfig):
     eval_every: int = 10
     seeds: tuple = (0,)
     out: str = "runs"
-    mode_samples: int = 0
+    mode_samples: int = 0  # 0: as many as the batch
     timing: bool = True
+
+    _FLOATS = TrainerConfig._FLOATS + ("beta", "r0", "r1", "r2")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.env not in ("grid", "sequence"):
+            raise ConfigError(f"unknown env {self.env!r}; choose grid or sequence")
+        if ROSTER[self.strategy].graded and self.env == "grid":
+            raise ConfigError(f"{self.strategy} requires equal-length trajectories; "
+                              "the grid environment is not graded")
+        if self.eval_every < 1:
+            raise ConfigError("eval_every must be at least 1")
+        if self.d < 1 or self.n < 2:
+            raise ConfigError("need d >= 1 and n >= 2")
+        for name in ("iterations", "mode_samples", "reward_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if not self.seeds:
+            raise ConfigError("seeds must not be empty")
+        for i, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ConfigError(f"seed must be nonnegative, got {seed}")
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seed {seed} is repeated; each seed writes one CSV and "
+                                  "one .params file")
 
     @property
     def batch(self):
         # Read by perfbench/workloads.py, which builds its own TrainerConfig.
         return self.batch_size
+
+
+# Each config key's field, by the key's name.
+_FIELDS = {FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
 
 
 def _convert(key, value, default):
@@ -100,8 +126,7 @@ def _convert(key, value, default):
 
 
 def parse_config_text(text):
-    cfg = RunConfig()
-    keys = {_FIELD_TO_KEY.get(f.name, f.name) for f in fields(RunConfig)}
+    values = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,85 +136,27 @@ def parse_config_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in keys:
+        field = _FIELDS.get(key)
+        if field is None:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
-        name = _KEY_TO_FIELD.get(key, key)
         try:
-            setattr(cfg, name, _convert(key, value, getattr(cfg, name)))
+            values[field.name] = _convert(key, value, field.default)
         except ValueError as err:
             raise ConfigError(f"config line {ln}: bad value for {key!r}: {err}") from None
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def _read_text(path, what):
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"{path}: cannot read {what}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: {what} is not UTF-8 text") from None
 
 
 def parse_config(path):
     return parse_config_text(_read_text(path, "config file"))
-
-
-def validate_config(cfg):
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{_FIELD_TO_KEY.get(f.name, f.name)} must be finite, got {value}")
-    if cfg.strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {cfg.strategy!r}; "
-                          f"choose from {', '.join(STRATEGIES)}")
-    if cfg.env not in ("grid", "sequence"):
-        raise ConfigError(f"unknown env {cfg.env!r}; choose grid or sequence")
-    if ROSTER[cfg.strategy].graded and cfg.env == "grid":
-        raise ConfigError(f"{cfg.strategy} requires equal-length trajectories; "
-                          "the grid environment is not graded")
-    for name in ("lr_policy", "lr_value", "lr_logz"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    if cfg.iterations < 0:
-        raise ConfigError("iterations must be nonnegative")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch must be at least 1")
-    if not 0.0 <= cfg.lam <= 1.0:
-        raise ConfigError("lambda must lie in [0, 1]")
-    if cfg.zeta <= 0:
-        raise ConfigError("zeta must be positive")
-    if not 0.0 < cfg.gamma <= 1.0:
-        raise ConfigError("gamma must lie in (0, 1]")
-    if cfg.eval_every < 1:
-        raise ConfigError("eval_every must be at least 1")
-    if cfg.d < 1 or cfg.n < 2:
-        raise ConfigError("need d >= 1 and n >= 2")
-    grid_rewards = (cfg.r0, cfg.r0 + cfg.r1, cfg.r0 + cfg.r1 + cfg.r2)
-    if cfg.env == "grid" and (min(grid_rewards) <= 0 or max(grid_rewards) == math.inf):
-        raise ConfigError("grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive "
-                          "and finite")
-    if cfg.guide_eps < 0:
-        raise ConfigError("guide_eps must be nonnegative")
-    if cfg.subtb_base <= 0:
-        raise ConfigError("subtb_base must be positive")
-    if any(width < 1 for width in cfg.hidden):
-        raise ConfigError(f"hidden layer widths must be at least 1, got {cfg.hidden}")
-    if cfg.mode_samples < 0:
-        raise ConfigError("mode_samples must be nonnegative (0 means batch)")
-    if cfg.reward_seed < 0:
-        raise ConfigError(f"reward_seed must be nonnegative, got {cfg.reward_seed}")
-    if not cfg.seeds:
-        raise ConfigError("seeds must not be empty")
-    for i, seed in enumerate(cfg.seeds):
-        _check_seed(seed)
-        if seed in cfg.seeds[:i]:
-            raise ConfigError(f"seed {seed} is repeated; each seed writes one CSV and "
-                              "one .params file")
-    return cfg
-
-
-def _check_seed(seed):
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
 def _check_fits(planned, what):
@@ -320,8 +287,7 @@ def run(cfg, seed=None, out=None):
     for parallel seeds, start one `gflow run --seed k` process per seed.
     """
     if seed is not None:
-        _check_seed(seed)
-    seeds = [seed] if seed is not None else list(cfg.seeds)
+        cfg = replace(cfg, seeds=(seed,))
     env = build_env(cfg)
     check_memory(cfg, env)
     try:
@@ -330,19 +296,12 @@ def run(cfg, seed=None, out=None):
         enum = env.enumeration()
     except EnumerationLimit:
         enum = None
-    if enum is not None:
-        with np.errstate(over="ignore"):
-            total = enum.partition()
-        if total == math.inf:
-            names = "r0, r1 and r2" if cfg.env == "grid" else "the reward table's entries"
-            raise ConfigError(f"the rewards of the {int(enum.terminal.sum())} terminal "
-                              f"states total more than float64 holds; lower {names}")
     out_dir = Path(out if out is not None else cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"{out_dir}: cannot create output directory: {err.strerror}") from None
-    return [run_seed(cfg, env, s, out_dir, enum) for s in seeds]
+    return [run_seed(cfg, env, s, out_dir, enum) for s in cfg.seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ backward-sampled trajectories against the forward policy or a guide.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -301,8 +302,14 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
 # Trainer
 # ---------------------------------------------------------------------------
 
-@dataclass
+# Config-file keys that differ from their field names; messages name the key.
+FIELD_KEYS = {"lam": "lambda", "batch_size": "batch"}
+
+
+@dataclass(frozen=True)
 class TrainerConfig:
+    """Training settings, checked on construction."""
+
     strategy: str = "TB-U"
     batch_size: int = 128
     lam: float = 0.99
@@ -315,6 +322,32 @@ class TrainerConfig:
     hidden: tuple = (64, 64)
     tabular: bool = False
     guide_eps: float = 1e-5
+
+    # The fields that must be finite; a class attribute, as it has no annotation.
+    _FLOATS = ("lam", "gamma", "zeta", "lr_policy", "lr_value", "lr_logz", "subtb_base",
+               "guide_eps")
+
+    def __post_init__(self):
+        for name in self._FLOATS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{FIELD_KEYS.get(name, name)} must be finite, got {value}")
+        if self.strategy not in ROSTER:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; "
+                              f"choose from {', '.join(STRATEGIES)}")
+        if self.batch_size < 1:
+            raise ConfigError("batch must be at least 1")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigError("lambda must lie in [0, 1]")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError("gamma must lie in (0, 1]")
+        for name in ("zeta", "lr_policy", "lr_value", "lr_logz", "subtb_base"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden layer widths must be at least 1, got {self.hidden}")
+        if self.guide_eps < 0:
+            raise ConfigError("guide_eps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -397,10 +430,7 @@ class Trainer:
     """
 
     def __init__(self, env, cfg, rng, suite=None, guide=None):
-        row = ROSTER.get(cfg.strategy)
-        if row is None:
-            raise ConfigError(f"unknown strategy {cfg.strategy!r}; "
-                              f"choose from {', '.join(STRATEGIES)}")
+        row = ROSTER[cfg.strategy]
         if row.graded and not env.graded:
             raise ConfigError(f"{cfg.strategy} needs a graded environment "
                               "(equal-length trajectories)")

@@ -394,6 +394,21 @@ def test_grid_rejects_degenerate_sizes():
         HyperGrid(2, 1)
 
 
+@pytest.mark.parametrize("levels", [{"r0": -1.0}, {"r0": 0.0}, {"r1": -0.6}, {"r2": -3.0},
+                                    {"r0": float("nan")}, {"r1": float("inf")},
+                                    {"r0": 1e308, "r1": 1e308}])
+def test_grid_rejects_reward_levels_that_are_not_positive_and_finite(levels):
+    with pytest.raises(ConfigError, match="grid rewards r0, r0 \\+ r1 and r0 \\+ r1 \\+ r2"):
+        HyperGrid(2, 8, **levels)
+
+
+def test_enumeration_rejects_rewards_whose_total_overflows():
+    # Each reward is finite, but the 256 of them total more than float64 holds.
+    env = HyperGrid(2, 16, r0=1e307)
+    with pytest.raises(ConfigError, match="256 terminal states total more than float64"):
+        env.enumeration()
+
+
 # -- sequences -----------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,29 @@ def test_parse_config_defaults():
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        parse_config_text(text)
+        cfg = parse_config_text(text)
+        # Only the grid's reward levels pass parsing: HyperGrid checks them.
+        assert fragment == "grid rewards"
+        build_env(cfg)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: RunConfig(strategy="bogus"), "unknown strategy 'bogus'"),
+    (lambda: RunConfig(batch_size=0), "batch must be at least 1"),
+    (lambda: TrainerConfig(batch_size=0), "batch must be at least 1"),
+    (lambda: TrainerConfig(gamma=2.0), r"gamma must lie in \(0, 1\]"),
+    (lambda: RunConfig(strategy="RL-U", lam=5.0), r"lambda must lie in \[0, 1\]"),
+], ids=["run-strategy", "run-batch", "trainer-batch", "trainer-gamma", "run-lambda"])
+def test_configs_built_through_the_api_are_checked(make, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        make()
+
+
+def test_configs_are_frozen():
+    with pytest.raises(FrozenInstanceError):
+        RunConfig().batch_size = 4
+    with pytest.raises(FrozenInstanceError):
+        TrainerConfig().lam = 0.5
 
 
 def test_build_env_uses_reward_table(tmp_path):
@@ -532,7 +554,7 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
     # The same four models as (64, 64) Mlps on the 30-wide encoding: each
     # layer holds (fan_in + 1) * fan_out weights and biases, and an
     # evaluation block 32 768 // 64 rows of 64 entries.
-    cfg.tabular = False
+    cfg = replace(cfg, tabular=False)
     mlp = sum(31 * 64 + 65 * 64 + 65 * k for k in (a, b, 1, 1))
     assert check_memory(cfg, env) == \
         s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * mlp \
@@ -543,7 +565,7 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
         check_memory(big, SequenceEnv(9, 4, np.ones(4 ** 9)))
     # Between two 100 000-wide hidden layers sit 10**10 weights, 80 GB: the
     # plan counts them, and refuses them, without building anything.
-    cfg.hidden = (100000, 100000)
+    cfg = replace(cfg, hidden=(100000, 100000))
     wide = sum(31 * 100000 + 100001 * 100000 + 100001 * k for k in (a, b, 1, 1))
     with pytest.raises(ConfigError, match="exceeds physical memory"):
         check_memory(cfg, env)
@@ -554,7 +576,7 @@ def test_memory_plan_is_the_documented_arithmetic(monkeypatch):
         + sampled + runner.EVAL_BLOCK_BYTES * 100000
     # Narrower than the 30-wide encoding, an Mlp block is as wide as its
     # input: the backward policy's, widest output 8, is the largest.
-    cfg.hidden = (8, 8)
+    cfg = replace(cfg, hidden=(8, 8))
     narrow = sum(31 * 8 + 9 * 8 + 9 * k for k in (a, b, 1, 1))
     assert check_memory(cfg, env) == \
         s * (runner.STATE_BYTES + runner.SLOT_BYTES * a) + runner.TABULAR_ENTRY_BYTES * narrow \
@@ -663,8 +685,7 @@ def test_cli_rejects_a_non_finite_reward_table_line(tmp_path):
 @pytest.mark.parametrize("settings, message", [
     # Each reward is finite, but the 256 of them total more than float64 holds.
     ("env = grid\nd = 2\nn = 16\nr0 = 1e307\n",
-     "the rewards of the 256 terminal states total more than float64 holds; "
-     "lower r0, r1 and r2"),
+     "the rewards of the 256 terminal states total more than float64 holds"),
     ("env = grid\nr0 = 1e308\nr1 = 1e308\n",
      "grid rewards r0, r0 + r1 and r0 + r1 + r2 must be positive and finite"),
     ("env = sequence\nd = 3\nn = 3\nbeta = -1000\n",
@@ -721,6 +742,32 @@ def test_cli_run_missing_reward_table(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(missing) in err
+
+
+# Bytes that are not UTF-8 text: an ELF header, then every byte value.
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(NOT_UTF8)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: config file is not UTF-8 text\n"
+
+
+def test_cli_summarize_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_bytes(NOT_UTF8)
+    assert main(["summarize", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: metrics file is not UTF-8 text\n"
+
+
+def test_cli_rejects_a_reward_table_that_is_not_utf8(tmp_path, capsys):
+    table = tmp_path / "rewards.tsv"
+    table.write_bytes(NOT_UTF8)
+    cfg_path = write_cfg(tmp_path, f"env = sequence\nd = 2\nn = 3\nreward_table = {table}\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {table}: reward table is not UTF-8 text\n"
 
 
 def test_cli_summarize_missing_file(tmp_path, capsys):
