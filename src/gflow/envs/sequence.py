@@ -22,6 +22,12 @@ EMPTY = -1
 SCORE_BLOCK = 256  # sequences scored at once by synthetic_rewards
 
 
+def _check_size(d, n):
+    """Raise ConfigError unless there is at least one position and two symbols."""
+    if d < 1 or n < 2:
+        raise ConfigError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
+
+
 class SequenceEnv(DagEnv):
     """Sequences of length d over n symbols, filled in any slot order.
 
@@ -33,8 +39,7 @@ class SequenceEnv(DagEnv):
     def __init__(self, d, n, rewards):
         self.d = int(d)
         self.n = int(n)
-        if self.d < 1 or self.n < 2:
-            raise ConfigError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
+        _check_size(self.d, self.n)
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         if rewards.size != self.n ** self.d:
             raise ConfigError(
@@ -137,8 +142,10 @@ def synthetic_rewards(d, n, seed, beta=3.0, r_min=1e-3, r_max=10.0, n_modes=None
     distance around the modes, sharpens with exponent beta and affinely
     rescales so the table maximum is exactly r_max and the minimum r_min.
     Sequences are scored SCORE_BLOCK at a time, so the distances to the
-    modes never exist for the whole table at once.
+    modes never exist for the whole table at once.  d and n are checked as
+    SequenceEnv checks them.
     """
+    _check_size(d, n)
     total = n ** d
     if n_modes is None:
         n_modes = int(np.clip(total // 100, 2, 60))

@@ -12,7 +12,8 @@ backward-sampled trajectories against the forward policy or a guide.
 
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
 
@@ -306,9 +307,32 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
 FIELD_KEYS = {"lam": "lambda", "batch_size": "batch"}
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_type(key, value, default):
+    """Raise ConfigError unless value has the kind of its field's default: a
+    bool, an integer, a real number, a tuple of integers or a string."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, (bool, np.bool_)), "a bool"
+    elif isinstance(default, int):
+        ok, kind = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok, kind = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, tuple) and all(_is_int(v) for v in value)
+        kind = "a tuple of integers"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Training settings, checked on construction."""
+    """Training settings, checked on construction: every field, a subclass's
+    too, must have its default's type before any value is compared."""
 
     strategy: str = "TB-U"
     batch_size: int = 128
@@ -328,6 +352,8 @@ class TrainerConfig:
                "guide_eps")
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_type(FIELD_KEYS.get(f.name, f.name), getattr(self, f.name), f.default)
         for name in self._FLOATS:
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -508,6 +508,16 @@ def test_synthetic_rewards_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("d, n", [(-1, 4), (3, 0), (2, -1), (0, 4)])
+def test_synthetic_rewards_checks_size_as_the_env_does(d, n):
+    with pytest.raises(ConfigError) as from_rewards:
+        synthetic_rewards(d, n, seed=0)
+    with pytest.raises(ConfigError) as from_env:
+        SequenceEnv(d, n, [1.0])
+    assert str(from_rewards.value) == str(from_env.value) == \
+        f"need d >= 1 and n >= 2, got d={d}, n={n}"
+
+
 def test_synthetic_rewards_rescaled_exactly():
     t = synthetic_rewards(3, 4, seed=7, r_min=1e-3, r_max=10.0)
     assert t.shape == (64,)

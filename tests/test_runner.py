@@ -146,7 +146,14 @@ def test_parse_config_rejects(text, fragment):
     (lambda: TrainerConfig(batch_size=0), "batch must be at least 1"),
     (lambda: TrainerConfig(gamma=2.0), r"gamma must lie in \(0, 1\]"),
     (lambda: RunConfig(strategy="RL-U", lam=5.0), r"lambda must lie in \[0, 1\]"),
-], ids=["run-strategy", "run-batch", "trainer-batch", "trainer-gamma", "run-lambda"])
+    (lambda: TrainerConfig(batch_size=2.5), "batch must be an integer, got 2.5"),
+    (lambda: RunConfig(d=2.5), "d must be an integer, got 2.5"),
+    (lambda: TrainerConfig(hidden=5), "hidden must be a tuple of integers, got 5"),
+    (lambda: RunConfig(seeds=3), "seeds must be a tuple of integers, got 3"),
+    (lambda: TrainerConfig(lam="0.5"), "lambda must be a number, got '0.5'"),
+    (lambda: TrainerConfig(tabular="no"), "tabular must be a bool, got 'no'"),
+], ids=["run-strategy", "run-batch", "trainer-batch", "trainer-gamma", "run-lambda",
+        "float-batch", "float-d", "int-hidden", "int-seeds", "str-lambda", "str-tabular"])
 def test_configs_built_through_the_api_are_checked(make, fragment):
     with pytest.raises(ConfigError, match=fragment):
         make()
