@@ -1,13 +1,17 @@
 """Exact evaluation on enumerable environments by dynamic programming.
 
-Everything here works on the Enumeration index: policies become dense
-(state x slot) log-probability tables, and all quantities (terminating
+Everything here works on the Enumeration index.  Policies are dense
+(state x slot) log-probability tables, and the recurrences read them in
+edge form: one gather per table onto the interior edges (and, for a
+forward table, the stop hops of the terminal-capable states), then one
+sweep over the topological layers, root first or deepest first, that sums
+per state over the edges leaving each layer.  Values come back per state
+and Q per edge or hop, never as a dense table.  All quantities (terminating
 distribution, state values, accumulated state distribution, metrics) are
-computed by one sweep over the topological layers, root first or deepest
-first, that sums per state over the edges leaving each layer.  These
-routines are the measurement instruments for the whole library.  Training
-builds on them too: the grid guide's backward kernel and the theorem-bound
-audit use them, and so do the runner's eval rows.
+computed this way.  These routines are the measurement instruments for
+the whole library.  Training builds on them too: the grid guide's backward
+kernel and the theorem-bound audit use them, and so do the runner's eval
+rows.
 """
 
 import numpy as np
@@ -39,6 +43,22 @@ def edge_logs_backward(enum, bwd_log):
     return bwd_log[enum.edge_dst, enum.edge_bslot]
 
 
+def hop_sources(enum):
+    """Source state of every forward hop: the interior edges in edge order,
+    then the stop hop of each terminal-capable state in position order."""
+    return np.concatenate([enum.edge_src, np.flatnonzero(enum.terminal)])
+
+
+def forward_hops(enum, fwd_log):
+    """A forward table read once into hop form: (log pi_F, pi_F) per hop,
+    in hop_sources order.  The first len(enum.edge_src) entries are the
+    interior edges, the rest the stop hops."""
+    stops = np.flatnonzero(enum.terminal)
+    slots = np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
+    hop_log = fwd_log[hop_sources(enum), slots]
+    return hop_log, np.exp(hop_log)
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
@@ -68,16 +88,17 @@ def _sweep(enum, values, edge_p, edge_q=None, toward_root=False):
     return values
 
 
-def visit_probabilities(enum, fwd_log):
-    """P(trajectory passes through s) for every state; root gets 1."""
+def visit_probabilities(enum, edge_p):
+    """P(trajectory passes through s) for every state, from the forward
+    policy's per-edge probabilities; root gets 1."""
     reach = np.zeros(enum.n)
     reach[enum.root_index] = 1.0
-    return _sweep(enum, reach, np.exp(edge_logs_forward(enum, fwd_log)))
+    return _sweep(enum, reach, edge_p)
 
 
 def terminating_distribution(enum, fwd_log):
     """Exact P_F^T: probability of ending at each terminal-capable state."""
-    reach = visit_probabilities(enum, fwd_log)
+    reach = visit_probabilities(enum, np.exp(edge_logs_forward(enum, fwd_log)))
     pt = np.zeros(enum.n)
     idx = np.flatnonzero(enum.terminal)
     tslots = enum.terminal_slots()
@@ -100,51 +121,47 @@ def accumulated_distribution(enum, fwd_log):
     """
     if not enum.env.graded:
         raise ContractError("accumulated distribution requires a graded environment")
-    return visit_probabilities(enum, fwd_log) / len(enum.layers)
+    edge_p = np.exp(edge_logs_forward(enum, fwd_log))
+    return visit_probabilities(enum, edge_p) / len(enum.layers)
 
 
 # ---------------------------------------------------------------------------
 # State values
 # ---------------------------------------------------------------------------
 
-def forward_values(enum, fwd_log, ref_edge_logs, log_z):
+def forward_values(enum, hops, ref_edge_logs, log_z):
     """V and Q of the forward MDP with per-step rewards
     log pi_F(s,a) - ref(edge) on interior edges and
-    log pi_F(sink slot | x) - log R(x) + log Z on terminal edges.
+    log pi_F(stop | x) - log R(x) + log Z on stop hops.
 
-    ref_edge_logs is an array over the enumeration's interior edges: the
-    backward policy for the standard reward, a guide kernel for the guided
-    variant.  Returns (V, Q); invalid Q entries are 0.
+    hops is a forward table in hop form (forward_hops).  ref_edge_logs is
+    an array over the enumeration's interior edges: the backward policy for
+    the standard reward, a guide kernel for the guided variant.  The stop
+    hops seed V, and one sweep deepest first adds the edges.  Returns
+    (V, Q) with Q per hop, in hop_sources order.
     """
-    term = np.flatnonzero(enum.terminal)
-    tslots = enum.terminal_slots()[term]
-    q = np.zeros(fwd_log.shape)
-    q[term, tslots] = fwd_log[term, tslots] - enum.log_rewards[term] + log_z
+    hop_log, hop_p = hops
+    n_edges = len(enum.edge_src)
+    stops = np.flatnonzero(enum.terminal)
+    q = np.empty_like(hop_log)
+    np.subtract(hop_log[:n_edges], ref_edge_logs, out=q[:n_edges])
+    q[n_edges:] = hop_log[n_edges:] - enum.log_rewards[stops] + log_z
     v = np.zeros(enum.n)
-    v[term] = np.exp(fwd_log[term, tslots]) * q[term, tslots]
-    edge_lf = edge_logs_forward(enum, fwd_log)
-    edge_q = edge_lf - ref_edge_logs
-    _sweep(enum, v, np.exp(edge_lf), edge_q, toward_root=True)
-    q[enum.edge_src, enum.edge_slot] = edge_q
+    v[stops] = hop_p[n_edges:] * q[n_edges:]
+    _sweep(enum, v, hop_p[:n_edges], q[:n_edges], toward_root=True)
     return v, q
 
 
 def backward_values(enum, bwd_log, ref_edge_logs):
     """V and Q of the backward MDP with rewards
     log pi_B(s', b) - ref(edge) per interior edge, accumulated from x toward
-    the root; the root's value is pinned to 0.  The terminal hop carries no
-    backward reward.  Returns (V, Q) with Q over backward slots."""
+    the root by one sweep root first; the root's value is pinned to 0.  The
+    terminal hop carries no backward reward.  Returns (V, Q) with Q per
+    interior edge."""
     edge_lb = edge_logs_backward(enum, bwd_log)
     edge_q = edge_lb - ref_edge_logs
     v = _sweep(enum, np.zeros(enum.n), np.exp(edge_lb), edge_q)
-    q = np.zeros(bwd_log.shape)
-    q[enum.edge_dst, enum.edge_bslot] = edge_q
-    return v, q
-
-
-def advantages(v, q, masks):
-    """A = Q - V with invalid slots zeroed."""
-    return np.where(masks, q - v[:, None], 0.0)
+    return v, edge_q
 
 
 # ---------------------------------------------------------------------------

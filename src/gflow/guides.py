@@ -109,7 +109,8 @@ class HyperGridGuide(_MarkovGuide):
         adj[low, :stop] = pf[low, :stop] / denom[low, None]
         adj[low, stop] = self.eps / denom[low]
         with np.errstate(divide="ignore"):
-            reach = exact.visit_probabilities(enum, np.log(adj))
+            edge_logs = exact.edge_logs_forward(enum, np.log(adj))
+        reach = exact.visit_probabilities(enum, np.exp(edge_logs))
         table = np.full((enum.n, env.n_backward_slots), -np.inf)
         e = enum
         vals = reach[e.edge_src] * adj[e.edge_src, e.edge_slot] / reach[e.edge_dst]

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import exact
 from . import objectives as obj
 from .envs import HyperGrid, SequenceEnv
-from .errors import ConfigError, NumericFault
+from .errors import ConfigError, ContractError, NumericFault
 from .guides import HyperGridGuide, SequenceGuide
 from .policy import PolicySuite, make_suite, score_matrix
 from .sampling import ReplayBuffer, sample_backward, sample_forward
@@ -506,26 +506,40 @@ def check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
     Bound 2 (when a second forward table is supplied): the per-step change
     of J_F is at most the old-distribution expectation of the new policy's
     advantages plus zeta + eps_F * sqrt(2 zeta), where zeta is the
-    accumulated-distribution KL between new and old policies.
+    accumulated-distribution KL between new and old policies.  It needs a
+    graded environment.
 
     The policies are dense log tables over the enumeration (see
     exact.forward_log_table); the guide is a log table or a Markov guide.
-    Each bound holds up to BOUND_TOL.  Returns a report dict with both
-    sides and a boolean per bound.
+    Each forward table is read once into hop form (its interior edges and
+    stop hops) and swept once for its visit probabilities, which give both
+    P_F^T and the accumulated distribution.  The KL and the expected
+    advantage are sums over hops, per source state.  Each bound holds up to
+    BOUND_TOL.  Returns a report dict with both sides and a boolean per
+    bound.
     """
+    if forward_alt is not None and not env.graded:
+        raise ContractError("bound two needs the accumulated distribution, "
+                            "which requires a graded environment")
     enum = env.enumeration()
     g_table = guide if isinstance(guide, np.ndarray) else guide.backward_kernel()
     log_z = float(log_z)
     log_z_star = float(np.log(enum.partition()))
+    root = enum.root_index
+    n_edges = len(enum.edge_src)
+    stops = np.flatnonzero(enum.terminal)
 
     ref_b = exact.edge_logs_backward(enum, bwd_log)
     ref_g = exact.edge_logs_backward(enum, g_table)
     t_len = len(enum.layers)
 
-    v, q = exact.forward_values(enum, fwd_log, ref_b, log_z)
-    j_f = v[enum.root_index]
-    j_fg = exact.forward_values(enum, fwd_log, ref_g, log_z)[0][enum.root_index]
-    pt = exact.terminating_distribution(enum, fwd_log)
+    old_log, old_p = hops = exact.forward_hops(enum, fwd_log)
+    v, q = exact.forward_values(enum, hops, ref_b, log_z)
+    j_f = v[root]
+    j_fg = exact.forward_values(enum, hops, ref_g, log_z)[0][root]
+    reach = exact.visit_probabilities(enum, old_p[:n_edges])
+    pt = np.zeros(enum.n)
+    pt[stops] = reach[stops] * old_p[n_edges:]
     v_bg = exact.backward_values(enum, bwd_log, ref_g)[0]
     j_bg = float(pt @ v_bg)
     r_max = float(np.max(np.abs(ref_b - ref_g))) if ref_b.size else 0.0
@@ -542,16 +556,20 @@ def check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
     if forward_alt is None:
         return report
 
-    masks = enum.action_masks()
-    d_old = exact.accumulated_distribution(enum, fwd_log)
-    d_new = exact.accumulated_distribution(enum, forward_alt)
-    zeta = exact.policy_kl(forward_alt, fwd_log, d_new, masks)
-    a = exact.advantages(v, q, masks)
-    pi_new = np.where(masks, np.exp(forward_alt), 0.0)
-    ea_new = (pi_new * a).sum(axis=1)
+    new_log, new_p = hops_new = exact.forward_hops(enum, forward_alt)
+    j_new = exact.forward_values(enum, hops_new, ref_b, log_z)[0][root]
+    d_old = reach / t_len
+    d_new = exact.visit_probabilities(enum, new_p[:n_edges]) / t_len
+    src = exact.hop_sources(enum)
+    # Hops the new policy never takes add nothing, even where both logs are -inf.
+    kl = np.subtract(new_log, old_log, out=np.zeros_like(new_log), where=new_p > 0)
+    kl *= new_p
+    zeta = float(d_new @ np.bincount(src, kl, minlength=enum.n))
+    q -= v[src]  # each hop's advantage under the old policy
+    q *= new_p
+    ea_new = np.bincount(src, q, minlength=enum.n)
     expected = float(d_old @ ea_new)
     eps_f = float(np.abs(ea_new).max())
-    j_new = exact.forward_values(enum, forward_alt, ref_b, log_z)[0][enum.root_index]
     lhs2 = (j_new - j_f) / t_len
     rhs2 = expected + zeta + eps_f * np.sqrt(2.0 * zeta)
     report["theorem2"] = {

@@ -8,17 +8,22 @@ the guided balance loss and the per-trajectory guide conditional.  The
 acceptance criteria hold the library to them, so they live here and not
 in gflow.  The layer-loop references keep the exact layer's recurrences
 in the form they had before one sweep replaced them: a hand-written loop
-each, with backward values summed over the edges entering each layer.
+each, with backward values summed over the edges entering each layer, and
+Q as a dense (state x slot) table.  The dense wrappers scatter the exact
+layer's per-edge Q into such tables, and dense_check_theorem_bounds is the
+theorem audit as it was over dense tables, before it read each table once
+into edge form.
 """
 
 import numpy as np
 
 from gflow import autodiff as ad
+from gflow import exact
 from gflow.envs import SequenceEnv, synthetic_rewards
-from gflow.exact import edge_logs_backward, edge_logs_forward
+from gflow.exact import edge_logs_backward, edge_logs_forward, hop_sources
 from gflow.policy import make_suite
 from gflow.sampling import Trajectory
-from gflow.training import forward_advantages, surrogate_loss
+from gflow.training import BOUND_TOL, forward_advantages, surrogate_loss
 
 
 def synthetic_env(d, n, seed):
@@ -243,3 +248,86 @@ def layer_loop_flows(enum, bwd_log):
     for e in reversed(layer_edges(enum)):
         np.add.at(flow, enum.edge_src[e], edge_pb[e] * flow[enum.edge_dst[e]])
     return flow
+
+
+def dense_forward_values(enum, fwd_log, ref_edge_logs, log_z):
+    """exact.forward_values on a dense forward table, with its per-hop Q
+    scattered into a dense (state x slot) table, 0 on invalid slots."""
+    v, hop_q = exact.forward_values(enum, exact.forward_hops(enum, fwd_log),
+                                    ref_edge_logs, log_z)
+    stops = np.flatnonzero(enum.terminal)
+    slots = np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
+    q = np.zeros(fwd_log.shape)
+    q[hop_sources(enum), slots] = hop_q
+    return v, q
+
+
+def dense_backward_values(enum, bwd_log, ref_edge_logs):
+    """exact.backward_values with its per-edge Q scattered into a dense
+    (state x backward slot) table, 0 on invalid slots."""
+    v, edge_q = exact.backward_values(enum, bwd_log, ref_edge_logs)
+    q = np.zeros(bwd_log.shape)
+    q[enum.edge_dst, enum.edge_bslot] = edge_q
+    return v, q
+
+
+def table_visits(enum, fwd_log):
+    """exact.visit_probabilities of a dense forward table."""
+    return exact.visit_probabilities(enum, np.exp(edge_logs_forward(enum, fwd_log)))
+
+
+def advantages(v, q, masks):
+    """A = Q - V with invalid slots zeroed, over dense tables."""
+    return np.where(masks, q - v[:, None], 0.0)
+
+
+def dense_check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
+    """training.check_theorem_bounds over dense (state x slot) Q, KL and
+    advantage tables, each value sweep and visit sweep run afresh."""
+    enum = env.enumeration()
+    g_table = guide if isinstance(guide, np.ndarray) else guide.backward_kernel()
+    log_z = float(log_z)
+    log_z_star = float(np.log(enum.partition()))
+
+    ref_b = exact.edge_logs_backward(enum, bwd_log)
+    ref_g = exact.edge_logs_backward(enum, g_table)
+    t_len = len(enum.layers)
+
+    v, q = layer_loop_forward_values(enum, fwd_log, ref_b, log_z)
+    j_f = v[enum.root_index]
+    j_fg = layer_loop_forward_values(enum, fwd_log, ref_g, log_z)[0][enum.root_index]
+    pt = exact.terminating_distribution(enum, fwd_log)
+    v_bg = layer_loop_backward_values(enum, bwd_log, ref_g)[0]
+    j_bg = float(pt @ v_bg)
+    r_max = float(np.max(np.abs(ref_b - ref_g))) if ref_b.size else 0.0
+    kl_mu = max(j_f + log_z_star - log_z, 0.0)
+    slack = (t_len - 1) * r_max * np.sqrt(kl_mu / 2.0)
+    rhs1 = j_f + j_bg + slack
+    report = {
+        "theorem1": {
+            "lhs": float(j_fg), "rhs": float(rhs1), "holds": bool(j_fg <= rhs1 + BOUND_TOL),
+            "j_f": float(j_f), "j_b_g": float(j_bg), "r_max": r_max,
+            "kl_mu": float(kl_mu), "slack": float(slack),
+        },
+    }
+    if forward_alt is None:
+        return report
+
+    masks = enum.action_masks()
+    d_old = exact.accumulated_distribution(enum, fwd_log)
+    d_new = exact.accumulated_distribution(enum, forward_alt)
+    zeta = exact.policy_kl(forward_alt, fwd_log, d_new, masks)
+    a = advantages(v, q, masks)
+    pi_new = np.where(masks, np.exp(forward_alt), 0.0)
+    ea_new = (pi_new * a).sum(axis=1)
+    expected = float(d_old @ ea_new)
+    eps_f = float(np.abs(ea_new).max())
+    j_new = layer_loop_forward_values(enum, forward_alt, ref_b, log_z)[0][enum.root_index]
+    lhs2 = (j_new - j_f) / t_len
+    rhs2 = expected + zeta + eps_f * np.sqrt(2.0 * zeta)
+    report["theorem2"] = {
+        "lhs": float(lhs2), "rhs": float(rhs2), "holds": bool(lhs2 <= rhs2 + BOUND_TOL),
+        "zeta": float(zeta), "eps_f": eps_f, "expected_advantage": expected,
+        "j_f": float(j_f), "j_f_new": float(j_new),
+    }
+    return report

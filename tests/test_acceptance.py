@@ -33,7 +33,9 @@ from gflow.training import (
     surrogate_loss,
 )
 from oracles import (
+    advantages,
     backward_log_table,
+    dense_forward_values,
     enumerate_paths,
     exact_logit_gradient,
     finite_difference_grad,
@@ -41,6 +43,7 @@ from oracles import (
     path_log_prob,
     random_suite,
     surrogate_gradient,
+    table_visits,
 )
 from test_exact import accumulated_by_matrix, accumulated_by_powers
 
@@ -150,7 +153,7 @@ def test_criterion_01_forward_gradient_equivalence():
 
     def divergence(theta):
         fwd = forward_table_from(theta.reshape(shape), enum)
-        v, _ = exact.forward_values(enum, fwd, ref_b, log_z_star)
+        v, _ = exact.forward_values(enum, exact.forward_hops(enum, fwd), ref_b, log_z_star)
         return v[enum.root_index]
 
     theta0 = suite.forward.model.table.data.ravel()
@@ -233,10 +236,9 @@ def test_criterion_03_lambda_one_unbiasedness():
 
     bwd = backward_log_table(enum, suite.backward)
     ref_b = exact.edge_logs_backward(enum, bwd)
-    v, q = exact.forward_values(enum, fwd, ref_b, suite.log_z.item())
-    adv = exact.advantages(v, q, masks)
-    want = exact_logit_gradient(
-        exact.visit_probabilities(enum, fwd), fwd, adv).ravel()
+    v, q = dense_forward_values(enum, fwd, ref_b, suite.log_z.item())
+    adv = advantages(v, q, masks)
+    want = exact_logit_gradient(table_visits(enum, fwd), fwd, adv).ravel()
     gap = float(np.abs(got - want).max())
     report(3, gap <= 1e-8, f"max coordinate gap {gap:.2e}")
 

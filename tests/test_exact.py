@@ -17,13 +17,14 @@ from gflow.envs import (
 from gflow.errors import ContractError
 from gflow.exact import (
     accumulated_distribution,
-    advantages,
     backward_values,
     edge_logs_backward,
     edge_logs_forward,
     flow_from_rewards,
+    forward_hops,
     forward_log_table,
     forward_values,
+    hop_sources,
     jensen_shannon,
     mode_count,
     mode_states,
@@ -37,7 +38,10 @@ from gflow.exact import (
 from gflow.policy import ForwardPolicy, UniformBackward, make_suite
 from gflow.sampling import sample_forward
 from oracles import (
+    advantages,
     backward_log_table,
+    dense_backward_values,
+    dense_forward_values,
     enumerate_paths,
     exact_logit_gradient,
     finite_difference_grad,
@@ -47,6 +51,7 @@ from oracles import (
     layer_loop_visits,
     path_log_prob,
     synthetic_env,
+    table_visits,
 )
 from test_envs import layer_of, log_reward, validate_trajectory
 
@@ -118,7 +123,7 @@ def test_terminating_distribution_matches_path_enumeration():
 def test_visit_probabilities_root_one():
     env = SequenceEnv(2, 2, np.ones(4))
     enum, fwd, _ = random_tables(env, seed=2)
-    reach = visit_probabilities(enum, fwd)
+    reach = visit_probabilities(enum, np.exp(edge_logs_forward(enum, fwd)))
     assert reach[enum.root_index] == 1.0
     # Graded env: each layer's visit mass sums to 1.
     for layer in enum.layers:
@@ -303,7 +308,7 @@ def test_forward_root_value_matches_trajectory_sum():
         enum, fwd, bwd = random_tables(env, seed=12)
         log_z = 0.3
         ref = edge_logs_backward(enum, bwd)
-        v, q = forward_values(enum, fwd, ref, log_z)
+        v, _ = forward_values(enum, forward_hops(enum, fwd), ref, log_z)
         want = path_forward_value(enum, fwd, bwd, log_z, env)
         assert v[enum.root_index] == pytest.approx(want, abs=1e-10)
 
@@ -316,9 +321,10 @@ def test_forward_value_gap_is_trajectory_kl():
     enum, fwd, bwd = random_tables(env, seed=13)
     log_z_star = np.log(enum.partition())
     ref = edge_logs_backward(enum, bwd)
-    v, _ = forward_values(enum, fwd, ref, log_z_star)
+    hops = forward_hops(enum, fwd)
+    v, _ = forward_values(enum, hops, ref, log_z_star)
     assert v[enum.root_index] >= 0.0
-    v_shift, _ = forward_values(enum, fwd, ref, log_z_star + 0.25)
+    v_shift, _ = forward_values(enum, hops, ref, log_z_star + 0.25)
     assert v_shift[enum.root_index] == pytest.approx(v[enum.root_index] + 0.25,
                                                      abs=1e-12)
 
@@ -331,18 +337,17 @@ def test_perfect_flow_values_follow_log_flow():
     enum = env.enumeration()
     fwd_log, bwd_log, log_z_star, log_flow = flow_from_rewards(enum)
     ref = edge_logs_backward(enum, bwd_log)
-    v, q = forward_values(enum, fwd_log, ref, log_z_star)
+    v, q = forward_values(enum, forward_hops(enum, fwd_log), ref, log_z_star)
     np.testing.assert_allclose(v, log_z_star - log_flow, atol=1e-10)
     assert abs(v[enum.root_index]) <= 1e-10
-    adv = advantages(v, q, enum.action_masks())
-    np.testing.assert_allclose(adv, 0.0, atol=1e-10)
+    np.testing.assert_allclose(q - v[hop_sources(enum)], 0.0, atol=1e-10)
 
 
 def test_backward_values_match_conditional_enumeration():
     for env in value_oracle_envs():
         enum, fwd, bwd = random_tables(env, seed=14)
         ref = edge_logs_forward(enum, fwd)
-        v, q = backward_values(enum, bwd, ref)
+        v, _ = backward_values(enum, bwd, ref)
         assert v[enum.root_index] == 0.0
 
         # Per endpoint x: the backward-weighted mean over paths ending at x.
@@ -365,9 +370,11 @@ def test_backward_values_match_conditional_enumeration():
 def test_advantages_average_to_zero():
     env = HyperGrid(2, 3)
     enum, fwd, bwd = random_tables(env, seed=15)
-    v, q = forward_values(enum, fwd, edge_logs_backward(enum, bwd), 0.1)
-    adv = advantages(v, q, enum.action_masks())
-    np.testing.assert_allclose((np.exp(fwd) * adv).sum(axis=1), 0.0, atol=1e-12)
+    _, hop_p = hops = forward_hops(enum, fwd)
+    v, q = forward_values(enum, hops, edge_logs_backward(enum, bwd), 0.1)
+    src = hop_sources(enum)
+    per_state = np.bincount(src, hop_p * (q - v[src]), minlength=enum.n)
+    np.testing.assert_allclose(per_state, 0.0, atol=1e-12)
 
 
 def test_exact_logit_gradient_matches_finite_difference():
@@ -382,13 +389,13 @@ def test_exact_logit_gradient_matches_finite_difference():
 
     def j_of(flat):
         fwd = log_softmax(flat.reshape(theta0.shape), masks)
-        v, _ = forward_values(enum, fwd, ref, log_z)
+        v, _ = forward_values(enum, forward_hops(enum, fwd), ref, log_z)
         return v[enum.root_index]
 
     fwd0 = log_softmax(theta0, masks)
-    v, q = forward_values(enum, fwd0, ref, log_z)
+    v, q = dense_forward_values(enum, fwd0, ref, log_z)
     adv = advantages(v, q, masks)
-    want = exact_logit_gradient(visit_probabilities(enum, fwd0), fwd0, adv)
+    want = exact_logit_gradient(table_visits(enum, fwd0), fwd0, adv)
     got = finite_difference_grad(j_of, theta0.ravel())
     np.testing.assert_allclose(got, want.ravel(), atol=1e-6)
 
@@ -424,6 +431,29 @@ def test_policy_kl_ignores_masked_slots():
 
 
 # -- table plumbing ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_env", [
+    pytest.param(lambda: HyperGrid(2, 3), id="grid"),
+    pytest.param(lambda: SequenceEnv(2, 2, np.ones(4)), id="sequence"),
+    pytest.param(lambda: random_dag(np.random.default_rng(3)), id="random_dag"),
+])
+def test_forward_hops_are_every_valid_slot_once(make_env):
+    # Hops are the interior edges in edge order, then each terminal-capable
+    # state's stop slot: together every valid slot of the table, each once.
+    env = make_env()
+    enum, fwd, _ = random_tables(env, seed=20)
+    hop_log, hop_p = forward_hops(enum, fwd)
+    src = hop_sources(enum)
+    n_edges = len(enum.edge_src)
+    stops = np.flatnonzero(enum.terminal)
+    slots = np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
+    assert np.array_equal(src[n_edges:], stops)
+    assert_same_bytes(hop_log, fwd[src, slots])
+    assert_same_bytes(hop_p, np.exp(fwd[src, slots]))
+    covered = np.zeros(fwd.shape, dtype=int)
+    np.add.at(covered, (src, slots), 1)
+    assert np.array_equal(covered, enum.action_masks().astype(int))
 
 
 def test_log_tables_and_edge_views():
@@ -552,10 +582,10 @@ def test_layer_sweeps_match_per_state_loops(make_env):
     enum, fwd, bwd = random_tables(env, seed=19)
     ref_b = edge_logs_backward(enum, bwd)
     ref_f = edge_logs_forward(enum, fwd)
-    for got, want in zip(forward_values(enum, fwd, ref_b, 0.7),
+    for got, want in zip(dense_forward_values(enum, fwd, ref_b, 0.7),
                          loop_forward_values(enum, fwd, ref_b, 0.7)):
         assert_close_to_oracle(got, want)
-    for got, want in zip(backward_values(enum, bwd, ref_f),
+    for got, want in zip(dense_backward_values(enum, bwd, ref_f),
                          loop_backward_values(enum, bwd, ref_f)):
         assert_close_to_oracle(got, want)
     for table in (None, bwd):
@@ -604,11 +634,11 @@ def test_layer_sweep_matches_layer_loops_byte_for_byte(make_envs, n_mixed):
         enum, fwd, bwd = random_tables(env, seed=seed)
         ref_b = edge_logs_backward(enum, bwd)
         ref_f = edge_logs_forward(enum, fwd)
-        assert_same_bytes(visit_probabilities(enum, fwd), layer_loop_visits(enum, fwd))
-        for got, want in zip(forward_values(enum, fwd, ref_b, 0.7),
+        assert_same_bytes(table_visits(enum, fwd), layer_loop_visits(enum, fwd))
+        for got, want in zip(dense_forward_values(enum, fwd, ref_b, 0.7),
                              layer_loop_forward_values(enum, fwd, ref_b, 0.7)):
             assert_same_bytes(got, want)
-        for got, want in zip(backward_values(enum, bwd, ref_f),
+        for got, want in zip(dense_backward_values(enum, bwd, ref_f),
                              layer_loop_backward_values(enum, bwd, ref_f)):
             assert_same_bytes(got, want)
         for table in (None, bwd):

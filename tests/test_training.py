@@ -26,14 +26,8 @@ from gflow.envs import (
     random_graded_dag,
     synthetic_rewards,
 )
-from gflow.errors import ConfigError
-from gflow.exact import (
-    advantages,
-    edge_logs_backward,
-    flow_from_rewards,
-    forward_values,
-    visit_probabilities,
-)
+from gflow.errors import ConfigError, ContractError
+from gflow.exact import edge_logs_backward, flow_from_rewards
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
 from gflow.objectives import (
     backward_step_rewards,
@@ -60,13 +54,17 @@ from gflow.training import (
     trpo_step,
 )
 from oracles import (
+    advantages,
     backward_log_table,
+    dense_check_theorem_bounds,
+    dense_forward_values,
     enumerate_paths,
     exact_logit_gradient,
     path_log_prob,
     random_suite,
     surrogate_gradient,
     synthetic_env,
+    table_visits,
 )
 from test_objectives import gae_per_trajectory
 
@@ -364,9 +362,9 @@ def exact_forward_gradient(env, suite):
     fwd = suite.forward.log_probs_numpy(enum.states, enum.action_masks())
     bwd = backward_log_table(enum, suite.backward)
     ref = edge_logs_backward(enum, bwd)
-    v, q = forward_values(enum, fwd, ref, suite.log_z.item())
+    v, q = dense_forward_values(enum, fwd, ref, suite.log_z.item())
     adv = advantages(v, q, enum.action_masks())
-    return exact_logit_gradient(visit_probabilities(enum, fwd), fwd, adv).ravel()
+    return exact_logit_gradient(table_visits(enum, fwd), fwd, adv).ravel()
 
 
 def all_path_batch(env, suite):
@@ -635,6 +633,88 @@ def test_theorem_bounds_accept_a_guide_or_its_table():
     log_z = suite.log_z.item()
     assert (check_theorem_bounds(env, fwd, bwd, log_z, guide)
             == check_theorem_bounds(env, fwd, bwd, log_z, guide.backward_kernel()))
+
+
+# -- the edge-form audit against the dense one it replaced ---------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+THEOREM1_KEYS = ("lhs", "rhs", "holds", "j_f", "j_b_g", "r_max", "kl_mu", "slack")
+
+
+def exact_audit_workload(monkeypatch):
+    """perfbench's exact-audit workload, whose draw() makes the benchmark's
+    random tables for any environment."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads").make_workloads()["exact-audit"]
+
+
+def assert_matches_dense_audit(env, tables):
+    """tables as perfbench's ExactAudit.draw returns them."""
+    fwd, bwd, guide, log_z, alt = tables
+    if not env.graded:
+        for audit in (check_theorem_bounds, dense_check_theorem_bounds):
+            with pytest.raises(ContractError):
+                audit(env, fwd, bwd, log_z, guide, forward_alt=alt)
+        alt = None
+    got = check_theorem_bounds(env, fwd, bwd, log_z, guide, forward_alt=alt)
+    want = dense_check_theorem_bounds(env, fwd, bwd, log_z, guide, forward_alt=alt)
+    assert set(got) == set(want) == {"theorem1"} | ({"theorem2"} if env.graded else set())
+    assert set(got["theorem1"]) == set(THEOREM1_KEYS)
+    for key in THEOREM1_KEYS:
+        assert repr(got["theorem1"][key]) == repr(want["theorem1"][key]), key
+    if alt is None:
+        return
+    t2, w2 = got["theorem2"], want["theorem2"]
+    assert set(t2) == set(w2)
+    for key in ("lhs", "j_f", "j_f_new", "holds"):
+        assert repr(t2[key]) == repr(w2[key]), key
+    for key in ("zeta", "expected_advantage", "eps_f", "rhs"):
+        assert abs(t2[key] - w2[key]) <= 1e-12 * abs(w2[key]), key
+    # An unchanged policy moves no mass: the KL is exactly zero.
+    same = check_theorem_bounds(env, fwd, bwd, log_z, guide, forward_alt=fwd)["theorem2"]
+    assert same["zeta"] == 0.0
+
+
+def audit_oracle_cases():
+    yield "grid", lambda: HyperGrid(2, 8)
+    for maker in (random_graded_dag, random_dag):
+        for seed in range(20):
+            yield f"{maker.__name__}{seed}", lambda m=maker, s=seed: m(np.random.default_rng(s))
+
+
+@pytest.mark.parametrize("make_env", [pytest.param(make, id=name)
+                                      for name, make in audit_oracle_cases()])
+def test_edge_form_audit_matches_dense_audit(monkeypatch, make_env):
+    workload = exact_audit_workload(monkeypatch)
+    env = make_env()
+    tables = workload.draw(env, env.enumeration(), np.random.default_rng(7))
+    assert_matches_dense_audit(env, tables)
+
+
+def test_edge_form_audit_matches_dense_audit_on_the_benchmark_draws(monkeypatch):
+    workload = exact_audit_workload(monkeypatch)
+    env, enum = workload.setup(0)
+    workload.prepare(0, env, enum)
+    assert env.n_states() == 5 ** 6 and len(workload.inputs) == 6
+    for tables in workload.inputs:
+        assert_matches_dense_audit(env, tables)
+
+
+def test_audit_memory_is_bounded_by_three_dense_tables(monkeypatch):
+    # On SequenceEnv(6, 4) the forward table is 15 625 x 25 float64, 3.1 MB,
+    # of which 79 096 entries are edges or stops.  The dense audit peaked at
+    # 16.7 MB; reading each table once into edge form holds about 7 MB.
+    workload = exact_audit_workload(monkeypatch)
+    env, enum = workload.setup(0)
+    fwd, bwd, guide, log_z, alt = workload.draw(env, enum, np.random.default_rng(0))
+    check_theorem_bounds(env, fwd, bwd, log_z, guide, forward_alt=alt)
+    tracemalloc.start()
+    try:
+        check_theorem_bounds(env, fwd, bwd, log_z, guide, forward_alt=alt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * fwd.nbytes, peak
 
 
 # -- trainer wiring ------------------------------------------------------------
