@@ -42,7 +42,7 @@ def main():
 
     # The accumulated state distribution has three equivalent computations
     # on graded DAGs; the grid is not graded, so show it on the layered
-    # visit probabilities instead, swept from the policy's edge probabilities.
+    # visit probabilities instead.
     edge_p = np.exp(exact.edge_logs_forward(enum, fwd_log))
     visits = exact.visit_probabilities(enum, edge_p)
     by_layer = [float(visits[layer].sum()) for layer in enum.layers]
