@@ -311,22 +311,26 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_type(key, value, default):
-    """Raise ConfigError unless value has the kind of its field's default: a
-    bool, an integer, a real number, a tuple of integers or a string."""
-    if isinstance(default, bool):
-        ok, kind = isinstance(value, (bool, np.bool_)), "a bool"
-    elif isinstance(default, int):
-        ok, kind = _is_int(value), "an integer"
-    elif isinstance(default, float):
-        ok, kind = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
-    elif isinstance(default, tuple):
+def _check_type(name, value, default):
+    """Raise ConfigError, naming the key, unless value has the kind of its
+    field's default: a bool, an integer, a real number, a tuple of integers
+    or a string."""
+    kind = type(default)
+    if type(value) is kind and (kind is not tuple or all(type(v) is int for v in value)):
+        return
+    if kind is bool:
+        ok, what = isinstance(value, (bool, np.bool_)), "a bool"
+    elif kind is int:
+        ok, what = _is_int(value), "an integer"
+    elif kind is float:
+        ok, what = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
+    elif kind is tuple:
         ok = isinstance(value, tuple) and all(_is_int(v) for v in value)
-        kind = "a tuple of integers"
+        what = "a tuple of integers"
     else:
-        ok, kind = isinstance(value, str), "a string"
+        ok, what = isinstance(value, str), "a string"
     if not ok:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        raise ConfigError(f"{FIELD_KEYS.get(name, name)} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_type(FIELD_KEYS.get(f.name, f.name), getattr(self, f.name), f.default)
+            _check_type(f.name, getattr(self, f.name), f.default)
         for name in self._FLOATS:
             value = getattr(self, name)
             if not math.isfinite(value):
