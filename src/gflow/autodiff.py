@@ -96,7 +96,8 @@ class Tape:
         """Accumulate d(root)/d(tensor) into .grad of every participating tensor.
 
         `root` must be a scalar (shape () or (1,)).  A tape supports a single
-        backward pass; build a fresh tape per loss evaluation.
+        backward pass; build a fresh tape per loss evaluation.  The pass
+        releases the records, so a spent tape holds no intermediates.
         """
         if root.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -106,7 +107,8 @@ class Tape:
         if root.grad is None:
             root.grad = np.zeros_like(root.data)
         root.grad += np.ones_like(root.data)
-        for out, inputs, fn in reversed(self._records):
+        records, self._records = self._records, []
+        for out, inputs, fn in reversed(records):
             if out.grad is None:
                 continue
             grads = fn(out.grad)

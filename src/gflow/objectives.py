@@ -7,8 +7,8 @@ balance) are differentiable scalars built on one batched policy evaluation
 per loss.  The policy-gradient path instead uses per-step rewards
 R_F = log pi_F - log pi_B (with the R(x)/Z convention on the terminal hop)
 and lambda-weighted advantages from one reverse scan over the whole batch;
-those produce plain numpy arrays, and gradients flow only through the
-log-probability factors of the surrogate.
+the rewards read the numbers of the update's taped forward evaluation, so
+gradients flow only through the surrogate's log-probability factors.
 """
 
 from dataclasses import dataclass
@@ -210,28 +210,19 @@ def subtb_loss(tape, sb, suite, weight_base=0.9):
 # Policy-gradient rewards and advantages
 # ---------------------------------------------------------------------------
 
-def forward_step_rewards(sb, suite):
-    """R_F per step, aligned with the StepBatch.
+def forward_step_rewards(sb, suite, lpf):
+    """R_F per step, aligned with the StepBatch; `lpf` is log pi_F per step.
 
     Interior: log pi_F(s,a) - log pi_B(s',a).  Terminal:
     log pi_F(sink|x) - log R(x) + log Z.  Values are plain numbers; the
     surrogate differentiates only its log-probability factors.
     """
-    lpf = suite.forward.log_probs_numpy(sb.states)[np.arange(sb.n_steps), sb.slots]
     r = np.empty(sb.n_steps)
     if len(sb.in_states):
         lpb = suite.backward.log_probs_numpy(sb.in_states)
         r[~sb.terminal] = lpf[~sb.terminal] - lpb[np.arange(len(sb.in_states)), sb.in_bslots]
     r[sb.terminal] = lpf[sb.terminal] - sb.log_rewards + suite.log_z.item()
     return r
-
-
-def backward_step_rewards(sb, suite, ref_int):
-    """R_B per interior edge in StepBatch (forward) order:
-    log pi_B(s',a) - ref(edge), with ref the forward policy's log-prob or a
-    guide kernel's.  The terminal hop carries no backward reward."""
-    lpb = suite.backward.log_probs_numpy(sb.in_states)
-    return lpb[np.arange(len(sb.in_states)), sb.in_bslots] - np.asarray(ref_int)
 
 
 def gae_advantages(rewards, values, lengths, lam):

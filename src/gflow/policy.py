@@ -164,9 +164,6 @@ class ScalarEstimator(_StateModel):
         out = self._outputs(tape, states)
         return ad.pick(tape, out, np.zeros(len(states), dtype=np.intp))
 
-    def values_numpy(self, states):
-        return self.values(None, states).data
-
 
 class LogZ:
     """Learned scalar log Z, starting at 0."""
@@ -214,12 +211,12 @@ class PolicySuite:
     def all_params(self):
         return [p for params in self.param_groups().values() for p in params]
 
-    def save(self, path, seed=0, kind="suite"):
+    def save(self, path, seed=0):
         groups = self.param_groups()
         names = list(groups)
         vecs = [ad.flatten(groups[n]) for n in names]
         dims = [v.size for v in vecs]
-        save_checkpoint(path, kind + ":" + ",".join(names), dims, seed,
+        save_checkpoint(path, "suite:" + ",".join(names), dims, seed,
                         np.concatenate(vecs) if vecs else np.zeros(0))
 
     def load(self, path):

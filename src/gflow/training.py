@@ -8,6 +8,8 @@ step or a trust-region step; log Z descends its unbiased gradient estimate
 (the batch mean of the lambda=1 root value estimates), value estimators
 regress on lambda targets, and a learned backward policy trains on
 backward-sampled trajectories against the forward policy or a guide.
+Each update evaluates each model it trains once, taped, per batch: rewards
+and advantages read those tensors' numbers, and the losses differentiate them.
 """
 
 import logging
@@ -101,41 +103,39 @@ def fisher_product(scores):
 # Advantage assembly
 # ---------------------------------------------------------------------------
 
-def forward_advantages(sb, suite, lam):
-    """Per-step lambda advantages of the forward chain, from one scan.
+def forward_advantages(sb, suite, lam, lpf, values):
+    """Per-step lambda advantages of the forward chain, from one scan over
+    `lpf` (log pi_F of each chosen slot) and `values` (V_F of each source).
 
     Returns (advantages, value targets at the given lambda, per-trajectory
     lambda=1 root value estimates).  The root estimates equal each
     trajectory's balance log-ratio and feed the log Z update.
     """
-    if suite.value_f is not None:
-        values = suite.value_f.values_numpy(sb.states)
-    else:
-        values = np.zeros(sb.n_steps)
-    rewards = obj.forward_step_rewards(sb, suite)
+    rewards = obj.forward_step_rewards(sb, suite, lpf)
     adv, targets, targets_one = obj.gae_advantages(rewards, values, sb.lengths, lam)
     return adv, targets, targets_one[np.cumsum(sb.lengths) - sb.lengths]
 
 
-def backward_advantages(sb, suite, ref_int, lam):
+def backward_advantages(sb, lpb, values, ref, lam):
     """Advantages of the backward chain over interior edges, from one scan.
 
-    The chain runs x -> root with the root value pinned to 0, so the scan
-    reads the forward-order interior arrays back to front (which reverses
-    every trajectory and their order); outputs are re-aligned with the
+    The reward is `lpb - ref`, with `ref` the forward policy's or a guide's
+    edge log-prob, and `values` are V_B of the entered states.  The chain
+    runs x -> root with the root value pinned to 0, so the scan reads the
+    forward-order interior arrays back to front (which reverses every
+    trajectory and their order); outputs are re-aligned with the
     forward-order arrays.  Value targets are the unbiased lambda=1
     estimates.
     """
-    values = suite.value_b.values_numpy(sb.in_states) if len(sb.in_states) else np.zeros(0)
-    rewards = obj.backward_step_rewards(sb, suite, ref_int)
+    rewards = lpb - ref
     adv, _, targets = obj.gae_advantages(rewards[::-1], values[::-1],
                                          (sb.lengths - 1)[::-1], lam)
     return adv[::-1], targets[::-1]
 
 
-def surrogate_loss(tape, policy, states, slots, adv, n_traj):
-    """(1/B) sum over steps of stopgrad(advantage) * log pi(slot | state)."""
-    lp = policy.step_log_probs(tape, states, slots)
+def surrogate_loss(tape, lp, adv, n_traj):
+    """(1/B) sum over steps of stopgrad(advantage) * log pi, for the taped
+    chosen-slot log-probabilities `lp`."""
     weighted = ad.mul(tape, lp, ad.Tensor(np.asarray(adv)))
     return ad.scale(tape, ad.sum(tape, weighted), 1.0 / n_traj)
 
@@ -153,9 +153,8 @@ def _descend(tape, loss, params, optimizers, what):
     return value
 
 
-def _value_step(estimator, states, targets, optimizer, n_traj):
-    tape = ad.Tape()
-    v = estimator.values(tape, states)
+def _value_step(tape, v, targets, estimator, optimizer, n_traj):
+    """Regress the values `v`, taped on `tape` alone, onto `targets`."""
     resid = ad.sub(tape, v, ad.Tensor(np.asarray(targets)))
     loss = ad.scale(tape, ad.sum(tape, ad.square(tape, resid)), 1.0 / n_traj)
     return _descend(tape, loss, estimator.params(), [optimizer], "value regression loss")
@@ -189,19 +188,17 @@ def _policy_b_update(suite, xs, optimizers, lam, rng, guide=None):
         return {"backward_loss": 0.0, "backward_value_loss": 0.0}
     interior = ~sb.terminal
     if guide is None:
-        src = sb.states[interior]
-        lp = suite.forward.log_probs_numpy(src)
-        ref = lp[np.arange(len(src)), sb.slots[interior]]
+        ref = suite.forward.step_log_probs(None, sb.states[interior], sb.slots[interior]).data
     else:
         ref = guide.edge_log_probs(sb)
-    adv, targets = backward_advantages(sb, suite, ref, lam)
-    tape = ad.Tape()
-    loss = surrogate_loss(tape, suite.backward, sb.in_states, sb.in_bslots,
-                          adv, sb.n_traj)
-    surr = _descend(tape, loss, suite.backward.params(), [optimizers["policy_b"]],
-                    "backward surrogate")
-    vloss = _value_step(suite.value_b, sb.in_states, targets,
-                        optimizers["value_b"], sb.n_traj)
+    tape, value_tape = ad.Tape(), ad.Tape()
+    lpb = suite.backward.step_log_probs(tape, sb.in_states, sb.in_bslots)
+    v = suite.value_b.values(value_tape, sb.in_states)
+    adv, targets = backward_advantages(sb, lpb.data, v.data, ref, lam)
+    surr = _descend(tape, surrogate_loss(tape, lpb, adv, sb.n_traj), suite.backward.params(),
+                    [optimizers["policy_b"]], "backward surrogate")
+    vloss = _value_step(value_tape, v, targets, suite.value_b, optimizers["value_b"],
+                        sb.n_traj)
     return {"backward_loss": surr, "backward_value_loss": vloss}
 
 
@@ -209,14 +206,15 @@ def actor_critic_step(suite, sb, optimizers, lam=0.99, rng=None, guide=None):
     """Policy-gradient step: forward surrogate, log Z, value regression, and
     (when the backward policy is learned) the mirrored backward update,
     trained toward `guide` when one is given."""
-    adv, targets, root_v1 = forward_advantages(sb, suite, lam)
-    tape = ad.Tape()
-    loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
-    surr = _descend(tape, loss, suite.forward.params(), [optimizers["policy_f"]],
-                    "policy surrogate")
+    tape, value_tape = ad.Tape(), ad.Tape()
+    lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
+    v = suite.value_f.values(value_tape, sb.states)
+    adv, targets, root_v1 = forward_advantages(sb, suite, lam, lp.data, v.data)
+    surr = _descend(tape, surrogate_loss(tape, lp, adv, sb.n_traj), suite.forward.params(),
+                    [optimizers["policy_f"]], "policy surrogate")
     _logz_step(suite, root_v1, optimizers["log_z"])
-    vloss = _value_step(suite.value_f, sb.states, targets,
-                        optimizers["value_f"], sb.n_traj)
+    vloss = _value_step(value_tape, v, targets, suite.value_f, optimizers["value_f"],
+                        sb.n_traj)
     stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr,
              "value_loss": vloss, "accepted": True}
     if "policy_b" in optimizers:
@@ -253,14 +251,16 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
     g is 0 and F is DAMPING times the identity, so the full solution is 0
     there, and the line search writes and restores those rows alone.
     """
-    adv, targets, root_v1 = forward_advantages(sb, suite, lam)
     policy = suite.forward
     masks = policy.masks(sb.states)
-    old_log = policy.log_probs_numpy(sb.states, masks)
-
-    tape = ad.Tape()
-    loss = surrogate_loss(tape, policy, sb.states, sb.slots, adv, sb.n_traj)
-    surr0 = _descend(tape, loss, policy.params(), [], "policy surrogate")
+    tape, value_tape = ad.Tape(), ad.Tape()
+    log_matrix = policy.log_prob_matrix(tape, sb.states, masks)
+    old_log = log_matrix.data  # the rewards, the KL and the surrogate read one evaluation
+    lp = ad.pick(tape, log_matrix, sb.slots)
+    v = suite.value_f.values(value_tape, sb.states)
+    adv, targets, root_v1 = forward_advantages(sb, suite, lam, lp.data, v.data)
+    surr0 = _descend(tape, surrogate_loss(tape, lp, adv, sb.n_traj), policy.params(), [],
+                     "policy surrogate")
     scores = score_matrix(policy, sb.states, sb.slots, masks)
     old, g, assign = _solved_entries(policy, scores.rows)
 
@@ -294,7 +294,7 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
         if not stats["accepted"]:
             assign(old)
     _logz_step(suite, root_v1, optimizers["log_z"])
-    stats["value_loss"] = _value_step(suite.value_f, sb.states, targets,
+    stats["value_loss"] = _value_step(value_tape, v, targets, suite.value_f,
                                       optimizers["value_f"], sb.n_traj)
     return stats
 
@@ -459,7 +459,7 @@ class Trainer:
     A guide is accepted only by strategies that train toward one.
     """
 
-    def __init__(self, env, cfg, rng, suite=None, guide=None):
+    def __init__(self, env, cfg, rng, guide=None):
         row = ROSTER[cfg.strategy]
         if row.graded and not env.graded:
             raise ConfigError(f"{cfg.strategy} needs a graded environment "
@@ -468,15 +468,13 @@ class Trainer:
             raise ConfigError(f"strategy {cfg.strategy} does not use a guide")
         self.env = env
         self.cfg = cfg
-        if suite is None:
-            suite = make_suite(env, rng, tabular=cfg.tabular, hidden=cfg.hidden,
-                               learned_backward=row.learned_backward,
-                               need_value_f=row.value_f, need_value_b=row.value_b,
-                               need_flow=row.flow)
-        self.suite = suite
+        self.suite = make_suite(env, rng, tabular=cfg.tabular, hidden=cfg.hidden,
+                                learned_backward=row.learned_backward,
+                                need_value_f=row.value_f, need_value_b=row.value_b,
+                                need_flow=row.flow)
         self.optimizers = {
             name: ad.Adam(params, getattr(cfg, PolicySuite.GROUPS[name]))
-            for name, params in suite.param_groups().items()
+            for name, params in self.suite.param_groups().items()
         }
         self.guide = default_guide(env, cfg) if row.guide and guide is None else guide
         self.iteration = 0

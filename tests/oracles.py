@@ -132,14 +132,15 @@ def surrogate_gradient(suite, sb, lam, weights=None):
     `weights` (one per trajectory) replaces the batch mean with a weighted
     sum, which computes exact expectations over enumerated trajectories.
     """
-    adv, _, _ = forward_advantages(sb, suite, lam)
     params = suite.forward.params()
     tape = ad.Tape()
+    lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
+    adv, _, _ = forward_advantages(sb, suite, lam, lp.data,
+                                   suite.value_f.values(None, sb.states).data)
     if weights is None:
-        loss = surrogate_loss(tape, suite.forward, sb.states, sb.slots, adv, sb.n_traj)
+        loss = surrogate_loss(tape, lp, adv, sb.n_traj)
     else:
         w = np.asarray(weights, dtype=np.float64)[sb.traj]
-        lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
         loss = ad.sum(tape, ad.mul(tape, lp, ad.Tensor(adv * w)))
     ad.zero_grads(params)
     tape.backward(loss)

@@ -447,8 +447,8 @@ def test_criterion_10_composite_loss_gradients():
                 if env not in guide_cache:
                     guide_cache[env] = TableGuide.random(env, np.random.default_rng(5))
                 return guided_tb_loss(tape, sb, suite, guide_cache[env])
-            return surrogate_loss(tape, suite.forward, sb.states, sb.slots,
-                                  adv, sb.n_traj)
+            lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
+            return surrogate_loss(tape, lp, adv, sb.n_traj)
 
         params = suite.all_params()
         tape = ad.Tape()

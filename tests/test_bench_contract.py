@@ -5,8 +5,8 @@ attributes.  A call path that stops going through those attributes leaves
 the trace silently empty, so one traced trust-region step on a tabular
 suite and one trajectory-balance step on an MLP suite must record the
 trust-region call, the score matrix over the batch's visited table rows,
-the conjugate-gradient solve, the loss, the MLP forward and the policy
-log-probabilities; one traced guided step must record both samplers
+the conjugate-gradient solve, the advantages, the loss, the MLP forward and
+the policy log-probabilities; one traced guided step must record both samplers
 and the guide; and one traced theorem audit plus flow construction must
 record every exact dynamic-programming sweep.
 """
@@ -46,8 +46,8 @@ def test_traced_steps_reach_every_span(monkeypatch):
     assert vars(training.Trainer)["step"] is original_step
     assert tracer.trpo_calls == 1
     names = {span[0] for span in tracer.spans}
-    assert {"training.cg", "objectives.loss", "autodiff.mlp_forward",
-            "policy.log_probs"} <= names
+    assert {"training.cg", "training.advantages", "objectives.loss",
+            "autodiff.mlp_forward", "policy.log_probs"} <= names
     # The recorded score shape, which the score-matrix and CG traffic
     # metrics are computed from, is that of the visited-row solve.
     sb = step_batch(batch)

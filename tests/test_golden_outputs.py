@@ -30,6 +30,9 @@ SEQ_BENCH = "env = sequence\nd = 6\nn = 4\ntabular = on\n"
 # The same shape with the benchmark's (64, 64) MLP: an eval row evaluates
 # the 15 625 states in row blocks, the last one short.
 SEQ_BENCH_MLP = "env = sequence\nd = 6\nn = 4\ntabular = off\nhidden = 64, 64\n"
+# A 1000-wide MLP: a row block holds 32 rows, so an RL batch of 16
+# trajectories spans several row blocks.
+SEQ_WIDE_MLP = "env = sequence\nd = 6\nn = 4\ntabular = off\nhidden = 1000\n"
 COMMON = (f"iterations = {ITERATIONS}\nbatch = 16\neval_every = 5\ntiming = off\n"
           f"lr_policy = 0.04\nlr_value = 0.3\nlr_logz = 0.02\n"
           f"seeds = {', '.join(map(str, SEEDS))}\n")
@@ -38,7 +41,8 @@ CASES = ([(f"grid-{s}", GRID, s) for s, row in ROSTER.items() if not row.graded]
          + [(f"seq-{s}", SEQ, s) for s in ROSTER]
          + [(f"grid-mlp-{s}", GRID_MLP, s) for s in ("TB-U", "RL-B")]
          + [("seq-bench-RL-U", SEQ_BENCH, "RL-U"),
-            ("seq-bench-mlp-TB-U", SEQ_BENCH_MLP, "TB-U")])
+            ("seq-bench-mlp-TB-U", SEQ_BENCH_MLP, "TB-U"),
+            ("seq-mlp-wide-RL-B", SEQ_WIDE_MLP, "RL-B")])
 
 DIGESTS = {
     "grid-DB-U": "fa52a8d63226edf2914dd73ecc357d5e599c9320075f9f8aad52697b2786f829",
@@ -62,6 +66,7 @@ DIGESTS = {
     "grid-mlp-RL-B": "4889c75e283673eceb8d29978c532654f2382f38174dd3570f6b2a5186d3b426",
     "seq-bench-RL-U": "a562de36f33067d53ebb1301e8efd41cbe203eaa099938c1c4461f677fcff450",
     "seq-bench-mlp-TB-U": "f85b23e0475d1fee1dd8ecd836983a4c61fe5b120292c2493129b4ec1c96c64e",
+    "seq-mlp-wide-RL-B": "a92b0a4a4be587677703bc87b18828bb6a11cf6119ad83c30863b09729cab8a3",
 }
 
 

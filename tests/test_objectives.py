@@ -11,7 +11,6 @@ from gflow.errors import ContractError
 from gflow.exact import flow_from_rewards
 from gflow.guides import TableGuide
 from gflow.objectives import (
-    backward_step_rewards,
     db_loss,
     forward_step_rewards,
     gae_advantages,
@@ -22,6 +21,7 @@ from gflow.objectives import (
 )
 from gflow.policy import make_suite
 from gflow.sampling import Trajectory, sample_backward, sample_forward
+from gflow.training import backward_advantages
 from oracles import guided_tb_loss, random_suite, synthetic_env
 from test_envs import log_reward, terminal_slot
 
@@ -352,7 +352,8 @@ def test_forward_step_rewards_telescope():
                          learned_backward=True)
     trajs = sample_batch(env, suite, n=16, seed=19)
     sb = step_batch(trajs)
-    r = forward_step_rewards(sb, suite)
+    lpf = suite.forward.step_log_probs(None, sb.states, sb.slots).data
+    r = forward_step_rewards(sb, suite, lpf)
     sums = np.zeros(sb.n_traj)
     np.add.at(sums, sb.traj, r)
     want = np.array([traj_log_ratio(suite, t) for t in trajs])
@@ -367,8 +368,10 @@ def test_backward_step_rewards_definition():
     sb = step_batch(trajs)
     lpf = suite.forward.log_probs_numpy(sb.states)[np.arange(sb.n_steps), sb.slots]
     ref = lpf[~sb.terminal]
-    got = backward_step_rewards(sb, suite, ref)
     lpb = suite.backward.log_probs_numpy(sb.in_states)
+    picked = lpb[np.arange(len(sb.in_states)), sb.in_bslots]
+    # At lambda 0 with zero values, each advantage is the edge's reward.
+    got = backward_advantages(sb, picked, np.zeros(len(sb.in_states)), ref, 0.0)[0]
     want = lpb[np.arange(len(sb.in_states)), sb.in_bslots] - ref
     np.testing.assert_allclose(got, want, rtol=1e-12)
     assert got.size == (~sb.terminal).sum()

@@ -15,7 +15,7 @@ import pytest
 
 import gflow
 from gflow import autodiff as ad
-from gflow import exact, runner, training
+from gflow import exact, objectives, policy, runner, training
 from gflow.envs import (
     DagEnv,
     Enumeration,
@@ -29,12 +29,7 @@ from gflow.envs import (
 from gflow.errors import ConfigError, ContractError
 from gflow.exact import edge_logs_backward, flow_from_rewards
 from gflow.guides import HyperGridGuide, SequenceGuide, TableGuide
-from gflow.objectives import (
-    backward_step_rewards,
-    forward_step_rewards,
-    step_batch,
-    subtb_weights,
-)
+from gflow.objectives import forward_step_rewards, step_batch, subtb_weights
 from gflow.policy import BackwardPolicy, LogZ, ScoreOperator, UniformBackward, make_suite
 from gflow.sampling import sample_backward, sample_forward
 from gflow.training import (
@@ -84,6 +79,16 @@ def fixture_suite(env, logz_shift=0.0):
     suite.log_z.value.data[0] = log_z_star + logz_shift
     suite.value_f.model.table.data[:, 0] = log_z_star - log_flow
     return suite
+
+
+def chosen_log_probs(policy, sb):
+    """Untaped log pi of every step's chosen slot in a step batch."""
+    return policy.step_log_probs(None, sb.states, sb.slots).data
+
+
+def entered_log_probs(backward, sb):
+    """Untaped log pi_B of every interior edge's backward slot."""
+    return backward.step_log_probs(None, sb.in_states, sb.in_bslots).data
 
 
 def traj_log_ratio(suite, t):
@@ -191,8 +196,10 @@ def test_root_value_estimate_is_balance_ratio():
 
     trajs = sample_forward(env, with_v.forward, 16, np.random.default_rng(2))
     sb = step_batch(trajs)
-    _, _, root_a = forward_advantages(sb, with_v, lam=0.3)
-    _, _, root_b = forward_advantages(sb, without, lam=0.3)
+    _, _, root_a = forward_advantages(sb, with_v, 0.3, chosen_log_probs(with_v.forward, sb),
+                                      with_v.value_f.values(None, sb.states).data)
+    _, _, root_b = forward_advantages(sb, without, 0.3, chosen_log_probs(without.forward, sb),
+                                      np.zeros(sb.n_steps))
     want = np.array([traj_log_ratio(with_v, t) for t in trajs])
     np.testing.assert_allclose(root_a, want, atol=1e-10)
     np.testing.assert_allclose(root_b, want, atol=1e-10)
@@ -203,13 +210,13 @@ def test_fixture_zeroes_every_advantage():
     suite = fixture_suite(env)
     trajs = sample_forward(env, suite.forward, 32, np.random.default_rng(3))
     sb = step_batch(trajs)
+    lpf, values = chosen_log_probs(suite.forward, sb), suite.value_f.values(None, sb.states).data
     for lam in (0.0, 0.5, 1.0):
-        adv, targets, root_v1 = forward_advantages(sb, suite, lam)
+        adv, targets, root_v1 = forward_advantages(sb, suite, lam, lpf, values)
         np.testing.assert_allclose(adv, 0.0, atol=1e-12)
         np.testing.assert_allclose(root_v1, 0.0, atol=1e-12)
         # Targets reproduce the current values, so regression is a no-op too.
-        np.testing.assert_allclose(targets, suite.value_f.values_numpy(sb.states),
-                                   atol=1e-12)
+        np.testing.assert_allclose(targets, values, atol=1e-12)
 
 
 def test_zero_advantage_batch_leaves_suite_unchanged():
@@ -240,14 +247,10 @@ def _slices(lengths):
     return [(int(e - n), int(e)) for n, e in zip(lengths, ends)]
 
 
-def forward_advantages_per_trajectory(sb, suite, lam):
+def forward_advantages_per_trajectory(sb, suite, lam, lpf, values):
     """forward_advantages as it was: one advantage loop per trajectory, and
     a second at lambda = 1 for the root estimate."""
-    if suite.value_f is not None:
-        values = suite.value_f.values_numpy(sb.states)
-    else:
-        values = np.zeros(sb.n_steps)
-    rewards = forward_step_rewards(sb, suite)
+    rewards = forward_step_rewards(sb, suite, lpf)
     adv = np.empty(sb.n_steps)
     targets = np.empty(sb.n_steps)
     root_v1 = np.empty(sb.n_traj)
@@ -262,10 +265,9 @@ def forward_advantages_per_trajectory(sb, suite, lam):
     return adv, targets, root_v1
 
 
-def backward_advantages_per_trajectory(sb, suite, ref_int, lam):
+def backward_advantages_per_trajectory(sb, lpb, values, ref_int, lam):
     """backward_advantages as it was: one reversed loop per trajectory."""
-    values = suite.value_b.values_numpy(sb.in_states) if len(sb.in_states) else np.zeros(0)
-    rewards = backward_step_rewards(sb, suite, ref_int)
+    rewards = lpb - ref_int
     adv = np.empty_like(rewards)
     targets = np.empty_like(rewards)
     for lo, hi in _slices(sb.lengths - 1):
@@ -311,11 +313,13 @@ def test_advantage_scans_match_the_per_trajectory_loops(make_env):
     back = step_batch(sample_backward(env, suite.backward, xs, np.random.default_rng(8)))
     lpf = suite.forward.log_probs_numpy(back.states)[np.arange(back.n_steps), back.slots]
     ref = lpf[~back.terminal]
+    fwd = chosen_log_probs(suite.forward, sb), suite.value_f.values(None, sb.states).data
+    bwd = entered_log_probs(suite.backward, back), suite.value_b.values(None, back.in_states).data
     for lam in (0.0, 0.5, 0.99, 1.0):
-        assert_same_arrays(forward_advantages(sb, suite, lam),
-                           forward_advantages_per_trajectory(sb, suite, lam))
-        assert_same_arrays(backward_advantages(back, suite, ref, lam),
-                           backward_advantages_per_trajectory(back, suite, ref, lam))
+        assert_same_arrays(forward_advantages(sb, suite, lam, *fwd),
+                           forward_advantages_per_trajectory(sb, suite, lam, *fwd))
+        assert_same_arrays(backward_advantages(back, *bwd, ref, lam),
+                           backward_advantages_per_trajectory(back, *bwd, ref, lam))
 
 
 def test_backward_advantages_alignment():
@@ -329,10 +333,11 @@ def test_backward_advantages_alignment():
     lpf = suite.forward.log_probs_numpy(sb.states)[np.arange(sb.n_steps), sb.slots]
     ref = lpf[interior]
     lam = 0.7
-    adv, targets = backward_advantages(sb, suite, ref, lam)
+    lpb = entered_log_probs(suite.backward, sb)
+    values = suite.value_b.values(None, sb.in_states).data
+    adv, targets = backward_advantages(sb, lpb, values, ref, lam)
 
-    rewards = backward_step_rewards(sb, suite, ref)
-    values = suite.value_b.values_numpy(sb.in_states)
+    rewards = lpb - ref
     lo = 0
     for n in sb.lengths - 1:
         hi = lo + n
@@ -348,9 +353,75 @@ def test_surrogate_loss_value():
     suite = make_suite(env, np.random.default_rng(8), tabular=True)
     tape = ad.Tape()
     # Uniform two-action state: log pi = log 1/2 for both entries.
-    loss = surrogate_loss(tape, suite.forward, np.array([(0,), (0,)]), np.array([0, 1]),
-                          np.array([2.0, -1.0]), 2)
+    lp = suite.forward.step_log_probs(tape, np.array([(0,), (0,)]), np.array([0, 1]))
+    loss = surrogate_loss(tape, lp, np.array([2.0, -1.0]), 2)
     assert float(loss.data) == pytest.approx(0.5 * (2.0 - 1.0) * np.log(0.5))
+
+
+# -- model evaluations per update ---------------------------------------------
+
+
+def record_evaluations(monkeypatch):
+    """Log (model, rows) of every evaluation of a policy or estimator, and
+    the step batches the update lays out, as (evaluations so far, batch)."""
+    calls, batches = [], []
+    outputs = policy._StateModel._outputs
+    step_batch_fn = objectives.step_batch
+
+    def logged_outputs(model, tape, states):
+        calls.append((model, np.array(states)))
+        return outputs(model, tape, states)
+
+    def logged_step_batch(trajectories):
+        sb = step_batch_fn(trajectories)
+        batches.append((len(calls), sb))
+        return sb
+
+    monkeypatch.setattr(policy._StateModel, "_outputs", logged_outputs)
+    monkeypatch.setattr(objectives, "step_batch", logged_step_batch)
+    return calls, batches
+
+
+def evaluations(calls, model, rows):
+    """How many logged evaluations of `model` read exactly `rows`."""
+    return sum(m is model and np.array_equal(s, rows) for m, s in calls)
+
+
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
+def test_actor_critic_step_evaluates_each_model_once_per_batch(tabular, monkeypatch):
+    env = HyperGrid(2, 4)
+    suite = make_suite(env, np.random.default_rng(40), tabular=tabular, hidden=(8,),
+                       learned_backward=True, need_value_f=True, need_value_b=True)
+    sb = step_batch(sample_forward(env, suite.forward, 8, np.random.default_rng(41)))
+    calls, batches = record_evaluations(monkeypatch)
+    actor_critic_step(suite, sb, make_optimizers(suite), rng=np.random.default_rng(42))
+    ((mark, back),) = batches
+    assert len(back.in_states)
+    assert evaluations(calls, suite.forward, sb.states) == 1
+    assert evaluations(calls, suite.value_f, sb.states) == 1
+    assert evaluations(calls[mark:], suite.backward, back.in_states) == 1
+    assert evaluations(calls[mark:], suite.value_b, back.in_states) == 1
+
+
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
+def test_trpo_step_evaluates_the_policy_once_before_the_solve(tabular, monkeypatch):
+    env = HyperGrid(2, 4)
+    suite = make_suite(env, np.random.default_rng(43), tabular=tabular, hidden=(8,),
+                       need_value_f=True)
+    sb = step_batch(sample_forward(env, suite.forward, 8, np.random.default_rng(44)))
+    calls, _ = record_evaluations(monkeypatch)
+    marks = []
+    score = training.score_matrix
+
+    def marked_score_matrix(*args, **kwargs):
+        marks.append(len(calls))
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(training, "score_matrix", marked_score_matrix)
+    trpo_step(suite, sb, make_optimizers(suite))
+    (mark,) = marks
+    assert evaluations(calls[:mark], suite.forward, sb.states) == 1
+    assert evaluations(calls, suite.value_f, sb.states) == 1
 
 
 # -- exact surrogate gradient --------------------------------------------------
