@@ -43,7 +43,7 @@ def main():
     # The accumulated state distribution has three equivalent computations
     # on graded DAGs; the grid is not graded, so show it on the layered
     # visit probabilities instead.
-    edge_p = np.exp(exact.edge_logs_forward(enum, fwd_log))
+    edge_p = np.exp(fwd_log[enum.edge_src, enum.edge_slot])
     visits = exact.visit_probabilities(enum, edge_p)
     by_layer = [float(visits[layer].sum()) for layer in enum.layers]
     print("visit mass by layer (flow policy):",

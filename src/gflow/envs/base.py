@@ -19,6 +19,7 @@ per state that the enumeration maps to its position.
 """
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -124,8 +125,12 @@ class Enumeration:
     `positions` maps rows back to their place in it.  The interior edges
     are flat arrays (src, slot, dst, bslot) of positions and slots, sorted
     by source and then slot, built once from the env's batched queries.
-    So the edges leaving a layer form one slice, and each ends in a deeper
-    layer: the exact layer sweep walks these slices in either direction.
+    So the edges leaving a layer form one slice (`edge_layers`, built on
+    first use), and each ends in a deeper layer: the exact layer sweep
+    walks these slices in either direction.  `stops` holds the positions
+    of the terminal-capable states and `stop_slots` their terminal slots;
+    the edges and the stop hops together are the forward hops, every
+    admitted (state, slot) entry once.
     The exact-evaluation routines and tabular policies all work in this
     index space.  An env of more than ENUMERATION_CAP states raises
     EnumerationLimit before any state row exists, and rewards whose total
@@ -156,8 +161,9 @@ class Enumeration:
                               "states total more than float64 holds")
         self._action_masks = env.action_masks(self.states)
         interior = self._action_masks.copy()
-        term = np.flatnonzero(self.terminal)
-        interior[term, self._terminal_slots[term]] = False
+        self.stops = np.flatnonzero(self.terminal)
+        self.stop_slots = self._terminal_slots[self.stops]
+        interior[self.stops, self.stop_slots] = False
         # np.nonzero yields the edges in ascending source order, so the
         # edges leaving any contiguous range of states (a layer) form one
         # contiguous slice.  Child rows exist one block of edges at a time.
@@ -170,6 +176,13 @@ class Enumeration:
                                                         self.edge_slot[block])
             self.edge_dst[block] = self.positions(rows)
         self._parent_masks = None
+
+    @cached_property
+    def edge_layers(self):
+        """Per topological layer, the slice of the edges leaving it."""
+        bounds = [layer[0] for layer in self.layers] + [self.n]
+        cuts = np.searchsorted(self.edge_src, bounds).tolist()
+        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     def positions(self, states):
         """Enumeration positions of state rows, as an intp array."""

@@ -2,16 +2,17 @@
 
 Everything here works on the Enumeration index.  Policies are dense
 (state x slot) log-probability tables, and the recurrences read them in
-edge form: one gather per table onto the interior edges (and, for a
-forward table, the stop hops of the terminal-capable states), then one
-sweep over the topological layers, root first or deepest first, that sums
-per state over the edges leaving each layer.  Values come back per state
-and Q per edge or hop, never as a dense table.  All quantities (terminating
-distribution, state values, accumulated state distribution, metrics) are
-computed this way.  These routines are the measurement instruments for
-the whole library.  Training builds on them too: the grid guide's backward
-kernel and the theorem-bound audit use them, and so do the runner's eval
-rows.
+edge form: one gather per table onto the interior edges, or for a forward
+table onto its hops (the edges, then the stop hops at enum.stops and
+enum.stop_slots), then one sweep over the topological layers, root first
+or deepest first, that sums per state over the edges leaving each layer
+(enum.edge_layers).  The layout lives on the Enumeration; nothing here
+builds a lasting index.  Values come back per state and Q per edge or
+hop, never as a dense table.  All quantities (terminating distribution,
+state values, accumulated state distribution, metrics) are computed this
+way.  These routines are the measurement instruments for the whole
+library.  Training builds on them too: the grid guide's backward kernel
+and the theorem-bound audit use them, and so do the runner's eval rows.
 """
 
 import numpy as np
@@ -33,29 +34,19 @@ def forward_log_table(enum, forward):
     return forward.log_probs_numpy(enum.states, enum.action_masks())
 
 
-def edge_logs_forward(enum, fwd_log):
-    """Per-edge log pi_F, aligned with the enumeration's interior edge arrays."""
-    return fwd_log[enum.edge_src, enum.edge_slot]
-
-
 def edge_logs_backward(enum, bwd_log):
     """Per-edge log of a backward kernel evaluated at the edge's child."""
     return bwd_log[enum.edge_dst, enum.edge_bslot]
 
 
-def hop_sources(enum):
-    """Source state of every forward hop: the interior edges in edge order,
-    then the stop hop of each terminal-capable state in position order."""
-    return np.concatenate([enum.edge_src, np.flatnonzero(enum.terminal)])
-
-
 def forward_hops(enum, fwd_log):
-    """A forward table read once into hop form: (log pi_F, pi_F) per hop,
-    in hop_sources order.  The first len(enum.edge_src) entries are the
-    interior edges, the rest the stop hops."""
-    stops = np.flatnonzero(enum.terminal)
-    slots = np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
-    hop_log = fwd_log[hop_sources(enum), slots]
+    """A forward table read once into hop form: (log pi_F, pi_F) per hop.
+    The first len(enum.edge_src) hops are the interior edges in edge order,
+    the rest the stop hops (enum.stops, enum.stop_slots)."""
+    n_edges = len(enum.edge_src)
+    hop_log = np.empty(n_edges + len(enum.stops))
+    hop_log[:n_edges] = fwd_log[enum.edge_src, enum.edge_slot]
+    hop_log[n_edges:] = fwd_log[enum.stops, enum.stop_slots]
     return hop_log, np.exp(hop_log)
 
 
@@ -70,14 +61,13 @@ def _sweep(enum, values, edge_p, edge_q=None, toward_root=False):
     Root first, r is an edge's source and w its destination; toward_root,
     the layers run deepest first, r is the destination and w the source.
     Each step takes the edges leaving one layer, a slice since edges are
-    sorted by source.  Every edge ends in a strictly deeper layer, so each
-    read value is final, and every state adds its edges in ascending edge
-    order.  edge_q, if given, holds per-edge rewards; the sweep adds
-    values[r] to each, in place, and so leaves each edge's Q in it.
+    sorted by source (enum.edge_layers).  Every edge ends in a strictly
+    deeper layer, so each read value is final, and every state adds its
+    edges in ascending edge order.  edge_q, if given, holds per-edge
+    rewards; the sweep adds values[r] to each, in place, and so leaves each
+    edge's Q in it.
     """
-    bounds = [layer[0] for layer in enum.layers] + [enum.n]
-    cuts = np.searchsorted(enum.edge_src, bounds)
-    layers = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    layers = enum.edge_layers
     read, write = (enum.edge_dst, enum.edge_src) if toward_root else (enum.edge_src, enum.edge_dst)
     for e in reversed(layers) if toward_root else layers:
         term = values[read[e]]
@@ -96,14 +86,18 @@ def visit_probabilities(enum, edge_p):
     return _sweep(enum, reach, edge_p)
 
 
+def reach_and_terminating(enum, hop_p):
+    """(visit probabilities, P_F^T) of a forward policy in hop form."""
+    n_edges = len(enum.edge_src)
+    reach = visit_probabilities(enum, hop_p[:n_edges])
+    pt = np.zeros(enum.n)
+    pt[enum.stops] = reach[enum.stops] * hop_p[n_edges:]
+    return reach, pt
+
+
 def terminating_distribution(enum, fwd_log):
     """Exact P_F^T: probability of ending at each terminal-capable state."""
-    reach = visit_probabilities(enum, np.exp(edge_logs_forward(enum, fwd_log)))
-    pt = np.zeros(enum.n)
-    idx = np.flatnonzero(enum.terminal)
-    tslots = enum.terminal_slots()
-    pt[idx] = reach[idx] * np.exp(fwd_log[idx, tslots[idx]])
-    return pt
+    return reach_and_terminating(enum, forward_hops(enum, fwd_log)[1])[1]
 
 
 def reward_distribution(enum):
@@ -121,7 +115,7 @@ def accumulated_distribution(enum, fwd_log):
     """
     if not enum.env.graded:
         raise ContractError("accumulated distribution requires a graded environment")
-    edge_p = np.exp(edge_logs_forward(enum, fwd_log))
+    edge_p = np.exp(fwd_log[enum.edge_src, enum.edge_slot])
     return visit_probabilities(enum, edge_p) / len(enum.layers)
 
 
@@ -138,11 +132,11 @@ def forward_values(enum, hops, ref_edge_logs, log_z):
     an array over the enumeration's interior edges: the backward policy for
     the standard reward, a guide kernel for the guided variant.  The stop
     hops seed V, and one sweep deepest first adds the edges.  Returns
-    (V, Q) with Q per hop, in hop_sources order.
+    (V, Q) with Q per hop, in forward_hops order.
     """
     hop_log, hop_p = hops
     n_edges = len(enum.edge_src)
-    stops = np.flatnonzero(enum.terminal)
+    stops = enum.stops
     q = np.empty_like(hop_log)
     np.subtract(hop_log[:n_edges], ref_edge_logs, out=q[:n_edges])
     q[n_edges:] = hop_log[n_edges:] - enum.log_rewards[stops] + log_z
@@ -188,9 +182,8 @@ def flow_from_rewards(enum, bwd_log=None):
     fwd_log = np.full((enum.n, env.n_action_slots), -np.inf)
     e_src, e_dst, e_slot = enum.edge_src, enum.edge_dst, enum.edge_slot
     fwd_log[e_src, e_slot] = np.log(edge_pb) + log_flow[e_dst] - log_flow[e_src]
-    idx = np.flatnonzero(enum.terminal)
-    tslots = enum.terminal_slots()
-    fwd_log[idx, tslots[idx]] = enum.log_rewards[idx] - log_flow[idx]
+    stops = enum.stops
+    fwd_log[stops, enum.stop_slots] = enum.log_rewards[stops] - log_flow[stops]
     return fwd_log, bwd_log, float(log_flow[enum.root_index]), log_flow
 
 
@@ -227,10 +220,10 @@ def reward_accuracy(pt, enum):
 def mode_states(enum):
     """Rows of the terminal-capable states in the top MODE_QUANTILE of
     rewards (ties included), in enumeration order."""
-    idx = np.flatnonzero(enum.terminal)
-    rewards = np.exp(enum.log_rewards[idx])
+    stops = enum.stops
+    rewards = np.exp(enum.log_rewards[stops])
     threshold = np.quantile(rewards, 1.0 - MODE_QUANTILE)
-    return enum.states[idx[rewards >= threshold]]
+    return enum.states[stops[rewards >= threshold]]
 
 
 def mode_count(env, forward, modes, n_samples, rng, seen=None):

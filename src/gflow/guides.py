@@ -96,26 +96,22 @@ class HyperGridGuide(_MarkovGuide):
         """Rebuild P_f and the kernel from the current forward policy; the
         batch is not used."""
         enum = self.enum
-        env = self.env
-        fwd_log = exact.forward_log_table(enum, forward)
-        pf = np.exp(fwd_log)
-        stop = env.d
+        src, dst = enum.edge_src, enum.edge_dst
         if self._low is None:
-            self._low = env.reward_rows(enum.states) <= env.r0
-        low = self._low
-        non_stop = pf[:, :stop].sum(axis=1)
-        denom = non_stop + self.eps
-        adj = pf.copy()
-        adj[low, :stop] = pf[low, :stop] / denom[low, None]
-        adj[low, stop] = self.eps / denom[low]
+            self._low = self.env.reward_rows(enum.states) <= self.env.r0
+        # The interior edges are exactly the admitted non-stop slots, so
+        # their per-source sum is each state's non-stop mass.
+        fwd_log = exact.forward_log_table(enum, forward)
+        edge_p = np.exp(fwd_log[src, enum.edge_slot])
+        denom = np.bincount(src, edge_p, minlength=enum.n) + self.eps
+        edge_p /= np.where(self._low, denom, 1.0)[src]
+        # The log/exp round trip rounds the probabilities the reach sweep
+        # reads; the pinned grid RL-G outputs were computed with it.
         with np.errstate(divide="ignore"):
-            edge_logs = exact.edge_logs_forward(enum, np.log(adj))
-        reach = exact.visit_probabilities(enum, np.exp(edge_logs))
-        table = np.full((enum.n, env.n_backward_slots), -np.inf)
-        e = enum
-        vals = reach[e.edge_src] * adj[e.edge_src, e.edge_slot] / reach[e.edge_dst]
+            reach = exact.visit_probabilities(enum, np.exp(np.log(edge_p)))
+        table = np.full((enum.n, self.env.n_backward_slots), -np.inf)
         with np.errstate(divide="ignore"):
-            table[e.edge_dst, e.edge_bslot] = np.log(vals)
+            table[dst, enum.edge_bslot] = np.log(reach[src] * edge_p / reach[dst])
         self.log_table = table
 
 

@@ -268,8 +268,7 @@ def run_seed(cfg, env, seed, out_dir, enum):
                 count, seen = exact.mode_count(env, trainer.suite.forward, modes,
                                                n_mode_samples, eval_rng, seen)
             else:
-                d_tv = d_jsd = acc = float("nan")
-                count = 0
+                d_tv = d_jsd = acc = count = float("nan")
             lines.append(f"{it},{stats['loss']!r},{d_tv!r},{d_jsd!r},"
                          f"{acc!r},{count},{seconds:.3f}")
     try:

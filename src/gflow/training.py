@@ -529,7 +529,6 @@ def check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
     log_z_star = float(np.log(enum.partition()))
     root = enum.root_index
     n_edges = len(enum.edge_src)
-    stops = np.flatnonzero(enum.terminal)
 
     ref_b = exact.edge_logs_backward(enum, bwd_log)
     ref_g = exact.edge_logs_backward(enum, g_table)
@@ -539,9 +538,7 @@ def check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
     v, q = exact.forward_values(enum, hops, ref_b, log_z)
     j_f = v[root]
     j_fg = exact.forward_values(enum, hops, ref_g, log_z)[0][root]
-    reach = exact.visit_probabilities(enum, old_p[:n_edges])
-    pt = np.zeros(enum.n)
-    pt[stops] = reach[stops] * old_p[n_edges:]
+    reach, pt = exact.reach_and_terminating(enum, old_p)
     v_bg = exact.backward_values(enum, bwd_log, ref_g)[0]
     j_bg = float(pt @ v_bg)
     r_max = float(np.max(np.abs(ref_b - ref_g))) if ref_b.size else 0.0
@@ -562,7 +559,7 @@ def check_theorem_bounds(env, fwd_log, bwd_log, log_z, guide, forward_alt=None):
     j_new = exact.forward_values(enum, hops_new, ref_b, log_z)[0][root]
     d_old = reach / t_len
     d_new = exact.visit_probabilities(enum, new_p[:n_edges]) / t_len
-    src = exact.hop_sources(enum)
+    src = np.concatenate([enum.edge_src, enum.stops])  # each hop's source state
     # Hops the new policy never takes add nothing, even where both logs are -inf.
     kl = np.subtract(new_log, old_log, out=np.zeros_like(new_log), where=new_p > 0)
     kl *= new_p

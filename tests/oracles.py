@@ -12,7 +12,9 @@ each, with backward values summed over the edges entering each layer, and
 Q as a dense (state x slot) table.  The dense wrappers scatter the exact
 layer's per-edge Q into such tables, and dense_check_theorem_bounds is the
 theorem audit as it was over dense tables, before it read each table once
-into edge form.
+into edge form.  edge_logs_forward, hop_sources and hop_slots build the
+hop layout per call, by concatenation, as exact did before the enumeration
+kept `stops` and `stop_slots`; the tests referee exact.forward_hops by them.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from gflow import autodiff as ad
 from gflow import exact
 from gflow.envs import SequenceEnv, synthetic_rewards
-from gflow.exact import edge_logs_backward, edge_logs_forward, hop_sources
+from gflow.exact import edge_logs_backward
 from gflow.policy import make_suite
 from gflow.sampling import Trajectory
 from gflow.training import BOUND_TOL, forward_advantages, surrogate_loss
@@ -29,6 +31,24 @@ from gflow.training import BOUND_TOL, forward_advantages, surrogate_loss
 def synthetic_env(d, n, seed):
     """Sequence env over a seeded synthetic reward table."""
     return SequenceEnv(d, n, synthetic_rewards(d, n, seed))
+
+
+def edge_logs_forward(enum, fwd_log):
+    """Per-edge log pi_F, aligned with the enumeration's interior edge
+    arrays: the edge part of exact.forward_hops, gathered on its own."""
+    return fwd_log[enum.edge_src, enum.edge_slot]
+
+
+def hop_sources(enum):
+    """Source state of every forward hop, in exact.forward_hops order: the
+    interior edges, then the stop hop of each terminal-capable state."""
+    return np.concatenate([enum.edge_src, np.flatnonzero(enum.terminal)])
+
+
+def hop_slots(enum):
+    """Forward slot of every hop, aligned with hop_sources."""
+    stops = np.flatnonzero(enum.terminal)
+    return np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
 
 
 def random_suite(env, rng, scale=0.0, log_z=0.0, **kwargs):
@@ -256,10 +276,8 @@ def dense_forward_values(enum, fwd_log, ref_edge_logs, log_z):
     scattered into a dense (state x slot) table, 0 on invalid slots."""
     v, hop_q = exact.forward_values(enum, exact.forward_hops(enum, fwd_log),
                                     ref_edge_logs, log_z)
-    stops = np.flatnonzero(enum.terminal)
-    slots = np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
     q = np.zeros(fwd_log.shape)
-    q[hop_sources(enum), slots] = hop_q
+    q[hop_sources(enum), hop_slots(enum)] = hop_q
     return v, q
 
 

@@ -36,6 +36,7 @@ from oracles import (
     advantages,
     backward_log_table,
     dense_forward_values,
+    edge_logs_forward,
     enumerate_paths,
     exact_logit_gradient,
     finite_difference_grad,
@@ -176,7 +177,7 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
     masks = enum.action_masks()
     fwd = suite.forward.log_probs_numpy(enum.states, masks)
     bwd0 = backward_log_table(enum, suite.backward)
-    ref_f = exact.edge_logs_forward(enum, fwd)
+    ref_f = edge_logs_forward(enum, fwd)
     rho = exact.reward_distribution(enum)
     guide = TableGuide.random(env, np.random.default_rng(7))
     ref_g = exact.edge_logs_backward(enum, guide.backward_kernel())

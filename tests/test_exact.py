@@ -19,12 +19,10 @@ from gflow.exact import (
     accumulated_distribution,
     backward_values,
     edge_logs_backward,
-    edge_logs_forward,
     flow_from_rewards,
     forward_hops,
     forward_log_table,
     forward_values,
-    hop_sources,
     jensen_shannon,
     mode_count,
     mode_states,
@@ -42,9 +40,12 @@ from oracles import (
     backward_log_table,
     dense_backward_values,
     dense_forward_values,
+    edge_logs_forward,
     enumerate_paths,
     exact_logit_gradient,
     finite_difference_grad,
+    hop_slots,
+    hop_sources,
     layer_loop_backward_values,
     layer_loop_flows,
     layer_loop_forward_values,
@@ -434,26 +435,49 @@ def test_policy_kl_ignores_masked_slots():
 
 
 @pytest.mark.parametrize("make_env", [
-    pytest.param(lambda: HyperGrid(2, 3), id="grid"),
-    pytest.param(lambda: SequenceEnv(2, 2, np.ones(4)), id="sequence"),
+    pytest.param(lambda: HyperGrid(2, 5), id="grid"),
+    pytest.param(lambda: SequenceEnv(3, 3, np.ones(27)), id="sequence"),
     pytest.param(lambda: random_dag(np.random.default_rng(3)), id="random_dag"),
+    pytest.param(lambda: random_graded_dag(np.random.default_rng(4)), id="random_graded_dag"),
 ])
 def test_forward_hops_are_every_valid_slot_once(make_env):
     # Hops are the interior edges in edge order, then each terminal-capable
     # state's stop slot: together every valid slot of the table, each once.
+    # The gather matches the concatenated index it replaced byte for byte.
     env = make_env()
     enum, fwd, _ = random_tables(env, seed=20)
     hop_log, hop_p = forward_hops(enum, fwd)
-    src = hop_sources(enum)
-    n_edges = len(enum.edge_src)
-    stops = np.flatnonzero(enum.terminal)
-    slots = np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
-    assert np.array_equal(src[n_edges:], stops)
+    src, slots = hop_sources(enum), hop_slots(enum)
     assert_same_bytes(hop_log, fwd[src, slots])
     assert_same_bytes(hop_p, np.exp(fwd[src, slots]))
+    assert np.array_equal(src[len(enum.edge_src):], enum.stops)
+    assert np.array_equal(slots[len(enum.edge_src):], enum.stop_slots)
     covered = np.zeros(fwd.shape, dtype=int)
-    np.add.at(covered, (src, slots), 1)
+    np.add.at(covered, (enum.edge_src, enum.edge_slot), 1)
+    np.add.at(covered, (enum.stops, enum.stop_slots), 1)
     assert np.array_equal(covered, enum.action_masks().astype(int))
+
+
+@pytest.mark.parametrize("make_env", [
+    pytest.param(lambda: HyperGrid(2, 5), id="grid"),
+    pytest.param(lambda: SequenceEnv(3, 3, np.ones(27)), id="sequence"),
+    pytest.param(lambda: random_dag(np.random.default_rng(3)), id="random_dag"),
+])
+def test_edge_layers_are_built_on_first_sweep(make_env):
+    # Building an enumeration does no sweep work; the first sweep slices the
+    # edges by the layer of their source, and later sweeps reuse the slices.
+    enum = make_env().enumeration()
+    assert "edge_layers" not in vars(enum)
+    visit_probabilities(enum, np.ones(len(enum.edge_src)))
+    layers = vars(enum)["edge_layers"]
+    depth = layer_of(enum)
+    covered = np.concatenate([np.arange(len(enum.edge_src))[e] for e in layers])
+    assert np.array_equal(covered, np.arange(len(enum.edge_src)))
+    assert len(layers) == len(enum.layers)
+    for k, e in enumerate(layers):
+        assert np.all(depth[enum.edge_src[e]] == k)
+    visit_probabilities(enum, np.ones(len(enum.edge_src)))
+    assert vars(enum)["edge_layers"] is layers
 
 
 def test_log_tables_and_edge_views():
