@@ -78,6 +78,24 @@ def random_table(n_rows, n_cols, rng, scale, mask=None):
     return model
 
 
+def grid_guide_log_table(env, forward, eps, low):
+    """HyperGridGuide's backward kernel log table from the dense forward log
+    table `forward.log_probs_numpy` gives over every state, by the same
+    operations in the same order as the guide's refresh, so the two agree
+    byte for byte.  `low` marks the states at the reward floor."""
+    enum = env.enumeration()
+    src, dst = enum.edge_src, enum.edge_dst
+    fwd_log = forward.log_probs_numpy(enum.states, enum.action_masks())
+    edge_p = np.exp(fwd_log[src, enum.edge_slot])
+    denom = np.bincount(src, edge_p, minlength=enum.n) + eps
+    edge_p /= np.where(low, denom, 1.0)[src]
+    with np.errstate(divide="ignore"):
+        reach = exact.visit_probabilities(enum, np.exp(np.log(edge_p)))
+        table = np.full((enum.n, env.n_backward_slots), -np.inf)
+        table[dst, enum.edge_bslot] = np.log(reach[src] * edge_p / reach[dst])
+    return table
+
+
 def enumerate_paths(env):
     """All root-to-sink trajectories, depth first, from the enumeration's
     edge arrays and terminal slots."""

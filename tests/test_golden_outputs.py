@@ -8,12 +8,22 @@ depend on float rounding, so they hold on the platform that recorded
 them (x86-64, numpy 2.4 with OpenBLAS).  Print fresh digests with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+A deliberate change reports how far each case moved.  Keep the outputs of
+the tree before the change with `--write DIR`, then run `--compare DIR` on
+the changed tree: per case it prints the old and new digests, whether the
+`.params` bytes and the `loss` and `modes` columns are equal, and the
+largest relative gap in `d_tv`, `d_jsd` and `acc`.
 """
 
+import argparse
 import hashlib
+import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -70,14 +80,22 @@ DIGESTS = {
 }
 
 
+def output_files(strategy):
+    """The files a case writes, in digest order."""
+    return [f"{strategy}_seed{seed}{suffix}" for seed in SEEDS for suffix in (".csv", ".params")]
+
+
+def digest_of(strategy, out_dir):
+    digest = hashlib.sha256()
+    for name in output_files(strategy):
+        digest.update((Path(out_dir) / name).read_bytes())
+    return digest.hexdigest()
+
+
 def run_digest(base, strategy, out_dir):
     cfg = runner.parse_config_text(f"{base}{COMMON}strategy = {strategy}\n")
     runner.run(cfg, out=out_dir)
-    digest = hashlib.sha256()
-    for seed in SEEDS:
-        for suffix in (".csv", ".params"):
-            digest.update((Path(out_dir) / f"{strategy}_seed{seed}{suffix}").read_bytes())
-    return digest.hexdigest()
+    return digest_of(strategy, out_dir)
 
 
 @pytest.mark.parametrize("name, base, strategy", CASES, ids=[c[0] for c in CASES])
@@ -85,7 +103,62 @@ def test_seeded_run_outputs_are_unchanged(name, base, strategy, tmp_path):
     assert run_digest(base, strategy, tmp_path) == DIGESTS[name]
 
 
-if __name__ == "__main__":
+# CSV columns whose last bits an evaluation change may move, by index.
+GAP_COLUMNS = {"d_tv": 2, "d_jsd": 3, "acc": 4}
+
+
+def column_gaps(old_csv, new_csv):
+    """(loss and modes equal, largest relative gap per column of GAP_COLUMNS)
+    between two metrics files of the same run."""
+    old, new = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (old_csv, new_csv))
+    if old.shape != new.shape:
+        return False, {c: np.inf for c in GAP_COLUMNS}
+    exact = all(old[:, i].tobytes() == new[:, i].tobytes() for i in (1, 5))
+    gaps = {}
+    for c, i in GAP_COLUMNS.items():
+        scale = np.maximum(np.abs(old[:, i]), np.abs(new[:, i]))
+        diff = np.abs(old[:, i] - new[:, i])
+        gaps[c] = float(np.max(np.where(diff > 0, diff / np.where(scale > 0, scale, 1.0), 0.0)))
+    return exact, gaps
+
+
+def compare(old_dir, base, strategy, out_dir):
+    """One report line: old -> new digest, .params bytes equal, loss and
+    modes equal, and the largest relative gaps of the eval columns."""
+    old_dir = Path(old_dir)
+    new = run_digest(base, strategy, out_dir)
+    old = digest_of(strategy, old_dir)
+    params = all((old_dir / f).read_bytes() == (Path(out_dir) / f).read_bytes()
+                 for f in output_files(strategy) if f.endswith(".params"))
+    exact, gaps = True, dict.fromkeys(GAP_COLUMNS, 0.0)
+    for f in output_files(strategy):
+        if f.endswith(".csv"):
+            same, part = column_gaps(old_dir / f, Path(out_dir) / f)
+            exact = exact and same
+            gaps = {c: max(gaps[c], part[c]) for c in GAP_COLUMNS}
+    moved = "same" if old == new else f"{old[:8]} -> {new[:8]}"
+    return (f"{moved}  params {'equal' if params else 'DIFFER'}  "
+            f"loss/modes {'equal' if exact else 'DIFFER'}  "
+            + "  ".join(f"{c} {g:.1e}" for c, g in gaps.items()))
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", metavar="DIR", help="keep every case's output files in DIR")
+    mode.add_argument("--compare", metavar="DIR",
+                      help="rerun every case and report its gaps to the files in DIR")
+    args = parser.parse_args(argv)
     for name, base, strategy in CASES:
         with tempfile.TemporaryDirectory() as out:
-            print(f'    "{name}": "{run_digest(base, strategy, out)}",', file=sys.stdout)
+            if args.compare:
+                print(f"{name:20s} {compare(Path(args.compare) / name, base, strategy, out)}")
+                continue
+            digest = run_digest(base, strategy, out)
+            if args.write:
+                shutil.copytree(out, Path(args.write) / name)
+            print(f'    "{name}": "{digest}",')
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

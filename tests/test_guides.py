@@ -9,7 +9,7 @@ from gflow.guides import SCORE_FLOOR, HyperGridGuide, SequenceGuide, TableGuide
 from gflow.objectives import step_batch
 from gflow.policy import UniformBackward, make_suite
 from gflow.sampling import ReplayBuffer, Trajectory, sample_backward
-from oracles import enumerate_paths, log_conditional, random_suite
+from oracles import enumerate_paths, grid_guide_log_table, log_conditional, random_suite
 from test_envs import reward, root, rows, state_tuples
 
 
@@ -263,6 +263,24 @@ def test_grid_guide_conditional_matches_path_enumeration():
             num = interior_weight(tr)
             assert log_conditional(guide, step_batch([tr]))[0] == pytest.approx(
                 np.log(num / den), abs=1e-10)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 4)])
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
+def test_grid_guide_kernel_bytes_match_the_dense_path(d, n, tabular):
+    # Criterion 9's pinned verdict depends on the kernel's last bit, so the
+    # kernel is read from the dense log table of log_probs_numpy and no
+    # other evaluation of the policy.
+    env = HyperGrid(d, n)
+    rng = np.random.default_rng(10 * d + n)
+    suite = random_suite(env, rng, 0.7, tabular=tabular, hidden=(16, 16))
+    guide = HyperGridGuide(env)
+    for _ in range(2):
+        guide.refresh(suite.forward, None)
+        want = grid_guide_log_table(env, suite.forward, guide.eps, floor_states(env))
+        assert guide.backward_kernel().tobytes() == want.tobytes()
+        for p in suite.forward.params():
+            p.data += rng.normal(0.0, 0.5, p.data.shape)
 
 
 def test_grid_guide_requires_refresh():
