@@ -19,10 +19,12 @@ flattens, so each model has one derivative.  `widest` is the number of
 entries in one input row's widest layer output, which bounds a row's
 activations.
 
-Adam has one update path.  Every parameter keeps flat m and v vectors, in
-flatten() order or, for a parameter with a support, in support order; one
-check and one walk over blocks of entries serve both.
+A Tabular's parameter is one flat vector over the entries a SlotIndex
+admits, so Adam has one update path: flat m and v per parameter, and one
+check and one walk over blocks of entries.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +44,14 @@ class Tensor:
     requires_grad : bool
         Marks leaf parameters.  Gradients are accumulated into any tensor
         that either requires grad or was produced by a taped op.
-
-    `support` is None, or the ascending flat indices of the only entries
-    whose gradient may be non-zero; a Tabular sets it from a sparse mask on
-    its C-contiguous table, and Adam updates those entries alone.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "support", "_taped")
+    __slots__ = ("data", "grad", "requires_grad", "_taped")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.support = None
         self._taped = False
 
     @property
@@ -447,43 +444,51 @@ class Mlp:
         return grads[::-1]
 
 
+class SlotIndex:
+    """The `size` True entries of a boolean (rows x cols) mask, numbered in
+    row-major order: `cells[r, c]` is the number of entry (r, c), or `size`
+    off the mask, and `starts[r]` row r's first; both are built on first
+    use."""
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=bool)
+        self.size = int(np.count_nonzero(self.mask))
+
+    @cached_property
+    def cells(self):
+        cells = np.full(self.mask.shape, self.size)
+        cells[self.mask] = np.arange(self.size)
+        return cells
+
+    @cached_property
+    def starts(self):
+        counts = np.count_nonzero(self.mask, axis=1)
+        return np.cumsum(counts) - counts
+
+
 class Tabular:
-    """A dense table of logits or values indexed by enumerated row.
+    """A table of logits or values indexed by enumerated row.
 
     Used for exact-gradient work on small state spaces: row r holds the
-    parameters attached to state r.  Follows the model protocol of this
-    module with the row indices as input: a taped forward() is one gather
-    record whose backward is the scatter that vjp() flattens.
-
-    A boolean `mask` of the table's shape names the admitted entries, such
-    as a policy's valid slots.  When that saves memory it is recorded as the
-    table's support, the flat indices of its True entries: Adam then keeps
-    moments for and updates those entries only, and the gradient must be
-    zero everywhere else, as log_softmax_masked's backward makes it.
-    `table.data` stays the dense table.
+    parameters attached to state r.  The parameter is one flat vector over
+    the entries `index` (a SlotIndex, such as a policy's valid slots)
+    admits, or over every entry.  Follows the model protocol of this module
+    with the row indices as input: a taped forward() is one gather record
+    whose backward is the np.bincount of vjp().  Rows come back dense
+    (M x n_cols); an entry off the mask reads another entry, which
+    log_softmax_masked ignores, and gets no gradient.
     """
 
-    def __init__(self, n_rows, n_cols, mask=None):
-        data = np.zeros((int(n_rows), int(n_cols)))
-        self.table = Tensor(data, requires_grad=True)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != data.shape:
-                raise ShapeError(f"mask shape {mask.shape} != table shape {data.shape}")
-            # Dense m and v take 16 bytes an entry.  With a support they take
-            # 16 bytes an admitted entry, plus 8 for its index and 1 an entry
-            # for Adam's off-support mask: less when under 5/8 of the entries
-            # are admitted.
-            if 24 * np.count_nonzero(mask) + mask.size < 16 * mask.size:
-                self.table.support = np.flatnonzero(mask)
-
-    @property
-    def n_rows(self):
-        return self.table.data.shape[0]
+    def __init__(self, n_rows, n_cols, index=None):
+        shape = (int(n_rows), int(n_cols))
+        self.index = SlotIndex(np.ones(shape, dtype=bool)) if index is None else index
+        if self.index.mask.shape != shape:
+            raise ShapeError(f"index shape {self.index.mask.shape} != table shape {shape}")
+        self.table = Tensor(np.zeros(self.index.size), requires_grad=True)
 
     @property
     def n_cols(self):
-        return self.table.data.shape[1]
+        return self.index.mask.shape[1]
 
     @property
     def widest(self):
@@ -495,20 +500,47 @@ class Tabular:
 
     def forward(self, tape, idx):
         """Rows `idx` of the table (repeats allowed); untaped when tape is None."""
-        return gather(tape, self.table, idx)
+        out, cells = self.forward_cached(idx)
+        out = Tensor(out)
+        if tape is None:
+            return out
+        return tape.record(out, [self.table], lambda g: (_Owned(self.vjp(cells, g)),))
 
     def forward_cached(self, idx):
-        """(rows, idx); the indices are all that jvp and vjp need."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return self.table.data[idx], idx
+        """(rows, cells): rows `idx` and the parameter entry each of their
+        entries reads (mode="clip": the last, off the mask), all that jvp
+        and vjp need."""
+        cells = self.index.cells[np.asarray(idx, dtype=np.intp)]
+        return self.table.data.take(cells, mode="clip"), cells
 
-    def jvp(self, idx, v):
-        """Output tangents (M x n_cols) along the flat table direction `v`."""
-        return v.reshape(self.table.data.shape)[idx]
+    def jvp(self, cells, v):
+        """Output tangents (M x n_cols) along the flat parameter direction `v`."""
+        return v.take(cells, mode="clip")
 
-    def vjp(self, idx, g_out):
-        """Flat gradient of sum(g_out * forward(idx)); repeated rows accumulate."""
-        return _scatter(self.table.data.shape, idx, g_out).ravel()
+    def vjp(self, cells, g_out):
+        """Flat gradient of sum(g_out * forward(idx)), summed in row order as
+        np.add.at would; entries off the mask fall into a dropped last bin."""
+        return np.bincount(cells.ravel(), np.ravel(g_out), minlength=self.index.size + 1)[:-1]
+
+    def log_softmax(self):
+        """log_softmax_masked of the whole table, as a dense table, computed
+        over the packed entries by a segment max and sum per row, so its
+        temporaries are parameter-sized.  A row sums in another order than
+        log_softmax_masked's, so the last bits can differ.  A row with no
+        admitted entry raises MaskError."""
+        x = self.table.data
+        starts = self.index.starts
+        counts = np.diff(starts, append=x.size)
+        if not counts.all():
+            raise MaskError("log_softmax: a row masks out every entry")
+        m = np.maximum.reduceat(x, starts)
+        z = x - np.repeat(m, counts)
+        np.exp(z, out=z)
+        m += np.log(np.add.reduceat(z, starts))
+        np.subtract(x, np.repeat(m, counts), out=z)
+        out = np.full(self.index.mask.shape, NEG_INF)
+        out[self.index.mask] = z
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +587,17 @@ def zero_grads(params):
 class Adam:
     """Adam optimizer with bias correction (Kingma & Ba, arXiv 1412.6980).
 
-    Each parameter keeps flat m and v vectors: over every entry, in
-    flatten() order, or over its `support` (see Tensor) only, in support
-    order.  Before any state changes, every gradient is checked: a non-zero
-    entry off a support raises ContractError, then a NaN or infinity raises
+    Each parameter keeps flat m and v vectors in flatten() order.  Before
+    any state changes, every gradient is checked: a NaN or infinity raises
     NumericFault, so a diverged loss stops a run instead of silently
     corrupting parameters.  A missing gradient reads as zero.
 
     The update walks `block` entries at a time, through block-sized scratch
     vectors and in the same operation order as the textbook expressions, so
     no step allocates a parameter-sized array and a block's operands stay
-    in cache.  A dense block is a slice of the flat parameter; a supported
-    block gathers its gradient at its indices and is written back there.
-    Entries off a support keep their values, as dense Adam would leave them
-    from a zero gradient (m = v = 0 gives a step of 0).  Adam is elementwise,
-    so the result does not depend on the block size.  Parameters must be
-    C-contiguous, as every model here makes them.
+    in cache.  Adam is elementwise, so the result does not depend on the
+    block size.  Parameters must be C-contiguous, as every model here makes
+    them.
     """
 
     beta1 = 0.9
@@ -584,42 +611,22 @@ class Adam:
             raise ContractError("Adam needs C-contiguous parameters")
         self.lr = float(lr)
         self.t = 0
-        self.m = [np.zeros(p.data.size if p.support is None else p.support.size)
-                  for p in self.params]
+        self.m = [np.zeros(p.data.size) for p in self.params]
         self.v = [np.zeros_like(m) for m in self.m]
-        self._off = [None if p.support is None else _off_support(p) for p in self.params]
         self._scratch = None  # sized on the first step, so setup stays cheap
-
-    def _check(self, p, off, flags):
-        """Raise ContractError for a non-zero gradient entry off the support
-        (`off` masks the entries outside it; NaN and infinity count), then
-        NumericFault for a non-finite one; a block at a time into the
-        boolean scratch `flags`."""
-        if p.grad is None:
-            return
-        g = p.grad.reshape(-1)
-        finite = True
-        for lo in range(0, g.size, self.block):
-            part = g[lo:lo + self.block]
-            f = flags[:part.size]
-            finite = finite and np.isfinite(part, out=f).all()
-            if off is not None:
-                np.not_equal(part, 0.0, out=f)
-                f &= off[lo:lo + part.size]
-                if f.any():
-                    raise ContractError(
-                        "Adam step: non-zero gradient outside the parameter's support")
-        if not finite:
-            raise NumericFault("non-finite gradient in Adam step")
 
     def step(self):
         """Update every parameter from its .grad; a missing grad reads as zero."""
         if self._scratch is None:
             size = max((min(p.data.size, self.block) for p in self.params), default=0)
-            self._scratch = tuple(np.empty(size) for _ in range(3))
-        a, b, c = self._scratch
-        for p, off in zip(self.params, self._off):
-            self._check(p, off, a.view(bool))
+            self._scratch = tuple(np.empty(size) for _ in range(2))
+        a, b = self._scratch
+        for p in self.params:  # the finiteness check, a block at a time
+            g = np.empty(0) if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, g.size, self.block):
+                part = g[lo:lo + self.block]
+                if not np.isfinite(part, out=a.view(bool)[:part.size]).all():
+                    raise NumericFault("non-finite gradient in Adam step")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -628,22 +635,9 @@ class Adam:
             g = None if p.grad is None else p.grad.reshape(-1)
             for lo in range(0, m.size, self.block):
                 n = min(self.block, m.size - lo)
-                idx = None if p.support is None else p.support[lo:lo + n]
-                if g is None:
-                    g_blk = 0.0
-                elif idx is None:
-                    g_blk = g[lo:lo + n]
-                else:
-                    # mode="clip" skips the bounds check, which would copy
-                    # through a buffer; the support is in range.
-                    g_blk = g.take(idx, out=c[:n], mode="clip")
-                step = self._step(g_blk, m[lo:lo + n], v[lo:lo + n], a[:n], b[:n], bc1, bc2)
-                if idx is None:
-                    flat[lo:lo + n] -= step
-                else:
-                    # flat[i] -= step[k] entry by entry: the same subtraction
-                    # as a dense block, with no gather of the parameter.
-                    np.subtract.at(flat, idx, step)
+                g_blk = 0.0 if g is None else g[lo:lo + n]
+                flat[lo:lo + n] -= self._step(g_blk, m[lo:lo + n], v[lo:lo + n], a[:n], b[:n],
+                                              bc1, bc2)
 
     def _step(self, g, m, v, a, b, bc1, bc2):
         """Update one block of m and v in place and return the parameter
@@ -664,10 +658,3 @@ class Adam:
         b += self.eps
         a /= b
         return a
-
-
-def _off_support(p):
-    """Flat boolean mask of the entries of `p` outside its support."""
-    off = np.ones(p.data.size, dtype=bool)
-    off[p.support] = False
-    return off

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..autodiff import SlotIndex
 from ..errors import ConfigError, EnumerationLimit
 
 ENUMERATION_CAP = 2_000_000
@@ -130,11 +131,11 @@ class Enumeration:
     walks these slices in either direction.  `stops` holds the positions
     of the terminal-capable states and `stop_slots` their terminal slots;
     the edges and the stop hops together are the forward hops, every
-    admitted (state, slot) entry once.
-    The exact-evaluation routines and tabular policies all work in this
-    index space.  An env of more than ENUMERATION_CAP states raises
-    EnumerationLimit before any state row exists, and rewards whose total
-    overflows float64 raise ConfigError.
+    admitted (state, slot) entry once.  `action_index` and `parent_index`
+    (built on first use) number the valid forward and backward slots; the
+    tabular policies over the enumeration share them.  An env of more than
+    ENUMERATION_CAP states raises EnumerationLimit before any state row
+    exists, and rewards whose total overflows float64 raise ConfigError.
     """
 
     def __init__(self, env):
@@ -183,6 +184,14 @@ class Enumeration:
         bounds = [layer[0] for layer in self.layers] + [self.n]
         cuts = np.searchsorted(self.edge_src, bounds).tolist()
         return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    @cached_property
+    def action_index(self):
+        return SlotIndex(self._action_masks)
+
+    @cached_property
+    def parent_index(self):
+        return SlotIndex(self.parent_masks())
 
     def positions(self, states):
         """Enumeration positions of state rows, as an intp array."""

@@ -1,18 +1,17 @@
 """Exact evaluation on enumerable environments by dynamic programming.
 
-Everything here works on the Enumeration index.  Policies are dense
-(state x slot) log-probability tables, and the recurrences read them in
-edge form: one gather per table onto the interior edges, or for a forward
-table onto its hops (the edges, then the stop hops at enum.stops and
-enum.stop_slots), then one sweep over the topological layers, root first
-or deepest first, that sums per state over the edges leaving each layer
-(enum.edge_layers).  The layout lives on the Enumeration; nothing here
-builds a lasting index.  Values come back per state and Q per edge or
-hop, never as a dense table.  All quantities (terminating distribution,
-state values, accumulated state distribution, metrics) are computed this
-way.  These routines are the measurement instruments for the whole
-library.  Training builds on them too: the grid guide's backward kernel
-and the theorem-bound audit use them, and so do the runner's eval rows.
+Everything here works on the Enumeration index.  Policies come in as
+dense (state x slot) log-probability tables, -inf off the valid slots
+(forward_log_table), and the recurrences read them in edge form: one
+gather per table onto the interior edges, or for a forward table onto its
+hops (the edges, then the stop hops at enum.stops and enum.stop_slots),
+then one sweep over the topological layers, root first or deepest first,
+that sums per state over the edges leaving each layer (enum.edge_layers).
+The layout lives on the Enumeration; nothing here builds a lasting index.
+Values come back per state and Q per edge or hop, never as a dense table.
+These routines are the library's measurement instruments, and the grid
+guide's backward kernel, the theorem-bound audit and the runner's eval
+rows build on them.
 """
 
 import numpy as np
@@ -30,7 +29,11 @@ MODE_QUANTILE = 0.005
 # ---------------------------------------------------------------------------
 
 def forward_log_table(enum, forward):
-    """Dense (n_states x n_action_slots) log pi_F table."""
+    """Dense (n_states x n_action_slots) log pi_F table, -inf off the valid
+    slots: a tabular policy's log-softmax over its packed logits, or any
+    other policy evaluated over every state."""
+    if forward.tabular:
+        return forward.model.log_softmax()
     return forward.log_probs_numpy(enum.states, enum.action_masks())
 
 

@@ -100,8 +100,9 @@ class HyperGridGuide(_MarkovGuide):
         if self._low is None:
             self._low = self.env.reward_rows(enum.states) <= self.env.r0
         # The interior edges are exactly the admitted non-stop slots, so
-        # their per-source sum is each state's non-stop mass.
-        fwd_log = exact.forward_log_table(enum, forward)
+        # their per-source sum is each state's non-stop mass.  Evaluated
+        # densely: the pinned grid RL-G outputs depend on the last bits.
+        fwd_log = forward.log_probs_numpy(enum.states, enum.action_masks())
         edge_p = np.exp(fwd_log[src, enum.edge_slot])
         denom = np.bincount(src, edge_p, minlength=enum.n) + self.eps
         edge_p /= np.where(self._low, denom, 1.0)[src]

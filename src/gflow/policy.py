@@ -3,7 +3,8 @@
 A forward policy maps a state to a masked distribution over action slots; a
 backward policy does the same over backward (parent) slots.  Both are backed
 either by an Mlp over state encodings or by a Tabular logit table over the
-enumerated state index.  The uniform backward policy has no parameters.
+enumerated state index, packed to its valid slots.  The uniform backward
+policy has no parameters.
 
 The backward probability of the virtual terminal hop (x -> sink) is never
 produced here; objectives substitute R(x)/Z for it by convention.
@@ -52,14 +53,16 @@ class _PolicyBase(_StateModel):
     """Shared mechanics for forward and backward policies.
 
     The model has one output per slot, `n_slots` of them; `env_masks` is
-    the environment's batched query for the masks over those slots.
+    the environment's batched query for the masks over those slots, and a
+    tabular model must be packed by the same masks over every state (the
+    Enumeration method `enum_masks`).
     """
 
-    def __init__(self, env, model, env_masks, n_slots):
+    def __init__(self, env, model, env_masks, n_slots, enum_masks):
         super().__init__(env, model)
-        if self.tabular and model.n_rows != self._enum.n:
-            raise ShapeError(
-                f"tabular model has {model.n_rows} rows, env has {self._enum.n} states")
+        if self.tabular and not np.array_equal(model.index.mask, enum_masks(self._enum)):
+            raise ShapeError(f"tabular model is not packed by the valid slots of the env's "
+                             f"{self._enum.n} states")
         self._env_masks = env_masks
         self.n_slots = n_slots
 
@@ -73,11 +76,10 @@ class _PolicyBase(_StateModel):
         masks, model forward and log-softmax together, into one (M x slots)
         output.  A block holds max(1, ad.BLOCK // model.widest) rows, so a
         layer output holds about ad.BLOCK entries (one row, if wider),
-        however many states an exact evaluation passes.  Every step is
-        row-wise, so a row's value does not depend on its block, except
-        through BLAS: a matrix product may pick its kernel by the operands'
-        sizes (OpenBLAS does), and an Mlp block can then round an output in
-        the last bit unlike one pass over all rows.
+        however many states an Mlp eval row passes.  Every step is row-wise,
+        so a row's value does not depend on its block, except through BLAS:
+        OpenBLAS picks a matrix product's kernel by the operands' sizes, so
+        an Mlp block can round an output in the last bit unlike one pass.
         """
         step = max(1, ad.BLOCK // self.model.widest)
         if tape is not None or len(states) <= step:
@@ -107,14 +109,16 @@ class ForwardPolicy(_PolicyBase):
     """Distribution over forward action slots, masked per state."""
 
     def __init__(self, env, model):
-        super().__init__(env, model, env.action_masks, env.n_action_slots)
+        super().__init__(env, model, env.action_masks, env.n_action_slots,
+                         Enumeration.action_masks)
 
 
 class BackwardPolicy(_PolicyBase):
     """Learned distribution over backward slots (which parent came before)."""
 
     def __init__(self, env, model):
-        super().__init__(env, model, env.parent_masks, env.n_backward_slots)
+        super().__init__(env, model, env.parent_masks, env.n_backward_slots,
+                         Enumeration.parent_masks)
 
 
 class UniformBackward:
@@ -201,37 +205,45 @@ class PolicySuite:
         self.value_b = value_b
         self.state_flow = state_flow
 
-    def param_groups(self):
-        """Parameter lists of the groups this suite holds, in GROUPS order."""
+    def _parts(self):
+        """The components holding parameters, by group, in GROUPS order."""
         parts = {"policy_f": self.forward, "policy_b": self.backward, "log_z": self.log_z,
                  "value_f": self.value_f, "value_b": self.value_b, "flow": self.state_flow}
-        return {name: parts[name].params() for name in self.GROUPS
+        return {name: parts[name] for name in self.GROUPS
                 if parts[name] is not None and parts[name].params()}
+
+    def param_groups(self):
+        """Parameter lists of the groups this suite holds, in GROUPS order."""
+        return {name: part.params() for name, part in self._parts().items()}
 
     def all_params(self):
         return [p for params in self.param_groups().values() for p in params]
 
     def save(self, path, seed=0):
-        groups = self.param_groups()
-        names = list(groups)
-        vecs = [ad.flatten(groups[n]) for n in names]
-        dims = [v.size for v in vecs]
-        save_checkpoint(path, "suite:" + ",".join(names), dims, seed,
+        """Write the groups' parameters; a table dense, zero off its mask."""
+        parts = self._parts()
+        vecs = [_dense_table(part.model).ravel() if getattr(part, "tabular", False)
+                else ad.flatten(part.params()) for part in parts.values()]
+        save_checkpoint(path, "suite:" + ",".join(parts), [v.size for v in vecs], seed,
                         np.concatenate(vecs) if vecs else np.zeros(0))
 
     def load(self, path):
+        """Read what save wrote; a table entry off the mask that is not 0
+        raises ShapeError before any parameter changes."""
         kind, dims, seed, vec = load_checkpoint(path)
         names = kind.split(":", 1)[1].split(",") if ":" in kind else []
-        groups = self.param_groups()
-        if names != list(groups):
+        parts = self._parts()
+        if names != list(parts):
             raise ShapeError(f"checkpoint groups {names} do not match suite")
         if len(dims) != len(names) or sum(dims) != vec.size:
             raise ShapeError(f"checkpoint dims {dims} do not split its {vec.size} floats "
                              f"into groups {names}")
-        offset = 0
-        for name, size in zip(names, dims):
-            ad.assign_flat(groups[name], vec[offset:offset + size])
-            offset += size
+        offsets = np.cumsum([0] + dims)
+        vecs = [_packed_table(part.model, vec[lo:hi], name) if getattr(part, "tabular", False)
+                else vec[lo:hi]
+                for (name, part), lo, hi in zip(parts.items(), offsets, offsets[1:])]
+        for part, v in zip(parts.values(), vecs):
+            ad.assign_flat(part.params(), v)
         return seed
 
 
@@ -292,11 +304,27 @@ def score_matrix(policy, states, slots, masks=None):
     if policy.tabular:
         rows, inputs = np.unique(inputs, return_inverse=True)
         model = ad.Tabular(len(rows), model.n_cols)
-        model.table.data[...] = policy.model.table.data[rows]
+        model.table.data[...] = policy.model.forward_cached(rows)[0].ravel()
     logits, *cache = model.forward_cached(inputs)
     d = -ad.masked_softmax(logits, masks)
     d[np.arange(len(states)), slots] += 1.0
     return ScoreOperator(model, cache, d, rows)
+
+
+def _dense_table(model):
+    """A Tabular's (n_rows x n_cols) table, zero off its mask."""
+    table = np.zeros(model.index.mask.shape)
+    table[model.index.mask] = model.table.data
+    return table
+
+
+def _packed_table(model, vec, name):
+    """A Tabular's parameter from the flat dense table `vec`."""
+    mask = model.index.mask.ravel()
+    if vec.size != mask.size or np.any(vec[~mask]):
+        raise ShapeError(f"checkpoint group {name} is not a {mask.size}-entry table, zero "
+                         "off its table's mask")
+    return vec[mask]
 
 
 def save_checkpoint(path, kind, dims, seed, vec):
@@ -354,32 +382,27 @@ def make_suite(env, rng, tabular=False, hidden=(64, 64), learned_backward=False,
 
     Tabular suites index the enumerated state space directly (exact-gradient
     work) with zero tables, so every policy starts uniform, and a policy
-    table is masked by its valid slots; Mlp suites draw their weights from
-    `rng` and share the architecture `hidden` across components.
+    table is packed by its valid slots, the enumeration's shared index;
+    Mlp suites draw their weights from `rng` and share the architecture
+    `hidden` across components.
     """
     # Held for the whole construction: the env memoizes it only weakly.
     enum = env.enumeration() if tabular else None
 
-    def policy_model(n_slots, masks):
-        # `masks` is the Enumeration method giving the valid slots per state.
+    def model(n_out, index=None):
+        # `index` names the Enumeration's SlotIndex of a policy's valid slots.
         if tabular:
-            return ad.Tabular(enum.n, n_slots, mask=masks(enum))
-        return ad.Mlp((env.encoding_dim, *hidden, n_slots), rng)
+            return ad.Tabular(enum.n, n_out, index and getattr(enum, index))
+        return ad.Mlp((env.encoding_dim, *hidden, n_out), rng)
 
-    def scalar_model():
-        if tabular:
-            return ad.Tabular(enum.n, 1)
-        return ad.Mlp((env.encoding_dim, *hidden, 1), rng)
-
-    forward = ForwardPolicy(env, policy_model(env.n_action_slots, Enumeration.action_masks))
+    forward = ForwardPolicy(env, model(env.n_action_slots, "action_index"))
     if learned_backward:
-        backward = BackwardPolicy(env, policy_model(env.n_backward_slots,
-                                                    Enumeration.parent_masks))
+        backward = BackwardPolicy(env, model(env.n_backward_slots, "parent_index"))
     else:
         backward = UniformBackward(env)
     return PolicySuite(
         env, forward, backward, LogZ(),
-        value_f=ScalarEstimator(env, scalar_model()) if need_value_f else None,
-        value_b=ScalarEstimator(env, scalar_model()) if need_value_b else None,
-        state_flow=ScalarEstimator(env, scalar_model()) if need_flow else None,
+        value_f=ScalarEstimator(env, model(1)) if need_value_f else None,
+        value_b=ScalarEstimator(env, model(1)) if need_value_b else None,
+        state_flow=ScalarEstimator(env, model(1)) if need_flow else None,
     )

@@ -28,22 +28,20 @@ HEADER = "iter,loss,d_tv,d_jsd,acc,modes,seconds"
 # terminal slot, log reward and encoding scratch), per (state, forward
 # slot) pair (an edge's four intp entries and the float64 tables of one
 # exact evaluation), per parameter entry of a table or an Mlp (value,
-# gradient, Adam m and v, and the scatter table of a second gather of the
-# same table on one tape, as the balance losses make; 8 bytes each), per
+# gradient, Adam m and v, and the bincount of a second gather of the same
+# table on one tape, as the balance losses make; 8 bytes each), per
 # sampled trajectory (its Trajectory object and three array views, about
 # 490 bytes measured), and per sampled (trajectory, step, column) entry, the
 # columns being the state row plus its forward and backward slot (the
-# sampler's array entry and its StepBatch copy).  The first gather's scatter table becomes the
-# gradient, and Adam's own scratch is three blocks, not a table.  A policy
-# table with a support (autodiff.Tabular) keeps m and v for its valid slots
-# only, with an 8-byte index each and Adam's 1-byte off-support mask per
-# entry; it has one only when that totals under the 16 bytes an entry of
-# dense m and v, so 5 x 8 bytes an entry still bound every table.  An
-# untaped policy evaluation (policy.log_prob_matrix), an eval row's over
-# every state included, holds one row block at a time, in at most five
+# sampler's array entry and its StepBatch copy).  The first gather's
+# bincount becomes the gradient, and Adam's scratch is two blocks.  A policy
+# table (autodiff.Tabular) holds only its valid slots, plus an 8-byte slot
+# number per (state, slot) pair (SlotIndex.cells), under the 5 x 8 bytes
+# per table entry charged.  An untaped policy evaluation
+# (policy.log_prob_matrix) holds one row block at a time, in at most five
 # float64 arrays of the block's size: the model input and two layer
-# outputs, or the logits and the log-softmax temporaries (4.1 measured for
-# a tabular policy on SequenceEnv(6, 4)).
+# outputs, or the logits and the log-softmax temporaries.  A tabular eval
+# row (Tabular.log_softmax) holds a few valid-slot arrays.
 STATE_BYTES = 256
 SLOT_BYTES = 80
 TABULAR_ENTRY_BYTES = 5 * 8
@@ -194,19 +192,19 @@ def check_memory(cfg, env):
     enumerated.  A and B are the forward and backward slot counts.  P counts
     the parameter entries of the strategy's models, each with K outputs: K
     is A for the forward policy, B for a learned backward policy and 1 for
-    each value or flow estimator.  A table has S * K entries.  An Mlp with
-    layer widths (E, *hidden, K), E being env.encoding_dim, has
+    each value or flow estimator.  A table is charged S * K entries, though
+    a policy table keeps only its valid slots, so tabular runs overplan.
+    An Mlp with layer widths (E, *hidden, K), E being env.encoding_dim, has
     (fan_in + 1) * fan_out per layer.  N counts the trajectories sampled at
     once: the batch, the backward walks from its endpoints when the backward
     policy is learned, and the mode-count samples when S > 0, since the
-    step's batch is still held during evaluation.  T is env.max_trajectory_len and W env.width.
-    X is the entry count of the largest row block of an untaped policy
-    evaluation, the way an eval row passes every state through the forward
-    policy.  A policy whose widest layer output has V entries (K for a
-    table, the largest of hidden and K for an Mlp) evaluates
-    max(1, autodiff.BLOCK // V) rows at a time, of V entries each, or of E
-    for an Mlp whose input is wider.  X does not grow with S.
-    Physical memory is
+    step's batch is still held during evaluation.  T is
+    env.max_trajectory_len and W env.width.  X is the entry count of the
+    largest row block of an untaped policy evaluation over every state (an
+    Mlp eval row, the grid guide's refresh): max(1, autodiff.BLOCK // V)
+    rows of V entries, V being the widest layer output (K for a table, the
+    largest of hidden and K for an Mlp), or of E for an Mlp whose input is
+    wider.  X does not grow with S.  Physical memory is
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE").
     """
     n = env.n_states()

@@ -231,11 +231,16 @@ def _solved_entries(policy, rows):
     if rows is None:
         params = policy.params()
         return ad.flatten(params), ad.flat_grad(params), partial(ad.assign_flat, params)
+    # The rows' entries off the mask read 0 and are never written; the
+    # solve's direction is 0 there.
     table = policy.model.table
+    cells = policy.model.index.cells[rows].ravel()
+    on = cells < table.data.size
 
     def assign(vec):
-        table.data[rows] = vec.reshape(len(rows), -1)
-    return table.data[rows].ravel(), table.grad[rows].ravel(), assign
+        table.data[cells[on]] = vec[on]
+    return (np.where(on, table.data.take(cells, mode="clip"), 0.0),
+            np.where(on, table.grad.take(cells, mode="clip"), 0.0), assign)
 
 
 def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):

@@ -51,30 +51,49 @@ def hop_slots(enum):
     return np.concatenate([enum.edge_slot, enum.terminal_slots()[stops]])
 
 
+def set_table(model, table):
+    """Write a dense table into a Tabular: its entries on the model's mask,
+    packed in row-major order; the others are dropped.  A table of one
+    column may be given as a vector."""
+    mask = model.index.mask
+    model.table.data[...] = np.reshape(table, (len(mask), -1))[mask]
+
+
+def dense_table(model, packed=None):
+    """A Tabular's parameter, or a vector `packed` in its layout such as its
+    gradient, as the dense (n_rows x n_cols) table, 0 off the mask."""
+    table = np.zeros(model.index.mask.shape)
+    table[model.index.mask] = model.table.data if packed is None else packed
+    return table
+
+
 def random_suite(env, rng, scale=0.0, log_z=0.0, **kwargs):
     """make_suite(env, rng, **kwargs) with log Z set to `log_z` and, for a
     tabular suite with `scale` > 0, every table drawn from N(0, scale).
 
-    The tables are drawn after construction, one rng.normal call per
-    component in param_groups() order (log Z excepted), which is the order
-    in which the components are built.  A caller that draws `log_z` from
-    the same generator draws it first, in the call's arguments.
+    The tables are drawn after construction, one rng.normal call of a dense
+    table's shape per component in param_groups() order (log Z excepted),
+    which is the order in which the components are built; a policy keeps
+    the entries on its valid slots.  A caller that draws `log_z` from the
+    same generator draws it first, in the call's arguments.
     """
     suite = make_suite(env, rng, **kwargs)
     suite.log_z.value.data[0] = log_z
     if kwargs.get("tabular") and scale > 0:
-        for name, params in suite.param_groups().items():
+        parts = {"policy_f": suite.forward, "policy_b": suite.backward,
+                 "value_f": suite.value_f, "value_b": suite.value_b, "flow": suite.state_flow}
+        for name in suite.param_groups():
             if name != "log_z":
-                for p in params:
-                    p.data[...] = rng.normal(0.0, scale, size=p.data.shape)
+                model = parts[name].model
+                set_table(model, rng.normal(0.0, scale, size=model.index.mask.shape))
     return suite
 
 
-def random_table(n_rows, n_cols, rng, scale, mask=None):
-    """ad.Tabular(n_rows, n_cols, mask=mask) with every entry drawn from
-    N(0, scale) by one rng.normal call."""
-    model = ad.Tabular(n_rows, n_cols, mask=mask)
-    model.table.data[...] = rng.normal(0.0, scale, size=(n_rows, n_cols))
+def random_table(n_rows, n_cols, rng, scale, index=None):
+    """ad.Tabular(n_rows, n_cols, index) with every entry of a dense table
+    drawn from N(0, scale) by one rng.normal call and set_table."""
+    model = ad.Tabular(n_rows, n_cols, index)
+    set_table(model, rng.normal(0.0, scale, size=(n_rows, n_cols)))
     return model
 
 

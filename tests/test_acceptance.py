@@ -36,6 +36,7 @@ from oracles import (
     advantages,
     backward_log_table,
     dense_forward_values,
+    dense_table,
     edge_logs_forward,
     enumerate_paths,
     exact_logit_gradient,
@@ -43,6 +44,7 @@ from oracles import (
     guided_tb_loss,
     path_log_prob,
     random_suite,
+    set_table,
     surrogate_gradient,
     table_visits,
 )
@@ -140,24 +142,26 @@ def test_criterion_01_forward_gradient_equivalence():
 
     # Half the balance-loss gradient, exactly enumerated over trajectories
     # with stop-gradient sampling weights.
+    # The coordinates are the dense table's, 0 off the valid slots.
     tape = ad.Tape()
     loss = tb_loss(tape, step_batch(trajs), suite, weights=pf)
+    model = suite.forward.model
     params = suite.forward.params() + [suite.log_z.value]
     ad.zero_grads(params)
     tape.backward(loss)
-    lhs = 0.5 * ad.flat_grad(params)
+    lhs = 0.5 * np.append(dense_table(model, model.table.grad), suite.log_z.value.grad)
 
     # Independent side: dynamic-programming divergence as a function of the
     # raw logits, differentiated by central differences; the log Z coordinate
     # is the divergence value plus the calibration residual.
-    shape = suite.forward.model.table.data.shape
+    shape = model.index.mask.shape
 
     def divergence(theta):
         fwd = forward_table_from(theta.reshape(shape), enum)
         v, _ = exact.forward_values(enum, exact.forward_hops(enum, fwd), ref_b, log_z_star)
         return v[enum.root_index]
 
-    theta0 = suite.forward.model.table.data.ravel()
+    theta0 = dense_table(model).ravel()
     rhs_theta = finite_difference_grad(divergence, theta0)
     rhs_logz = divergence(theta0) + (suite.log_z.item() - log_z_star)
     rhs = np.concatenate([rhs_theta, [rhs_logz]])
@@ -188,16 +192,16 @@ def test_criterion_02_backward_and_guided_gradient_equivalence():
                   for tr in trajs])
     assert abs(w.sum() - 1.0) < 1e-12
 
-    shape = suite.backward.model.table.data.shape
-    phi0 = suite.backward.model.table.data.ravel()
+    model = suite.backward.model
+    shape = model.index.mask.shape
+    phi0 = dense_table(model).ravel()
 
     def half_grad(loss_fn):
         tape = ad.Tape()
         loss = loss_fn(tape)
-        params = suite.backward.params()
-        ad.zero_grads(params)
+        ad.zero_grads(model.params())
         tape.backward(loss)
-        return 0.5 * ad.flat_grad(params)
+        return 0.5 * dense_table(model, model.table.grad).ravel()
 
     def expected_divergence(ref):
         def f(phi):
@@ -227,8 +231,7 @@ def test_criterion_03_lambda_one_unbiasedness():
     enum = env.enumeration()
     masks = enum.action_masks()
     # Arbitrary baseline: unbiasedness must not depend on the critic.
-    suite.value_f.model.table.data[:, 0] = \
-        np.random.default_rng(8).normal(0, 3, enum.n)
+    set_table(suite.value_f.model, np.random.default_rng(8).normal(0, 3, enum.n))
 
     fwd = suite.forward.log_probs_numpy(enum.states, masks)
     trajs = enumerate_paths(env)
@@ -239,7 +242,7 @@ def test_criterion_03_lambda_one_unbiasedness():
     ref_b = exact.edge_logs_backward(enum, bwd)
     v, q = dense_forward_values(enum, fwd, ref_b, suite.log_z.item())
     adv = advantages(v, q, masks)
-    want = exact_logit_gradient(table_visits(enum, fwd), fwd, adv).ravel()
+    want = exact_logit_gradient(table_visits(enum, fwd), fwd, adv)[masks]
     gap = float(np.abs(got - want).max())
     report(3, gap <= 1e-8, f"max coordinate gap {gap:.2e}")
 
@@ -297,9 +300,9 @@ def perfect_suite(env):
     enum = env.enumeration()
     fwd_log, _, log_z_star, log_flow = exact.flow_from_rewards(enum)
     suite = make_suite(env, np.random.default_rng(0), tabular=True, need_flow=True)
-    suite.forward.model.table.data[...] = fwd_log
+    set_table(suite.forward.model, fwd_log)
     suite.log_z.value.data[0] = log_z_star
-    suite.state_flow.model.table.data[:, 0] = log_flow
+    set_table(suite.state_flow.model, log_flow)
     return suite, fwd_log
 
 

@@ -106,15 +106,16 @@ def layered_forward(net, tape, x):
     return h
 
 
-def scatter_gather(tape, a, idx):
-    """Row gather whose backward scatters into a fresh zeros_like table."""
+def scatter_gather(tape, a, idx, shape):
+    """Row gather from the flat `a` read as a dense table of `shape`, whose
+    backward scatters into a fresh zeros table by np.add.at."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = ad.Tensor(a.data[idx])
+    out = ad.Tensor(a.data.reshape(shape)[idx])
 
     def bw(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros(shape)
         np.add.at(acc, idx, g)
-        return (acc,)
+        return (acc.ravel(),)
 
     return tape.record(out, (a,), bw)
 
@@ -175,7 +176,7 @@ def test_tabular_forward_matches_scatter_gather_oracle():
     masks, cols, weights = loss_inputs(rng, [len(idx) for idx in inputs], 4)
     params = table.params()
     got = taped_grads(params, table.forward, inputs, masks, cols, weights)
-    want = taped_grads(params, lambda tape, idx: scatter_gather(tape, table.table, idx),
+    want = taped_grads(params, lambda tape, idx: scatter_gather(tape, table.table, idx, (6, 4)),
                        inputs, masks, cols, weights)
     assert got == want
 
@@ -294,9 +295,29 @@ def test_tape_adopts_the_scatter_table_without_a_copy():
         tracemalloc.stop()
     nbytes = table.table.data.nbytes
     assert peak <= nbytes + nbytes // 8
-    want = np.zeros_like(table.table.data)
+    want = np.zeros((15625, 25))
     np.add.at(want, idx, w.data)
     assert table.table.grad.tobytes() == want.tobytes()
+
+
+def test_packed_gather_backward_is_the_dense_scatter_on_the_mask():
+    # The forward table of tabular SequenceEnv(6, 4), packed to its 79 096
+    # valid slots: the bincount of a 400-row gather's gradient is, byte for
+    # byte, np.add.at into the dense table read on the mask, whatever the
+    # gradient holds off it.
+    mask = sequence_action_masks()
+    rng = np.random.default_rng(82)
+    table = random_table(15625, 25, rng, 0.5, ad.SlotIndex(mask))
+    for _ in range(20):
+        idx = rng.integers(0, 15625, size=400)
+        g = rng.normal(size=(400, 25)) * 10.0 ** rng.integers(-8, 8, size=(400, 1))
+        g[rng.random(g.shape) < 0.1] = -0.0
+        tape = ad.Tape()
+        ad.zero_grads(table.params())
+        tape.backward(ad.sum(tape, ad.mul(tape, table.forward(tape, idx), ad.Tensor(g))))
+        want = np.zeros((15625, 25))
+        np.add.at(want, idx, g)
+        assert table.table.grad.tobytes() == want[mask].tobytes()
 
 
 def test_adopted_gradient_is_not_shared_with_other_inputs():
@@ -590,23 +611,25 @@ class TestMlp:
 class TestTabular:
     def test_rows_and_gradient(self):
         table = ad.Tabular(4, 3)
-        table.table.data[:] = np.arange(12.0).reshape(4, 3)
+        table.table.data[:] = np.arange(12.0)
         tape = ad.Tape()
         rows = table.forward(tape, np.array([2, 0, 2]))
         np.testing.assert_allclose(rows.data[0], [6.0, 7.0, 8.0])
         loss = ad.sum(tape, rows)
         ad.zero_grads(table.params())
         tape.backward(loss)
-        np.testing.assert_allclose(table.table.grad[2], [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(table.table.grad[1], 0.0)
+        grad = table.table.grad.reshape(4, 3)
+        np.testing.assert_allclose(grad[2], [2.0, 2.0, 2.0])
+        np.testing.assert_allclose(grad[1], 0.0)
 
     def test_jvp_gathers_and_vjp_accumulates_rows(self):
         table = ad.Tabular(3, 2)
         idx = np.array([1, 1, 0])
         v = np.arange(6.0)
-        np.testing.assert_array_equal(table.jvp(idx, v), [[2, 3], [2, 3], [0, 1]])
+        _, cells = table.forward_cached(idx)
+        np.testing.assert_array_equal(table.jvp(cells, v), [[2, 3], [2, 3], [0, 1]])
         g_out = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        got = table.vjp(idx, g_out)
+        got = table.vjp(cells, g_out)
         np.testing.assert_array_equal(got, [5, 6, 4, 6, 0, 0])
         tape = ad.Tape()
         loss = ad.sum(tape, ad.mul(tape, table.forward(tape, idx), ad.Tensor(g_out)))
@@ -615,15 +638,25 @@ class TestTabular:
         np.testing.assert_array_equal(got, ad.flat_grad(table.params()))
 
 
-def test_masked_tabular_records_a_support_that_saves_memory():
-    # 24 bytes an admitted entry plus 1 an entry, against 16 an entry.
+def test_masked_tabular_packs_its_admitted_entries():
     mask = np.array([[True, False, True], [False, False, True]])
-    assert ad.Tabular(2, 3).table.support is None
-    np.testing.assert_array_equal(ad.Tabular(2, 3, mask=mask).table.support, [0, 2, 5])
-    mask[1, :2] = True  # 5 of 6 entries: 126 bytes against 96
-    assert ad.Tabular(2, 3, mask=mask).table.support is None
+    index = ad.SlotIndex(mask)
+    assert ad.Tabular(2, 3).table.data.shape == (6,)
+    table = ad.Tabular(2, 3, index)
+    assert table.table.data.shape == (3,)
+    np.testing.assert_array_equal(index.cells, [[0, 3, 1], [3, 3, 2]])
+    np.testing.assert_array_equal(index.starts, [0, 2])
+    table.table.data[:] = [1.0, 2.0, 3.0]
+    rows = table.forward(None, np.array([1, 0])).data
+    np.testing.assert_array_equal(rows[mask[[1, 0]]], [3.0, 1.0, 2.0])
+    logp = table.log_softmax()
+    np.testing.assert_array_equal(logp[~mask], -np.inf)
+    np.testing.assert_allclose(logp[mask], [1.0 - np.logaddexp(1.0, 2.0),
+                                            2.0 - np.logaddexp(1.0, 2.0), 0.0], rtol=1e-15)
     with pytest.raises(ShapeError):
-        ad.Tabular(3, 2, mask=mask)
+        ad.Tabular(3, 2, index)
+    with pytest.raises(MaskError):
+        ad.Tabular(2, 3, ad.SlotIndex(mask & [[True], [False]])).log_softmax()
 
 
 class TestAdam:
@@ -729,14 +762,13 @@ class TestAdam:
     @staticmethod
     def assert_step_allocates_no_parameter_sized_array(mask):
         # The forward table of tabular SequenceEnv(6, 4): 15 625 states x 25
-        # slots, dense or with its valid slots as its support.
-        table = random_table(15625, 25, np.random.default_rng(21), 0.5, mask=mask)
+        # slots, whole or packed to its 79 096 valid slots.
+        index = None if mask is None else ad.SlotIndex(mask)
+        table = random_table(15625, 25, np.random.default_rng(21), 0.5, index)
         p = table.table
-        assert (p.support is None) == (mask is None)
+        assert p.data.size == (15625 * 25 if mask is None else 79096)
         opt = ad.Adam([p], lr=1e-3)
         p.grad = np.random.default_rng(22).normal(size=p.data.shape)
-        if mask is not None:
-            p.grad[~mask] = 0.0
         opt.step()  # warm-up
         nbytes = p.data.nbytes
         for grad in (p.grad, None):
@@ -763,9 +795,9 @@ ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
 
 @st.composite
 def adam_cases(draw, dense=True):
-    """(initial parameter, mask, Adam block).  With `dense`, half the cases
-    are dense parameters of shape (), (k,) or (r, c), whose mask is None;
-    the rest are tables with at least one entry off the mask."""
+    """(initial table, mask, Adam block).  With `dense`, half the cases are
+    parameters of shape (), (k,) or (r, c) whose mask is None (every entry
+    admitted); the rest are tables with at least one entry off the mask."""
     block = draw(st.sampled_from([1, 2, 3, ad.Adam.block]))
     if dense and draw(st.booleans()):
         shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=6))
@@ -784,16 +816,19 @@ def gradient_on(draw, shape, mask):
     return g
 
 
+def packed(a, mask):
+    """`a` itself, or its entries on the mask in row-major order."""
+    return a if mask is None else a[mask]
+
+
 def blocked_adam(init, mask, block):
-    t = ad.Tensor(init.copy(), requires_grad=True)
-    if mask is not None:
-        t.support = np.flatnonzero(mask)
+    t = ad.Tensor(packed(init, mask).copy(), requires_grad=True)
     return t, type("Blocked", (ad.Adam,), {"block": block})([t], lr=0.03)
 
 
-class TestSupportedAdam:
-    """Adam over a dense parameter, or over a parameter's support, against
-    the dense textbook loop."""
+class TestPackedAdam:
+    """Adam over a parameter packed to a table's admitted entries, against
+    the textbook loop over the dense table."""
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(adam_cases(), st.data())
@@ -802,55 +837,41 @@ class TestSupportedAdam:
         live, opt = blocked_adam(init, mask, block)
         ref = ad.Tensor(init.copy(), requires_grad=True)
         ms, vs = [np.zeros_like(init)], [np.zeros_like(init)]
-        # m and v are flat, over the support or in flatten() order.
         kept = np.ones(init.shape, dtype=bool) if mask is None else mask
         for t in range(1, data.draw(st.integers(1, 5)) + 1):
             missing = data.draw(st.booleans())
             g = None if missing else gradient_on(data.draw, init.shape, mask)
-            live.grad = ref.grad = None if g is None else g.copy()
+            ref.grad = None if g is None else g.copy()
+            live.grad = None if g is None else packed(g, mask).copy()
             opt.step()
             TestAdam.allocating_step(opt, [ref], ms, vs, t)
-            assert live.data.tobytes() == ref.data.tobytes()
+            assert live.data.tobytes() == packed(ref.data, mask).tobytes()
             assert opt.m[0].shape == opt.v[0].shape == (np.count_nonzero(kept),)
             assert opt.m[0].tobytes() == ms[0][kept].tobytes()
             assert opt.v[0].tobytes() == vs[0][kept].tobytes()
-            # Off the support, dense Adam keeps m = v = +0.0: a fixed point.
+            # Off the mask, dense Adam keeps the entry and m = v = +0.0: a
+            # fixed point, so packing loses nothing.
+            assert ref.data[~kept].tobytes() == init[~kept].tobytes()
             assert not np.signbit(ms[0][~kept]).any() and not ms[0][~kept].any()
             assert not np.signbit(vs[0][~kept]).any() and not vs[0][~kept].any()
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(adam_cases(), st.data())
-    def test_non_finite_gradient_on_the_support_raises_and_changes_nothing(self, case, data):
+    def test_non_finite_gradient_raises_and_changes_nothing(self, case, data):
         init, mask, block = case
         if mask is not None:
             mask.flat[0] = True
         live, opt = blocked_adam(init, mask, block)
-        live.grad = gradient_on(data.draw, init.shape, mask)
+        live.grad = packed(gradient_on(data.draw, init.shape, mask), mask)
         opt.step()
         before = live.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes(), opt.t
-        g = gradient_on(data.draw, init.shape, mask)
-        on = range(init.size) if mask is None else list(live.support)
-        g.flat[data.draw(st.sampled_from(on))] = data.draw(
+        g = packed(gradient_on(data.draw, init.shape, mask), mask)
+        g.flat[data.draw(st.integers(0, g.size - 1))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
         live.grad = g
         with pytest.raises(NumericFault):
             opt.step()
         assert (live.data.tobytes(), opt.m[0].tobytes(), opt.v[0].tobytes(), opt.t) == before
-
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(adam_cases(dense=False), st.data())
-    def test_non_zero_gradient_off_the_support_raises(self, case, data):
-        init, mask, block = case
-        live, opt = blocked_adam(init, mask, block)
-        g = gradient_on(data.draw, init.shape, mask)
-        off = np.flatnonzero(~mask)
-        g.flat[data.draw(st.sampled_from(list(off)))] = data.draw(
-            st.sampled_from([np.nan, np.inf, -np.inf, 1e-300, -2.0]))
-        live.grad = g
-        with pytest.raises(ContractError, match="outside the parameter's support"):
-            opt.step()
-        assert live.data.tobytes() == init.tobytes()
-        assert not opt.m[0].any() and not opt.v[0].any() and opt.t == 0
 
 
 def test_flatten_assign_roundtrip():

@@ -51,6 +51,8 @@ from oracles import (
     layer_loop_forward_values,
     layer_loop_visits,
     path_log_prob,
+    random_suite,
+    set_table,
     synthetic_env,
     table_visits,
 )
@@ -233,9 +235,16 @@ def test_mode_count_plateaus():
     env = HyperGrid(1, 8)
     enum = env.enumeration()
     modes = mode_states(enum)
-    model = ad.Tabular(enum.n, env.n_action_slots)
-    model.table.data[:, 0] = 50.0  # march to the far edge and stop there
-    fwd = ForwardPolicy(env, model)
+
+    def pushed(slot):
+        """A tabular policy with logit 50 on `slot` wherever it is valid."""
+        model = ad.Tabular(enum.n, env.n_action_slots, enum.action_index)
+        table = np.zeros((enum.n, env.n_action_slots))
+        table[:, slot] = 50.0
+        set_table(model, table)
+        return ForwardPolicy(env, model)
+
+    fwd = pushed(0)  # march to the far edge and stop there
     rng = np.random.default_rng(8)
     count, seen = mode_count(env, fwd, modes, 32, rng)
     if [7] in modes.tolist():
@@ -243,8 +252,7 @@ def test_mode_count_plateaus():
     count2, _ = mode_count(env, fwd, modes, 32, rng, seen=seen)
     assert count2 == count
 
-    never = ForwardPolicy(env, ad.Tabular(enum.n, env.n_action_slots))
-    never.model.table.data[:, 1] = 50.0  # stop at the root immediately
+    never = pushed(1)  # stop at the root immediately
     count3, _ = mode_count(env, never, modes, 64, np.random.default_rng(10))
     assert count3 == 0
 
@@ -512,6 +520,47 @@ def test_forward_log_table_holds_one_row_block_at_a_time():
         tracemalloc.stop()
     assert table.shape == (5 ** 6, env.n_action_slots)
     assert peak <= table.nbytes + 4 * ad.BLOCK * 8
+
+
+HOP_ENVS = [HyperGrid(2, 5), SequenceEnv(3, 3, np.arange(1.0, 28.0))] + [
+    make(np.random.default_rng(seed)) for make in (random_dag, random_graded_dag)
+    for seed in range(3)]
+
+
+@pytest.mark.parametrize("env", HOP_ENVS, ids=["grid", "sequence"] + [
+    f"{kind}{seed}" for kind in ("dag", "graded") for seed in range(3)])
+def test_tabular_forward_log_table_matches_the_dense_path(env):
+    # A tabular policy's table comes from its packed logits in hop form;
+    # the dense log-softmax over the whole table referees it.
+    enum = env.enumeration()
+    masks = enum.action_masks()
+    policy = random_suite(env, np.random.default_rng(enum.n), 2.0, tabular=True).forward
+    got = forward_log_table(enum, policy)
+    want = log_softmax(policy.model.forward(None, np.arange(enum.n)).data, masks)
+    assert np.all(got[~masks] == -np.inf)
+    assert np.abs(got[masks] - want[masks]).max() <= 1e-14
+    pt = terminating_distribution(enum, got)
+    assert np.abs(pt - terminating_distribution(enum, want)).max() <= 1e-14
+    assert abs(pt.sum() - 1.0) <= 1e-14
+
+
+def test_tabular_forward_log_table_holds_only_hop_sized_temporaries():
+    # The 15 625 x 25 forward table of tabular SequenceEnv(6, 4) has 79 096
+    # valid slots; the hop form holds a few arrays of those beside the
+    # dense table it returns.
+    env = synthetic_env(6, 4, 0)
+    enum = env.enumeration()
+    policy = make_suite(env, np.random.default_rng(0), tabular=True).forward
+    forward_log_table(enum, policy)  # builds the index's row starts
+    tracemalloc.start()
+    try:
+        table = forward_log_table(enum, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hop = policy.model.table.data.nbytes
+    assert hop == 79096 * 8
+    assert peak <= table.nbytes + 3 * hop
 
 
 def test_path_enumeration_probabilities_sum_to_one():

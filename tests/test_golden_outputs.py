@@ -55,26 +55,26 @@ CASES = ([(f"grid-{s}", GRID, s) for s, row in ROSTER.items() if not row.graded]
             ("seq-mlp-wide-RL-B", SEQ_WIDE_MLP, "RL-B")])
 
 DIGESTS = {
-    "grid-DB-U": "fa52a8d63226edf2914dd73ecc357d5e599c9320075f9f8aad52697b2786f829",
-    "grid-DB-B": "bbb74baec610557a48b8ad2a73c1d2584291accf9964cab674abba7a54fe9d87",
-    "grid-TB-U": "bfaf87b5bea3524788929818bd1ca65e2203f2790bd9a94d172ad6b81c76cf8d",
-    "grid-TB-B": "4f732a392d3a35a084d5452317a27fc9a234464fd1c0747b7406c002d8301e09",
-    "grid-RL-U": "51a802d0a43937375514bc10311a3c2bea578f07b888a550be94c37615480085",
-    "grid-RL-B": "ebf749582c57076c8bff4f3063a70eeef67c8b103333e11d0c3905cbc5d902cf",
-    "grid-RL-T": "482e35501398c53d172b644e6401e552f303c534c0efc2ea294ac7b474e6d69e",
-    "grid-RL-G": "c302c3bc62fd7c180e182c804a2c3af434c99e633bdace6095a17b31e2880391",
-    "seq-DB-U": "31e88ff2e5ea454c6e05cedb4d20def6b8b221e478029414f35e3c65c086486b",
-    "seq-DB-B": "0cb9650dd80c45f0972442adee8b2c2dc8223e1a08e73f9bf3a0ce57775a8e6c",
-    "seq-TB-U": "ec9425ac8c635dddb5fb6646df59d2a7f0d6e855bfeb9939bf7a73ca43100491",
-    "seq-TB-B": "2e403c245b0e0cef467db0fd4f0903298e19a513c68a1f3833390d1378cf4ddd",
-    "seq-TB-Sub": "57815382d2c0beaed2fb9c5cc3b451a6401a72695df41df6dfba6f3a04da674e",
-    "seq-RL-U": "4d7b46eb550cbe0839efc0c1b631ba2f7b6895e0587afb3614913621a3d29040",
-    "seq-RL-B": "c6985652f43f3476ea67ad1954f549a98e7a1a481c295e0998feb3fb47d1510b",
-    "seq-RL-T": "749844edea575ad496e1e6ddd019a6fec21897229e48c5f20c8cf2e7aeabd1aa",
-    "seq-RL-G": "9876e827488196c7a7ada7166a82a66b6eb81e458aceafdcd72c28ddc91eee80",
+    "grid-DB-U": "2f9d1d1f77ae21440dded19568a48bff70bc1b7a05837dd3e6d91f0ca92740fa",
+    "grid-DB-B": "afa63172b8ee38c67f4a6b03e76623fddac9c7780d5640d28184c3e3d6038446",
+    "grid-TB-U": "a32195cb1a6907f9681a74eb74559d3b0d15c8a1b04f8c07cea548c73f8d63ff",
+    "grid-TB-B": "1e706b592c4bddeb0df15782c56c6a094e629c03ab7bed5b7a5ea556984c07f6",
+    "grid-RL-U": "5a9112cbc7750f06427ce8eb93f85ef37998f13cabc4b3f6c6440f1acd05306b",
+    "grid-RL-B": "5bf491b896ad58ff55df168473e7d55c7419a7a9e647c8159e02c88c98f524a7",
+    "grid-RL-T": "5e5b1987ab2581f9287a2180fb99b308c20c55f4df9d49ae8440b37a062b649b",
+    "grid-RL-G": "44d08d34ccbd35e3e492cc70ae00cc108a47dfe2fc17dc7c366cae7ce3f529ba",
+    "seq-DB-U": "8f62632158b3c33891f0028e5a5a7dadb20f93bf75d4cfd35f47794460bbcee8",
+    "seq-DB-B": "cb660da14fd593ccf071611dbcddefdb043a29b07e9da97e4aa2e09f0f4f6393",
+    "seq-TB-U": "52f12bfe4e2acd87e1f7d188755d5873c3166b518f207550130e67c899de249b",
+    "seq-TB-B": "9b48d94925d227fe6e423e8d5795e803f484a6ab932e52a4c0ab9949bce3c4b7",
+    "seq-TB-Sub": "deeaed502e54f88b63b1d3d1c1acc8dd05ab8d35b3daf60cc3d5f58549f683c6",
+    "seq-RL-U": "7e3837c51e39ac0c09d2350e6ee88f8e8856ce428ef63b4cfe78dc2142e0973e",
+    "seq-RL-B": "94bdc19581803886448d0f581ab3e8c17046ce43ee608f408789283300dcbfae",
+    "seq-RL-T": "9064c173ec9deb7419fab3ce7cafd75ae50a0ebb5a0dfc8936601be244d19f19",
+    "seq-RL-G": "1eaca0c9e99f8b6b7366607914d1f7cf7a34495202a7c6f12a0d7878f00386f1",
     "grid-mlp-TB-U": "d335b11c4c3235ab383cce6f28c11eab2f377bbe1384dfe9473e5bcb35639dc6",
     "grid-mlp-RL-B": "4889c75e283673eceb8d29978c532654f2382f38174dd3570f6b2a5186d3b426",
-    "seq-bench-RL-U": "a562de36f33067d53ebb1301e8efd41cbe203eaa099938c1c4461f677fcff450",
+    "seq-bench-RL-U": "2620ffbab559a1b3932c8838abf110a4cbda01ac34af7e0a31a265f311e0b0ff",
     "seq-bench-mlp-TB-U": "f85b23e0475d1fee1dd8ecd836983a4c61fe5b120292c2493129b4ec1c96c64e",
     "seq-mlp-wide-RL-B": "a92b0a4a4be587677703bc87b18828bb6a11cf6119ad83c30863b09729cab8a3",
 }

@@ -22,7 +22,7 @@ from gflow.objectives import (
 from gflow.policy import make_suite
 from gflow.sampling import Trajectory, sample_backward, sample_forward
 from gflow.training import backward_advantages
-from oracles import guided_tb_loss, random_suite, synthetic_env
+from oracles import guided_tb_loss, random_suite, set_table, synthetic_env
 from test_envs import log_reward, terminal_slot
 
 
@@ -31,10 +31,10 @@ def perfect_suite(env, need_flow=True):
     enum = env.enumeration()
     fwd_log, bwd_log, log_z_star, log_flow = flow_from_rewards(enum)
     suite = make_suite(env, np.random.default_rng(0), tabular=True, need_flow=need_flow)
-    suite.forward.model.table.data[...] = fwd_log
+    set_table(suite.forward.model, fwd_log)
     suite.log_z.value.data[0] = log_z_star
     if need_flow:
-        suite.state_flow.model.table.data[:, 0] = log_flow
+        set_table(suite.state_flow.model, log_flow)
     return suite, bwd_log
 
 
@@ -181,7 +181,7 @@ def test_db_loss_matches_hand_recompute():
     suite = random_suite(env, rng, 0.4, tabular=True, learned_backward=True,
                          need_flow=True)
     trajs = sample_batch(env, suite, n=12, seed=7)
-    flow = suite.state_flow.model.table.data[:, 0]
+    flow = suite.state_flow.model.table.data  # one entry per state
     enum = env.enumeration()
 
     want = 0.0
@@ -232,8 +232,7 @@ def test_subtb_full_span_reduces_to_tb(monkeypatch):
     rng = np.random.default_rng(10)
     suite = random_suite(env, rng, 0.5, log_z=0.7, tabular=True, learned_backward=True,
                          need_flow=True)
-    suite.state_flow.model.table.data[env.enumeration().root_index, 0] = \
-        suite.log_z.item()
+    suite.state_flow.model.table.data[env.enumeration().root_index] = suite.log_z.item()
     trajs = sample_batch(env, suite, n=8, seed=11)
     monkeypatch.setattr(objectives, "subtb_weights", full_span_weights)
     full = float(subtb_loss(ad.Tape(), step_batch(trajs), suite).data)
@@ -248,7 +247,7 @@ def test_subtb_matches_hand_recompute():
                          need_flow=True)
     trajs = sample_batch(env, suite, n=6, seed=13)
     enum = env.enumeration()
-    flow_tab = suite.state_flow.model.table.data[:, 0]
+    flow_tab = suite.state_flow.model.table.data  # one entry per state
     base = 0.9
 
     def flow_of(row):

@@ -1,11 +1,13 @@
 """Policy wrappers: masked distributions, score vectors, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gflow import autodiff as ad
 from gflow import training
-from gflow.envs import HyperGrid, SequenceEnv, random_dag
+from gflow.envs import HyperGrid, SequenceEnv, random_dag, synthetic_rewards
 from gflow.errors import ShapeError
 from gflow.objectives import step_batch
 from gflow.policy import (
@@ -22,7 +24,7 @@ from gflow.policy import (
 )
 from gflow.sampling import sample_forward
 from gflow.training import DAMPING, conjugate_gradient, trpo_step
-from oracles import random_suite, random_table, synthetic_env
+from oracles import dense_table, random_suite, random_table, synthetic_env
 
 
 def mlp_forward(env, rng, hidden=(8,)):
@@ -187,11 +189,14 @@ def test_logz():
 
 
 def tape_score_row(pol, state, slot):
-    """d log pi(slot | state) / d theta from one taped backward pass."""
+    """d log pi(slot | state) / d theta from one taped backward pass; for a
+    tabular policy over its dense table, 0 off the valid slots."""
     for p in pol.params():
         p.grad = None
     tape = ad.Tape()
     tape.backward(pol.step_log_probs(tape, state[None], np.array([slot])))
+    if pol.tabular:
+        return dense_table(pol.model, pol.model.table.grad).ravel()
     return ad.flat_grad(pol.params())
 
 
@@ -205,7 +210,7 @@ def dense_scores(pol, states, slots):
     d[np.arange(len(states)), slots] += 1.0
     m = len(states)
     if isinstance(model, ad.Tabular):
-        g = np.zeros((m, model.n_rows * model.n_cols))
+        g = np.zeros((m, model.index.mask.size))
         cols = x[:, None] * model.n_cols + np.arange(model.n_cols)[None, :]
         np.put_along_axis(g, cols, d, axis=1)
         return g
@@ -226,8 +231,9 @@ def assert_rel(got, want, rel=1e-10):
 
 
 def operator_columns(pol, scores):
-    """flatten() positions of a score operator's columns: every parameter,
-    or the entries of the table rows it covers."""
+    """Positions of a score operator's columns: every parameter in
+    flatten() order, or the entries of the table rows it covers in the
+    dense table."""
     if scores.rows is None:
         return np.arange(ad.flatten(pol.params()).size)
     n_cols = pol.model.n_cols
@@ -237,7 +243,8 @@ def operator_columns(pol, scores):
 def test_score_matrix_matches_per_row_tape():
     env = HyperGrid(2, 3)
     rng = np.random.default_rng(6)
-    for pol in (mlp_forward(env, rng), ForwardPolicy(env, random_table(9, 3, rng, 0.5))):
+    index = env.enumeration().action_index
+    for pol in (mlp_forward(env, rng), ForwardPolicy(env, random_table(9, 3, rng, 0.5, index))):
         states = np.array([(0, 0), (1, 1), (2, 1), (0, 2), (1, 1)])
         slots = np.array([0, 2, 1, 0, 1])
         scores = score_matrix(pol, states, slots)
@@ -330,23 +337,23 @@ def test_suite_param_groups_by_need():
 @pytest.mark.parametrize("env", [HyperGrid(2, 3), SequenceEnv(2, 3, np.arange(1.0, 10.0)),
                                  SequenceEnv(3, 2, np.arange(1.0, 9.0))])
 def test_tabular_suite_policy_supports_are_the_valid_slots(env):
-    # A policy table records its valid slots as its support when they are
-    # under 5/8 of its entries (autodiff.Tabular); value tables never do.
+    # A policy table holds one entry per valid slot, packed by the
+    # enumeration's shared index; value tables one per state.
     enum = env.enumeration()
-    suite = make_suite(env, np.random.default_rng(8), tabular=True, learned_backward=True,
-                       need_value_f=True, need_flow=True)
-    for policy, masks in ((suite.forward, enum.action_masks()),
-                          (suite.backward, enum.parent_masks())):
-        support = policy.model.table.support
-        if masks.mean() < 5 / 8:
-            np.testing.assert_array_equal(support, np.flatnonzero(masks))
-        else:
-            assert support is None
-    assert suite.value_f.model.table.support is None
-    assert suite.state_flow.model.table.support is None
-    assert all(p.support is None for p in make_suite(env, np.random.default_rng(8)).all_params())
-    # Sequence forward tables admit few slots; grid ones nearly all.
-    assert (suite.forward.model.table.support is not None) == isinstance(env, SequenceEnv)
+    suites = [make_suite(env, np.random.default_rng(8), tabular=True, learned_backward=True,
+                         need_value_f=True, need_flow=True) for _ in range(2)]
+    for suite in suites:
+        for policy, index, masks in ((suite.forward, enum.action_index, enum.action_masks()),
+                                     (suite.backward, enum.parent_index, enum.parent_masks())):
+            assert policy.model.index is index
+            assert policy.model.table.data.shape == (np.count_nonzero(masks),)
+            np.testing.assert_array_equal(index.cells[masks], np.arange(index.size))
+            assert np.all(index.cells[~masks] == index.size)
+        for estimator in (suite.value_f, suite.state_flow):
+            assert estimator.model.table.data.shape == (enum.n,)
+    # A table packed by other slots than the policy's is refused.
+    with pytest.raises(ShapeError):
+        ForwardPolicy(env, ad.Tabular(enum.n, env.n_action_slots))
 
 
 def test_suite_checkpoint_round_trip(tmp_path):
@@ -372,6 +379,54 @@ def test_suite_checkpoint_group_mismatch(tmp_path):
     big = make_suite(env, rng, need_value_f=True)
     with pytest.raises(ShapeError):
         big.load(path)
+
+
+def test_tabular_checkpoint_bytes_are_the_dense_tables(tmp_path):
+    # A packed suite writes the bytes a writer of its dense tables, zero off
+    # the valid slots, writes.
+    env = SequenceEnv(3, 2, np.arange(1.0, 9.0))
+    suite = random_suite(env, np.random.default_rng(12), 0.5, log_z=0.3, tabular=True,
+                         learned_backward=True, need_value_f=True, need_flow=True)
+    suite.save(tmp_path / "packed.params", seed=5)
+    groups = suite._parts()
+    vecs = [dense_table(part.model).ravel() if name != "log_z" else part.value.data
+            for name, part in groups.items()]
+    save_checkpoint(tmp_path / "dense.params", "suite:" + ",".join(groups),
+                    [v.size for v in vecs], 5, np.concatenate(vecs))
+    assert (tmp_path / "packed.params").read_bytes() == (tmp_path / "dense.params").read_bytes()
+
+
+# DB-B on SequenceEnv(2, 3) after 6 iterations, as gflow wrote it when a
+# policy table was a dense (state x slot) parameter.
+DENSE_LAYOUT_PARAMS = Path(__file__).parent / "data" / "seq-2x3-DB-B-seed3.params"
+
+
+def dense_layout_suite():
+    env = SequenceEnv(2, 3, synthetic_rewards(2, 3, 1))
+    return make_suite(env, np.random.default_rng(0), tabular=True, learned_backward=True,
+                      need_flow=True)
+
+
+def test_checkpoint_of_the_dense_layout_loads(tmp_path):
+    suite = dense_layout_suite()
+    assert suite.load(DENSE_LAYOUT_PARAMS) == 3
+    assert suite.forward.model.table.data.any() and suite.backward.model.table.data.any()
+    suite.save(tmp_path / "again.params", seed=3)
+    assert (tmp_path / "again.params").read_bytes() == DENSE_LAYOUT_PARAMS.read_bytes()
+
+
+@pytest.mark.parametrize("group", [0, 1], ids=["forward", "backward"])
+def test_checkpoint_with_a_value_off_the_valid_slots_is_refused(tmp_path, group):
+    suite = dense_layout_suite()
+    kind, dims, seed, vec = load_checkpoint(DENSE_LAYOUT_PARAMS)
+    policy = (suite.forward, suite.backward)[group]
+    off = np.flatnonzero(~policy.model.index.mask)[-1]
+    vec[sum(dims[:group]) + off] = 1e-300
+    save_checkpoint(tmp_path / "bad.params", kind, dims, seed, vec)
+    before = ad.flatten(suite.all_params()).tobytes()
+    with pytest.raises(ShapeError, match="off its table's mask"):
+        suite.load(tmp_path / "bad.params")
+    assert ad.flatten(suite.all_params()).tobytes() == before
 
 
 def test_raw_checkpoint_round_trip(tmp_path):

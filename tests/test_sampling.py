@@ -16,7 +16,7 @@ from gflow.sampling import (
     sample_rows,
 )
 from gflow.training import Trainer, TrainerConfig
-from oracles import random_suite, synthetic_env
+from oracles import dense_table, random_suite, set_table, synthetic_env
 from test_envs import (
     backward_slot,
     child,
@@ -34,8 +34,11 @@ N_MC = 100_000
 
 def forced_forward(env, push, favored=0):
     """Tabular forward policy with one strongly favored slot per state."""
-    model = ad.Tabular(env.enumeration().n, env.n_action_slots)
-    model.table.data[:, favored] = push
+    enum = env.enumeration()
+    model = ad.Tabular(enum.n, env.n_action_slots, enum.action_index)
+    table = np.zeros((enum.n, env.n_action_slots))
+    table[:, favored] = push
+    set_table(model, table)
     return ForwardPolicy(env, model)
 
 
@@ -284,7 +287,9 @@ def test_forward_sampler_rejects_non_finite_probabilities():
 def test_backward_sampler_rejects_non_finite_probabilities():
     env = HyperGrid(2, 4)
     suite = make_suite(env, np.random.default_rng(14), tabular=True, learned_backward=True)
-    suite.backward.model.table.data[:, 1] = np.inf
+    table = dense_table(suite.backward.model)
+    table[:, 1] = np.inf
+    set_table(suite.backward.model, table)
     with pytest.raises(NumericFault, match="backward policy probabilities are non-finite"), \
             np.errstate(invalid="ignore"):
         sample_backward(env, suite.backward, rows(env, [(3, 3), (0, 0)]),

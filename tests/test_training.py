@@ -57,6 +57,7 @@ from oracles import (
     exact_logit_gradient,
     path_log_prob,
     random_suite,
+    set_table,
     surrogate_gradient,
     synthetic_env,
     table_visits,
@@ -75,9 +76,9 @@ def fixture_suite(env, logz_shift=0.0):
     enum = env.enumeration()
     fwd_log, _, log_z_star, log_flow = flow_from_rewards(enum)
     suite = make_suite(env, np.random.default_rng(0), tabular=True, need_value_f=True)
-    suite.forward.model.table.data[...] = fwd_log
+    set_table(suite.forward.model, fwd_log)
     suite.log_z.value.data[0] = log_z_star + logz_shift
-    suite.value_f.model.table.data[:, 0] = log_z_star - log_flow
+    set_table(suite.value_f.model, log_z_star - log_flow)
     return suite
 
 
@@ -305,7 +306,7 @@ def test_advantage_scans_match_the_per_trajectory_loops(make_env):
     suite = random_suite(env, rng, 1.0, log_z=0.4, tabular=True, learned_backward=True,
                          need_value_f=True, need_value_b=True)
     for table in (suite.value_f.model.table, suite.value_b.model.table):
-        table.data[:, 0] = rng.normal(0.0, 2.0, len(table.data))
+        table.data[...] = rng.normal(0.0, 2.0, len(table.data))  # one entry per state
     trajs = sample_forward(env, suite.forward, 40, np.random.default_rng(7), eps=0.5)
     sb = step_batch(trajs)
     # Backward walks from the endpoints, each one twice.
@@ -428,14 +429,16 @@ def test_trpo_step_evaluates_the_policy_once_before_the_solve(tabular, monkeypat
 
 
 def exact_forward_gradient(env, suite):
-    """Ground-truth d J_F / d logits via visit * pi * advantage."""
+    """Ground-truth d J_F / d logits via visit * pi * advantage, packed
+    like the policy's table."""
     enum = env.enumeration()
-    fwd = suite.forward.log_probs_numpy(enum.states, enum.action_masks())
+    masks = enum.action_masks()
+    fwd = suite.forward.log_probs_numpy(enum.states, masks)
     bwd = backward_log_table(enum, suite.backward)
     ref = edge_logs_backward(enum, bwd)
     v, q = dense_forward_values(enum, fwd, ref, suite.log_z.item())
-    adv = advantages(v, q, enum.action_masks())
-    return exact_logit_gradient(table_visits(enum, fwd), fwd, adv).ravel()
+    adv = advantages(v, q, masks)
+    return exact_logit_gradient(table_visits(enum, fwd), fwd, adv)[masks]
 
 
 def all_path_batch(env, suite):
@@ -466,7 +469,7 @@ def test_expected_surrogate_gradient_is_exact_with_any_baseline():
             base = suite
             want = exact_forward_gradient(env, base)
         else:
-            base.value_f.model.table.data[:, 0] = rng.normal(0, 3, env.n_states())
+            set_table(base.value_f.model, rng.normal(0, 3, env.n_states()))
         trajs, weights = all_path_batch(env, base)
         got = surrogate_gradient(base, step_batch(trajs), lam=1.0, weights=weights)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -559,12 +562,14 @@ def test_visited_row_step_matches_the_full_table_solve(env, monkeypatch):
     suite = random_suite(env, rng, 0.5, tabular=True, need_value_f=True)
     table = suite.forward.model.table.data
     sb = step_batch(sample_forward(env, suite.forward, 32, rng))
-    visited = np.zeros(len(table), dtype=bool)
+    visited = np.zeros(env.enumeration().n, dtype=bool)
     visited[env.enumeration().positions(sb.states)] = True
+    # Per packed entry: whether its row was visited.
+    visited = visited[np.nonzero(suite.forward.model.index.mask)[0]]
     assert not visited.all()
 
     g, x = full_table_direction(suite, sb)
-    step = (-np.sqrt(2.0 * 0.01 / (g @ x)) * x).reshape(table.shape)
+    step = -np.sqrt(2.0 * 0.01 / (g @ x)) * x
     assert not step[~visited].any()
     before = table.copy()
     stats = trpo_step(suite, sb, make_optimizers(suite), zeta=0.01)
