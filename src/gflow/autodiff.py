@@ -8,6 +8,9 @@ tens of records rather than one per trajectory step.
 The op set is deliberately small: elementwise arithmetic, masked
 log-softmax, index gathers and picks, segment sums and reductions.  That is
 enough to express every objective in this library as a handful of records.
+Each op states its value and its backward rule once, and one recording path
+puts them on the tape; untaped (tape=None), an op builds its rule but
+records nothing.
 
 The two models, Mlp and Tabular, share one protocol.  forward(tape, x)
 evaluates the model; taped, it adds exactly one record whose inputs are the
@@ -136,70 +139,48 @@ class _Owned:
 
 
 # ---------------------------------------------------------------------------
-# Primitive ops.  Each takes the tape first and returns a new Tensor.  With
-# tape=None an op evaluates eagerly: it records nothing and builds no
-# backward closure, so untaped model evaluations share the taped code path.
+# Primitive ops.  Each takes the tape first and returns a new Tensor through
+# _op, stating only its value and its backward rule.  With tape=None an op
+# evaluates eagerly: its rule is built but recorded nowhere, so untaped
+# model evaluations share the taped code path.
 # ---------------------------------------------------------------------------
+
+def _op(data, inputs, backward, tape):
+    """A Tensor of `data`, recorded on `tape` with its `inputs` and
+    `backward` (the output's gradient to one gradient per input), or
+    recorded nowhere when tape is None."""
+    out = Tensor(data)
+    return out if tape is None else tape.record(out, inputs, backward)
+
 
 def add(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
-    if tape is None:
-        return out
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return tape.record(out, (a, b), bw)
+    return _op(a.data + b.data, (a, b),
+               lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)), tape)
 
 
 def sub(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-    if tape is None:
-        return out
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return tape.record(out, (a, b), bw)
+    return _op(a.data - b.data, (a, b),
+               lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)), tape)
 
 
 def mul(tape, a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
-    if tape is None:
-        return out
-
-    def bw(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return tape.record(out, (a, b), bw)
+    return _op(a.data * b.data, (a, b),
+               lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                          _unbroadcast(g * a.data, b.data.shape)), tape)
 
 
 def scale(tape, a, c):
     a = _as_tensor(a)
     c = float(c)
-    out = Tensor(a.data * c)
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (g * c,)
-
-    return tape.record(out, (a,), bw)
+    return _op(a.data * c, (a,), lambda g: (g * c,), tape)
 
 
 def square(tape, a):
     a = _as_tensor(a)
-    out = Tensor(a.data * a.data)
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (2.0 * g * a.data,)
-
-    return tape.record(out, (a,), bw)
+    return _op(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,), tape)
 
 
 def _masked_exp(logits, mask):
@@ -231,16 +212,12 @@ def log_softmax_masked(tape, logits, mask):
         raise MaskError("log_softmax_masked: a row masks out every entry")
     x = logits.data
     m, w, s = _masked_exp(x, mask)
-    out = Tensor(np.where(mask, x - (m + np.log(s)), NEG_INF))
-    if tape is None:
-        return out
-    p = w / s
 
-    def bw(g):
+    def backward(g):  # the probabilities are w / s
         g = np.where(mask, g, 0.0)
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        return (g - w / s * g.sum(axis=-1, keepdims=True),)
 
-    return tape.record(out, (logits,), bw)
+    return _op(np.where(mask, x - (m + np.log(s)), NEG_INF), (logits,), backward, tape)
 
 
 def _scatter(shape, idx, g):
@@ -254,14 +231,7 @@ def gather(tape, a, idx):
     """Select rows (or scalars, for 1-D input) along axis 0; repeats allowed."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx])
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (_Owned(_scatter(a.data.shape, idx, g)),)
-
-    return tape.record(out, (a,), bw)
+    return _op(a.data[idx], (a,), lambda g: (_Owned(_scatter(a.data.shape, idx, g)),), tape)
 
 
 def pick(tape, a, cols):
@@ -271,53 +241,28 @@ def pick(tape, a, cols):
         raise ShapeError(f"pick expects a 2-D input, got shape {a.data.shape}")
     cols = np.asarray(cols, dtype=np.intp)
     rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, cols])
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (_Owned(_scatter(a.data.shape, (rows, cols), g)),)
-
-    return tape.record(out, (a,), bw)
+    return _op(a.data[rows, cols], (a,),
+               lambda g: (_Owned(_scatter(a.data.shape, (rows, cols), g)),), tape)
 
 
 def segment_sum(tape, a, segments, num_segments):
     """Sum a 1-D tensor into `num_segments` buckets given per-entry segment ids."""
     a = _as_tensor(a)
     segments = np.asarray(segments, dtype=np.intp)
-    out = Tensor(np.bincount(segments, weights=a.data, minlength=num_segments))
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (g[segments],)
-
-    return tape.record(out, (a,), bw)
+    return _op(np.bincount(segments, weights=a.data, minlength=num_segments), (a,),
+               lambda g: (g[segments],), tape)
 
 
 def sum(tape, a):
     a = _as_tensor(a)
-    out = Tensor(a.data.sum())
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return tape.record(out, (a,), bw)
+    return _op(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),), tape)
 
 
 def mean(tape, a):
     a = _as_tensor(a)
     n = a.data.size
-    out = Tensor(a.data.mean())
-    if tape is None:
-        return out
-
-    def bw(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return tape.record(out, (a,), bw)
+    return _op(a.data.mean(), (a,),
+               lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),), tape)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +446,7 @@ class Tabular:
     def forward(self, tape, idx):
         """Rows `idx` of the table (repeats allowed); untaped when tape is None."""
         out, cells = self.forward_cached(idx)
-        out = Tensor(out)
-        if tape is None:
-            return out
-        return tape.record(out, [self.table], lambda g: (_Owned(self.vjp(cells, g)),))
+        return _op(out, [self.table], lambda g: (_Owned(self.vjp(cells, g)),), tape)
 
     def forward_cached(self, idx):
         """(rows, cells): rows `idx` and the parameter entry each of their

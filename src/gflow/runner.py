@@ -105,14 +105,14 @@ class RunConfig(TrainerConfig):
 _FIELDS = {FIELD_KEYS.get(f.name, f.name): f for f in fields(RunConfig)}
 
 
-def _convert(key, value, default):
+def _convert(value, default):
     if isinstance(default, bool):
         low = value.lower()
         if low in ("on", "true", "yes", "1"):
             return True
         if low in ("off", "false", "no", "0"):
             return False
-        raise ConfigError(f"{key}: expected on/off, got {value!r}")
+        raise ValueError(f"expected on/off, got {value!r}")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
@@ -124,7 +124,7 @@ def _convert(key, value, default):
 
 
 def parse_config_text(text):
-    values = {}
+    values, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,8 +137,11 @@ def parse_config_text(text):
         field = _FIELDS.get(key)
         if field is None:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"config line {ln}: {key!r} repeats config line {lines[key]}")
+        lines[key] = ln
         try:
-            values[field.name] = _convert(key, value, field.default)
+            values[field.name] = _convert(value, field.default)
         except ValueError as err:
             raise ConfigError(f"config line {ln}: bad value for {key!r}: {err}") from None
     return RunConfig(**values)

@@ -477,17 +477,18 @@ def test_backward_needs_scalar_root():
 
 
 def _eager_cases():
+    """Arguments per op; the differentiable ones are Tensors."""
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(3, 4))
+    a = ad.Tensor(rng.normal(size=(3, 4)))
     b = rng.normal(size=(3, 4))
     mask = rng.random((3, 4)) < 0.6
     mask[:, 0] = True
-    flat = rng.normal(size=5)
+    flat = ad.Tensor(rng.normal(size=5))
     return {
-        "matmul": (a, rng.normal(size=(4, 2))),
-        "add": (a, b[0]),
-        "sub": (a, b),
-        "mul": (a, b),
+        "matmul": (a, ad.Tensor(rng.normal(size=(4, 2)))),
+        "add": (a, ad.Tensor(b[0])),
+        "sub": (a, ad.Tensor(b)),
+        "mul": (a, ad.Tensor(b)),
         "scale": (a, -1.5),
         "square": (a,),
         "leaky_relu": (a, 0.2),
@@ -518,7 +519,12 @@ def test_eager_op_matches_taped_and_records_nothing(name):
     assert np.array_equal(eager.data, taped.data)
     assert unused._records == []
     assert not eager._taped
-    assert tape._records
+    # Taped, the op adds one record: its output and its Tensor arguments.
+    [(out, inputs, _)] = tape._records
+    assert out is taped
+    tensors = [x for x in args if isinstance(x, ad.Tensor)]
+    assert len(inputs) == len(tensors)
+    assert all(i is t for i, t in zip(inputs, tensors))
 
 
 def test_eager_log_softmax_masked_in_row_blocks_matches_single_pass():

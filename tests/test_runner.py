@@ -109,6 +109,8 @@ def test_parse_config_defaults():
     ("eval_every = 0", "eval_every"),
     ("seeds =", "seeds"),
     ("tabular = maybe", "on/off"),
+    ("timing = maybe", "config line 1: bad value for 'timing': expected on/off, got 'maybe'"),
+    ("seeds = 1\nbatch = 4\n\nbatch = 8", "config line 4: 'batch' repeats config line 2"),
     ("lr_value = -1", "lr_value"),
     ("r0 = 0", "grid rewards"),
     ("r0 = -1", "grid rewards"),
