@@ -30,21 +30,17 @@ from .errors import ContractError
 SCORE_FLOOR = 1e-8
 
 
-class _Guide:
-    """Shared batch contract; subclasses supply edge_log_probs."""
-
-    def refresh(self, forward, sb):
-        """Bring the guide up to date after the training batch `sb` was
-        sampled by `forward`; a fixed guide has nothing to update."""
-
-
-class _MarkovGuide(_Guide):
+class _MarkovGuide:
     """Guide backed by one dense backward kernel log table."""
 
     def __init__(self, env):
         self.env = env
         self.enum = env.enumeration()
         self.log_table = None
+
+    def refresh(self, forward, sb):
+        """Bring the guide up to date after the training batch `sb` was
+        sampled by `forward`; a fixed guide has nothing to update."""
 
     def backward_kernel(self):
         if self.log_table is None:
@@ -116,7 +112,7 @@ class HyperGridGuide(_MarkovGuide):
         self.log_table = table
 
 
-class SequenceGuide(_Guide):
+class SequenceGuide:
     """Replay-derived guide for the sequence environment.
 
     The score of a partial sequence s compatible with x is the mean reward

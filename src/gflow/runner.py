@@ -70,8 +70,6 @@ class RunConfig(TrainerConfig):
     mode_samples: int = 0  # 0: as many as the batch
     timing: bool = True
 
-    _FLOATS = TrainerConfig._FLOATS + ("beta", "r0", "r1", "r2")
-
     def __post_init__(self):
         super().__post_init__()
         if self.env not in ("grid", "sequence"):

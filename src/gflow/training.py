@@ -2,11 +2,12 @@
 
 Value-based strategies (detailed balance, trajectory balance, sub-trajectory
 balance) take one Adam step per parameter group on a differentiable batch
-loss.  Policy-gradient strategies build per-step policy-dependent rewards,
-sweep lambda advantages, and update the forward policy by a plain surrogate
-step or a trust-region step; log Z descends its unbiased gradient estimate
-(the batch mean of the lambda=1 root value estimates), value estimators
-regress on lambda targets, and a learned backward policy trains on
+loss.  Policy-gradient strategies share one forward update: it builds
+per-step policy-dependent rewards, sweeps lambda advantages, descends log Z
+along its unbiased gradient estimate (the batch mean of the lambda=1 root
+value estimates) and regresses the forward values on lambda targets.  The
+forward policy moves by the plain surrogate step, or for RL-T by the
+trust-region step alone, and a learned backward policy trains on
 backward-sampled trajectories against the forward policy or a guide.
 Each update evaluates each model it trains once, taped, per batch: rewards
 and advantages read those tensors' numbers, and the losses differentiate them.
@@ -160,9 +161,27 @@ def _value_step(tape, v, targets, estimator, optimizer, n_traj):
     return _descend(tape, loss, estimator.params(), [optimizer], "value regression loss")
 
 
-def _logz_step(suite, root_v1, optimizer):
+def _forward_update(suite, sb, optimizers, lam, policy_optimizers):
+    """The forward chain every policy-gradient strategy trains, from one taped
+    evaluation of the forward policy and of V_F: the surrogate descent
+    (stepping `policy_optimizers` only), the log Z step and the value
+    regression.  Returns (stats, masks, log-prob matrix, advantages).
+    """
+    policy = suite.forward
+    masks = policy.masks(sb.states)
+    tape, value_tape = ad.Tape(), ad.Tape()
+    log_matrix = policy.log_prob_matrix(tape, sb.states, masks)
+    lp = ad.pick(tape, log_matrix, sb.slots)
+    v = suite.value_f.values(value_tape, sb.states)
+    adv, targets, root_v1 = forward_advantages(sb, suite, lam, lp.data, v.data)
+    surr = _descend(tape, surrogate_loss(tape, lp, adv, sb.n_traj), policy.params(),
+                    policy_optimizers, "policy surrogate")
     suite.log_z.value.grad = np.array([float(np.mean(root_v1))])
-    optimizer.step()
+    optimizers["log_z"].step()
+    vloss = _value_step(value_tape, v, targets, suite.value_f, optimizers["value_f"],
+                        sb.n_traj)
+    stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr, "value_loss": vloss}
+    return stats, masks, log_matrix.data, adv
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +225,8 @@ def actor_critic_step(suite, sb, optimizers, lam=0.99, rng=None, guide=None):
     """Policy-gradient step: forward surrogate, log Z, value regression, and
     (when the backward policy is learned) the mirrored backward update,
     trained toward `guide` when one is given."""
-    tape, value_tape = ad.Tape(), ad.Tape()
-    lp = suite.forward.step_log_probs(tape, sb.states, sb.slots)
-    v = suite.value_f.values(value_tape, sb.states)
-    adv, targets, root_v1 = forward_advantages(sb, suite, lam, lp.data, v.data)
-    surr = _descend(tape, surrogate_loss(tape, lp, adv, sb.n_traj), suite.forward.params(),
-                    [optimizers["policy_f"]], "policy surrogate")
-    _logz_step(suite, root_v1, optimizers["log_z"])
-    vloss = _value_step(value_tape, v, targets, suite.value_f, optimizers["value_f"],
-                        sb.n_traj)
-    stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr,
-             "value_loss": vloss, "accepted": True}
+    stats = _forward_update(suite, sb, optimizers, lam, [optimizers["policy_f"]])[0]
+    stats["accepted"] = True
     if "policy_b" in optimizers:
         if rng is None:
             raise ConfigError("learned backward policy updates need an rng")
@@ -244,7 +254,7 @@ def _solved_entries(policy, rows):
 
 
 def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
-    """Trust-region forward-policy step; log Z and values as the plain step.
+    """Trust-region forward-policy step; _forward_update steps log Z and values.
 
     The step direction solves F x = g by conjugate gradients (stopping on a
     residual of CG_TOL relative to g) with F the damped empirical Fisher of
@@ -257,20 +267,12 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
     there, and the line search writes and restores those rows alone.
     """
     policy = suite.forward
-    masks = policy.masks(sb.states)
-    tape, value_tape = ad.Tape(), ad.Tape()
-    log_matrix = policy.log_prob_matrix(tape, sb.states, masks)
-    old_log = log_matrix.data  # the rewards, the KL and the surrogate read one evaluation
-    lp = ad.pick(tape, log_matrix, sb.slots)
-    v = suite.value_f.values(value_tape, sb.states)
-    adv, targets, root_v1 = forward_advantages(sb, suite, lam, lp.data, v.data)
-    surr0 = _descend(tape, surrogate_loss(tape, lp, adv, sb.n_traj), policy.params(), [],
-                     "policy surrogate")
+    # The rewards, the KL and the surrogate read one evaluation, old_log.
+    stats, masks, old_log, adv = _forward_update(suite, sb, optimizers, lam, [])
+    surr0 = stats["surrogate"]
     scores = score_matrix(policy, sb.states, sb.slots, masks)
     old, g, assign = _solved_entries(policy, scores.rows)
-
-    stats = {"loss": float(np.mean(root_v1 ** 2)), "surrogate": surr0,
-             "accepted": False, "kl": 0.0, "step_scale": 0.0}
+    stats.update(accepted=False, kl=0.0, step_scale=0.0)
     direction_ok = bool(np.any(g))
     if direction_ok:
         x = conjugate_gradient(fisher_product(scores), g)
@@ -298,9 +300,6 @@ def trpo_step(suite, sb, optimizers, zeta=0.01, lam=0.99):
             scale *= BACKTRACK
         if not stats["accepted"]:
             assign(old)
-    _logz_step(suite, root_v1, optimizers["log_z"])
-    stats["value_loss"] = _value_step(value_tape, v, targets, suite.value_f,
-                                      optimizers["value_f"], sb.n_traj)
     return stats
 
 
@@ -341,7 +340,8 @@ def _check_type(name, value, default):
 @dataclass(frozen=True)
 class TrainerConfig:
     """Training settings, checked on construction: every field, a subclass's
-    too, must have its default's type before any value is compared."""
+    too, must have its default's type, and every float field must be finite,
+    before any value is compared."""
 
     strategy: str = "TB-U"
     batch_size: int = 128
@@ -356,17 +356,15 @@ class TrainerConfig:
     tabular: bool = False
     guide_eps: float = 1e-5
 
-    # The fields that must be finite; a class attribute, as it has no annotation.
-    _FLOATS = ("lam", "gamma", "zeta", "lr_policy", "lr_value", "lr_logz", "subtb_base",
-               "guide_eps")
-
     def __post_init__(self):
-        for f in fields(self):
+        every = fields(self)
+        for f in every:
             _check_type(f.name, getattr(self, f.name), f.default)
-        for name in self._FLOATS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{FIELD_KEYS.get(name, name)} must be finite, got {value}")
+        for f in every:
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ConfigError(f"{FIELD_KEYS.get(f.name, f.name)} must be finite, "
+                                  f"got {value}")
         if self.strategy not in ROSTER:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"choose from {', '.join(STRATEGIES)}")

@@ -26,7 +26,7 @@ from gflow.runner import (
     run_seed,
     summarize,
 )
-from gflow.training import Trainer, TrainerConfig
+from gflow.training import FIELD_KEYS, Trainer, TrainerConfig
 
 SMALL_GRID = """
 env = grid
@@ -140,6 +140,23 @@ def test_parse_config_rejects(text, fragment):
         # Only the grid's reward levels pass parsing: HyperGrid checks them.
         assert fragment == "grid rewards"
         build_env(cfg)
+
+
+# Every float field's config key, read from the fields' default types.
+FLOAT_KEYS = [FIELD_KEYS.get(f.name, f.name) for f in fields(RunConfig)
+              if type(f.default) is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_parse_config_rejects_every_non_finite_float(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+        parse_config_text(f"{key} = {value}")
+
+
+def test_every_float_key_is_checked_for_finiteness():
+    assert set(FLOAT_KEYS) >= {"lambda", "gamma", "zeta", "lr_policy", "lr_value", "lr_logz",
+                               "subtb_base", "guide_eps", "beta", "r0", "r1", "r2"}
 
 
 @pytest.mark.parametrize("make, fragment", [

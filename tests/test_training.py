@@ -425,6 +425,34 @@ def test_trpo_step_evaluates_the_policy_once_before_the_solve(tabular, monkeypat
     assert evaluations(calls, suite.value_f, sb.states) == 1
 
 
+@pytest.mark.parametrize("reject", [False, True], ids=["moved", "rejected"])
+@pytest.mark.parametrize("tabular", [True, False], ids=["tabular", "mlp"])
+def test_trpo_step_shares_the_plain_steps_forward_update(tabular, reject, monkeypatch):
+    # From equal suites and one batch, RL-T and RL-U step log Z and V_F to
+    # equal bytes and report equal losses; RL-T does so also when its
+    # line search rejects every trial and leaves the policy as it was.
+    env = HyperGrid(2, 4)
+    twins = [random_suite(env, np.random.default_rng(45), 0.5, tabular=tabular, hidden=(8,),
+                          need_value_f=True) for _ in range(2)]
+    sb = step_batch(sample_forward(env, twins[0].forward, 16, np.random.default_rng(46)))
+    if reject:
+        monkeypatch.setattr(exact, "policy_kl", lambda *args: np.inf)
+
+    def group_bytes(suite, name):
+        return ad.flatten(suite.param_groups()[name]).tobytes()
+
+    before = {name: group_bytes(twins[0], name) for name in ("policy_f", "log_z", "value_f")}
+    trpo = trpo_step(twins[0], sb, make_optimizers(twins[0]))
+    plain = actor_critic_step(twins[1], sb, make_optimizers(twins[1]))
+    assert trpo["accepted"] is not reject
+    assert (group_bytes(twins[0], "policy_f") == before["policy_f"]) is reject
+    for name in ("log_z", "value_f"):
+        assert group_bytes(twins[0], name) != before[name]
+        assert group_bytes(twins[0], name) == group_bytes(twins[1], name)
+    assert trpo["loss"] == plain["loss"]
+    assert trpo["value_loss"] == plain["value_loss"]
+
+
 # -- exact surrogate gradient --------------------------------------------------
 
 
